@@ -21,8 +21,8 @@ from .crossed import (CovariantPair, CrossedElement, GroupAction,
                       tensor_permutation_action, trivial_action)
 from .errors import BudgetError, DegenerateDrawError
 from .groups import (FiniteGroup, ProjectiveRep, Subgroup, UnitaryRep,
-                     cyclic_group, group_from_json, group_to_json,
-                     isotypic_projection, partitions, permutation_rep,
+                     cyclic_group, factor_permutation_index, group_from_json,
+                     group_to_json, isotypic_projection, partitions, permutation_rep,
                      regular_rep, sn_irrep, ssyt_count, symmetric_group,
                      trivial_subgroup, whole_subgroup, young_subgroup)
 from .induction import (InducedRep, commutant_restriction,

@@ -141,7 +141,7 @@ def suite_crossed(tol, seed, budget, samples: int = 50):
         worst = max(worst, float(np.max(np.abs(res))))
         assertions.append(_assertion(
             f"corner identities for blocks {blocks}, degree {n}",
-            worst < 1e-9, worst_residual=worst, samples=samples))
+            worst < tol, worst_residual=worst, samples=samples))
     return assertions
 
 
@@ -352,7 +352,7 @@ def suite_homog(tol, seed, budget, samples: int = 100):
             worst = max(worst, op_norm(comp(z * x) - z ** deg * comp(x)))
     assertions = [_assertion(
         "components are multiplicative, homogeneous, and sum back",
-        worst < 1e-9, worst_residual=worst, samples=samples)]
+        worst < tol, worst_residual=worst, samples=samples)]
     return assertions
 
 

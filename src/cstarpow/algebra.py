@@ -16,11 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from .errors import BudgetError
+from .groups import factor_permutation_index, symmetric_group
 from .linalg import DEFAULT_TOL, op_norm, orthonormal_columns
 
 # Caps for materializing large coefficient-space objects (entries, not bytes).
@@ -109,11 +110,6 @@ class FdCStarAlgebra:
     def norm(self, x) -> float:
         return op_norm(self.embed(x))
 
-    def basis_matrix(self, i: int) -> np.ndarray:
-        out = np.zeros((self.ambient, self.ambient), dtype=complex)
-        out[self.positions[i, 0], self.positions[i, 1]] = 1.0
-        return out
-
     def basis_matrices(self) -> np.ndarray:
         if self.dim * self.ambient ** 2 > MAX_DENSE_ENTRIES:
             raise BudgetError("materializing the full basis is too large")
@@ -149,10 +145,6 @@ class FdCStarAlgebra:
 
     def random_element(self, rng) -> np.ndarray:
         return rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-
-    def random_hermitian(self, rng) -> np.ndarray:
-        x = self.random_element(rng)
-        return (x + self.star(x)) / 2
 
     def random_positive(self, rng) -> np.ndarray:
         x = self.random_element(rng)
@@ -225,80 +217,19 @@ def tensor_power(a: FdCStarAlgebra, n: int) -> FdCStarAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# the permutation action on tensor powers
-
-@lru_cache(maxsize=32)
-def _digit_table(dim_base: int, n: int) -> np.ndarray:
-    """Digits (most significant first) of 0..dim_base^n-1 in base dim_base.
-
-    Cached and treated as read-only by all callers.
-    """
-    total = dim_base ** n
-    if total * n > MAX_DENSE_ENTRIES:
-        raise BudgetError("index table too large")
-    digits = np.empty((total, n), dtype=np.int64)
-    r = np.arange(total)
-    for t in range(n - 1, -1, -1):
-        digits[:, t] = r % dim_base
-        r = r // dim_base
-    digits.flags.writeable = False
-    return digits
-
-
-class PermutationAction:
-    """The action of one permutation on the coefficient space of a tensor power.
-
-    ``dest[i]`` is the index of the image of the i-th basis monomial, so the
-    action sends a coefficient vector x to y with ``y[dest] = x``.
-    """
-
-    def __init__(self, sigma, dest: np.ndarray):
-        self.sigma = tuple(sigma)
-        self.dest = dest
-
-    def apply(self, coeffs) -> np.ndarray:
-        out = np.empty_like(np.asarray(coeffs, dtype=complex))
-        out[self.dest] = coeffs
-        return out
-
-    def matrix(self) -> np.ndarray:
-        d = self.dest.shape[0]
-        if d * d > MAX_DENSE_ENTRIES:
-            raise BudgetError("dense permutation matrix too large")
-        out = np.zeros((d, d), dtype=complex)
-        out[self.dest, np.arange(d)] = 1.0
-        return out
-
-
-def permutation_action(a: FdCStarAlgebra, n: int, sigma) -> PermutationAction:
-    """Action of a permutation of tensor factors on the power of an algebra.
-
-    The permutation sends the monomial with factor indices I to the monomial
-    J with J[sigma(t)] = I[t]; this is a *-automorphism of a.tensor power n.
-    """
-    sigma = tuple(int(x) for x in sigma)
-    if sorted(sigma) != list(range(n)):
-        raise ValueError("sigma must be a permutation of 0..n-1")
-    digits = _digit_table(a.dim, n)
-    dest_digits = np.empty_like(digits)
-    for t in range(n):
-        dest_digits[:, sigma[t]] = digits[:, t]
-    radix = a.dim ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return PermutationAction(sigma, dest_digits @ radix)
-
+# symmetrization and power maps on tensor powers
 
 def symmetrize(a: FdCStarAlgebra, n: int, x) -> np.ndarray:
     """Average of x over all permutations of the tensor factors.
 
     The result is fixed by every factor permutation; the averaging map is
-    idempotent, unital, and positive.
+    idempotent, unital, and positive.  The permutations are closed under
+    inverses, so reading x through each permutation's index averages the
+    same terms as moving it.
     """
     x = np.asarray(x, dtype=complex)
-    out = np.zeros_like(x)
-    perms = list(itertools.permutations(range(n)))
-    for sigma in perms:
-        out += permutation_action(a, n, sigma).apply(x)
-    return out / len(perms)
+    dest = factor_permutation_index([a.dim] * n, symmetric_group(n).perms)
+    return np.mean(x[dest], axis=0)
 
 
 def power_map(a: FdCStarAlgebra, x, n: int) -> np.ndarray:

@@ -7,6 +7,8 @@ partition per chosen block bounded in length by the block size.  Each
 descriptor is realized concretely by building the product covariant pair
 over the matching Young subgroup, inducing up to the full symmetric group,
 integrating, and compressing to the range of the group averaging projection.
+The Schur-Weyl representations are the descriptors with a single block of
+multiplicity n, realized by that same construction.
 
 The descriptor dimension is the product of semistandard tableau counts, and
 the multiset of descriptor dimensions must agree with the numerically
@@ -21,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (FdCStarAlgebra, SymmetricPowerBasis, _digit_table,
-                      power_map, power_map_differential, symmetric_power_basis,
+from .algebra import (FdCStarAlgebra, SymmetricPowerBasis, power_map,
+                      power_map_differential, symmetric_power_basis,
                       symmetric_power_count, tensor_power)
 from .crossed import GroupAction
-from .groups import (ProjectiveRep, Subgroup, check_partition, partitions,
-                     sn_irrep, ssyt_count, symmetric_group, young_subgroup)
+from .groups import (ProjectiveRep, Subgroup, check_partition,
+                     factor_permutation_index, partitions, sn_irrep,
+                     ssyt_count, symmetric_group, young_subgroup)
+from .induction import induced_unitaries
 from .linalg import DEFAULT_TOL, direct_sum, op_norm, orthonormal_columns
 from .structure import (commutant_dimension, equivalent, intertwiner_space,
                         minimal_central_projections, spanned_algebra)
@@ -124,7 +128,7 @@ def enumerate_sn_irreps(algebra: FdCStarAlgebra, n: int) -> list[IrrepDescriptor
 class RealizedIrrep:
     """A representation of the symmetric power given on its orbit-sum basis."""
 
-    descriptor: IrrepDescriptor | None
+    descriptor: IrrepDescriptor
     images: np.ndarray  # (basis size, dim, dim)
 
     @property
@@ -132,70 +136,36 @@ class RealizedIrrep:
         return int(self.images.shape[1])
 
 
-def _mixed_digits(dims):
-    total = int(np.prod(dims)) if dims else 1
-    n = len(dims)
-    digits = np.empty((total, n), dtype=np.int64)
-    r = np.arange(total)
-    for t in range(n - 1, -1, -1):
-        digits[:, t] = r % dims[t]
-        r = r // dims[t]
-    return digits
-
-
-def _factor_perm_matrix(dims, p) -> np.ndarray:
-    """Permutation of tensor factors with per-factor dimensions dims."""
-    for t in range(len(dims)):
-        if dims[p[t]] != dims[t]:
-            raise ValueError("permutation does not preserve factor dimensions")
-    digits = _mixed_digits(dims)
-    dest = np.empty_like(digits)
-    for t in range(len(dims)):
-        dest[:, p[t]] = digits[:, t]
-    radix = np.ones(len(dims), dtype=np.int64)
-    for t in range(len(dims) - 2, -1, -1):
-        radix[t] = radix[t + 1] * dims[t + 1]
-    total = digits.shape[0]
-    out = np.zeros((total, total), dtype=complex)
-    out[dest @ radix, np.arange(total)] = 1.0
-    return out
-
-
 def _block_images_on_vectors(base: FdCStarAlgebra, beta, vectors,
-                             mult_dim: int) -> np.ndarray:
-    """Images of power-algebra coefficient vectors under the product of block
-    representations chosen by beta, tensored with an identity of size
-    mult_dim.
+                             mult_dim: int, dest, out):
+    """Write into ``out`` the images of power-algebra coefficient vectors,
+    each moved by the factor permutation with index ``dest``, under the
+    product of block representations chosen by beta, tensored with an
+    identity of size mult_dim.
 
     Every basis monomial maps to a single matrix entry (or to zero when some
-    factor misses its assigned block), so the evaluation is positional.
+    factor misses its assigned block), and distinct monomials map to
+    distinct entries, so the evaluation is a positional assignment.
     """
     n = len(beta)
     dims = [base.blocks[b] for b in beta]
-    h0 = int(np.prod(dims))
     radix = np.ones(n, dtype=np.int64)
     for t in range(n - 2, -1, -1):
         radix[t] = radix[t + 1] * dims[t + 1]
-    size = h0 * mult_dim
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
-    out = np.zeros((vectors.shape[0], size, size), dtype=complex)
+    which, flat = np.nonzero(vectors)
+    rest = dest[flat]
+    row = np.zeros_like(rest)
+    col = np.zeros_like(rest)
+    ok = np.ones(rest.shape, dtype=bool)
+    for t in range(n - 1, -1, -1):
+        i = rest % base.dim
+        rest = rest // base.dim
+        ok &= base.block_of[i] == beta[t]
+        row += base.local[i, 0] * radix[t]
+        col += base.local[i, 1] * radix[t]
     span = np.arange(mult_dim)
-    for a, vec in enumerate(vectors):
-        for flat in np.nonzero(vec)[0]:
-            rest = int(flat)
-            row = col = 0
-            ok = True
-            for t in range(n - 1, -1, -1):
-                i = rest % base.dim
-                rest //= base.dim
-                if base.block_of[i] != beta[t]:
-                    ok = False
-                    break
-                row += base.local[i, 0] * radix[t]
-                col += base.local[i, 1] * radix[t]
-            if ok:
-                out[a, row * mult_dim + span, col * mult_dim + span] += vec[flat]
-    return out
+    out[which[ok, None], row[ok, None] * mult_dim + span,
+        col[ok, None] * mult_dim + span] = vectors[which[ok], flat[ok], None]
 
 
 def _young_factorization(sub: Subgroup, q):
@@ -231,8 +201,12 @@ def _realization_unitaries(algebra, n, desc, sub: Subgroup):
     factor_groups = [symmetric_group(qk) for qk in desc.q]
     lookup = [{p: i for i, p in enumerate(g.perms)} for g in factor_groups]
     w1 = []
-    for amb, factors in zip(sub.elements, _young_factorization(sub, desc.q)):
-        v0 = _factor_perm_matrix(dims, sub.ambient.perms[amb])
+    dests = factor_permutation_index(
+        dims, [sub.ambient.perms[amb] for amb in sub.elements])
+    total = dests.shape[1]
+    for dest, factors in zip(dests, _young_factorization(sub, desc.q)):
+        v0 = np.zeros((total, total), dtype=complex)
+        v0[dest, np.arange(total)] = 1.0
         u0 = np.eye(1, dtype=complex)
         for k, f in enumerate(factors):
             u0 = np.kron(u0, ureps[k].mat(lookup[k][f]))
@@ -259,36 +233,22 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     group = symmetric_group(n)
     sub = young_subgroup(desc.q, group)
     beta, w1, d_mult = _realization_unitaries(algebra, n, desc, sub)
-    reps = sub.coset_reps
-    r1 = len(reps)
     m_block = w1.shape[1]
-    size = r1 * m_block
+    size = sub.index * m_block
 
-    # the induced algebra action evaluated on the orbit-sum basis vectors
-    digits = _digit_table(algebra.dim, n)
-    radix = algebra.dim ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # the induced algebra action evaluated on the orbit-sum basis vectors:
+    # block j is the product pair composed with the automorphism of g_j^{-1}
+    dests = factor_permutation_index(
+        [algebra.dim] * n,
+        [group.perms[group.inverse(gj)] for gj in sub.coset_reps])
     pi_vals = np.zeros((sym.size, size, size), dtype=complex)
-    for j, gj in enumerate(reps):
-        p = group.perms[group.inverse(gj)]
-        dest = np.empty_like(digits)
-        for t in range(n):
-            dest[:, p[t]] = digits[:, t]
-        dest_flat = dest @ radix
-        moved = np.zeros_like(sym.vectors)
-        moved[:, dest_flat] = sym.vectors
-        blocks = _block_images_on_vectors(algebra, beta, moved, d_mult)
+    for j, dest in enumerate(dests):
         sl = slice(j * m_block, (j + 1) * m_block)
-        pi_vals[:, sl, sl] = blocks
+        _block_images_on_vectors(algebra, beta, sym.vectors, d_mult, dest,
+                                 pi_vals[:, sl, sl])
 
     # induced unitaries and the averaging projection
-    umats = np.zeros((group.order, size, size), dtype=complex)
-    for g in range(group.order):
-        for j, gj in enumerate(reps):
-            k = int(sub.coset_of[group.multiply(g, gj)])
-            h = group.multiply(group.inverse(reps[k]), group.multiply(g, gj))
-            umats[g, k * m_block:(k + 1) * m_block,
-                  j * m_block:(j + 1) * m_block] = w1[sub.local[h]]
-    avg = np.mean(umats, axis=0)
+    avg = np.mean(induced_unitaries(sub, w1), axis=0)
     w = orthonormal_columns(avg, tol)
     if w.shape[1] != desc.dim:
         raise AssertionError(
@@ -338,33 +298,13 @@ def schur_weyl_rep(algebra: FdCStarAlgebra, block: int, lam,
     ``lam`` is a partition of the degree n; the carrier dimension is the
     count of semistandard tableaux of shape lam with entries up to the block
     size.  Partitions with more rows than the block size have zero carrier
-    and are rejected.
+    and are rejected.  This is the descriptor with the single block and
+    multiplicity n, realized by the same induction as every other.
     """
     lam = check_partition(lam)
     n = sum(lam)
-    k = algebra.blocks[block]
-    if len(lam) > k:
-        raise ValueError("partition has more rows than the block dimension")
-    if sym is None:
-        sym = symmetric_power_basis(algebra, n)
-    group = symmetric_group(n)
-    urep = sn_irrep(lam)
-    dims = [k] * n
-    tmats = []
-    for g in range(group.order):
-        v = _factor_perm_matrix(dims, group.perms[g])
-        tmats.append(np.kron(v, np.conj(urep.mat(g))))
-    tmats = np.stack(tmats)
-    avg = np.mean(tmats, axis=0)
-    w = orthonormal_columns(avg, tol)
-    expected = ssyt_count(lam, k)
-    if w.shape[1] != expected:
-        raise AssertionError(
-            f"equivariant space has rank {w.shape[1]}, expected {expected}")
-    beta = [block] * n
-    vals = _block_images_on_vectors(algebra, beta, sym.vectors, urep.dim)
-    images = np.einsum("pi,aij,jq->apq", w.conj().T, vals, w, optimize=True)
-    return RealizedIrrep(None, images)
+    desc = _descriptor(algebra, (block,), (n,), (lam,))
+    return realize_sn_irrep(algebra, n, desc, sym=sym, tol=tol)
 
 
 def schur_weyl_labels(algebra: FdCStarAlgebra, n: int):
@@ -436,19 +376,13 @@ def non_schur_weyl_witness(algebra: FdCStarAlgebra, block1: int, block2: int,
 # ---------------------------------------------------------------------------
 # isotropy groups and intertwining cocycles
 
-def _composed_images(pi, action: GroupAction, g: int) -> np.ndarray:
-    if action.is_permutation:
-        return pi[action.perm_maps[g]]
-    return np.tensordot(action.dense_maps[g], pi, axes=(0, 0))
-
-
 def isotropy_group(pi, action: GroupAction,
                    tol: float = DEFAULT_TOL) -> Subgroup:
     """Elements whose automorphism leaves the equivalence class of an
     irreducible representation fixed; verified to form a subgroup."""
     pi = np.asarray(pi, dtype=complex)
     members = [g for g in range(action.group.order)
-               if equivalent(_composed_images(pi, action, g), pi, tol)]
+               if equivalent(action.composed_images(g, pi), pi, tol)]
     return Subgroup(action.group, members)
 
 
@@ -473,7 +407,7 @@ def intertwining_cocycle(pi, action: GroupAction, isotropy: Subgroup,
     dim = pi.shape[1]
     mats = []
     for amb in isotropy.elements:
-        rho = _composed_images(pi, action, amb)
+        rho = action.composed_images(amb, pi)
         basis = intertwiner_space(pi, rho, tol)
         if basis.shape[0] != 1:
             raise ValueError(

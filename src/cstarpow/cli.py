@@ -64,6 +64,17 @@ def _parse_blocks(text: str) -> list[int]:
         raise CliParseError(f"bad block list {text!r}") from exc
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def _load_algebra(args):
     if getattr(args, "spec", None):
         try:
@@ -282,7 +293,8 @@ def cmd_schur_weyl(args, cfg: RunConfig) -> tuple[int, dict]:
 def cmd_homog(args, cfg: RunConfig) -> tuple[int, dict]:
     algebra = _load_algebra(args)
     degrees = _parse_blocks(args.degrees)
-    n_max = args.nmax if args.nmax else max(degrees)
+    _check_budget(algebra, max(degrees), cfg.budget)
+    n_max = args.nmax if args.nmax is not None else max(degrees)
     phi = direct_sum_of_power_maps(algebra, degrees)
     comps = homogeneous_components(phi, algebra, n_max, tol=cfg.tol,
                                    seed=cfg.seed)
@@ -361,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks")
     p.add_argument("--action-spec", dest="action_spec")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_int_at_least(0), default=20)
     common(p)
 
     p = sub.add_parser("induce", help="induce a covariant pair from a subgroup")
@@ -382,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks")
     p.add_argument("--spec")
     p.add_argument("--degrees", default="1,2")
-    p.add_argument("--nmax", type=int)
+    p.add_argument("--nmax", type=_int_at_least(1))
     common(p)
 
     p = sub.add_parser("verify", help="run a named verification suite")

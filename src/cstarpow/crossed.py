@@ -19,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FdCStarAlgebra, tensor_power
-from .groups import FiniteGroup, Subgroup, UnitaryRep, symmetric_group
+from .groups import (FiniteGroup, Subgroup, UnitaryRep,
+                     factor_permutation_index, symmetric_group)
 from .linalg import DEFAULT_TOL, op_norm, orthonormal_columns
 from .structure import SpannedAlgebra, spanned_algebra
 
 _PAIR_CHECK_CAP = 300_000  # scalar ops cap before sampling automorphism checks
+_COVARIANCE_CHECK_CAP = 512  # basis images sampled per group element
 
 
 class GroupAction:
@@ -77,6 +79,13 @@ class GroupAction:
             out[self.perm_maps[g], np.arange(d)] = 1.0
             return out
         return self.dense_maps[g]
+
+    def composed_images(self, g: int, images) -> np.ndarray:
+        """Stacked images of basis elements, composed with the automorphism
+        of g: entry i of the result is the image of alpha_g(basis_i)."""
+        if self.is_permutation:
+            return images[self.perm_maps[g]]
+        return np.tensordot(self.dense_maps[g], images, axes=(0, 0))
 
     def _check(self, tol):
         grp, alg = self.group, self.algebra
@@ -183,17 +192,9 @@ def trivial_action(algebra: FdCStarAlgebra, group: FiniteGroup) -> GroupAction:
 def tensor_permutation_action(base: FdCStarAlgebra, n: int,
                               check: bool = False) -> GroupAction:
     """The symmetric group permuting the factors of an n-fold tensor power."""
-    from .algebra import _digit_table
     group = symmetric_group(n)
     power = tensor_power(base, n)
-    digits = _digit_table(base.dim, n)
-    radix = base.dim ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    maps = np.empty((group.order, power.dim), dtype=np.int64)
-    for g, p in enumerate(group.perms):
-        dest = np.empty_like(digits)
-        for t in range(n):
-            dest[:, p[t]] = digits[:, t]
-        maps[g] = dest @ radix
+    maps = factor_permutation_index([base.dim] * n, group.perms)
     action = GroupAction(group, power, perm_maps=maps, check=check)
     action.base = base
     action.power_exponent = n
@@ -330,8 +331,7 @@ class CovariantPair:
     linked by the covariance relation pi(alpha_g(x)) = U_g pi(x) U_g*."""
 
     def __init__(self, action: GroupAction, pi_images, unitary: UnitaryRep,
-                 check: bool = True, tol: float = DEFAULT_TOL,
-                 check_cap: int = 512):
+                 check: bool = True, tol: float = DEFAULT_TOL):
         self.action = action
         self.pi = np.asarray(pi_images, dtype=complex)
         self.unitary = unitary
@@ -341,7 +341,7 @@ class CovariantPair:
                 self.pi.shape[1] != unitary.dim:
             raise ValueError("pi images have the wrong shape")
         if check:
-            self._check(tol, check_cap)
+            self._check(tol)
 
     @property
     def dim(self) -> int:
@@ -351,22 +351,17 @@ class CovariantPair:
         return np.tensordot(np.asarray(coeffs, dtype=complex), self.pi,
                             axes=(0, 0))
 
-    def compose_with_action(self, g: int) -> np.ndarray:
-        """Images of pi composed with the automorphism of g."""
-        if self.action.is_permutation:
-            return self.pi[self.action.perm_maps[g]]
-        return np.tensordot(self.action.dense_maps[g], self.pi, axes=(0, 0))
-
-    def _check(self, tol, cap):
+    def _check(self, tol):
         action = self.action
         d = action.algebra.dim
         idx = np.arange(d)
-        if d > cap:
-            idx = np.random.default_rng(0).choice(d, size=cap, replace=False)
+        if d > _COVARIANCE_CHECK_CAP:
+            idx = np.random.default_rng(0).choice(
+                d, size=_COVARIANCE_CHECK_CAP, replace=False)
         scale = max(1.0, float(np.max(np.abs(self.pi))) if self.pi.size else 1.0)
         for g in range(action.group.order):
             u = self.unitary.mat(g)
-            moved = self.compose_with_action(g)[idx]
+            moved = action.composed_images(g, self.pi)[idx]
             conj = np.matmul(u, np.matmul(self.pi[idx], u.conj().T))
             if np.max(np.abs(moved - conj)) > 100 * tol * scale:
                 raise ValueError("pair fails the covariance relation")

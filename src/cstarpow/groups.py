@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import BudgetError
 from .linalg import DEFAULT_TOL, op_norm
 
 MAX_SYMMETRIC_N = 7
@@ -24,6 +25,11 @@ MAX_SYMMETRIC_N = 7
 # Above this many scalar operations, representation homomorphism checks fall
 # back to a fixed-seed sample of group element pairs.
 _CHECK_BUDGET = 20_000_000
+
+# Largest factor-permutation index table (entries), and largest tensor power
+# dimension of a permutation representation.
+_MAX_INDEX_ENTRIES = 70_000_000
+_MAX_PERMUTATION_REP_DIM = 5000
 
 
 class FiniteGroup:
@@ -167,10 +173,6 @@ class Subgroup:
     @property
     def index(self) -> int:
         return len(self.coset_reps)
-
-    def conjugate_elements(self, g: int) -> tuple[int, ...]:
-        """Ambient elements of the conjugate subgroup g H g^{-1}."""
-        return tuple(sorted(self.ambient.conjugate(g, h) for h in self.elements))
 
     def __repr__(self):
         return f"Subgroup(order={self.order}, index={self.index})"
@@ -467,29 +469,58 @@ def sn_character(parts) -> np.ndarray:
     return np.real(sn_irrep(parts).character())
 
 
-def permutation_rep(n: int, d: int, max_dim: int = 5000) -> UnitaryRep:
+def factor_permutation_index(dims, perms) -> np.ndarray:
+    """Where factor permutations send the product basis of a tensor product.
+
+    The product basis of C^dims[0] (x) ... (x) C^dims[n-1] is indexed in
+    mixed radix, first factor most significant.  ``perms[g]`` is a
+    permutation p of the factors that moves factor t to slot p[t]; it must
+    preserve the factor dimensions.  Returns ``dest`` of shape
+    (len(perms), prod(dims)) with ``dest[g, i]`` the index of the image of
+    basis vector i, so the permutation sends a coefficient vector x to y with
+    ``y[dest[g]] = x``.  For a composition, ``dest`` of pq is
+    ``dest[p][dest[q]]``.
+    """
+    dims = [int(k) for k in dims]
+    n = len(dims)
+    perms = np.array(perms, dtype=np.int64).reshape(-1, n)
+    total = math.prod(dims)
+    # the returned index and the digit table are the largest arrays built
+    if max(perms.shape[0], n) * total > _MAX_INDEX_ENTRIES:
+        raise BudgetError(
+            f"factor permutation index of {perms.shape[0]}x{total} entries")
+    if not np.array_equal(np.sort(perms, axis=1),
+                          np.broadcast_to(np.arange(n), perms.shape)):
+        raise ValueError("not a permutation of the tensor factors")
+    if not np.array_equal(np.array(dims)[perms],
+                          np.broadcast_to(dims, perms.shape)):
+        raise ValueError("permutation does not preserve factor dimensions")
+    radix = np.ones(n, dtype=np.int64)
+    for t in range(n - 2, -1, -1):
+        radix[t] = radix[t + 1] * dims[t + 1]
+    digits = np.empty((n, total), dtype=np.int64)
+    r = np.arange(total)
+    for t in range(n - 1, -1, -1):
+        digits[t] = r % dims[t]
+        r = r // dims[t]
+    # digit t of a basis vector becomes digit p[t] of its image
+    return radix[perms] @ digits
+
+
+def permutation_rep(n: int, d: int) -> UnitaryRep:
     """Representation of S_n on the n-fold tensor power of C^d.
 
     Each group element acts by permuting the tensor factors; the matrices are
     permutation matrices in the product basis.
     """
     group = symmetric_group(n)
-    if d ** n > max_dim:
-        from .errors import BudgetError
-        raise BudgetError(f"tensor power dimension {d ** n} exceeds {max_dim}")
     dim = d ** n
-    digits = np.empty((dim, n), dtype=np.int64)
-    rng = np.arange(dim)
-    for t in range(n - 1, -1, -1):
-        digits[:, t] = rng % d
-        rng = rng // d
-    radix = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    if dim > _MAX_PERMUTATION_REP_DIM:
+        raise BudgetError(f"tensor power dimension {dim} exceeds "
+                          f"{_MAX_PERMUTATION_REP_DIM}")
+    dest = factor_permutation_index([d] * n, group.perms)
     mats = np.zeros((group.order, dim, dim), dtype=complex)
-    for g, p in enumerate(group.perms):
-        dest = np.empty_like(digits)
-        for t in range(n):
-            dest[:, p[t]] = digits[:, t]
-        mats[g, dest @ radix, np.arange(dim)] = 1.0
+    mats[np.arange(group.order)[:, None], dest, np.arange(dim)] = 1.0
     return UnitaryRep(group, mats, check=False)
 
 

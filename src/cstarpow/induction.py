@@ -69,33 +69,39 @@ def induce(base: CovariantPair, action: GroupAction, sub: Subgroup,
         raise ValueError("base pair is not over the given subgroup")
     _check_restriction(base.action, action, sub)
     grp = action.group
-    reps = sub.coset_reps
-    r1 = len(reps)
     m = base.dim
-    n = r1 * m
-    d = action.algebra.dim
+    n = sub.index * m
 
-    pi = np.zeros((d, n, n), dtype=complex)
-    for j, gj in enumerate(reps):
-        gj_inv = grp.inverse(gj)
-        if action.is_permutation:
-            block = base.pi[action.perm_maps[gj_inv]]
-        else:
-            block = np.tensordot(action.dense_maps[gj_inv], base.pi,
-                                 axes=(0, 0))
+    pi = np.zeros((action.algebra.dim, n, n), dtype=complex)
+    for j, gj in enumerate(sub.coset_reps):
         sl = slice(j * m, (j + 1) * m)
-        pi[:, sl, sl] = block
+        pi[:, sl, sl] = action.composed_images(grp.inverse(gj), base.pi)
 
+    unitary = UnitaryRep(grp, induced_unitaries(sub, base.unitary.matrices),
+                         check=False)
+    pair = CovariantPair(action, pi, unitary, check=check, tol=tol)
+    return InducedRep(base, sub, action, pair, m)
+
+
+def induced_unitaries(sub: Subgroup, base_mats) -> np.ndarray:
+    """The group unitaries of the representation induced from ``sub``.
+
+    ``base_mats[h]`` is the base unitary of the subgroup element with local
+    index h.  In coset-block form, g maps block j to the block k of the coset
+    of g g_j and acts there by the base unitary of g_k^{-1} g g_j.
+    """
+    grp = sub.ambient
+    reps = sub.coset_reps
+    m = base_mats.shape[1]
+    n = len(reps) * m
     umats = np.zeros((grp.order, n, n), dtype=complex)
     for g in range(grp.order):
         for j, gj in enumerate(reps):
             k = int(sub.coset_of[grp.multiply(g, gj)])
             h = grp.multiply(grp.inverse(reps[k]), grp.multiply(g, gj))
-            w = base.unitary.mat(sub.local[h])
-            umats[g, k * m:(k + 1) * m, j * m:(j + 1) * m] = w
-    unitary = UnitaryRep(grp, umats, check=False)
-    pair = CovariantPair(action, pi, unitary, check=check, tol=tol)
-    return InducedRep(base, sub, action, pair, m)
+            umats[g, k * m:(k + 1) * m, j * m:(j + 1) * m] = \
+                base_mats[sub.local[h]]
+    return umats
 
 
 def _check_restriction(base_action: GroupAction, action: GroupAction,

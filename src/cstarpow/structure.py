@@ -24,6 +24,12 @@ from .linalg import (DEFAULT_TOL, SPECTRAL_GAP, adjoint, cluster_eigenvalues,
 # through minimal_central_projections instead.
 MAX_COMMUTANT_AMBIENT = 40
 
+# Basis pairs checked for product closure of a span (all pairs up to this
+# many, a fixed-seed sample of this many beyond), and family members a
+# commutant candidate is verified against (a fixed-seed sample beyond).
+_CLOSURE_CHECK_PAIRS = 400
+_VERIFY_MAX_MEMBERS = 256
+
 
 def _as_family(mats) -> np.ndarray:
     fam = np.asarray(mats, dtype=complex)
@@ -73,8 +79,7 @@ class SpannedAlgebra:
 
 
 def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
-                    check: bool = True, check_pairs: int = 400,
-                    seed: int = 0, orthogonal: bool = False) -> SpannedAlgebra:
+                    check: bool = True, seed: int = 0, orthogonal: bool = False) -> SpannedAlgebra:
     """Build a SpannedAlgebra from a spanning family.
 
     Reduces the family to a linearly independent subset and verifies closure
@@ -119,11 +124,11 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
     if check:
         d = basis.shape[0]
         rng = np.random.default_rng(seed)
-        if d * d <= check_pairs:
+        if d * d <= _CLOSURE_CHECK_PAIRS:
             pairs = [(i, j) for i in range(d) for j in range(d)]
         else:
             pairs = [(int(i), int(j)) for i, j in
-                     rng.integers(0, d, size=(check_pairs, 2))]
+                     rng.integers(0, d, size=(_CLOSURE_CHECK_PAIRS, 2))]
         for i in range(d):
             if not out.contains(adjoint(basis[i]), tol):
                 raise ValueError("span is not closed under adjoints")
@@ -153,13 +158,13 @@ def _commutation_operator(m: np.ndarray) -> np.ndarray:
     return np.kron(eye, m.T) - np.kron(m, eye)
 
 
-def _verify_commutant(cands: np.ndarray, fam: np.ndarray, tol: float,
-                      max_members: int = 256, seed: int = 0) -> bool:
+def _verify_commutant(cands: np.ndarray, fam: np.ndarray, tol: float) -> bool:
     if cands.shape[0] == 0:
         return True
-    if fam.shape[0] > max_members:
-        rng = np.random.default_rng(seed)
-        fam = fam[rng.choice(fam.shape[0], size=max_members, replace=False)]
+    if fam.shape[0] > _VERIFY_MAX_MEMBERS:
+        rng = np.random.default_rng(0)
+        fam = fam[rng.choice(fam.shape[0], size=_VERIFY_MAX_MEMBERS,
+                             replace=False)]
     scale = max(1.0, float(np.max(np.abs(fam)))) * max(
         1.0, float(np.max(np.abs(cands))))
     for c in cands:

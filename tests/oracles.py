@@ -97,3 +97,15 @@ def naive_convolution(action, f1, f2):
 
 def multiset_permutations(ms):
     return set(itertools.permutations(ms))
+
+
+def permuted_kron(vectors, perm):
+    """Tensor product of factor vectors after moving factor t to slot
+    perm[t], built with np.kron."""
+    slots = [None] * len(vectors)
+    for t, v in enumerate(vectors):
+        slots[perm[t]] = v
+    out = np.ones(1, dtype=complex)
+    for v in slots:
+        out = np.kron(out, v)
+    return out

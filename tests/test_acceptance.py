@@ -122,3 +122,8 @@ def test_criterion_11_determinism(capsys):
     assert payload["passed"] is True
     report("11 (deterministic verification)", out1 == out2,
            f"{len(out1)} bytes of JSON, identical across runs")
+
+
+def test_suites_compare_against_the_given_tolerance():
+    # the corner identities hold to ~1e-15, which is not below 1e-20
+    assert acceptance.run_suite("crossed", tol=1e-20)["passed"] is False

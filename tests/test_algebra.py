@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -7,12 +6,14 @@ import pytest
 from cstarpow.algebra import (Representation, algebra_from_json,
                               algebra_to_json, element_from_json,
                               element_to_json, generated_star_algebra,
-                              make_algebra, permutation_action, power_map,
+                              make_algebra, power_map,
                               power_map_differential,
                               square_map_multiplicativity,
                               symmetric_power_basis, symmetrize,
                               tensor_algebra, tensor_power)
+from cstarpow.crossed import tensor_permutation_action
 from cstarpow.errors import BudgetError
+from cstarpow.groups import symmetric_group
 from oracles import multiset_permutations
 
 
@@ -69,36 +70,41 @@ def test_tensor_algebra_multiplication_is_kron(m2, rng):
                        np.kron(m2.embed(x1), m2.embed(y1)))
 
 
+def _swap(n):
+    """Index of the permutation exchanging the first two of n points."""
+    return symmetric_group(n).perms.index((1, 0) + tuple(range(2, n)))
+
+
 def test_permutation_action_is_automorphism(m2, rng):
     power = tensor_power(m2, 3)
+    act = tensor_permutation_action(m2, 3)
     x, y = power.random_element(rng), power.random_element(rng)
-    for sigma in itertools.permutations(range(3)):
-        act = permutation_action(m2, 3, sigma)
-        lhs = act.apply(power.multiply(x, y))
-        rhs = power.multiply(act.apply(x), act.apply(y))
+    for g in range(act.group.order):
+        lhs = act.apply(g, power.multiply(x, y))
+        rhs = power.multiply(act.apply(g, x), act.apply(g, y))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
-        assert np.allclose(act.apply(power.star(x)), power.star(act.apply(x)))
+        assert np.allclose(act.apply(g, power.star(x)),
+                           power.star(act.apply(g, x)))
 
 
 def test_permutation_action_composition(m2):
-    perms = list(itertools.permutations(range(3)))
-    for p in perms:
-        for q in perms:
-            pq = tuple(p[q[i]] for i in range(3))
-            a = permutation_action(m2, 3, p)
-            b = permutation_action(m2, 3, q)
-            ab = permutation_action(m2, 3, pq)
-            x = np.arange(64, dtype=complex)
-            assert np.allclose(a.apply(b.apply(x)), ab.apply(x))
-    ident = permutation_action(m2, 2, (0, 1))
+    act = tensor_permutation_action(m2, 3)
+    perms = act.group.perms
+    x = np.arange(64, dtype=complex)
+    for a, p in enumerate(perms):
+        for b, q in enumerate(perms):
+            pq = perms.index(tuple(p[q[i]] for i in range(3)))
+            assert np.allclose(act.apply(a, act.apply(b, x)),
+                               act.apply(pq, x))
+    act2 = tensor_permutation_action(m2, 2)
     x = np.arange(16, dtype=complex)
-    assert np.allclose(ident.apply(x), x)
+    assert np.allclose(act2.apply(act2.group.identity, x), x)
 
 
 def test_permutation_action_swap_on_elementary_tensor(m2, rng):
     e, f = m2.random_element(rng), m2.random_element(rng)
-    act = permutation_action(m2, 2, (1, 0))
-    assert np.allclose(act.apply(np.kron(e, f)), np.kron(f, e))
+    act = tensor_permutation_action(m2, 2)
+    assert np.allclose(act.apply(_swap(2), np.kron(e, f)), np.kron(f, e))
 
 
 def test_symmetrizer_properties(m2, rng):
@@ -106,8 +112,8 @@ def test_symmetrizer_properties(m2, rng):
     x = power.random_element(rng)
     ex = symmetrize(m2, 2, x)
     assert np.allclose(symmetrize(m2, 2, ex), ex)  # idempotent
-    act = permutation_action(m2, 2, (1, 0))
-    assert np.allclose(act.apply(ex), ex)
+    act = tensor_permutation_action(m2, 2)
+    assert np.allclose(act.apply(_swap(2), ex), ex)
     assert np.allclose(symmetrize(m2, 2, power.unit()), power.unit())
     e, f = m2.random_element(rng), m2.random_element(rng)
     assert np.allclose(symmetrize(m2, 2, np.kron(e, f)),
@@ -151,9 +157,9 @@ def test_symmetric_power_basis_vectors(m2):
     sym = symmetric_power_basis(m2, 2)
     rank = np.linalg.matrix_rank(sym.vectors)
     assert rank == sym.size
-    act = permutation_action(m2, 2, (1, 0))
+    act = tensor_permutation_action(m2, 2)
     for v in sym.vectors:
-        assert np.allclose(act.apply(v), v)
+        assert np.allclose(act.apply(_swap(2), v), v)
     for multiset, v in zip(sym.index, sym.vectors):
         assert np.isclose(np.sum(v), len(multiset_permutations(multiset)))
 

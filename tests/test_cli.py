@@ -117,6 +117,28 @@ def test_parse_errors(capsys):
     assert run_cli(capsys, "verify", "nonsense")[0] == 2          # bad suite
 
 
+def test_homog_budget_preflight(capsys):
+    # degree 3 of M_2 has ambient 8, over a budget of 4
+    code, _, err = run_cli(capsys, "homog", "--blocks", "2", "--degrees",
+                           "1,3", "--budget", "4")
+    assert code == 3
+    assert "budget" in err.lower()
+
+
+def test_homog_nmax_must_be_positive_and_is_honoured(capsys):
+    assert run_cli(capsys, "homog", "--blocks", "2", "--nmax", "0")[0] == 2
+    code, payload = run_json(capsys, "homog", "--blocks", "1", "--degrees",
+                             "1,2", "--nmax", "3")
+    assert code == 0
+    assert payload["n_max"] == 3
+    assert len(payload["component_norms_at_sample"]) == 4
+
+
+def test_crossed_samples_must_be_non_negative(capsys):
+    assert run_cli(capsys, "crossed", "--blocks", "1,1", "--samples",
+                   "-1")[0] == 2
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "sympow", "--blocks", "2,3", "--n", "3",
                            "--budget", "50")

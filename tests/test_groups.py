@@ -1,10 +1,16 @@
 import math
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cstarpow.errors import BudgetError
 from cstarpow.groups import (FiniteGroup, ProjectiveRep, Subgroup, UnitaryRep,
-                             cyclic_group, hook_lengths, isotypic_projection,
+                             cyclic_group, factor_permutation_index,
+                             hook_lengths, isotypic_projection,
                              partitions, permutation_rep, regular_rep,
                              sn_character, sn_irrep, ssyt_count,
                              standard_tableaux, symmetric_group,
@@ -12,7 +18,7 @@ from cstarpow.groups import (FiniteGroup, ProjectiveRep, Subgroup, UnitaryRep,
                              young_subgroup)
 from cstarpow.linalg import op_norm
 from cstarpow.structure import minimal_central_projections, spanned_algebra
-from oracles import ssyt_enumerate
+from oracles import permuted_kron, ssyt_enumerate
 
 
 def test_symmetric_group_sizes_and_laws():
@@ -150,6 +156,64 @@ def test_ssyt_count_against_enumeration():
     assert ssyt_count((2, 1), 2) == 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_factor_permutation_index_matches_kron_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    perm = data.draw(st.permutations(range(n)))
+    # one dimension per cycle of perm, so that perm preserves the dimensions
+    dims = [0] * n
+    for start in range(n):
+        if dims[start]:
+            continue
+        k, t = data.draw(st.integers(1, 3)), start
+        while dims[t] == 0:
+            dims[t] = k
+            t = perm[t]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    vectors = [rng.standard_normal(k) + 1j * rng.standard_normal(k)
+               for k in dims]
+    dest = factor_permutation_index(dims, [perm])
+    assert dest.shape == (1, math.prod(dims))
+    x = reduce(np.kron, vectors)
+    y = np.empty_like(x)
+    y[dest[0]] = x
+    assert np.allclose(y, permuted_kron(vectors, perm), rtol=1e-14, atol=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_factor_permutation_index_composition(data):
+    n = data.draw(st.integers(1, 4))
+    q = data.draw(st.sampled_from(_compositions(n)))
+    dims = []
+    for size in q:
+        dims.extend([data.draw(st.integers(1, 3))] * size)
+    sub = young_subgroup(q)
+    dest = factor_permutation_index(
+        dims, [sub.ambient.perms[e] for e in sub.elements])
+    for p in range(sub.order):
+        for r in range(sub.order):
+            assert np.array_equal(dest[sub.group.mult[p, r]], dest[p][dest[r]])
+
+
+def _compositions(n):
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1)
+            for rest in _compositions(n - first)]
+
+
+def test_factor_permutation_index_rejects_bad_input():
+    with pytest.raises(ValueError):
+        factor_permutation_index([2, 3], [(1, 0)])  # moves 2 onto 3
+    with pytest.raises(ValueError):
+        factor_permutation_index([2, 2], [(0, 0)])
+    # refused before allocating: 10^8 entries
+    with pytest.raises(BudgetError):
+        factor_permutation_index([10] * 8, [tuple(range(8))])
+
+
 def test_permutation_rep_swap_and_table():
     tau = permutation_rep(2, 2)
     swap = np.zeros((4, 4))
@@ -168,15 +232,14 @@ def test_permutation_rep_swap_and_table():
 
 
 def test_permutation_rep_intertwines_coefficient_action(rng):
-    from cstarpow.algebra import make_algebra, permutation_action, tensor_power
-    m2 = make_algebra([2])
-    power = tensor_power(m2, 2)
+    from cstarpow.algebra import make_algebra
+    from cstarpow.crossed import tensor_permutation_action
+    act = tensor_permutation_action(make_algebra([2]), 2)
+    power = act.algebra
     tau = permutation_rep(2, 2)
-    g = symmetric_group(2)
     x = power.random_element(rng)
-    for idx, p in enumerate(g.perms):
-        act = permutation_action(m2, 2, p)
-        lhs = power.embed(act.apply(x))
+    for idx in range(act.group.order):
+        lhs = power.embed(act.apply(idx, x))
         u = tau.mat(idx)
         assert op_norm(lhs - u @ power.embed(x) @ u.conj().T) < 1e-10
 
