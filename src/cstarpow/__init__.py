@@ -19,7 +19,7 @@ from .crossed import (CovariantPair, CrossedElement, GroupAction,
                       fixed_point_algebra, group_average_projection,
                       integrated_form, involution, spatial_pair,
                       tensor_permutation_action, trivial_action)
-from .errors import BudgetError, DegenerateDrawError
+from .errors import BudgetError, DegenerateDrawError, VerificationError
 from .groups import (FiniteGroup, ProjectiveRep, Subgroup, UnitaryRep,
                      cyclic_group, factor_permutation_index, group_from_json,
                      group_to_json, isotypic_projection, partitions, permutation_rep,

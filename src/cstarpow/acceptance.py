@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (generated_star_algebra, make_algebra,
-                      power_map_differential, square_map_multiplicativity,
-                      symmetric_power_basis, symmetric_power_count)
+                      square_map_multiplicativity, symmetric_power_basis,
+                      symmetric_power_count)
 from .classify import (direct_sum_of_power_maps, homogeneous_components,
                        non_schur_weyl_witness, schur_weyl_injectivity_check,
-                       wedderburn_comparison)
+                       symmetric_power_span, wedderburn_comparison)
 from .crossed import (CovariantPair, block_permutation_action,
                       corner_embedding, corner_projection, convolve,
                       group_average_projection, integrated_form, involution,
@@ -25,7 +25,7 @@ from .groups import (UnitaryRep, cyclic_group, partitions, ssyt_count,
                      symmetric_group, trivial_subgroup, young_subgroup)
 from .induction import commutant_restriction, fixed_point_unitary, induce
 from .linalg import op_norm, orthonormal_columns
-from .structure import ergodic_bound_check, minimal_central_projections, spanned_algebra
+from .structure import ergodic_bound_check, minimal_central_projections
 
 DIMENSION_CASES = [[1, 1], [1, 1, 1], [2], [2, 1], [2, 3]]
 DEGREES = [1, 2, 3]
@@ -63,15 +63,7 @@ def suite_blocks(tol, seed, budget):
     """Tableau-count block structure of symmetric powers of one full block."""
     assertions = []
     for k, n in [(2, 2), (2, 3), (3, 2)]:
-        algebra = make_algebra([k])
-        sym = symmetric_power_basis(algebra, n)
-        mats = np.stack([sym.power.embed(v) for v in sym.vectors])
-        eye = np.eye(algebra.dim)
-        gens = np.stack(
-            [sym.power.embed(power_map_differential(algebra, eye[i], n))
-             for i in range(algebra.dim)])
-        span = spanned_algebra(mats, tol, generators=gens, check=False,
-                               orthogonal=True)
+        span = symmetric_power_span(make_algebra([k]), n, tol)
         report = minimal_central_projections(span, seed=seed, tol=tol)
         expected = sorted(ssyt_count(lam, k) for lam in partitions(n)
                           if len(lam) <= k)
@@ -259,22 +251,18 @@ def suite_generation(tol, seed, budget):
     """The derivative elements generate the whole fixed-point span."""
     assertions = []
     for blocks, n in [([2], 2), ([2], 3), ([1, 1, 1], 3)]:
-        algebra = make_algebra(blocks)
-        sym = symmetric_power_basis(algebra, n)
-        eye = np.eye(algebra.dim)
-        seeds = [sym.power.embed(power_map_differential(algebra, eye[i], n))
-                 for i in range(algebra.dim)]
-        generated = generated_star_algebra(seeds, sym.power.ambient, tol=1e-8)
-        sym_mats = np.stack([sym.power.embed(v) for v in sym.vectors])
+        span = symmetric_power_span(make_algebra(blocks), n, tol)
+        generated = generated_star_algebra(span.generators, span.ambient,
+                                           tol=1e-8)
         combined = np.concatenate(
             [generated.reshape(generated.shape[0], -1),
-             sym_mats.reshape(sym_mats.shape[0], -1)])
+             span.span_basis.reshape(span.dim, -1)])
         combined_rank = np.linalg.matrix_rank(combined, tol=1e-8)
         assertions.append(_assertion(
             f"generated algebra equals fixed span for blocks {blocks}, "
             f"degree {n}",
-            generated.shape[0] == sym.size == int(combined_rank),
-            generated_dim=int(generated.shape[0]), fixed_dim=sym.size,
+            generated.shape[0] == span.dim == int(combined_rank),
+            generated_dim=int(generated.shape[0]), fixed_dim=span.dim,
             combined_rank=int(combined_rank)))
     return assertions
 

@@ -27,13 +27,15 @@ from .algebra import (FdCStarAlgebra, SymmetricPowerBasis, power_map,
                       power_map_differential, symmetric_power_basis,
                       symmetric_power_count, tensor_power)
 from .crossed import GroupAction
+from .errors import VerificationError
 from .groups import (ProjectiveRep, Subgroup, check_partition,
                      factor_permutation_index, partitions, sn_irrep,
                      ssyt_count, symmetric_group, young_subgroup)
 from .induction import induced_unitaries
 from .linalg import DEFAULT_TOL, direct_sum, op_norm, orthonormal_columns
-from .structure import (commutant_dimension, equivalent, intertwiner_space,
-                        minimal_central_projections, spanned_algebra)
+from .structure import (SpannedAlgebra, commutant_dimension, equivalent,
+                        intertwiner_space, minimal_central_projections,
+                        spanned_algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +117,7 @@ def enumerate_sn_irreps(algebra: FdCStarAlgebra, n: int) -> list[IrrepDescriptor
     total = sum(d.dim ** 2 for d in out)
     expected = symmetric_power_count(algebra.dim, n)
     if total != expected:
-        raise AssertionError(
+        raise VerificationError(
             f"descriptor dimensions sum to {total}, expected {expected}")
     out.sort(key=lambda d: (d.blocks, d.q, d.lambdas))
     return out
@@ -251,7 +253,7 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     avg = np.mean(induced_unitaries(sub, w1), axis=0)
     w = orthonormal_columns(avg, tol)
     if w.shape[1] != desc.dim:
-        raise AssertionError(
+        raise VerificationError(
             f"fixed space has rank {w.shape[1]}, descriptor dimension {desc.dim}")
     images = np.einsum("pi,aij,jq->apq", w.conj().T, pi_vals, w, optimize=True)
     return RealizedIrrep(desc, images)
@@ -266,18 +268,31 @@ def wedderburn_comparison(algebra: FdCStarAlgebra, n: int,
     minimal central projections of the fixed-point span, computed without
     reference to the enumeration.  Both are sorted ascending.
     """
+    enumerated = sorted(d.dim for d in enumerate_sn_irreps(algebra, n))
+    span = symmetric_power_span(algebra, n, tol, sym)
+    report = minimal_central_projections(span, seed=seed, tol=tol)
+    return enumerated, sorted(report.block_dims)
+
+
+def symmetric_power_span(algebra: FdCStarAlgebra, n: int,
+                         tol: float = DEFAULT_TOL,
+                         sym: SymmetricPowerBasis | None = None
+                         ) -> SpannedAlgebra:
+    """The fixed-point span of the n-th tensor power as concrete matrices.
+
+    Members are the embedded orbit sums, which have disjoint supports and so
+    are pairwise orthogonal; generators are the embedded derivatives of the
+    power map at the basis units of the algebra.
+    """
     if sym is None:
         sym = symmetric_power_basis(algebra, n)
-    enumerated = sorted(d.dim for d in enumerate_sn_irreps(algebra, n))
     mats = np.stack([sym.power.embed(v) for v in sym.vectors])
     eye = np.eye(algebra.dim)
     gens = np.stack(
         [sym.power.embed(power_map_differential(algebra, eye[i], n))
          for i in range(algebra.dim)])
-    span = spanned_algebra(mats, tol, generators=gens, check=False,
+    return spanned_algebra(mats, tol, generators=gens, check=False,
                            orthogonal=True)
-    report = minimal_central_projections(span, seed=seed, tol=tol)
-    return enumerated, sorted(report.block_dims)
 
 
 def wedderburn_crosscheck(algebra: FdCStarAlgebra, n: int,
@@ -468,11 +483,11 @@ def homogeneous_components(phi, algebra: FdCStarAlgebra, n_max: int,
         scale = max(1.0, op_norm(ref))
         values = [c(x) for c in comps]
         if op_norm(sum(values) - ref) > tol * scale:
-            raise ValueError("degree bound too small for this map")
+            raise VerificationError("degree bound too small for this map")
         z = np.exp(2j * np.pi * rng.random())
         for k, value in enumerate(values):
             if op_norm(comps[k](z * x) - z ** k * value) > tol * scale:
-                raise ValueError("degree bound too small for this map")
+                raise VerificationError("degree bound too small for this map")
     return comps
 
 

@@ -6,8 +6,9 @@ run the named verification suites.  JSON is the canonical output format and
 the human-readable tables are derived from it, so identical inputs and seed
 produce byte-identical JSON.
 
-Exit codes: 0 success, 2 parse error, 3 budget exceeded, 4 verification
-failure.
+Exit codes: 0 success, 2 parse error, 3 budget exceeded (a BudgetError,
+or a MemoryError as a backstop), 4 verification failure (a failed check of
+the payload, or a VerificationError raised by a computation).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .classify import (direct_sum_of_power_maps, enumerate_sn_irreps,
 from .crossed import (action_from_json, corner_embedding, corner_projection,
                       convolve, group_average_projection, integrated_form,
                       involution, spatial_pair, tensor_permutation_action)
-from .errors import BudgetError
+from .errors import BudgetError, VerificationError
 from .groups import young_subgroup
 from .induction import commutant_restriction, fixed_point_unitary, induce
 from .linalg import op_norm
@@ -435,6 +436,12 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"budget exceeded: out of memory: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     _print_payload(payload, cfg.output == "json")
     return code
 

@@ -5,5 +5,9 @@ class BudgetError(RuntimeError):
     """A requested computation would exceed the configured size budget."""
 
 
-class DegenerateDrawError(RuntimeError):
+class VerificationError(RuntimeError):
+    """A computed result failed one of its independent consistency checks."""
+
+
+class DegenerateDrawError(VerificationError):
     """A randomized spectral computation failed after the allowed retries."""

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, VerificationError
 from .linalg import DEFAULT_TOL, op_norm
 
 MAX_SYMMETRIC_N = 7
@@ -287,7 +287,7 @@ def ssyt_count(parts, k: int) -> int:
         for j in range(parts[i]):
             out *= Fraction(k + j - i, hooks[i][j])
     if out.denominator != 1:
-        raise AssertionError("hook content product is not an integer")
+        raise VerificationError("hook content product is not an integer")
     return int(out)
 
 
@@ -541,5 +541,5 @@ def isotypic_projection(parts, rep: UnitaryRep,
     proj = (d / rep.group.order) * np.einsum(
         "g,gij->ij", np.conj(chi).astype(complex), rep.matrices)
     if op_norm(proj @ proj - proj) > tol * max(1.0, rep.dim):
-        raise AssertionError("isotypic projection is not idempotent")
+        raise VerificationError("isotypic projection is not idempotent")
     return proj

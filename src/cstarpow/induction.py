@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossed import CovariantPair, GroupAction
+from .errors import VerificationError
 from .groups import Subgroup, UnitaryRep
 from .linalg import DEFAULT_TOL, op_norm, orthonormal_columns
 from .structure import commutant
@@ -195,6 +196,6 @@ def commutant_restriction(ind: InducedRep, j: int,
     source = commutant(np.concatenate([fam, projections], axis=0), tol)
     target = commutant(_compressed_family(ind, j), tol)
     if source.dim != target.dim:
-        raise AssertionError(
+        raise VerificationError(
             f"restriction is not an isomorphism: {source.dim} != {target.dim}")
     return CommutantRestriction(ind, j, source.dim, target.dim, tol)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DegenerateDrawError
+from .errors import BudgetError, DegenerateDrawError, VerificationError
 from .linalg import (DEFAULT_TOL, SPECTRAL_GAP, adjoint, cluster_eigenvalues,
                      eig_hermitian, nullspace, orthonormal_columns)
 
@@ -329,16 +329,88 @@ class WedderburnReport:
     multiplicities: list
 
 
+def _support_components(basis: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Connected components of the ambient indices under the span's supports.
+
+    A union-find over the ambient indices joins every row and column index
+    touched by one member: each round hooks the root of every touched index
+    onto the least root its members meet and then compresses paths, until
+    no root moves.  Each member then lies in the square block of one
+    component, and the span is the direct sum of the spans of each
+    component's members.  Only the sparsity pattern is read.
+    Returns (indices, members) per component; indices that no member
+    touches form no component.
+    """
+    nz = basis != 0
+    touched = np.any(nz, axis=1) | np.any(nz, axis=2)
+    n = basis.shape[1]
+    roots = np.arange(n)
+    while True:
+        member_root = np.where(touched, roots, n).min(axis=1, initial=n)
+        least = np.where(touched, member_root[:, None], n).min(axis=0, initial=n)
+        hooked = roots.copy()
+        np.minimum.at(hooked, roots, least)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, roots):
+            break
+        roots = hooked
+    return [(np.flatnonzero(roots == c), np.flatnonzero(member_root == c))
+            for c in np.unique(member_root[member_root < n])]
+
+
+def _component_span(s: SpannedAlgebra, idx: np.ndarray, members: np.ndarray,
+                    tol) -> SpannedAlgebra:
+    """The span of the given members, all supported on ``idx x idx``, as
+    matrices on those indices, with the generators compressed there.
+
+    The whole span's orthonormal rows, restricted to the block, give the
+    orthogonal projection onto the component's span, which is all that
+    ``contains`` uses; rows that vanish on the block are dropped.
+    """
+    rows, cols = idx[:, None], idx
+    onb = s.onb[:, (rows * s.ambient + cols).ravel()]
+    onb = onb[np.any(onb != 0, axis=1)]
+    gens = None if s.generators is None else s.generators[:, rows, cols]
+    sub = SpannedAlgebra(idx.shape[0], s.span_basis[members][:, rows, cols],
+                         onb, unital=False, generators=gens)
+    sub.unital = sub.contains(np.eye(idx.shape[0]), tol)
+    return sub
+
+
 def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
                                 tol: float = DEFAULT_TOL,
                                 gap: float = SPECTRAL_GAP) -> WedderburnReport:
     """Wedderburn data of a *-closed span via a random central element.
 
-    Draws a random Hermitian element of the center, clusters its eigenvalues
-    (threshold ``gap``), and takes the spectral projections; a generic draw
-    separates the minimal central projections with probability one.  Retries
-    with fresh seeds on degenerate draws, failing after five attempts.
+    The ambient indices are first split into the connected components of the
+    members' supports, and each component is solved on its own block: the
+    span is the direct sum of the component spans, so its minimal central
+    projections are the union of theirs.  Per component, draws a random
+    Hermitian element of the center, clusters its eigenvalues (threshold
+    ``gap``), and takes the spectral projections; a generic draw separates
+    the minimal central projections with probability one.  Retries with
+    fresh seeds on degenerate draws, failing after five attempts.
     """
+    n = s.ambient
+    projections, dims, mults = [], [], []
+    for idx, members in _support_components(s.span_basis):
+        sub = _component_span(s, idx, members, tol)
+        for proj, d, k in _component_projections(sub, seed, tol, gap):
+            full = np.zeros((n, n), dtype=complex)
+            full[idx[:, None], idx] = proj
+            projections.append(full)
+            dims.append(d)
+            mults.append(k)
+    if sum(d * d for d in dims) != s.dim:
+        raise DegenerateDrawError("block dimensions do not add up to the span")
+    order = sorted(range(len(dims)), key=lambda i: (dims[i], mults[i]))
+    return WedderburnReport([projections[i] for i in order],
+                            [dims[i] for i in order],
+                            [mults[i] for i in order])
+
+
+def _component_projections(s: SpannedAlgebra, seed, tol, gap):
     basis = s.span_basis
     gens = s.generators if s.generators is not None else basis
     n = s.ambient
@@ -362,18 +434,17 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
         z = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
         w, v = eig_hermitian(z, max(tol, 1e-8))
         try:
-            report = _projections_from_spectrum(s, w, v, tol, gap)
+            return _projections_from_spectrum(s, w, v, tol, gap)
         except DegenerateDrawError as exc:
             last_error = str(exc)
-            continue
-        return report
     raise DegenerateDrawError(
         f"central projection extraction failed after 5 seeds: {last_error}")
 
 
 def _projections_from_spectrum(s: SpannedAlgebra, w, v, tol, gap):
+    """(projection, block dim, multiplicity) of each spectral cluster."""
     basis = s.span_basis
-    projections, dims, mults = [], [], []
+    out = []
     for idx in cluster_eigenvalues(w, gap):
         cols = v[:, idx]
         proj = cols @ cols.conj().T
@@ -392,15 +463,10 @@ def _projections_from_spectrum(s: SpannedAlgebra, w, v, tol, gap):
         if d * d != block_sq or d == 0 or rank % d != 0:
             raise DegenerateDrawError(
                 f"cluster gives non-square block dimension {block_sq}")
-        projections.append(proj)
-        dims.append(d)
-        mults.append(rank // d)
-    if sum(d * d for d in dims) != s.dim:
+        out.append((proj, d, rank // d))
+    if sum(d * d for _, d, _ in out) != s.dim:
         raise DegenerateDrawError("block dimensions do not add up to the span")
-    order = sorted(range(len(dims)), key=lambda i: (dims[i], mults[i]))
-    return WedderburnReport([projections[i] for i in order],
-                            [dims[i] for i in order],
-                            [mults[i] for i in order])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +531,6 @@ def ergodic_bound_check(action, tol: float = DEFAULT_TOL) -> ErgodicReport:
     is_ergodic = fixed.shape[0] == 1
     report = ErgodicReport(is_ergodic, action.algebra.dim, action.group.order)
     if is_ergodic and report.algebra_dim > report.group_order:
-        raise AssertionError(
+        raise VerificationError(
             "ergodic action with algebra dimension above the group order")
     return report

@@ -109,3 +109,27 @@ def permuted_kron(vectors, perm):
     for v in slots:
         out = np.kron(out, v)
     return out
+
+
+def support_components_bfs(mats):
+    """Sets of ambient indices joined by the entries of each matrix, by a
+    breadth-first search over index -> matrix -> index, with the members of
+    each set; indices no matrix touches are left out."""
+    mats = np.asarray(mats)
+    touched = [set(np.flatnonzero(np.any(m != 0, axis=0) | np.any(m != 0, axis=1)))
+               for m in mats]
+    seen, out = set(), []
+    for start in sorted(set().union(*touched)):
+        if start in seen:
+            continue
+        comp, members, queue = {start}, set(), [start]
+        while queue:
+            i = queue.pop()
+            for k, t in enumerate(touched):
+                if i in t and k not in members:
+                    members.add(k)
+                    queue.extend(t - comp)
+                    comp |= t
+        seen |= comp
+        out.append((sorted(comp), sorted(members)))
+    return out

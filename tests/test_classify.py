@@ -13,6 +13,7 @@ from cstarpow.classify import (_descriptor,
                                schur_weyl_labels, schur_weyl_rep,
                                wedderburn_comparison, wedderburn_crosscheck)
 from cstarpow.crossed import spatial_pair, tensor_permutation_action
+from cstarpow.errors import VerificationError
 from cstarpow.linalg import op_norm
 from cstarpow.structure import equivalent, is_irreducible
 
@@ -329,5 +330,5 @@ def test_homogeneous_constant_on_point():
 
 def test_homogeneous_degree_bound_too_small(m2):
     phi = direct_sum_of_power_maps(m2, [1, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         homogeneous_components(phi, m2, 1)

@@ -1,6 +1,8 @@
 import json
 
+from cstarpow import classify, cli
 from cstarpow.cli import main
+from cstarpow.errors import DegenerateDrawError
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +146,37 @@ def test_budget_exit_code(capsys):
                            "--budget", "50")
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_verification_error_exits_4(capsys):
+    # the degree-3 part aliases onto lower degrees below a bound of 3
+    code, out, err = run_cli(capsys, "homog", "--blocks", "2", "--degrees",
+                             "1,3", "--nmax", "2")
+    assert code == 4
+    assert out == ""
+    assert "degree bound too small" in err
+
+
+def test_degenerate_draw_exits_4_without_traceback(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise DegenerateDrawError("no separating draw")
+
+    monkeypatch.setattr(classify, "minimal_central_projections", fail)
+    code, out, err = run_cli(capsys, "sympow", "--blocks", "2", "--n", "2")
+    assert code == 4
+    assert out == ""
+    assert "no separating draw" in err and "Traceback" not in err
+
+
+def test_memory_error_exits_3(capsys, monkeypatch):
+    def fail(args, cfg):
+        raise MemoryError("Unable to allocate 11.4 GiB")
+
+    monkeypatch.setitem(cli._COMMANDS, "sympow", fail)
+    code, out, err = run_cli(capsys, "sympow", "--blocks", "2", "--n", "4")
+    assert code == 3
+    assert out == ""
+    assert "out of memory" in err and "Traceback" not in err
 
 
 def test_verify_single_suite(capsys):

@@ -1,30 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cstarpow.algebra import (make_algebra, power_map_differential,
-                              symmetric_power_basis)
+from cstarpow.algebra import make_algebra
+from cstarpow.classify import symmetric_power_span, wedderburn_comparison
 from cstarpow.crossed import (block_permutation_action,
                               tensor_permutation_action, trivial_action)
 from cstarpow.errors import BudgetError
 from cstarpow.groups import isotypic_projection, permutation_rep, regular_rep, \
     symmetric_group
-from cstarpow.linalg import op_norm
-from cstarpow.structure import (commutant, commutant_dimension, equivalent,
+from cstarpow.linalg import direct_sum, op_norm
+from cstarpow.structure import (_support_components, commutant,
+                                commutant_dimension, equivalent,
                                 ergodic_bound_check, essential_subspace,
                                 intertwiner_space, is_factor, is_irreducible,
                                 minimal_central_projections, quasi_equivalent,
                                 spanned_algebra)
-from oracles import naive_commutant_dim, naive_intertwiner_dim
-
-
-def sym_span(algebra, n, tol=1e-9):
-    sym = symmetric_power_basis(algebra, n)
-    mats = np.stack([sym.power.embed(v) for v in sym.vectors])
-    eye = np.eye(algebra.dim)
-    gens = np.stack([sym.power.embed(power_map_differential(algebra, eye[i], n))
-                     for i in range(algebra.dim)])
-    return spanned_algebra(mats, tol, generators=gens, check=False,
-                           orthogonal=True)
+from oracles import (naive_commutant_dim, naive_intertwiner_dim,
+                     support_components_bfs)
 
 
 def test_commutant_of_full_matrix_algebra(m2):
@@ -48,7 +42,7 @@ def test_commutant_of_tensor_factor(m2):
 
 
 def test_bicommutant(m2):
-    span = sym_span(m2, 2)
+    span = symmetric_power_span(m2, 2)
     double = commutant(commutant(span))
     assert double.dim == span.dim
     for b in span.span_basis:
@@ -80,7 +74,7 @@ def test_minimal_central_projections_full_block():
 
 def test_minimal_central_projections_symmetric_square(m2):
     # independent oracle: the isotypic projections of the factor swap
-    span = sym_span(m2, 2)
+    span = symmetric_power_span(m2, 2)
     report = minimal_central_projections(span)
     assert sorted(report.block_dims) == [1, 3]
     assert sorted(report.multiplicities) == [1, 1]
@@ -101,7 +95,7 @@ def test_minimal_central_projections_regular_rep():
 
 
 def test_minimal_central_projections_seed_independent(m23):
-    span = sym_span(m23, 2)
+    span = symmetric_power_span(m23, 2)
     r1 = minimal_central_projections(span, seed=1)
     r2 = minimal_central_projections(span, seed=99)
     key1 = sorted(zip(r1.block_dims, r1.multiplicities))
@@ -110,7 +104,7 @@ def test_minimal_central_projections_seed_independent(m23):
 
 
 def test_wedderburn_report_consistency(m23):
-    span = sym_span(m23, 2)
+    span = symmetric_power_span(m23, 2)
     report = minimal_central_projections(span)
     assert sum(d * d for d in report.block_dims) == span.dim
     assert sum(d * k for d, k in zip(report.block_dims,
@@ -120,6 +114,96 @@ def test_wedderburn_report_consistency(m23):
     for p in report.central_projections:
         for b in span.span_basis[:20]:
             assert op_norm(p @ b - b @ p) < 1e-8
+
+
+def _embedded(fam, ambient, offset):
+    """The family placed on the indices offset, offset + 1, ... of ambient."""
+    out = np.zeros((fam.shape[0], ambient, ambient), dtype=complex)
+    k = fam.shape[1]
+    out[:, offset:offset + k, offset:offset + k] = fam
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10), st.floats(0.0, 0.2),
+       st.integers(0, 2 ** 32 - 1))
+def test_support_components_match_bfs_oracle(n, count, density, seed):
+    rng = np.random.default_rng(seed)
+    mats = rng.random((count, n, n)) < density
+    got = [(list(idx), list(members))
+           for idx, members in _support_components(mats)]
+    assert got == support_components_bfs(mats)
+
+
+def test_split_keeps_a_straddling_member_in_one_component(m2):
+    # a ⊕ a on ambient 4: E_01 ⊕ E_01 touches both copies
+    span = spanned_algebra(np.stack([direct_sum([b, b])
+                                     for b in m2.basis_matrices()]))
+    assert len(_support_components(span.span_basis)) == 1
+    report = minimal_central_projections(span)
+    assert report.block_dims == [2]
+    assert report.multiplicities == [2]
+    assert np.allclose(report.central_projections[0], np.eye(4))
+
+
+def test_split_of_a_direct_sum_is_the_union_of_the_parts(m2):
+    m2_fam = m2.basis_matrices()
+    reg_fam = regular_rep(symmetric_group(3)).matrices
+    parts = [minimal_central_projections(spanned_algebra(f))
+             for f in (m2_fam, reg_fam)]
+    span = spanned_algebra(np.concatenate([_embedded(m2_fam, 8, 0),
+                                           _embedded(reg_fam, 8, 2)]))
+    assert len(_support_components(span.span_basis)) == 2
+    report = minimal_central_projections(span)
+    assert sorted(zip(report.block_dims, report.multiplicities)) == sorted(
+        (d, k) for r in parts for d, k in zip(r.block_dims, r.multiplicities))
+    assert report.block_dims == [1, 1, 2, 2]
+    projs = report.central_projections
+    assert np.allclose(sum(projs), np.eye(8))
+    for i, p in enumerate(projs):
+        assert span.contains(p, 1e-8)
+        for q in projs[i + 1:]:
+            assert op_norm(p @ q) < 1e-10
+
+
+def test_split_skips_indices_no_member_touches(m2):
+    # M_2 on the first two of three indices
+    span = spanned_algebra(_embedded(m2.basis_matrices(), 3, 0))
+    assert not span.unital
+    report = minimal_central_projections(span)
+    assert report.block_dims == [2] and report.multiplicities == [1]
+    assert np.allclose(report.central_projections[0], np.diag([1, 1, 0]))
+    # a component that is itself non-unital: the span of one rank-one
+    # projection whose support block is {0, 1}; index 2 is untouched
+    half = np.zeros((1, 3, 3), dtype=complex)
+    half[0, :2, :2] = 0.5
+    report = minimal_central_projections(spanned_algebra(half))
+    assert report.block_dims == [1] and report.multiplicities == [1]
+    assert np.allclose(report.central_projections[0], half[0])
+
+
+@st.composite
+def _blocks_and_degree(draw):
+    """Block lists and degrees with ambient ** n <= 64.  Blocks are at most
+    3 wide: one block of size k is a single support component of size k ** n,
+    and k = 4, n = 3 alone takes seconds."""
+    n = draw(st.integers(1, 4))
+    room = max(a for a in range(1, 9) if a ** n <= 64)
+    blocks = [draw(st.integers(1, min(3, room)))]
+    room -= blocks[0]
+    while room > 0 and draw(st.booleans()):
+        blocks.append(draw(st.integers(1, min(3, room))))
+        room -= blocks[-1]
+    return blocks, n
+
+
+@settings(max_examples=30, deadline=None)
+@given(_blocks_and_degree(), st.integers(0, 1000))
+def test_enumerated_blocks_equal_spectral_blocks(case, seed):
+    blocks, n = case
+    enumerated, spectral = wedderburn_comparison(make_algebra(blocks), n,
+                                                 seed=seed)
+    assert enumerated == spectral
 
 
 def test_equivalent_cases(m2, m23, rng):
