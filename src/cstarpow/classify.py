@@ -138,16 +138,15 @@ class RealizedIrrep:
         return int(self.images.shape[1])
 
 
-def _block_images_on_vectors(base: FdCStarAlgebra, beta, vectors,
-                             mult_dim: int, dest, out):
-    """Write into ``out`` the images of power-algebra coefficient vectors,
-    each moved by the factor permutation with index ``dest``, under the
-    product of block representations chosen by beta, tensored with an
-    identity of size mult_dim.
+def _block_entries_on_vectors(base: FdCStarAlgebra, beta, vectors, dest):
+    """Nonzero entries ``(which, row, col, value)`` of the images of
+    power-algebra coefficient vectors, each moved by the factor permutation
+    with index ``dest``, under the product of block representations chosen by
+    beta: entry ``(row, col)`` of the image of vector ``which`` is ``value``.
 
     Every basis monomial maps to a single matrix entry (or to zero when some
     factor misses its assigned block), and distinct monomials map to
-    distinct entries, so the evaluation is a positional assignment.
+    distinct entries, so the evaluation is positional.
     """
     n = len(beta)
     dims = [base.blocks[b] for b in beta]
@@ -165,9 +164,7 @@ def _block_images_on_vectors(base: FdCStarAlgebra, beta, vectors,
         ok &= base.block_of[i] == beta[t]
         row += base.local[i, 0] * radix[t]
         col += base.local[i, 1] * radix[t]
-    span = np.arange(mult_dim)
-    out[which[ok, None], row[ok, None] * mult_dim + span,
-        col[ok, None] * mult_dim + span] = vectors[which[ok], flat[ok], None]
+    return which[ok], row[ok], col[ok], vectors[which[ok], flat[ok]]
 
 
 def _young_factorization(sub: Subgroup, q):
@@ -238,24 +235,30 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     m_block = w1.shape[1]
     size = sub.index * m_block
 
-    # the induced algebra action evaluated on the orbit-sum basis vectors:
-    # block j is the product pair composed with the automorphism of g_j^{-1}
-    dests = factor_permutation_index(
-        [algebra.dim] * n,
-        [group.perms[group.inverse(gj)] for gj in sub.coset_reps])
-    pi_vals = np.zeros((sym.size, size, size), dtype=complex)
-    for j, dest in enumerate(dests):
-        sl = slice(j * m_block, (j + 1) * m_block)
-        _block_images_on_vectors(algebra, beta, sym.vectors, d_mult, dest,
-                                 pi_vals[:, sl, sl])
-
     # induced unitaries and the averaging projection
     avg = np.mean(induced_unitaries(sub, w1), axis=0)
     w = orthonormal_columns(avg, tol)
     if w.shape[1] != desc.dim:
         raise VerificationError(
             f"fixed space has rank {w.shape[1]}, descriptor dimension {desc.dim}")
-    images = np.einsum("pi,aij,jq->apq", w.conj().T, pi_vals, w, optimize=True)
+
+    # the induced algebra action on the orbit-sum basis vectors is sparse:
+    # block j is the product pair composed with the automorphism of g_j^{-1},
+    # tensored with the identity of the multiplicity space.  Accumulate
+    # t[a] = pi(a) w from its entries, then compress with w*.
+    dests = factor_permutation_index(
+        [algebra.dim] * n,
+        [group.perms[group.inverse(gj)] for gj in sub.coset_reps])
+    span = np.arange(d_mult)
+    t = np.zeros((sym.size, size, w.shape[1]), dtype=complex)
+    for j, dest in enumerate(dests):
+        which, row, col, value = _block_entries_on_vectors(
+            algebra, beta, sym.vectors, dest)
+        rows = (j * m_block + row[:, None] * d_mult + span).ravel()
+        cols = (j * m_block + col[:, None] * d_mult + span).ravel()
+        np.add.at(t, (np.repeat(which, d_mult), rows),
+                  np.repeat(value, d_mult)[:, None] * w[cols])
+    images = np.einsum("rp,arq->apq", w.conj(), t, optimize=True)
     return RealizedIrrep(desc, images)
 
 

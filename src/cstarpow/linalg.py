@@ -58,11 +58,15 @@ def op_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def nullspace(m, tol: float = DEFAULT_TOL,
+              scale: float | None = None) -> np.ndarray:
     """Orthonormal basis, as columns, of the numerical kernel of m.
 
     A singular direction counts as null when its singular value is at most
-    tol times the largest one.
+    tol times ``scale``, or times the largest singular value when no scale
+    is given.  A caller whose system may be numerically zero passes the
+    scale of the data it was built from, since a cutoff relative to noise
+    would count noise as rank.
     """
     m = as_matrix(m)
     if m.shape[0] == 0 or m.shape[1] == 0:
@@ -71,7 +75,9 @@ def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     # full right factor to expose the trailing kernel directions
     full = m.shape[0] < m.shape[1]
     _, s, vh = np.linalg.svd(m, full_matrices=full)
-    cutoff = tol * (s[0] if s.size else 0.0)
+    if scale is None:
+        scale = s[0] if s.size else 0.0
+    cutoff = tol * scale
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
 

@@ -1,11 +1,19 @@
 """Wedderburn analysis of concrete *-closed matrix algebras.
 
 Commutants, centers, minimal central projections, and equivalence tests for
-representations given by the images of an algebra basis.  Large solves use a
-randomized shortcut: the commutant of a *-closed family equals the commutant
-of one or two generic linear combinations with probability one, so we solve
-against combinations and then verify the result against the whole family,
-falling back to the full linear system if the verification fails.
+representations given by the images of an algebra basis.
+
+Commutants are solved in the eigenbasis of a generic Hermitian element H of
+a *-closed family: whatever commutes with the family commutes with H, so in
+the eigenbasis of H it is block diagonal over the eigenvalue clusters of H,
+and only the sum of the squared cluster sizes are unknowns instead of all
+N^2 entries (the generic step of Murota, Kanno, Kojima & Kojima, Japan J.
+Indust. Appl. Math. 27 (2010)).  Large families are first replaced by
+generic linear combinations with their adjoints, whose commutant equals the
+family's with probability one.  Every candidate is verified against the
+family; a failing draw is retried with fresh combinations, and the dense
+commutation system of the whole family is the last resort.  Intertwiner and
+center solves use the combination shortcut in the same way.
 """
 
 from __future__ import annotations
@@ -18,10 +26,10 @@ from .errors import BudgetError, DegenerateDrawError, VerificationError
 from .linalg import (DEFAULT_TOL, SPECTRAL_GAP, adjoint, cluster_eigenvalues,
                      eig_hermitian, nullspace, orthonormal_columns)
 
-# Largest ambient size for which dense commutation operators (size N^2 x N^2
-# blocks stacked) are materialized; beyond this the factorizations dominate
-# the runtime badly.  Block structure of larger algebras should be computed
-# through minimal_central_projections instead.
+# Largest ambient size accepted by commutant.  It bounds the dense
+# commutation system of the last-resort fallback (N^2 x N^2 per member); the
+# eigenbasis solve is much smaller.  Block structure of larger algebras
+# should be computed through minimal_central_projections instead.
 MAX_COMMUTANT_AMBIENT = 40
 
 # Basis pairs checked for product closure of a span (all pairs up to this
@@ -29,6 +37,10 @@ MAX_COMMUTANT_AMBIENT = 40
 # commutant candidate is verified against (a fixed-seed sample beyond).
 _CLOSURE_CHECK_PAIRS = 400
 _VERIFY_MAX_MEMBERS = 256
+
+# Largest entry count of the stacked dense intertwiner system; beyond it the
+# solve runs on generic combinations of the two representations.
+_INTERTWINER_DENSE_ENTRIES = 30_000_000
 
 
 def _as_family(mats) -> np.ndarray:
@@ -151,6 +163,13 @@ def _random_combos(fam: np.ndarray, rng, count: int) -> list[np.ndarray]:
     return out
 
 
+def _hermitian_parts(fam: np.ndarray) -> np.ndarray:
+    """(m + m*)/2 and (m - m*)/2i of every member; their real span holds the
+    Hermitian elements of the family's complex span when it is *-closed."""
+    adj = np.conj(np.transpose(fam, (0, 2, 1)))
+    return np.concatenate([(fam + adj) / 2, (fam - adj) / 2j], axis=0)
+
+
 def _commutation_operator(m: np.ndarray) -> np.ndarray:
     """Matrix of X -> Xm - mX on row-major vectorized X."""
     n = m.shape[0]
@@ -175,7 +194,21 @@ def _verify_commutant(cands: np.ndarray, fam: np.ndarray, tol: float) -> bool:
 
 
 def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
-    """Commutant of a spanned algebra or matrix family in its ambient space.
+    """Commutant of a *-closed spanned algebra or matrix family in its
+    ambient space.
+
+    The family must be closed under adjoints (up to span): the solve keeps
+    only what commutes with a Hermitian element built from the members and
+    their adjoints, which for a family that is not *-closed can drop part of
+    its commutant.  A SpannedAlgebra's generators must generate it as a
+    *-algebra.  Up to four generators are used with their adjoints as the
+    constraints, more are replaced by a generic combination and its adjoint.
+    Each draw takes a random real combination H of the Hermitian parts of the
+    constraints, H = V D V*, and solves [X', V* m V] = 0 for the unknown
+    X' = V* X V restricted to the blocks of the eigenvalue clusters of H.
+    The result is verified against the whole family; two more draws with
+    added combinations follow a failure, and the dense commutation system of
+    the whole family is the last resort.
 
     Returns a SpannedAlgebra; the double commutant of a unital *-closed span
     recovers the span itself at these (finite) sizes.
@@ -191,14 +224,38 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
         raise BudgetError(
             f"dense commutant solve limited to ambient {MAX_COMMUTANT_AMBIENT}")
     rng = np.random.default_rng(seed)
-    constraints = list(gens) if gens.shape[0] <= 4 else _random_combos(gens, rng, 1)
+    if gens.shape[0] <= 4:
+        constraints = np.concatenate(
+            [gens, np.conj(np.transpose(gens, (0, 2, 1)))])
+    else:
+        constraints = np.stack(_random_combos(gens, rng, 1))
     for attempt in range(3):
-        stacked = np.concatenate(
-            [_commutation_operator(m) for m in constraints], axis=0)
-        basis = nullspace(stacked, tol).T.reshape(-1, n, n)
+        herm = _hermitian_parts(constraints)
+        h = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
+        w, v = eig_hermitian(h, tol)
+        clusters = cluster_eigenvalues(
+            w, SPECTRAL_GAP * max(1.0, float(np.max(np.abs(w)))))
+        # unknowns: the entries (rows[u], cols[u]) of X' inside one cluster's
+        # block; [E_ij, m] has m[j, :] in row i and -m[:, i] in column j
+        rows = np.concatenate([np.repeat(c, len(c)) for c in clusters])
+        cols = np.concatenate([np.tile(c, len(c)) for c in clusters])
+        unknowns = np.arange(rows.size)
+        primed = np.matmul(v.conj().T, constraints @ v)
+        ops = []
+        for m in primed:
+            op = np.zeros((rows.size, n, n), dtype=complex)
+            op[unknowns, rows, :] = m[cols, :]
+            op[unknowns, :, cols] -= m[:, rows].T
+            ops.append(op.reshape(rows.size, n * n).T)
+        scale = 2 * float(np.max(np.linalg.norm(constraints, 2, axis=(1, 2))))
+        coeffs = nullspace(np.concatenate(ops, axis=0), tol, scale=scale)
+        reduced = np.zeros((coeffs.shape[1], n, n), dtype=complex)
+        reduced[:, rows, cols] = coeffs.T
+        basis = np.matmul(v, reduced @ v.conj().T)
         if _verify_commutant(basis, fam, tol):
             break
-        constraints.extend(_random_combos(gens, rng, 1))
+        constraints = np.concatenate(
+            [constraints, np.stack(_random_combos(gens, rng, 1))])
     else:
         stacked = np.concatenate(
             [_commutation_operator(m) for m in fam], axis=0)
@@ -231,7 +288,7 @@ def intertwiner_space(pi, rho, tol: float = DEFAULT_TOL,
         # vec_r(rho_b T - T pi_b) = (kron(rho_b, I) - kron(I, pi_b^T)) vec_r(T)
         return np.kron(b, np.eye(np_)) - np.kron(np.eye(nr), a.T)
 
-    if d * (nr * np_) ** 2 <= 30_000_000:
+    if d * (nr * np_) ** 2 <= _INTERTWINER_DENSE_ENTRIES:
         stacked = np.concatenate([constraint(pi[i], rho[i]) for i in range(d)],
                                  axis=0)
         return nullspace(stacked, tol).T.reshape(-1, nr, np_)
@@ -427,10 +484,7 @@ def _component_projections(s: SpannedAlgebra, seed, tol, gap):
         if not _verify_commutant(center, basis, tol):
             xi = _center_coefficients(basis, basis, tol, support)
             center = np.tensordot(xi.T, basis, axes=(1, 0))
-        # real span of the Hermitian parts of the center
-        herm = np.concatenate([(center + np.conj(np.transpose(center, (0, 2, 1)))) / 2,
-                               (center - np.conj(np.transpose(center, (0, 2, 1)))) / 2j],
-                              axis=0)
+        herm = _hermitian_parts(center)
         z = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
         w, v = eig_hermitian(z, max(tol, 1e-8))
         try:

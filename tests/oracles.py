@@ -133,3 +133,44 @@ def support_components_bfs(mats):
         seen |= comp
         out.append((sorted(comp), sorted(members)))
     return out
+
+
+def dense_realized_images(algebra, n, desc, sym):
+    """Images of the realization of a descriptor, built the direct way: for
+    each orbit-sum vector, the induced algebra action as a dense matrix,
+    filled monomial by monomial, compressed to the range of the averaging
+    projection.  The unitaries and the projection come from the package;
+    only the action and its compression are rebuilt here."""
+    from cstarpow.classify import _realization_unitaries
+    from cstarpow.groups import symmetric_group, young_subgroup
+    from cstarpow.induction import induced_unitaries
+    from cstarpow.linalg import orthonormal_columns
+
+    group = symmetric_group(n)
+    sub = young_subgroup(desc.q, group)
+    beta, w1, d_mult = _realization_unitaries(algebra, n, desc, sub)
+    m_block = w1.shape[1]
+    size = sub.index * m_block
+    w = orthonormal_columns(np.mean(induced_unitaries(sub, w1), axis=0))
+    dims = [algebra.blocks[b] for b in beta]
+    out = np.zeros((sym.size, w.shape[1], w.shape[1]), dtype=complex)
+    for a, vec in enumerate(sym.vectors):
+        pi = np.zeros((size, size), dtype=complex)
+        for j, gj in enumerate(sub.coset_reps):
+            perm = group.perms[group.inverse(gj)]
+            for flat in np.flatnonzero(vec):
+                digits = np.unravel_index(flat, (algebra.dim,) * n)
+                moved = [0] * n
+                for t, i in enumerate(digits):
+                    moved[perm[t]] = int(i)
+                if any(algebra.block_of[i] != b for i, b in zip(moved, beta)):
+                    continue
+                row = col = 0
+                for i, k in zip(moved, dims):
+                    row = row * k + int(algebra.local[i, 0])
+                    col = col * k + int(algebra.local[i, 1])
+                for s in range(d_mult):
+                    pi[j * m_block + row * d_mult + s,
+                       j * m_block + col * d_mult + s] = vec[flat]
+        out[a] = w.conj().T @ pi @ w
+    return out

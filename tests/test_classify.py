@@ -16,6 +16,7 @@ from cstarpow.crossed import spatial_pair, tensor_permutation_action
 from cstarpow.errors import VerificationError
 from cstarpow.linalg import op_norm
 from cstarpow.structure import equivalent, is_irreducible
+from oracles import dense_realized_images
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +114,19 @@ def test_realize_product_descriptor_is_tensor_of_blocks(m23):
             acc += v[flat] * np.kron(pi1[i], pi2[j])
         direct.append(acc)
     assert equivalent(rep.images, np.stack(direct))
+
+
+@pytest.mark.parametrize("blocks", [[2], [1, 1], [2, 1], [2, 2], [4]])
+def test_realized_images_match_dense_oracle(blocks):
+    algebra = make_algebra(blocks)
+    for n in range(1, 4):
+        if algebra.ambient ** n > 200:
+            continue
+        sym = symmetric_power_basis(algebra, n)
+        for desc in enumerate_sn_irreps(algebra, n):
+            got = realize_sn_irrep(algebra, n, desc, sym=sym).images
+            want = dense_realized_images(algebra, n, desc, sym)
+            assert np.max(np.abs(got - want)) <= 1e-12, (n, desc)
 
 
 def test_realize_all_dims_one_for_commutative(c3):

@@ -67,6 +67,12 @@ def test_nullspace_cases(rng):
     assert np.allclose(direction, [1.0, -1.0])
     assert np.isclose(np.linalg.norm(v[:, 0]), 1.0)
     assert nullspace(np.eye(3)).shape == (3, 0)
+    # a rounding-level matrix has full rank relative to itself, and is zero
+    # against the scale of the data it came from
+    noise = 1e-17 * random_complex(rng, 3, 3)
+    assert nullspace(noise).shape == (3, 0)
+    assert nullspace(noise, scale=1.0).shape == (3, 3)
+    assert nullspace(np.eye(3), scale=1.0).shape == (3, 0)
 
 
 def test_nullspace_of_constructed_rank_two(rng):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstarpow import structure
 from cstarpow.algebra import make_algebra
 from cstarpow.classify import symmetric_power_span, wedderburn_comparison
 from cstarpow.crossed import (block_permutation_action,
@@ -54,6 +55,78 @@ def test_commutant_matches_naive_on_random_family(rng):
                     np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)])
     fam = np.concatenate([fam, fam.conj().transpose(0, 2, 1)])
     assert commutant(fam).dim == naive_commutant_dim(fam)
+
+
+def test_commutant_of_identity_and_swap():
+    # both constraints are diagonal in the eigenbasis of any combination, so
+    # the reduced system is numerically zero and its cutoff must come from
+    # the constraints' scale
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    fam = np.stack([np.eye(4, dtype=complex), swap])
+    assert commutant(fam).dim == 10 == naive_commutant_dim(fam)
+
+
+@st.composite
+def _star_closed_family(draw):
+    """A *-closed family on ambient <= 12 and its commutant dimension: the
+    matrix units of a direct sum of M_k (x) I_m plus a zero block, or a
+    generic element of that sum with its adjoint, conjugated by a random
+    unitary.  The commutant is a sum of M_m, plus M_pad for the zero block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts, room = [], 12
+    while room > 0 and (not parts or draw(st.booleans())):
+        k = draw(st.integers(1, min(3, room)))
+        m = draw(st.integers(1, room // k))
+        parts.append((k, m))
+        room -= k * m
+    pad = draw(st.integers(0, room))
+    n = 12 - room + pad
+    units, at = [], 0
+    for k, m in parts:
+        for unit in np.eye(k * k).reshape(k * k, k, k):
+            member = np.zeros((n, n), dtype=complex)
+            member[at:at + k * m, at:at + k * m] = np.kron(unit, np.eye(m))
+            units.append(member)
+        at += k * m
+    fam = np.stack(units)
+    if draw(st.booleans()):
+        c = rng.standard_normal(len(fam)) + 1j * rng.standard_normal(len(fam))
+        a = np.tensordot(c, fam, axes=(0, 0))
+        fam = np.stack([a, a.conj().T])
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q = np.linalg.qr(x)[0]
+    fam = np.matmul(q, fam @ q.conj().T)
+    return fam, sum(m * m for _, m in parts) + pad * pad
+
+
+@settings(max_examples=40, deadline=None)
+@given(_star_closed_family())
+def test_commutant_dimension_on_star_closed_families(case):
+    fam, expected = case
+    assert commutant(fam).dim == naive_commutant_dim(fam) == expected
+
+
+def test_commutant_falls_back_to_the_dense_system(monkeypatch, m2):
+    fam = np.stack([np.kron(np.eye(2), b) for b in m2.basis_matrices()])
+    calls = {"verify": 0, "dense": 0}
+    dense = structure._commutation_operator
+
+    def counted(m):
+        calls["dense"] += 1
+        return dense(m)
+
+    monkeypatch.setattr(structure, "_commutation_operator", counted)
+    assert commutant(fam).dim == 4
+    assert calls["dense"] == 0
+    verify = structure._verify_commutant
+
+    def failing_three_draws(cands, f, tol):
+        calls["verify"] += 1
+        return calls["verify"] > 3 and verify(cands, f, tol)
+
+    monkeypatch.setattr(structure, "_verify_commutant", failing_three_draws)
+    assert commutant(fam).dim == 4
+    assert calls == {"verify": 3, "dense": fam.shape[0]}
 
 
 def test_commutant_budget_guard():
