@@ -258,7 +258,7 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
         cols = (j * m_block + col[:, None] * d_mult + span).ravel()
         np.add.at(t, (np.repeat(which, d_mult), rows),
                   np.repeat(value, d_mult)[:, None] * w[cols])
-    images = np.einsum("rp,arq->apq", w.conj(), t, optimize=True)
+    images = np.matmul(w.conj().T, t)
     return RealizedIrrep(desc, images)
 
 

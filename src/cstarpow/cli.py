@@ -21,15 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import acceptance
-from .algebra import algebra_from_json, make_algebra, symmetric_power_basis
+from .algebra import (algebra_from_json, make_algebra, symmetric_power_basis,
+                      symmetric_power_count)
 from .classify import (direct_sum_of_power_maps, enumerate_sn_irreps,
-                       homogeneous_components, schur_weyl_labels,
-                       schur_weyl_rep, wedderburn_comparison)
-from .crossed import (action_from_json, corner_embedding, corner_projection,
-                      convolve, group_average_projection, integrated_form,
-                      involution, spatial_pair, tensor_permutation_action)
+                       homogeneous_components, schur_weyl_injectivity_check,
+                       schur_weyl_labels, schur_weyl_rep,
+                       wedderburn_comparison)
+from .crossed import (CovariantPair, action_from_json, corner_embedding,
+                      corner_projection, convolve, group_average_projection,
+                      integrated_form, involution, spatial_pair,
+                      tensor_permutation_action)
 from .errors import BudgetError, VerificationError
-from .groups import young_subgroup
+from .groups import UnitaryRep, trivial_subgroup, young_subgroup
 from .induction import commutant_restriction, fixed_point_unitary, induce
 from .linalg import op_norm
 from .structure import commutant_dimension
@@ -138,7 +141,6 @@ def cmd_sympow(args, cfg: RunConfig) -> tuple[int, dict]:
     sym = symmetric_power_basis(algebra, args.n)
     enumerated, spectral = wedderburn_comparison(
         algebra, args.n, tol=cfg.tol, seed=cfg.seed, sym=sym)
-    from .algebra import symmetric_power_count
     expected = symmetric_power_count(algebra.dim, args.n)
     payload = {
         "blocks": list(algebra.blocks),
@@ -158,7 +160,6 @@ def cmd_classify(args, cfg: RunConfig) -> tuple[int, dict]:
     algebra = _load_algebra(args)
     _check_budget(algebra, args.n, cfg.budget)
     descs = enumerate_sn_irreps(algebra, args.n)
-    from .algebra import symmetric_power_count
     expected = symmetric_power_count(algebra.dim, args.n)
     payload = {
         "blocks": list(algebra.blocks),
@@ -230,8 +231,6 @@ def cmd_crossed(args, cfg: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_induce(args, cfg: RunConfig) -> tuple[int, dict]:
-    from .crossed import CovariantPair
-    from .groups import UnitaryRep, trivial_subgroup
     action = _load_action(args, cfg)
     group = action.group
     if args.q:
@@ -282,7 +281,6 @@ def cmd_schur_weyl(args, cfg: RunConfig) -> tuple[int, dict]:
     }
     code = EXIT_OK if all(r["commutant_dim"] == 1 for r in reps) else EXIT_VERIFY
     if args.injectivity_nmax:
-        from .classify import schur_weyl_injectivity_check
         ok = schur_weyl_injectivity_check(algebra, args.injectivity_nmax,
                                           cfg.tol)
         payload["injectivity"] = {"n_max": args.injectivity_nmax, "passed": ok}

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FdCStarAlgebra, tensor_power
+from .algebra import FdCStarAlgebra, make_algebra, tensor_power
 from .groups import (FiniteGroup, Subgroup, UnitaryRep,
-                     factor_permutation_index, symmetric_group)
+                     factor_permutation_index, group_from_json,
+                     permutation_rep, symmetric_group)
 from .linalg import DEFAULT_TOL, op_norm, orthonormal_columns
 from .structure import SpannedAlgebra, spanned_algebra
 
@@ -146,27 +147,12 @@ class GroupAction:
         """
         d = self.algebra.dim
         if self.is_permutation:
-            parent = list(range(d))
-
-            def find(i):
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                return i
-
-            for g in range(self.group.order):
-                for i, j in enumerate(self.perm_maps[g]):
-                    ri, rj = find(i), find(int(j))
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-            labels = np.array([find(i) for i in range(d)])
-            rows = []
-            for rep in np.unique(labels):
-                idx = np.nonzero(labels == rep)[0]
-                v = np.zeros(d, dtype=complex)
-                v[idx] = 1.0 / np.sqrt(len(idx))
-                rows.append(v)
-            return np.array(rows)
+            # the maps form a group, so column i is the orbit of unit i
+            _, orbit, sizes = np.unique(self.perm_maps.min(axis=0),
+                                        return_inverse=True, return_counts=True)
+            rows = np.zeros((sizes.size, d), dtype=complex)
+            rows[orbit, np.arange(d)] = 1.0 / np.sqrt(sizes[orbit])
+            return rows
         avg = np.mean(self.dense_maps, axis=0)
         q = orthonormal_columns(avg, tol)
         return q.conj().T
@@ -233,8 +219,6 @@ def action_from_json(obj) -> GroupAction:
     {"group": <group json>, "blocks": [...], "maps": [per-element matrix]}
     with matrix entries as numbers or [re, im] pairs.
     """
-    from .algebra import make_algebra
-    from .groups import group_from_json
     if "tensor_permutation" in obj:
         spec = obj["tensor_permutation"]
         return tensor_permutation_action(make_algebra(spec["base_blocks"]),
@@ -372,7 +356,6 @@ def spatial_pair(action: GroupAction, check: bool = True) -> CovariantPair:
     power algebra together with the factor-permuting unitaries."""
     if not hasattr(action, "base"):
         raise ValueError("spatial pair needs a tensor permutation action")
-    from .groups import permutation_rep
     alg = action.algebra
     pi = alg.basis_matrices()
     tau = permutation_rep(action.power_exponent, action.base.ambient)

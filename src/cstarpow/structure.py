@@ -10,10 +10,13 @@ and only the sum of the squared cluster sizes are unknowns instead of all
 N^2 entries (the generic step of Murota, Kanno, Kojima & Kojima, Japan J.
 Indust. Appl. Math. 27 (2010)).  Large families are first replaced by
 generic linear combinations with their adjoints, whose commutant equals the
-family's with probability one.  Every candidate is verified against the
-family; a failing draw is retried with fresh combinations, and the dense
-commutation system of the whole family is the last resort.  Intertwiner and
-center solves use the combination shortcut in the same way.
+family's with probability one.  Candidates are verified against a generic
+combination of the whole family and its adjoint, which exposes a failing
+member with probability one (the idea of Freivalds' check, IFIP 1977); a
+failing draw is retried with added combinations, and an exhaustive solve is
+the last resort.  The center solve runs through the same loop, and the size
+guard bounds each system built.  Intertwiners and equivalence are read off
+the corners of the commutant of pi (+) rho.
 """
 
 from __future__ import annotations
@@ -26,21 +29,14 @@ from .errors import BudgetError, DegenerateDrawError, VerificationError
 from .linalg import (DEFAULT_TOL, SPECTRAL_GAP, adjoint, cluster_eigenvalues,
                      eig_hermitian, nullspace, orthonormal_columns)
 
-# Largest ambient size accepted by commutant.  It bounds the dense
-# commutation system of the last-resort fallback (N^2 x N^2 per member); the
-# eigenbasis solve is much smaller.  Block structure of larger algebras
-# should be computed through minimal_central_projections instead.
+# Largest ambient size of the dense last-resort commutation system (N^2 x
+# N^2 per member); the eigenbasis system (N^2 rows per constraint, one column
+# per unknown) may have as many entries as one member's dense system here.
 MAX_COMMUTANT_AMBIENT = 40
 
 # Basis pairs checked for product closure of a span (all pairs up to this
-# many, a fixed-seed sample of this many beyond), and family members a
-# commutant candidate is verified against (a fixed-seed sample beyond).
+# many, a fixed-seed sample of this many beyond).
 _CLOSURE_CHECK_PAIRS = 400
-_VERIFY_MAX_MEMBERS = 256
-
-# Largest entry count of the stacked dense intertwiner system; beyond it the
-# solve runs on generic combinations of the two representations.
-_INTERTWINER_DENSE_ENTRIES = 30_000_000
 
 
 def _as_family(mats) -> np.ndarray:
@@ -177,20 +173,41 @@ def _commutation_operator(m: np.ndarray) -> np.ndarray:
     return np.kron(eye, m.T) - np.kron(m, eye)
 
 
-def _verify_commutant(cands: np.ndarray, fam: np.ndarray, tol: float) -> bool:
+def _verify_commutant(cands: np.ndarray, fam: np.ndarray, tol: float,
+                      rng) -> bool:
+    """Whether every candidate commutes with a generic combination of the
+    whole family and its adjoint, drawn from ``rng`` after the constraints:
+    the commutator is linear, so any failing member shows."""
     if cands.shape[0] == 0:
         return True
-    if fam.shape[0] > _VERIFY_MAX_MEMBERS:
-        rng = np.random.default_rng(0)
-        fam = fam[rng.choice(fam.shape[0], size=_VERIFY_MAX_MEMBERS,
-                             replace=False)]
-    scale = max(1.0, float(np.max(np.abs(fam)))) * max(
+    probe = np.stack(_random_combos(fam, rng, 1))
+    scale = max(1.0, float(np.max(np.abs(probe)))) * max(
         1.0, float(np.max(np.abs(cands))))
     for c in cands:
-        worst = np.max(np.abs(c @ fam - fam @ c))
+        worst = np.max(np.abs(c @ probe - probe @ c))
         if worst > 100 * tol * scale:
             return False
     return True
+
+
+def _verified_solve(gens: np.ndarray, fam: np.ndarray, rng, solve,
+                    exhaustive, tol: float) -> np.ndarray:
+    """Draw -> solve -> verify -> redraw -> exhaustive: up to four
+    generators with their adjoints, or else a generic combination and its
+    adjoint, are the constraints of ``solve``; two more draws each add a
+    combination, and ``exhaustive()`` follows the third failure."""
+    if gens.shape[0] <= 4:
+        constraints = np.concatenate(
+            [gens, np.conj(np.transpose(gens, (0, 2, 1)))])
+    else:
+        constraints = np.stack(_random_combos(gens, rng, 1))
+    for _ in range(3):
+        cands = solve(constraints)
+        if _verify_commutant(cands, fam, tol, rng):
+            return cands
+        constraints = np.concatenate(
+            [constraints, np.stack(_random_combos(gens, rng, 1))])
+    return exhaustive()
 
 
 def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
@@ -201,14 +218,13 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
     only what commutes with a Hermitian element built from the members and
     their adjoints, which for a family that is not *-closed can drop part of
     its commutant.  A SpannedAlgebra's generators must generate it as a
-    *-algebra.  Up to four generators are used with their adjoints as the
-    constraints, more are replaced by a generic combination and its adjoint.
-    Each draw takes a random real combination H of the Hermitian parts of the
-    constraints, H = V D V*, and solves [X', V* m V] = 0 for the unknown
-    X' = V* X V restricted to the blocks of the eigenvalue clusters of H.
-    The result is verified against the whole family; two more draws with
-    added combinations follow a failure, and the dense commutation system of
-    the whole family is the last resort.
+    *-algebra.  Each draw of ``_verified_solve`` takes a random real
+    combination H of the Hermitian parts of the constraints, H = V D V*, and
+    solves [X', V* m V] = 0 for the unknown X' = V* X V restricted to the
+    blocks of the eigenvalue clusters of H; the dense commutation system of
+    the whole family is the last resort.  BudgetError is raised when the
+    eigenbasis system exceeds MAX_COMMUTANT_AMBIENT^4 entries or the dense
+    one is needed above ambient MAX_COMMUTANT_AMBIENT.
 
     Returns a SpannedAlgebra; the double commutant of a unital *-closed span
     recovers the span itself at these (finite) sizes.
@@ -220,16 +236,9 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
         fam = _as_family(s)
         gens = fam
     n = fam.shape[1]
-    if n > MAX_COMMUTANT_AMBIENT:
-        raise BudgetError(
-            f"dense commutant solve limited to ambient {MAX_COMMUTANT_AMBIENT}")
     rng = np.random.default_rng(seed)
-    if gens.shape[0] <= 4:
-        constraints = np.concatenate(
-            [gens, np.conj(np.transpose(gens, (0, 2, 1)))])
-    else:
-        constraints = np.stack(_random_combos(gens, rng, 1))
-    for attempt in range(3):
+
+    def eigenbasis_solve(constraints):
         herm = _hermitian_parts(constraints)
         h = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
         w, v = eig_hermitian(h, tol)
@@ -239,6 +248,9 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
         # block; [E_ij, m] has m[j, :] in row i and -m[:, i] in column j
         rows = np.concatenate([np.repeat(c, len(c)) for c in clusters])
         cols = np.concatenate([np.tile(c, len(c)) for c in clusters])
+        if rows.size * n * n > MAX_COMMUTANT_AMBIENT ** 4:
+            raise BudgetError(f"eigenbasis commutant system of {rows.size} "
+                              f"unknowns on ambient {n} is too large")
         unknowns = np.arange(rows.size)
         primed = np.matmul(v.conj().T, constraints @ v)
         ops = []
@@ -251,15 +263,17 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
         coeffs = nullspace(np.concatenate(ops, axis=0), tol, scale=scale)
         reduced = np.zeros((coeffs.shape[1], n, n), dtype=complex)
         reduced[:, rows, cols] = coeffs.T
-        basis = np.matmul(v, reduced @ v.conj().T)
-        if _verify_commutant(basis, fam, tol):
-            break
-        constraints = np.concatenate(
-            [constraints, np.stack(_random_combos(gens, rng, 1))])
-    else:
+        return np.matmul(v, reduced @ v.conj().T)
+
+    def dense_solve():
+        if n > MAX_COMMUTANT_AMBIENT:
+            raise BudgetError(
+                f"dense commutant solve limited to ambient {MAX_COMMUTANT_AMBIENT}")
         stacked = np.concatenate(
             [_commutation_operator(m) for m in fam], axis=0)
-        basis = nullspace(stacked, tol).T.reshape(-1, n, n)
+        return nullspace(stacked, tol).T.reshape(-1, n, n)
+
+    basis = _verified_solve(gens, fam, rng, eigenbasis_solve, dense_solve, tol)
     return spanned_algebra(basis, tol, check=False)
 
 
@@ -270,69 +284,49 @@ def commutant_dimension(family, tol: float = DEFAULT_TOL, seed: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # intertwiners and equivalence
 
-def intertwiner_space(pi, rho, tol: float = DEFAULT_TOL,
-                      seed: int = 0) -> np.ndarray:
-    """Basis of {T : T pi(b) = rho(b) T for every basis element b}.
-
-    ``pi`` and ``rho`` are families of images of the same algebra basis.
-    Returns an array of shape (k, dim rho, dim pi).
-    """
-    pi = _as_family(pi)
-    rho = _as_family(rho)
+def _commutant_corners(pi, rho, tol: float, seed: int):
+    """Orthonormal bases of the corners (1, 1), (2, 1) and (2, 2) of the
+    commutant of pi (+) rho: pi', Hom(pi, rho) and rho'.  The block
+    projections lie in the commutant, so the corners are orthogonal summands
+    and the cuts of its basis span them."""
+    pi, rho = _as_family(pi), _as_family(rho)
     if pi.shape[0] != rho.shape[0]:
         raise ValueError("the two representations must share a basis")
-    d = pi.shape[0]
-    np_, nr = pi.shape[1], rho.shape[1]
+    p, n = pi.shape[1], pi.shape[1] + rho.shape[1]
+    fam = np.zeros((pi.shape[0], n, n), dtype=complex)
+    fam[:, :p, :p] = pi
+    fam[:, p:, p:] = rho
+    basis = commutant(fam, tol, seed).span_basis
+    corners = []
+    for cut in (basis[:, :p, :p], basis[:, p:, :p], basis[:, p:, p:]):
+        q = orthonormal_columns(cut.reshape(cut.shape[0], -1).T, tol)
+        corners.append(q.T.reshape(-1, *cut.shape[1:]))
+    return corners
 
-    def constraint(a, b):
-        # vec_r(rho_b T - T pi_b) = (kron(rho_b, I) - kron(I, pi_b^T)) vec_r(T)
-        return np.kron(b, np.eye(np_)) - np.kron(np.eye(nr), a.T)
 
-    if d * (nr * np_) ** 2 <= _INTERTWINER_DENSE_ENTRIES:
-        stacked = np.concatenate([constraint(pi[i], rho[i]) for i in range(d)],
-                                 axis=0)
-        return nullspace(stacked, tol).T.reshape(-1, nr, np_)
-    rng = np.random.default_rng(seed)
-    for attempt in range(3):
-        rows = []
-        for _ in range(attempt + 2):
-            c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            rows.append(constraint(np.tensordot(c, pi, axes=(0, 0)),
-                                   np.tensordot(c, rho, axes=(0, 0))))
-        basis = nullspace(np.concatenate(rows, axis=0), tol).T.reshape(-1, nr, np_)
-        worst = 0.0
-        for t in basis:
-            worst = max(worst, float(np.max(np.abs(t @ pi - rho @ t))))
-        if basis.size == 0 or worst <= 100 * tol * max(
-                1.0, float(np.max(np.abs(basis)))):
-            return basis
-    raise DegenerateDrawError("intertwiner solve failed to verify")
+def intertwiner_space(pi, rho, tol: float = DEFAULT_TOL,
+                      seed: int = 0) -> np.ndarray:
+    """Orthonormal basis of {T : T pi(b) = rho(b) T for every basis element b}.
+
+    ``pi`` and ``rho`` are *-representations on the same algebra basis; the
+    space is the (2, 1) corner of the commutant of pi (+) rho.  Returns an
+    array of shape (k, dim rho, dim pi).
+    """
+    return _commutant_corners(pi, rho, tol, seed)[1]
 
 
 def equivalent(pi, rho, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
-    """Unitary equivalence of two representations given on the same basis.
+    """Unitary equivalence of two *-representations given on the same basis.
 
-    True iff the intertwiner space contains an invertible element; a generic
-    combination of an intertwiner basis achieves the maximal rank, so a few
-    random draws decide invertibility.
+    With multiplicity vectors m and n over the irreducible types (the zero
+    representation counted as one more type), the corners of the commutant
+    of pi (+) rho have dimensions sum m^2, sum m n and sum n^2, and by
+    Cauchy-Schwarz the three are equal iff m = n.
     """
-    pi = _as_family(pi)
-    rho = _as_family(rho)
-    if pi.shape[1] != rho.shape[1]:
+    if _as_family(pi).shape[1] != _as_family(rho).shape[1]:
         return False
-    basis = intertwiner_space(pi, rho, tol, seed)
-    if basis.shape[0] == 0:
-        return False
-    rng = np.random.default_rng(seed)
-    n = pi.shape[1]
-    for _ in range(3):
-        c = rng.standard_normal(basis.shape[0]) \
-            + 1j * rng.standard_normal(basis.shape[0])
-        t = np.tensordot(c, basis, axes=(0, 0))
-        s = np.linalg.svd(t, compute_uv=False)
-        if s[-1] > tol * s[0]:
-            return True
-    return False
+    dims = {c.shape[0] for c in _commutant_corners(pi, rho, tol, seed)}
+    return len(dims) == 1
 
 
 def is_irreducible(pi, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
@@ -446,8 +440,9 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
     projections are the union of theirs.  Per component, draws a random
     Hermitian element of the center, clusters its eigenvalues (threshold
     ``gap``), and takes the spectral projections; a generic draw separates
-    the minimal central projections with probability one.  Retries with
-    fresh seeds on degenerate draws, failing after five attempts.
+    the minimal central projections with probability one.  The center is
+    solved once, through the same verified loop as the commutant; degenerate
+    central elements are redrawn, failing after five draws.
     """
     n = s.ambient
     projections, dims, mults = [], [], []
@@ -470,21 +465,20 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
 def _component_projections(s: SpannedAlgebra, seed, tol, gap):
     basis = s.span_basis
     gens = s.generators if s.generators is not None else basis
-    n = s.ambient
     support = s.support()
-    if support.shape[0] > 0.5 * n * n:
+    if support.shape[0] > 0.5 * s.ambient ** 2:
         support = None
+    rng = np.random.default_rng(seed)
+
+    def center_solve(constraints):
+        xi = _center_coefficients(basis, constraints, tol, support)
+        return np.tensordot(xi.T, basis, axes=(1, 0))
+
+    center = _verified_solve(gens, basis, rng, center_solve,
+                             lambda: center_solve(basis), tol)
+    herm = _hermitian_parts(center)
     last_error = "no attempt"
     for attempt in range(5):
-        rng = np.random.default_rng(seed + attempt)
-        constraints = list(gens) if gens.shape[0] <= 4 \
-            else _random_combos(gens, rng, 1)
-        xi = _center_coefficients(basis, np.asarray(constraints), tol, support)
-        center = np.tensordot(xi.T, basis, axes=(1, 0))
-        if not _verify_commutant(center, basis, tol):
-            xi = _center_coefficients(basis, basis, tol, support)
-            center = np.tensordot(xi.T, basis, axes=(1, 0))
-        herm = _hermitian_parts(center)
         z = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
         w, v = eig_hermitian(z, max(tol, 1e-8))
         try:
@@ -492,7 +486,7 @@ def _component_projections(s: SpannedAlgebra, seed, tol, gap):
         except DegenerateDrawError as exc:
             last_error = str(exc)
     raise DegenerateDrawError(
-        f"central projection extraction failed after 5 seeds: {last_error}")
+        f"central projection extraction failed after 5 draws: {last_error}")
 
 
 def _projections_from_spectrum(s: SpannedAlgebra, w, v, tol, gap):

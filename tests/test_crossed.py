@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarpow.algebra import make_algebra, symmetric_power_basis
 from cstarpow.crossed import (CovariantPair, CrossedElement, GroupAction,
@@ -9,7 +11,8 @@ from cstarpow.crossed import (CovariantPair, CrossedElement, GroupAction,
                               group_average_projection, integrated_form,
                               involution, spatial_pair,
                               tensor_permutation_action, trivial_action)
-from cstarpow.groups import UnitaryRep, cyclic_group, symmetric_group
+from cstarpow.groups import (UnitaryRep, cyclic_group, symmetric_group,
+                             young_subgroup)
 from cstarpow.linalg import is_projection, op_norm
 from oracles import naive_convolution
 
@@ -252,3 +255,36 @@ def test_cyclic_rotation_action(c3):
     assert fixed_point_algebra(rot).dim == 1
     with pytest.raises(ValueError):
         block_permutation_action(make_algebra([1, 2]), symmetric_group(2))
+
+
+@st.composite
+def _permutation_actions(draw):
+    """A permutation action: the factor permutations of a small tensor power
+    restricted to a Young subgroup, or a rotation of equal blocks."""
+    if draw(st.booleans()):
+        blocks = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+        n = draw(st.integers(1, 3))
+        q, room = [], n
+        while room:
+            q.append(draw(st.integers(1, room)))
+            room -= q[-1]
+        action = tensor_permutation_action(make_algebra(blocks), n)
+        return action.restrict(young_subgroup(q, action.group))
+    k = draw(st.integers(1, 2))
+    count = draw(st.integers(1, 4))
+    rotations = [tuple((i + r) % count for i in range(count))
+                 for r in range(count)]
+    return block_permutation_action(make_algebra([k] * count),
+                                    cyclic_group(count), block_perms=rotations)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_permutation_actions())
+def test_orbit_fixed_space_matches_dense_averaging(action):
+    dense = GroupAction(action.group, action.algebra,
+                        dense_maps=np.stack([action.matrix(g) for g in
+                                             range(action.group.order)]),
+                        check=False)
+    rows, ref = action.fixed_space(), dense.fixed_space()
+    assert rows.shape == ref.shape
+    assert np.allclose(rows.conj().T @ rows, ref.conj().T @ ref, atol=1e-10)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cstarpow import structure
@@ -66,6 +66,23 @@ def test_commutant_of_identity_and_swap():
     assert commutant(fam).dim == 10 == naive_commutant_dim(fam)
 
 
+def _block_images(ks, mults, pad, rng):
+    """Images of the matrix units of the sum of the M_k under the sum of
+    M_k (x) I_m plus a zero block of size pad, conjugated by a random
+    unitary.  Multiplicity 0 sends a block's units to zero."""
+    n = sum(k * m for k, m in zip(ks, mults)) + pad
+    units, at = [], 0
+    for k, m in zip(ks, mults):
+        for unit in np.eye(k * k).reshape(k * k, k, k):
+            member = np.zeros((n, n), dtype=complex)
+            member[at:at + k * m, at:at + k * m] = np.kron(unit, np.eye(m))
+            units.append(member)
+        at += k * m
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q = np.linalg.qr(x)[0]
+    return np.matmul(q, np.stack(units) @ q.conj().T)
+
+
 @st.composite
 def _star_closed_family(draw):
     """A *-closed family on ambient <= 12 and its commutant dimension: the
@@ -73,30 +90,18 @@ def _star_closed_family(draw):
     generic element of that sum with its adjoint, conjugated by a random
     unitary.  The commutant is a sum of M_m, plus M_pad for the zero block."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    parts, room = [], 12
-    while room > 0 and (not parts or draw(st.booleans())):
-        k = draw(st.integers(1, min(3, room)))
-        m = draw(st.integers(1, room // k))
-        parts.append((k, m))
-        room -= k * m
+    ks, mults, room = [], [], 12
+    while room > 0 and (not ks or draw(st.booleans())):
+        ks.append(draw(st.integers(1, min(3, room))))
+        mults.append(draw(st.integers(1, room // ks[-1])))
+        room -= ks[-1] * mults[-1]
     pad = draw(st.integers(0, room))
-    n = 12 - room + pad
-    units, at = [], 0
-    for k, m in parts:
-        for unit in np.eye(k * k).reshape(k * k, k, k):
-            member = np.zeros((n, n), dtype=complex)
-            member[at:at + k * m, at:at + k * m] = np.kron(unit, np.eye(m))
-            units.append(member)
-        at += k * m
-    fam = np.stack(units)
+    fam = _block_images(ks, mults, pad, rng)
     if draw(st.booleans()):
         c = rng.standard_normal(len(fam)) + 1j * rng.standard_normal(len(fam))
         a = np.tensordot(c, fam, axes=(0, 0))
         fam = np.stack([a, a.conj().T])
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q = np.linalg.qr(x)[0]
-    fam = np.matmul(q, fam @ q.conj().T)
-    return fam, sum(m * m for _, m in parts) + pad * pad
+    return fam, sum(m * m for m in mults) + pad * pad
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,6 +109,36 @@ def _star_closed_family(draw):
 def test_commutant_dimension_on_star_closed_families(case):
     fam, expected = case
     assert commutant(fam).dim == naive_commutant_dim(fam) == expected
+
+
+@st.composite
+def _representation_pair(draw):
+    """Two representations of one sum of M_k with multiplicity vectors m and
+    n (zeros allowed; the last entry is the zero block, one more type), each
+    conjugated by its own random unitary; half the time n = m."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    mults = st.lists(st.integers(0, 2), min_size=len(ks) + 1,
+                     max_size=len(ks) + 1)
+    m = draw(mults)
+    n = m if draw(st.booleans()) else draw(mults)
+    assume(sum(m) > 0 and sum(n) > 0)
+    pi = _block_images(ks, m[:-1], m[-1], rng)
+    rho = _block_images(ks, n[:-1], n[-1], rng)
+    return pi, rho, m, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(_representation_pair())
+def test_intertwiners_and_equivalence_are_commutant_corners(case):
+    pi, rho, m, n = case
+    space = intertwiner_space(pi, rho)
+    assert space.shape[0] == naive_intertwiner_dim(pi, rho) \
+        == sum(a * b for a, b in zip(m, n))
+    assert space.shape[1:] == (rho.shape[1], pi.shape[1])
+    for t in space:
+        assert np.allclose(t @ pi, rho @ t, atol=1e-9)
+    assert equivalent(pi, rho) == (m == n)
 
 
 def test_commutant_falls_back_to_the_dense_system(monkeypatch, m2):
@@ -120,13 +155,70 @@ def test_commutant_falls_back_to_the_dense_system(monkeypatch, m2):
     assert calls["dense"] == 0
     verify = structure._verify_commutant
 
-    def failing_three_draws(cands, f, tol):
+    def failing_three_draws(cands, f, tol, rng):
         calls["verify"] += 1
-        return calls["verify"] > 3 and verify(cands, f, tol)
+        return calls["verify"] > 3 and verify(cands, f, tol, rng)
 
     monkeypatch.setattr(structure, "_verify_commutant", failing_three_draws)
     assert commutant(fam).dim == 4
     assert calls == {"verify": 3, "dense": fam.shape[0]}
+
+
+def _m6_tensor_identity(rng):
+    """The matrix units of M_6 (x) I_7 on ambient 42, conjugated by a random
+    unitary: a generic element has six eigenvalue clusters of size 7, so the
+    eigenbasis solve has 294 unknowns."""
+    x = rng.standard_normal((42, 42)) + 1j * rng.standard_normal((42, 42))
+    q = np.linalg.qr(x)[0]
+    units = np.eye(36).reshape(36, 6, 6)
+    fam = np.stack([np.kron(u, np.eye(7)) for u in units]).astype(complex)
+    return np.matmul(q, fam @ q.conj().T), q
+
+
+def test_commutant_above_the_dense_cap_with_few_unknowns(rng):
+    fam, q = _m6_tensor_identity(rng)
+    comm = commutant(fam)
+    assert comm.dim == 49
+    for u in np.eye(49).reshape(49, 7, 7)[:5]:
+        assert comm.contains(q @ np.kron(np.eye(6), u) @ q.conj().T, 1e-8)
+
+
+def test_commutant_fallback_above_the_dense_cap_is_refused(monkeypatch, rng):
+    fam, _ = _m6_tensor_identity(rng)
+    calls = {"verify": 0, "dense": 0}
+
+    def failing(cands, f, tol, gen):
+        calls["verify"] += 1
+        return False
+
+    def counted(m):
+        calls["dense"] += 1
+        return np.zeros((0, 0))
+
+    monkeypatch.setattr(structure, "_verify_commutant", failing)
+    monkeypatch.setattr(structure, "_commutation_operator", counted)
+    with pytest.raises(BudgetError):
+        commutant(fam)
+    assert calls == {"verify": 3, "dense": 0}
+
+
+def test_verification_sees_every_member():
+    # 299 diagonal members commute with the candidate; the one member that
+    # does not lies outside the fixed-seed sample of 256 members that an
+    # earlier verification checked, and must still be seen
+    rng = np.random.default_rng(3)
+    fam = np.zeros((300, 3, 3), dtype=complex)
+    fam[:, [0, 1, 2], [0, 1, 2]] = rng.standard_normal((300, 3))
+    sampled = np.random.default_rng(0).choice(300, size=256, replace=False)
+    outside = min(set(range(300)) - set(sampled.tolist()))
+    fam[outside] = 0.0
+    fam[outside, 0, 1] = 1.0
+    cand = np.diag([1.0, 2.0, 3.0]).astype(complex)[None]
+    tol = structure.DEFAULT_TOL
+    assert not structure._verify_commutant(cand, fam, tol,
+                                           np.random.default_rng(0))
+    assert structure._verify_commutant(cand, np.delete(fam, outside, axis=0),
+                                       tol, np.random.default_rng(0))
 
 
 def test_commutant_budget_guard():
