@@ -92,15 +92,18 @@ def matrix_rank(m, tol: float = DEFAULT_TOL) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def orthonormal_columns(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column space of a, as columns."""
+def orthonormal_columns(a, tol: float = DEFAULT_TOL,
+                        scale: float | None = None) -> np.ndarray:
+    """Orthonormal basis of the column space of a, as columns; singular
+    values count above tol times ``scale`` (by default the largest one), as
+    in ``nullspace``."""
     a = as_matrix(a)
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > tol * (s[0] if scale is None else scale)))
     return u[:, :rank]
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BudgetError, DegenerateDrawError, VerificationError
 from .linalg import (DEFAULT_TOL, SPECTRAL_GAP, adjoint, cluster_eigenvalues,
-                     eig_hermitian, nullspace, orthonormal_columns)
+                     direct_sum, eig_hermitian, nullspace, orthonormal_columns)
 
 # Largest ambient size of the dense last-resort commutation system (N^2 x
 # N^2 per member); the eigenbasis system (N^2 rows per constraint, one column
@@ -149,14 +149,22 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
 # ---------------------------------------------------------------------------
 # commutants
 
-def _random_combos(fam: np.ndarray, rng, count: int) -> list[np.ndarray]:
+# A family given as blocks is a tuple of families with one member count whose
+# members are the block-diagonal sums of theirs, built only where needed.
+
+def _random_combos(blocks, rng, count: int) -> list[np.ndarray]:
     """Generic complex combinations of a family, each paired with its adjoint."""
     out = []
     for _ in range(count):
-        c = rng.standard_normal(fam.shape[0]) + 1j * rng.standard_normal(fam.shape[0])
-        m = np.tensordot(c, fam, axes=(0, 0))
+        d = blocks[0].shape[0]
+        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        m = direct_sum([np.tensordot(c, f, axes=(0, 0)) for f in blocks])
         out.extend([m, m.conj().T])
     return out
+
+
+def _members(blocks) -> np.ndarray:
+    return np.stack([direct_sum(ms) for ms in zip(*blocks)])
 
 
 def _hermitian_parts(fam: np.ndarray) -> np.ndarray:
@@ -173,16 +181,17 @@ def _commutation_operator(m: np.ndarray) -> np.ndarray:
     return np.kron(eye, m.T) - np.kron(m, eye)
 
 
-def _verify_commutant(cands: np.ndarray, fam: np.ndarray, tol: float,
-                      rng) -> bool:
+def _verify_commutant(cands: np.ndarray, blocks, tol: float, rng) -> bool:
     """Whether every candidate commutes with a generic combination of the
     whole family and its adjoint, drawn from ``rng`` after the constraints:
     the commutator is linear, so any failing member shows."""
     if cands.shape[0] == 0:
         return True
-    probe = np.stack(_random_combos(fam, rng, 1))
-    scale = max(1.0, float(np.max(np.abs(probe)))) * max(
-        1.0, float(np.max(np.abs(cands))))
+    probe = np.stack(_random_combos(blocks, rng, 1))
+    # scaled by the members, not the probe: one failing member adds about
+    # its coefficient times its own commutator, whatever the family's size
+    scale = max(1.0, *(float(np.max(np.abs(f), initial=0.0)) for f in blocks)) \
+        * max(1.0, float(np.max(np.abs(cands))))
     for c in cands:
         worst = np.max(np.abs(c @ probe - probe @ c))
         if worst > 100 * tol * scale:
@@ -190,15 +199,16 @@ def _verify_commutant(cands: np.ndarray, fam: np.ndarray, tol: float,
     return True
 
 
-def _verified_solve(gens: np.ndarray, fam: np.ndarray, rng, solve,
-                    exhaustive, tol: float) -> np.ndarray:
+def _verified_solve(gens, fam, rng, solve, exhaustive, tol: float) -> np.ndarray:
     """Draw -> solve -> verify -> redraw -> exhaustive: up to four
     generators with their adjoints, or else a generic combination and its
     adjoint, are the constraints of ``solve``; two more draws each add a
-    combination, and ``exhaustive()`` follows the third failure."""
-    if gens.shape[0] <= 4:
+    combination, and ``exhaustive()`` follows the third failure.  ``gens``
+    and ``fam`` are given as blocks."""
+    if gens[0].shape[0] <= 4:
+        members = _members(gens)
         constraints = np.concatenate(
-            [gens, np.conj(np.transpose(gens, (0, 2, 1)))])
+            [members, np.conj(np.transpose(members, (0, 2, 1)))])
     else:
         constraints = np.stack(_random_combos(gens, rng, 1))
     for _ in range(3):
@@ -233,9 +243,15 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
         fam = s.span_basis
         gens = s.generators if s.generators is not None else fam
     else:
-        fam = _as_family(s)
-        gens = fam
-    n = fam.shape[1]
+        fam = gens = _as_family(s)
+    return spanned_algebra(_commutant_basis((gens,), (fam,), tol, seed), tol,
+                           check=False)
+
+
+def _commutant_basis(gens, fam, tol: float, seed: int) -> np.ndarray:
+    """Orthonormal basis of the commutant of ``fam``, generated as a
+    *-algebra by ``gens``, both given as blocks; see ``commutant``."""
+    n = sum(f.shape[1] for f in fam)
     rng = np.random.default_rng(seed)
 
     def eigenbasis_solve(constraints):
@@ -270,11 +286,10 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
             raise BudgetError(
                 f"dense commutant solve limited to ambient {MAX_COMMUTANT_AMBIENT}")
         stacked = np.concatenate(
-            [_commutation_operator(m) for m in fam], axis=0)
+            [_commutation_operator(m) for m in _members(fam)], axis=0)
         return nullspace(stacked, tol).T.reshape(-1, n, n)
 
-    basis = _verified_solve(gens, fam, rng, eigenbasis_solve, dense_solve, tol)
-    return spanned_algebra(basis, tol, check=False)
+    return _verified_solve(gens, fam, rng, eigenbasis_solve, dense_solve, tol)
 
 
 def commutant_dimension(family, tol: float = DEFAULT_TOL, seed: int = 0) -> int:
@@ -288,18 +303,18 @@ def _commutant_corners(pi, rho, tol: float, seed: int):
     """Orthonormal bases of the corners (1, 1), (2, 1) and (2, 2) of the
     commutant of pi (+) rho: pi', Hom(pi, rho) and rho'.  The block
     projections lie in the commutant, so the corners are orthogonal summands
-    and the cuts of its basis span them."""
+    and the cuts of its basis span them.  The basis is orthonormal, so each
+    cut's singular values are 1 on its corner and round-off elsewhere; they
+    are ranked against 1, since a zero corner's cut holds only round-off."""
     pi, rho = _as_family(pi), _as_family(rho)
     if pi.shape[0] != rho.shape[0]:
         raise ValueError("the two representations must share a basis")
-    p, n = pi.shape[1], pi.shape[1] + rho.shape[1]
-    fam = np.zeros((pi.shape[0], n, n), dtype=complex)
-    fam[:, :p, :p] = pi
-    fam[:, p:, p:] = rho
-    basis = commutant(fam, tol, seed).span_basis
+    p = pi.shape[1]
+    basis = _commutant_basis((pi, rho), (pi, rho), tol, seed)
     corners = []
     for cut in (basis[:, :p, :p], basis[:, p:, :p], basis[:, p:, p:]):
-        q = orthonormal_columns(cut.reshape(cut.shape[0], -1).T, tol)
+        q = orthonormal_columns(cut.reshape(cut.shape[0], -1).T, tol,
+                                scale=1.0)
         corners.append(q.T.reshape(-1, *cut.shape[1:]))
     return corners
 
@@ -309,8 +324,10 @@ def intertwiner_space(pi, rho, tol: float = DEFAULT_TOL,
     """Orthonormal basis of {T : T pi(b) = rho(b) T for every basis element b}.
 
     ``pi`` and ``rho`` are *-representations on the same algebra basis; the
-    space is the (2, 1) corner of the commutant of pi (+) rho.  Returns an
-    array of shape (k, dim rho, dim pi).
+    space is the (2, 1) corner of the commutant of pi (+) rho, so the size
+    guards of ``commutant`` apply on ambient dim pi + dim rho (a pair of high
+    multiplicity, such as two copies of I_21, raises BudgetError).  Returns
+    an array of shape (k, dim rho, dim pi).
     """
     return _commutant_corners(pi, rho, tol, seed)[1]
 
@@ -474,7 +491,7 @@ def _component_projections(s: SpannedAlgebra, seed, tol, gap):
         xi = _center_coefficients(basis, constraints, tol, support)
         return np.tensordot(xi.T, basis, axes=(1, 0))
 
-    center = _verified_solve(gens, basis, rng, center_solve,
+    center = _verified_solve((gens,), (basis,), rng, center_solve,
                              lambda: center_solve(basis), tol)
     herm = _hermitian_parts(center)
     last_error = "no attempt"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cstarpow.linalg import (adjoint, direct_sum, eig_hermitian, is_projection,
-                             kron, nullspace, op_norm, spectral_projections)
+                             kron, nullspace, op_norm, orthonormal_columns,
+                             spectral_projections)
 from oracles import naive_kron, naive_nullspace_dim
 
 
@@ -73,6 +74,20 @@ def test_nullspace_cases(rng):
     assert nullspace(noise).shape == (3, 0)
     assert nullspace(noise, scale=1.0).shape == (3, 3)
     assert nullspace(np.eye(3), scale=1.0).shape == (3, 0)
+
+
+def test_orthonormal_columns_cases(rng):
+    a = random_complex(rng, 4, 2) @ random_complex(rng, 2, 3)
+    q = orthonormal_columns(a)
+    assert q.shape == (4, 2)
+    assert np.allclose(q.conj().T @ q, np.eye(2))
+    assert np.allclose(q @ (q.conj().T @ a), a)
+    # as for nullspace: rounding-level columns have full rank relative to
+    # themselves, and none against the scale of the data they came from
+    noise = 1e-17 * random_complex(rng, 3, 3)
+    assert orthonormal_columns(noise).shape == (3, 3)
+    assert orthonormal_columns(noise, scale=1.0).shape == (3, 0)
+    assert orthonormal_columns(np.eye(3), scale=1.0).shape == (3, 3)
 
 
 def test_nullspace_of_constructed_rank_two(rng):

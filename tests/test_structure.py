@@ -164,6 +164,54 @@ def test_commutant_falls_back_to_the_dense_system(monkeypatch, m2):
     assert calls == {"verify": 3, "dense": fam.shape[0]}
 
 
+def _inequivalent_irreps(rng):
+    """The two irreducibles of M_2 (+) M_2, each conjugated by its own random
+    unitary, so that round-off fills every entry of a solve."""
+    units = make_algebra([2, 2]).basis_matrices()
+    out = []
+    for block in (units[:, :2, :2], units[:, 2:, 2:]):
+        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        q = np.linalg.qr(x)[0]
+        out.append(np.matmul(q, block @ q.conj().T))
+    return out
+
+
+def test_zero_intertwiner_corner_after_the_dense_fallback(monkeypatch, rng):
+    # the dense system mixes every entry, so the (2, 1) cut of the commutant
+    # basis is round-off rather than exact zeros and must not count as rank
+    pi, rho = _inequivalent_irreps(rng)
+    monkeypatch.setattr(structure, "_verify_commutant",
+                        lambda cands, f, tol, gen: False)
+    assert intertwiner_space(pi, rho).shape[0] == 0
+    assert not equivalent(pi, rho)
+    assert equivalent(pi, pi)
+
+
+def test_zero_intertwiner_corner_when_clusters_couple(monkeypatch, rng):
+    # a gap this wide puts every eigenvalue of H in one cluster, as happens
+    # by chance when an eigenvalue of pi and one of rho nearly meet: the
+    # unknowns then couple the two blocks
+    pi, rho = _inequivalent_irreps(rng)
+    monkeypatch.setattr(structure, "SPECTRAL_GAP", 1e3)
+    assert intertwiner_space(pi, rho).shape[0] == 0
+    assert not equivalent(pi, rho)
+    assert equivalent(pi, pi)
+
+
+def test_pair_solves_inherit_the_eigenbasis_guard():
+    # [I_21] (+) [I_21] is one eigenvalue cluster of 42: 1764 unknowns on
+    # ambient 42 exceed 40^4 entries, so the pair is refused before any
+    # system is built
+    eye = np.eye(21, dtype=complex)[None]
+    with pytest.raises(BudgetError):
+        intertwiner_space(eye, eye)
+    with pytest.raises(BudgetError):
+        equivalent(eye, eye)
+    # a lower multiplicity stays within the guard
+    assert equivalent(np.eye(10, dtype=complex)[None],
+                      np.eye(10, dtype=complex)[None])
+
+
 def _m6_tensor_identity(rng):
     """The matrix units of M_6 (x) I_7 on ambient 42, conjugated by a random
     unitary: a generic element has six eigenvalue clusters of size 7, so the
@@ -215,9 +263,9 @@ def test_verification_sees_every_member():
     fam[outside, 0, 1] = 1.0
     cand = np.diag([1.0, 2.0, 3.0]).astype(complex)[None]
     tol = structure.DEFAULT_TOL
-    assert not structure._verify_commutant(cand, fam, tol,
+    assert not structure._verify_commutant(cand, (fam,), tol,
                                            np.random.default_rng(0))
-    assert structure._verify_commutant(cand, np.delete(fam, outside, axis=0),
+    assert structure._verify_commutant(cand, (np.delete(fam, outside, axis=0),),
                                        tol, np.random.default_rng(0))
 
 
