@@ -335,21 +335,32 @@ def schur_weyl_labels(algebra: FdCStarAlgebra, n: int):
     return out
 
 
+def schur_weyl_family(algebra: FdCStarAlgebra, n: int,
+                      tol: float = DEFAULT_TOL,
+                      sym: SymmetricPowerBasis | None = None):
+    """Every Schur-Weyl representation of degree n, as (block, partition,
+    representation) in the order of ``schur_weyl_labels``."""
+    if sym is None:
+        sym = symmetric_power_basis(algebra, n)
+    return [(j, lam, schur_weyl_rep(algebra, j, lam, sym=sym, tol=tol))
+            for j, lam in schur_weyl_labels(algebra, n)]
+
+
 def schur_weyl_injectivity_check(algebra: FdCStarAlgebra, n_max: int,
-                                 tol: float = DEFAULT_TOL) -> bool:
+                                 tol: float = DEFAULT_TOL,
+                                 families=None) -> bool:
     """Pairwise inequivalence of all Schur-Weyl representations per degree.
 
     Degrees separate representations of different symmetric powers, so only
-    same-degree pairs need a numerical test.
+    same-degree pairs need a numerical test.  ``families`` maps degrees to
+    families the caller already holds from ``schur_weyl_family``.
     """
     for n in range(1, n_max + 1):
-        sym = symmetric_power_basis(algebra, n)
-        reps = [schur_weyl_rep(algebra, j, lam, sym=sym, tol=tol)
-                for j, lam in schur_weyl_labels(algebra, n)]
-        for a in range(len(reps)):
-            for b in range(a + 1, len(reps)):
-                if equivalent(reps[a].images, reps[b].images, tol):
-                    return False
+        family = (families or {}).get(n) or schur_weyl_family(algebra, n, tol)
+        reps = [rep.images for _, _, rep in family]
+        if any(equivalent(a, b, tol)
+               for a, b in itertools.combinations(reps, 2)):
+            return False
     return True
 
 
@@ -381,11 +392,9 @@ def non_schur_weyl_witness(algebra: FdCStarAlgebra, block1: int, block2: int,
     sym = symmetric_power_basis(algebra, 2)
     desc = _descriptor(algebra, (b1, b2), (1, 1), ((1,), (1,)))
     witness = realize_sn_irrep(algebra, 2, desc, sym=sym, tol=tol)
-    inter = {}
-    for j, lam in schur_weyl_labels(algebra, 2):
-        sw = schur_weyl_rep(algebra, j, lam, sym=sym, tol=tol)
-        space = intertwiner_space(witness.images, sw.images, tol)
-        inter[(j, lam)] = int(space.shape[0])
+    inter = {(j, lam): int(intertwiner_space(witness.images, sw.images,
+                                             tol).shape[0])
+             for j, lam, sw in schur_weyl_family(algebra, 2, tol, sym)}
     cert = WitnessCertificate(
         witness, commutant_dimension(witness.images, tol), inter)
     return cert

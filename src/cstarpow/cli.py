@@ -24,9 +24,8 @@ from . import acceptance
 from .algebra import (algebra_from_json, make_algebra, symmetric_power_basis,
                       symmetric_power_count)
 from .classify import (direct_sum_of_power_maps, enumerate_sn_irreps,
-                       homogeneous_components, schur_weyl_injectivity_check,
-                       schur_weyl_labels, schur_weyl_rep,
-                       wedderburn_comparison)
+                       homogeneous_components, schur_weyl_family,
+                       schur_weyl_injectivity_check, wedderburn_comparison)
 from .crossed import (CovariantPair, action_from_json, corner_embedding,
                       corner_projection, convolve, group_average_projection,
                       integrated_form, involution, spatial_pair,
@@ -264,16 +263,13 @@ def cmd_induce(args, cfg: RunConfig) -> tuple[int, dict]:
 def cmd_schur_weyl(args, cfg: RunConfig) -> tuple[int, dict]:
     algebra = _load_algebra(args)
     _check_budget(algebra, args.n, cfg.budget)
-    sym = symmetric_power_basis(algebra, args.n)
-    reps = []
-    for j, lam in schur_weyl_labels(algebra, args.n):
-        rep = schur_weyl_rep(algebra, j, lam, sym=sym, tol=cfg.tol)
-        reps.append({
-            "block": j,
-            "partition": list(lam),
-            "dim": rep.dim,
-            "commutant_dim": commutant_dimension(rep.images, cfg.tol),
-        })
+    family = schur_weyl_family(algebra, args.n, cfg.tol)
+    reps = [{
+        "block": j,
+        "partition": list(lam),
+        "dim": rep.dim,
+        "commutant_dim": commutant_dimension(rep.images, cfg.tol),
+    } for j, lam, rep in family]
     payload = {
         "blocks": list(algebra.blocks),
         "n": args.n,
@@ -282,7 +278,7 @@ def cmd_schur_weyl(args, cfg: RunConfig) -> tuple[int, dict]:
     code = EXIT_OK if all(r["commutant_dim"] == 1 for r in reps) else EXIT_VERIFY
     if args.injectivity_nmax:
         ok = schur_weyl_injectivity_check(algebra, args.injectivity_nmax,
-                                          cfg.tol)
+                                          cfg.tol, {args.n: family})
         payload["injectivity"] = {"n_max": args.injectivity_nmax, "passed": ok}
         if not ok:
             code = EXIT_VERIFY

@@ -22,10 +22,6 @@ from .linalg import DEFAULT_TOL, op_norm
 
 MAX_SYMMETRIC_N = 7
 
-# Above this many scalar operations, representation homomorphism checks fall
-# back to a fixed-seed sample of group element pairs.
-_CHECK_BUDGET = 20_000_000
-
 # Largest factor-permutation index table (entries), and largest tensor power
 # dimension of a permutation representation.
 _MAX_INDEX_ENTRIES = 70_000_000
@@ -294,8 +290,24 @@ def ssyt_count(parts, k: int) -> int:
 # ---------------------------------------------------------------------------
 # unitary representations
 
+def homomorphism_residual(group: FiniteGroup, mats) -> np.ndarray:
+    """(sum_a c_a M_a)(sum_b e_b M_b) - sum_g (c*e)_g M_g for generic complex
+    c and e, with c*e the convolution over the group table.  The coefficient
+    of c_a e_b is the defect M_a M_b - M_ab, so one generic draw shows any
+    failing pair with probability one (Freivalds' idea, IFIP 1977)."""
+    rng = np.random.default_rng(0)
+    c, e = rng.standard_normal((2, group.order)) \
+        + 1j * rng.standard_normal((2, group.order))
+    conv = np.zeros(group.order, dtype=complex)
+    for a in range(group.order):
+        conv[group.mult[a]] += c[a] * e  # row a of the table is a bijection
+    x, y, xy = np.tensordot(np.stack([c, e, conv]), mats, axes=(1, 0))
+    return x @ y - xy
+
+
 class UnitaryRep:
-    """A unitary representation of a FiniteGroup, one matrix per element."""
+    """A unitary representation of a FiniteGroup, one matrix per element;
+    the check of the multiplication table is ``homomorphism_residual``."""
 
     def __init__(self, group: FiniteGroup, matrices, tol: float = DEFAULT_TOL,
                  check: bool = True):
@@ -317,16 +329,9 @@ class UnitaryRep:
         for m in self.matrices:
             if op_norm(m.conj().T @ m - eye) > tol * max(1.0, op_norm(m) ** 2):
                 raise ValueError("matrix is not unitary within tolerance")
-        pairs = itertools.product(range(g.order), repeat=2)
-        if g.order ** 2 * self.dim ** 3 > _CHECK_BUDGET:
-            rng = np.random.default_rng(0)
-            pairs = [(int(a), int(b)) for a, b in
-                     rng.integers(0, g.order, size=(200, 2))]
-        for a, b in pairs:
-            err = op_norm(self.matrices[a] @ self.matrices[b]
-                          - self.matrices[g.mult[a, b]])
-            if err > tol * max(1.0, self.dim):
-                raise ValueError("multiplication table is not respected")
+        if op_norm(homomorphism_residual(g, self.matrices)) > \
+                tol * max(1.0, self.dim):
+            raise ValueError("multiplication table is not respected")
 
     def mat(self, g: int) -> np.ndarray:
         return self.matrices[g]

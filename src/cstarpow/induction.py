@@ -68,7 +68,7 @@ def induce(base: CovariantPair, action: GroupAction, sub: Subgroup,
         raise ValueError("subgroup does not live in the acting group")
     if base.action.group is not sub.group:
         raise ValueError("base pair is not over the given subgroup")
-    _check_restriction(base.action, action, sub)
+    _check_restriction(base.action, action, sub, tol)
     grp = action.group
     m = base.dim
     n = sub.index * m
@@ -106,13 +106,14 @@ def induced_unitaries(sub: Subgroup, base_mats) -> np.ndarray:
 
 
 def _check_restriction(base_action: GroupAction, action: GroupAction,
-                       sub: Subgroup):
+                       sub: Subgroup, tol: float):
     for local, amb in enumerate(sub.elements):
         if base_action.is_permutation and action.is_permutation:
             ok = np.array_equal(base_action.perm_maps[local],
                                 action.perm_maps[amb])
         else:
-            ok = np.allclose(base_action.matrix(local), action.matrix(amb))
+            ok = np.max(np.abs(base_action.matrix(local)
+                               - action.matrix(amb))) <= tol
         if not ok:
             raise ValueError("base pair is not over the restricted action")
 

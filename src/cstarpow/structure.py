@@ -34,10 +34,6 @@ from .linalg import (DEFAULT_TOL, SPECTRAL_GAP, adjoint, cluster_eigenvalues,
 # per unknown) may have as many entries as one member's dense system here.
 MAX_COMMUTANT_AMBIENT = 40
 
-# Basis pairs checked for product closure of a span (all pairs up to this
-# many, a fixed-seed sample of this many beyond).
-_CLOSURE_CHECK_PAIRS = 400
-
 
 def _as_family(mats) -> np.ndarray:
     fam = np.asarray(mats, dtype=complex)
@@ -66,12 +62,16 @@ class SpannedAlgebra:
     def dim(self) -> int:
         return self.span_basis.shape[0]
 
-    def contains(self, mat, tol: float = DEFAULT_TOL) -> bool:
+    def contains(self, mat, tol: float = DEFAULT_TOL,
+                 scale: float | None = None) -> bool:
+        """Whether the distance from the span is at most tol times
+        ``scale``, by default max(1, |mat|) in the Frobenius norm."""
         v = np.asarray(mat, dtype=complex).ravel()
         # onb.conj() @ v without copying the onb matrix
         proj = np.conj(self.onb @ np.conj(v))
         resid = v - proj @ self.onb
-        scale = max(1.0, float(np.linalg.norm(v)))
+        if scale is None:
+            scale = max(1.0, float(np.linalg.norm(v)))
         return float(np.linalg.norm(resid)) <= tol * scale
 
     def support(self) -> np.ndarray:
@@ -91,10 +91,13 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
     """Build a SpannedAlgebra from a spanning family.
 
     Reduces the family to a linearly independent subset and verifies closure
-    under adjoints and products on basis pairs (all pairs when there are few,
-    a fixed-seed sample otherwise).  ``orthogonal`` asserts that the family
-    is already pairwise orthogonal (e.g. matrices with disjoint supports), in
-    which case normalizing rows gives the orthonormal basis directly.
+    under adjoints and products at generic members x = sum c_i b_i and
+    y = sum e_j b_j drawn from ``seed``: x* and xy are linear and bilinear in
+    the basis, so one outside the span shows with probability one; the
+    bounds scale with the largest member, not with x or y.  ``orthogonal``
+    asserts that the family is already pairwise orthogonal (e.g. matrices
+    with disjoint supports), in which case normalizing rows gives the
+    orthonormal basis directly.
     """
     fam = _as_family(mats)
     n = fam.shape[1]
@@ -130,19 +133,16 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
                          else _as_family(generators))
     out.unital = out.contains(np.eye(n), tol)
     if check:
-        d = basis.shape[0]
         rng = np.random.default_rng(seed)
-        if d * d <= _CLOSURE_CHECK_PAIRS:
-            pairs = [(i, j) for i in range(d) for j in range(d)]
-        else:
-            pairs = [(int(i), int(j)) for i, j in
-                     rng.integers(0, d, size=(_CLOSURE_CHECK_PAIRS, 2))]
-        for i in range(d):
-            if not out.contains(adjoint(basis[i]), tol):
-                raise ValueError("span is not closed under adjoints")
-        for i, j in pairs:
-            if not out.contains(basis[i] @ basis[j], tol):
-                raise ValueError("span is not closed under products")
+        c = rng.standard_normal((2, basis.shape[0])) \
+            + 1j * rng.standard_normal((2, basis.shape[0]))
+        x, y = np.tensordot(c, basis, axes=(1, 0))
+        size = max(1.0, float(np.max(np.linalg.norm(basis, axis=(1, 2)),
+                                     initial=0.0)))
+        if not out.contains(adjoint(x), tol, size):
+            raise ValueError("span is not closed under adjoints")
+        if not out.contains(x @ y, tol, size ** 2):
+            raise ValueError("span is not closed under products")
     return out
 
 

@@ -96,6 +96,14 @@ def test_induce_trivial_and_young(capsys):
     assert code == 0
     assert payload["index"] == 3 and payload["induced_dim"] == 24
 
+    code, payload = run_json(capsys, "induce", "--blocks", "2", "--n", "4",
+                             "--q", "2,2")
+    assert code == 0
+    assert payload == {"subgroup_order": 4, "index": 6, "base_dim": 16,
+                       "induced_dim": 96, "fixed_rank_base": 9,
+                       "commutant_dim_induced": 1,
+                       "commutant_dim_compressed": 1}
+
 
 def test_schur_weyl_command(capsys):
     code, payload = run_json(capsys, "schur-weyl", "--blocks", "2", "--n", "2")

@@ -288,3 +288,69 @@ def test_orbit_fixed_space_matches_dense_averaging(action):
     rows, ref = action.fixed_space(), dense.fixed_space()
     assert rows.shape == ref.shape
     assert np.allclose(rows.conj().T @ rows, ref.conj().T @ ref, atol=1e-10)
+
+
+def test_covariance_sees_every_basis_element():
+    # the spatial pair of M_2^{(x)5} (dim 1024) with the image of the
+    # S_5-fixed unit E_00^{(x)5} (index 0) replaced by E_01: only that
+    # element's covariance fails, for every g that moves the last factor
+    action = tensor_permutation_action(make_algebra([2]), 5)
+    pair = spatial_pair(action, check=False)
+    assert np.all(action.perm_maps[:, 0] == 0)
+    bad_pi = pair.pi.copy()
+    bad_pi[0] = 0
+    bad_pi[0, 0, 1] = 1
+    with pytest.raises(ValueError, match="covariance"):
+        CovariantPair(action, bad_pi, pair.unitary)
+
+
+def test_dense_action_multiplicativity_sees_every_pair():
+    # Z_2 acting on M_20 (+) M_2 (dim 404) by the transpose of the M_2 block:
+    # unital, *-preserving and an involution, but not multiplicative, and
+    # only products of two M_2 units (under 16 of 404^2 pairs) show it
+    alg = make_algebra([20, 2])
+    small = np.flatnonzero(alg.block_of == 1)
+    transpose = np.eye(alg.dim, dtype=complex)
+    transpose[:, small] = 0
+    transpose[alg.star_index[small], small] = 1
+    with pytest.raises(ValueError, match="multiplicative"):
+        GroupAction(cyclic_group(2), alg,
+                    dense_maps=np.stack([np.eye(alg.dim), transpose]))
+
+
+def _haar_unitary(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k))
+                        + 1j * rng.standard_normal((k, k)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@st.composite
+def _conjugated_systems(draw):
+    """A tensor permutation system moved off the matrix-unit basis: the
+    dense action Ad(u) beta_g Ad(u*) for a random unitary u of the algebra,
+    and the spatial pair composed with Ad(u*) and conjugated by a random
+    ambient unitary w."""
+    blocks = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    beta = tensor_permutation_action(make_algebra(blocks), n)
+    alg, group = beta.algebra, beta.group
+    spatial = spatial_pair(beta, check=False)
+    u = alg.embed(alg.random_unitary(rng))
+    # column i holds the coefficients of u e_i u*; orthonormal columns
+    ad_u = np.stack([alg.coefficients(u @ m @ u.conj().T)
+                     for m in spatial.pi], axis=1)
+    maps = np.stack([ad_u @ beta.matrix(g) @ ad_u.conj().T
+                     for g in range(group.order)])
+    w = _haar_unitary(rng, alg.ambient)
+    pi = np.tensordot(ad_u.conj(), w @ spatial.pi @ w.conj().T, axes=(1, 0))
+    unitaries = w @ spatial.unitary.matrices @ w.conj().T
+    return group, alg, maps, pi, unitaries
+
+
+@settings(max_examples=25, deadline=None)
+@given(_conjugated_systems())
+def test_valid_dense_systems_are_accepted(system):
+    group, alg, maps, pi, unitaries = system
+    action = GroupAction(group, alg, dense_maps=maps)
+    CovariantPair(action, pi, UnitaryRep(group, unitaries))

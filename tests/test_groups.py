@@ -298,6 +298,16 @@ def test_unitary_rep_validation():
     assert not_hom is not None
 
 
+def test_homomorphism_check_sees_every_pair():
+    # permutation_rep(6, 2) with one non-identity matrix row-rotated: still a
+    # permutation matrix, so only products involving element 6 fail
+    rep = permutation_rep(6, 2)
+    mats = rep.matrices.copy()
+    mats[6] = np.roll(mats[6], 1, axis=0)
+    with pytest.raises(ValueError, match="multiplication table"):
+        UnitaryRep(rep.group, mats)
+
+
 def test_projective_rep_cocycle_identity():
     g = cyclic_group(2)
     mats = np.stack([np.eye(1), 1j * np.eye(1)]).astype(complex)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cstarpow.algebra import make_algebra
-from cstarpow.crossed import (CovariantPair, block_permutation_action,
+from cstarpow.crossed import (CovariantPair, GroupAction,
+                              block_permutation_action,
                               group_average_projection, spatial_pair,
                               tensor_permutation_action)
 from cstarpow.groups import (UnitaryRep, symmetric_group,
@@ -254,3 +255,19 @@ def test_induce_rejects_wrong_restriction():
                                     np.eye(4, dtype=complex)[None]))
     with pytest.raises(ValueError):
         induce(base, action3, sub3)
+
+
+def test_induce_refuses_a_base_action_off_by_the_tolerance():
+    m2 = make_algebra([2])
+    action = tensor_permutation_action(m2, 2)
+    triv = trivial_subgroup(action.group)
+    full = spatial_pair(action, check=False)
+    near = GroupAction(triv.group, action.algebra,
+                       dense_maps=(1 + 1e-6) * np.eye(4 * 4)[None],
+                       check=False)
+    base = CovariantPair(near, full.pi, UnitaryRep(
+        triv.group, np.eye(4, dtype=complex)[None]), check=False)
+    with pytest.raises(ValueError, match="restricted action"):
+        induce(base, action, triv)
+    exact = CovariantPair(action.restrict(triv), full.pi, base.unitary)
+    assert induce(exact, action, triv).pair.dim == 8

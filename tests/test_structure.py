@@ -497,3 +497,16 @@ def test_spanned_algebra_closure_check(m2):
     bad = m2.basis_matrices()[1:3]  # off-diagonal units only
     with pytest.raises(ValueError):
         spanned_algebra(np.concatenate([bad, bad.conj().transpose(0, 2, 1)]))
+
+
+def test_span_closure_sees_every_product():
+    # 25 diagonal units on the indices 2..26 and the Hermitian
+    # a = E_00 + E_01 + E_10: adjoints stay in the span, and of the 26^2
+    # products only a @ a = [[2, 1], [1, 1]] (on indices 0, 1) falls outside
+    n = 27
+    fam = np.zeros((26, n, n), dtype=complex)
+    fam[np.arange(1, 26), np.arange(2, n), np.arange(2, n)] = 1
+    fam[0, 0, 0] = fam[0, 0, 1] = fam[0, 1, 0] = 1
+    spanned_algebra(fam[1:])
+    with pytest.raises(ValueError, match="products"):
+        spanned_algebra(fam)
