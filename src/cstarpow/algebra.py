@@ -83,9 +83,12 @@ class FdCStarAlgebra:
         return out
 
     def embed(self, coeffs) -> np.ndarray:
+        """The ambient matrix of a coefficient vector, or the stack of
+        matrices of a stack of coefficient rows."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        out = np.zeros((self.ambient, self.ambient), dtype=complex)
-        out[self.positions[:, 0], self.positions[:, 1]] = coeffs
+        out = np.zeros(coeffs.shape[:-1] + (self.ambient, self.ambient),
+                       dtype=complex)
+        out[..., self.positions[:, 0], self.positions[:, 1]] = coeffs
         return out
 
     def coefficients(self, mat, check: bool = True,
@@ -103,8 +106,10 @@ class FdCStarAlgebra:
         return self.coefficients(self.embed(x) @ self.embed(y), check=False)
 
     def star(self, x) -> np.ndarray:
-        out = np.empty(self.dim, dtype=complex)
-        out[self.star_index] = np.conj(np.asarray(x, dtype=complex))
+        """The adjoint of an element, or of each row of a stack."""
+        x = np.asarray(x, dtype=complex)
+        out = np.empty_like(x)
+        out[..., self.star_index] = np.conj(x)
         return out
 
     def norm(self, x) -> float:

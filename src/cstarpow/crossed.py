@@ -70,6 +70,15 @@ class GroupAction:
             return out
         return self.dense_maps[g] @ coeffs
 
+    def apply_each(self, rows) -> np.ndarray:
+        """Row g of the result is alpha_g applied to row g of ``rows``."""
+        rows = np.asarray(rows, dtype=complex)
+        if self.is_permutation:
+            out = np.empty(rows.shape, dtype=complex)
+            out[np.arange(self.group.order)[:, None], self.perm_maps] = rows
+            return out
+        return (self.dense_maps @ rows[:, :, None])[:, :, 0]
+
     def matrix(self, g: int) -> np.ndarray:
         if self.is_permutation:
             d = self.algebra.dim
@@ -260,35 +269,72 @@ def corner_embedding(action: GroupAction, x,
     """
     x = np.asarray(x, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(x)))
-    for g in range(action.group.order):
-        if np.linalg.norm(action.apply(g, x) - x) > tol * scale:
-            raise ValueError("element is not fixed by the action")
-    return CrossedElement(action, np.tile(x, (action.group.order, 1)))
+    const = np.tile(x, (action.group.order, 1))
+    if np.any(np.linalg.norm(action.apply_each(const) - x, axis=1)
+              > tol * scale):
+        raise ValueError("element is not fixed by the action")
+    return CrossedElement(action, const)
+
+
+# Entries of one tile of moved values in ``convolve``: large enough for
+# efficient matrix products, small enough that a tile and its accumulator
+# stay in cache across the whole sum over h.
+_CONVOLVE_TILE = 1 << 16
+
+
+def _column_grids(alg: FdCStarAlgebra) -> list:
+    """The blocks' basis-index grids, transposed and stacked per block size:
+    entry [b, c, r] of a (count, k, k) array is the index of unit (r, c) of
+    block b."""
+    by_size: dict = {}
+    for k, grid in zip(alg.blocks, alg.block_units):
+        by_size.setdefault(k, []).append(grid.T)
+    # C order, which the gathers indexed by these grids keep
+    return [np.ascontiguousarray(np.stack(grids)) for grids in by_size.values()]
 
 
 def convolve(f1: CrossedElement, f2: CrossedElement) -> CrossedElement:
+    """Twisted convolution in block layout, batched over the group.
+
+    Blocks of one size are handled together, on tiles of group elements g.
+    For each h, one gather takes alpha_h(f2(h^{-1} g)) for every g of the
+    tile with each block transposed, and one matrix product multiplies them
+    all by the transposed blocks of f1(h), as (A B)^T = B^T A^T.  No
+    ambient matrix is formed.
+    """
     if f1.action is not f2.action:
         raise ValueError("convolution requires elements of the same system")
     action = f1.action
     grp, alg = action.group, action.algebra
-    lhs = np.stack([alg.embed(f1.values[h]) for h in range(grp.order)])
-    out = np.zeros((grp.order, alg.dim), dtype=complex)
-    for g in range(grp.order):
-        acc = np.zeros((alg.ambient, alg.ambient), dtype=complex)
-        for h in range(grp.order):
-            arg = grp.mult[grp.inv[h], g]
-            acc += lhs[h] @ alg.embed(action.apply(h, f2.values[arg]))
-        out[g] = alg.coefficients(acc, check=False) / grp.order
-    return CrossedElement(action, out)
+    order = grp.order
+    out = np.empty((order, alg.dim), dtype=complex)
+    for grid in _column_grids(alg):
+        count, k, _ = grid.shape
+        step = max(1, _CONVOLVE_TILE // grid.size)
+        for lo in range(0, order, step):
+            tile = np.arange(lo, min(order, lo + step))
+            acc = np.zeros((count, tile.size * k, k), dtype=complex)
+            for h in range(order):
+                hi = grp.inv[h]
+                rows = grp.mult[hi, tile]  # h^-1 g
+                if action.is_permutation:
+                    # the maps form a group: that of h^-1 inverts that of h
+                    src, cols = f2.values, action.perm_maps[hi][grid]
+                else:
+                    src, cols = f2.values[rows] @ action.dense_maps[h].T, grid
+                    rows = np.arange(tile.size)
+                # moved[b, g, c, r]: unit (r, c) of block b of the moved value
+                moved = src[rows[None, :, None, None], cols[:, None]]
+                acc += moved.reshape(count, -1, k) @ f1.values[h][grid]
+            out[tile[None, :, None, None], grid[:, None]] = \
+                acc.reshape(count, tile.size, k, k)
+    return CrossedElement(action, out / order)
 
 
 def involution(f: CrossedElement) -> CrossedElement:
     action = f.action
-    grp, alg = action.group, action.algebra
-    out = np.zeros_like(f.values)
-    for g in range(grp.order):
-        out[g] = alg.star(action.apply(g, f.values[grp.inv[g]]))
-    return CrossedElement(action, out)
+    moved = action.apply_each(f.values[action.group.inv])
+    return CrossedElement(action, action.algebra.star(moved))
 
 
 # ---------------------------------------------------------------------------
@@ -296,70 +342,120 @@ def involution(f: CrossedElement) -> CrossedElement:
 
 class CovariantPair:
     """An algebra representation and a unitary group representation that are
-    linked by the covariance relation pi(alpha_g(x)) = U_g pi(x) U_g*."""
+    linked by the covariance relation pi(alpha_g(x)) = U_g pi(x) U_g*.
+
+    ``pi_images`` stacks the image of every basis element.  ``None`` stands
+    for the algebra's own matrix units in its defining embedding, so that
+    pi(x) is ``algebra.embed(x)``; the stack ``pi`` is then built only when
+    it is read.
+    """
 
     def __init__(self, action: GroupAction, pi_images, unitary: UnitaryRep,
                  check: bool = True, tol: float = DEFAULT_TOL):
         self.action = action
-        self.pi = np.asarray(pi_images, dtype=complex)
         self.unitary = unitary
+        self.matrix_units = pi_images is None
+        self._pi = None if pi_images is None else \
+            np.asarray(pi_images, dtype=complex)
         if unitary.group is not action.group:
             raise ValueError("unitary representation is over the wrong group")
-        if self.pi.shape[0] != action.algebra.dim or \
-                self.pi.shape[1] != unitary.dim:
+        alg = action.algebra
+        shape = (alg.dim, alg.ambient) if self._pi is None \
+            else self._pi.shape[:2]
+        if shape != (alg.dim, unitary.dim):
             raise ValueError("pi images have the wrong shape")
         if check:
             self._check(tol)
 
     @property
     def dim(self) -> int:
-        return int(self.pi.shape[1])
+        return self.unitary.dim
+
+    @property
+    def pi(self) -> np.ndarray:
+        if self._pi is None:
+            self._pi = self.action.algebra.basis_matrices()
+        return self._pi
+
+    @property
+    def is_spatial(self) -> bool:
+        """Matrix-unit images with a permutation unitary and action, where
+        covariance and integrated forms reduce to index arithmetic."""
+        return self.matrix_units and self.unitary.dest is not None \
+            and self.action.is_permutation
 
     def apply(self, coeffs) -> np.ndarray:
-        return np.tensordot(np.asarray(coeffs, dtype=complex), self.pi,
-                            axes=(0, 0))
+        """pi of a coefficient vector, or of each row of a stack."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if self.matrix_units:
+            return self.action.algebra.embed(coeffs)
+        n = self.dim
+        out = coeffs @ self._pi.reshape(self._pi.shape[0], n * n)
+        return out.reshape(coeffs.shape[:-1] + (n, n))
 
     def _check(self, tol):
-        """Covariance at one generic x = sum_i c_i e_i for each g: the law is
-        linear in x, so a generic x shows any failing basis element."""
+        """Covariance, exactly on indices for a spatial pair: U_g E(r, c)
+        U_g* is E(dest_g r, dest_g c), which must be the unit that alpha_g
+        moves E(r, c) to.  Otherwise at one generic x = sum_i c_i e_i for
+        every g at once: the law is linear in x, so a generic x shows any
+        failing basis element."""
         action = self.action
-        c = action.algebra.random_element(np.random.default_rng(0))
-        x = self.apply(c)
-        scale = max(1.0, float(np.max(np.abs(self.pi), initial=0.0)))
-        for g in range(action.group.order):
-            u = self.unitary.mat(g)
-            moved = self.apply(action.apply(g, c))
-            if np.max(np.abs(moved - u @ x @ u.conj().T), initial=0.0) > \
-                    100 * tol * scale:
+        alg = action.algebra
+        if self.is_spatial:
+            pos = alg.positions
+            if not np.array_equal(self.unitary.dest[:, pos],
+                                  pos[action.perm_maps]):
                 raise ValueError("pair fails the covariance relation")
+            return
+        c = alg.random_element(np.random.default_rng(0))
+        x = self.apply(c)
+        moved = self.apply(action.apply_each(
+            np.broadcast_to(c, (action.group.order, alg.dim))))
+        u = self.unitary.matrices
+        moved -= u @ x @ u.conj().transpose(0, 2, 1)
+        scale = 1.0 if self.matrix_units else \
+            max(1.0, float(np.max(np.abs(self._pi), initial=0.0)))
+        if np.max(np.abs(moved), initial=0.0) > 100 * tol * scale:
+            raise ValueError("pair fails the covariance relation")
 
 
 def spatial_pair(action: GroupAction, check: bool = True) -> CovariantPair:
-    """The defining pair of a tensor permutation system: the embedding of the
-    power algebra together with the factor-permuting unitaries."""
+    """The defining pair of a tensor permutation system: the matrix units of
+    the power algebra together with the factor-permuting unitaries, both
+    kept as index data."""
     if not hasattr(action, "base"):
         raise ValueError("spatial pair needs a tensor permutation action")
-    alg = action.algebra
-    pi = alg.basis_matrices()
     tau = permutation_rep(action.power_exponent, action.base.ambient)
-    return CovariantPair(action, pi, tau, check=check)
+    return CovariantPair(action, None, tau, check=check)
 
 
 def integrated_form(pair: CovariantPair, f: CrossedElement) -> np.ndarray:
-    """The representation of the crossed product determined by the pair."""
+    """The representation sum_g pi(f(g)) U_g / |G| of the crossed product
+    determined by the pair, in one pass over the group."""
     if f.action is not pair.action:
         raise ValueError("element and pair live over different systems")
-    grp = pair.action.group
-    out = np.zeros((pair.dim, pair.dim), dtype=complex)
-    for g in range(grp.order):
-        out += pair.apply(f.values[g]) @ pair.unitary.mat(g)
+    grp, n = pair.action.group, pair.dim
+    if pair.is_spatial:
+        # E(r, c) U_g = E(r, dest_g^-1 c), and dest of g^-1 inverts dest_g;
+        # distinct units of one g land on distinct entries, so bincount sums
+        # every entry over g in order
+        pos = pair.action.algebra.positions
+        cols = pair.unitary.dest[grp.inv][:, pos[:, 1]]
+        flat = (pos[:, 0] * n + cols).ravel()
+        vals = f.values.ravel()
+        out = np.bincount(flat, vals.real, n * n) \
+            + 1j * np.bincount(flat, vals.imag, n * n)
+        return out.reshape(n, n) / grp.order
+    imgs = pair.apply(f.values)
+    out = imgs.transpose(1, 0, 2).reshape(n, grp.order * n) \
+        @ pair.unitary.matrices.reshape(grp.order * n, n)
     return out / grp.order
 
 
 def group_average_projection(pair: CovariantPair) -> np.ndarray:
     """Mean of the group unitaries; the orthogonal projection onto the
     jointly fixed subspace."""
-    return np.mean(pair.unitary.matrices, axis=0)
+    return pair.unitary.mean()
 
 
 def fixed_point_algebra(action: GroupAction,

@@ -22,8 +22,8 @@ from .linalg import DEFAULT_TOL, op_norm
 
 MAX_SYMMETRIC_N = 7
 
-# Largest factor-permutation index table (entries), and largest tensor power
-# dimension of a permutation representation.
+# Largest factor-permutation index table (entries), and largest dimension at
+# which a permutation representation builds its dense matrices.
 _MAX_INDEX_ENTRIES = 70_000_000
 _MAX_PERMUTATION_REP_DIM = 5000
 
@@ -290,51 +290,105 @@ def ssyt_count(parts, k: int) -> int:
 # ---------------------------------------------------------------------------
 # unitary representations
 
-def homomorphism_residual(group: FiniteGroup, mats) -> np.ndarray:
+def homomorphism_residual(group: FiniteGroup, mats, cocycle=None) -> np.ndarray:
     """(sum_a c_a M_a)(sum_b e_b M_b) - sum_g (c*e)_g M_g for generic complex
-    c and e, with c*e the convolution over the group table.  The coefficient
-    of c_a e_b is the defect M_a M_b - M_ab, so one generic draw shows any
+    c and e, with c*e the convolution over the group table, twisted by
+    1/cocycle[a, b] when a cocycle is given.  The coefficient of c_a e_b is
+    the defect M_a M_b - M_ab / cocycle[a, b], so one generic draw shows any
     failing pair with probability one (Freivalds' idea, IFIP 1977)."""
     rng = np.random.default_rng(0)
     c, e = rng.standard_normal((2, group.order)) \
         + 1j * rng.standard_normal((2, group.order))
     conv = np.zeros(group.order, dtype=complex)
     for a in range(group.order):
-        conv[group.mult[a]] += c[a] * e  # row a of the table is a bijection
+        ea = e if cocycle is None else e / cocycle[a]
+        conv[group.mult[a]] += c[a] * ea  # row a of the table is a bijection
     x, y, xy = np.tensordot(np.stack([c, e, conv]), mats, axes=(1, 0))
     return x @ y - xy
 
 
 class UnitaryRep:
-    """A unitary representation of a FiniteGroup, one matrix per element;
-    the check of the multiplication table is ``homomorphism_residual``."""
+    """A unitary representation of a FiniteGroup, one matrix per element.
 
-    def __init__(self, group: FiniteGroup, matrices, tol: float = DEFAULT_TOL,
-                 check: bool = True):
-        matrices = np.asarray(matrices, dtype=complex)
-        if matrices.shape[0] != group.order or matrices.ndim != 3 \
-                or matrices.shape[1] != matrices.shape[2]:
-            raise ValueError("need one square matrix per group element")
+    A permutation representation may be given by its index array instead:
+    ``dest[g, i]`` is the basis vector that g sends basis vector i to, as in
+    ``factor_permutation_index``.  The dense ``matrices`` are then built on
+    first read, within ``_MAX_PERMUTATION_REP_DIM``.  Construction checks
+    the multiplication table, exactly on indices or by
+    ``homomorphism_residual``, and the unitarity of dense matrices.
+    """
+
+    def __init__(self, group: FiniteGroup, matrices=None,
+                 tol: float = DEFAULT_TOL, check: bool = True, dest=None):
+        if (matrices is None) == (dest is None):
+            raise ValueError("provide exactly one of matrices, dest")
         self.group = group
-        self.matrices = matrices
-        self.dim = int(matrices.shape[1])
+        self.dest = None if dest is None else np.asarray(dest, dtype=np.int64)
+        self._matrices = None if matrices is None else \
+            np.asarray(matrices, dtype=complex)
+        if self.dest is not None:
+            shape_ok = self.dest.ndim == 2
+            shape = self.dest.shape
+        else:
+            shape = self._matrices.shape
+            shape_ok = len(shape) == 3 and shape[1] == shape[2]
+        if not shape_ok or shape[0] != group.order:
+            raise ValueError("need one square matrix per group element")
+        self.dim = int(shape[1])
         if check:
             self._check(tol)
 
+    @property
+    def matrices(self) -> np.ndarray:
+        if self._matrices is None:
+            if self.dim > _MAX_PERMUTATION_REP_DIM:
+                raise BudgetError(f"permutation representation dimension "
+                                  f"{self.dim} exceeds "
+                                  f"{_MAX_PERMUTATION_REP_DIM}")
+            mats = np.zeros((self.group.order, self.dim, self.dim),
+                            dtype=complex)
+            mats[np.arange(self.group.order)[:, None], self.dest,
+                 np.arange(self.dim)] = 1.0
+            self._matrices = mats
+        return self._matrices
+
     def _check(self, tol):
         g = self.group
-        eye = np.eye(self.dim)
-        if op_norm(self.matrices[g.identity] - eye) > tol:
+        if self.dest is not None:
+            # a permutation matrix is unitary, so only the table remains
+            d, ident = self.dest, np.arange(self.dim)
+            if not np.array_equal(np.sort(d, axis=1),
+                                  np.broadcast_to(ident, d.shape)):
+                raise ValueError("index row is not a permutation")
+            if not np.array_equal(d[g.identity], ident):
+                raise ValueError("identity element is not the identity matrix")
+            for a in range(g.order):
+                if not np.array_equal(d[a][d], d[g.mult[a]]):
+                    raise ValueError("multiplication table is not respected")
+            return
+        mats = self._matrices
+        if op_norm(mats[g.identity] - np.eye(self.dim)) > tol:
             raise ValueError("identity element is not the identity matrix")
-        for m in self.matrices:
-            if op_norm(m.conj().T @ m - eye) > tol * max(1.0, op_norm(m) ** 2):
-                raise ValueError("matrix is not unitary within tolerance")
-        if op_norm(homomorphism_residual(g, self.matrices)) > \
-                tol * max(1.0, self.dim):
+        # ||m*m - 1|| = max |s_i^2 - 1| and ||m|| = s_0 over the singular
+        # values s of m, so one batched SVD serves every element
+        s = np.linalg.svd(mats, compute_uv=False)
+        if np.any(np.max(np.abs(s ** 2 - 1.0), axis=1, initial=0.0)
+                  > tol * np.maximum(1.0, np.max(s, axis=1, initial=0.0) ** 2)):
+            raise ValueError("matrix is not unitary within tolerance")
+        if op_norm(homomorphism_residual(g, mats)) > tol * max(1.0, self.dim):
             raise ValueError("multiplication table is not respected")
 
     def mat(self, g: int) -> np.ndarray:
         return self.matrices[g]
+
+    def mean(self) -> np.ndarray:
+        """The average of the matrices over the group."""
+        if self.dest is None:
+            return np.mean(self._matrices, axis=0)
+        n = self.dim
+        flat = (self.dest * n + np.arange(n)).ravel()
+        return np.bincount(flat, minlength=n * n).reshape(n, n) \
+            / complex(self.group.order)
 
     def character(self) -> np.ndarray:
         return np.einsum("gii->g", self.matrices)
@@ -367,29 +421,23 @@ class ProjectiveRep:
             self._check(tol)
 
     def _check(self, tol):
-        g = self.group
         if np.max(np.abs(np.abs(self.cocycle) - 1.0)) > tol:
             raise ValueError("cocycle values must be unimodular")
-        for t in range(g.order):
-            for s in range(g.order):
-                lhs = self.matrices[g.mult[t, s]]
-                rhs = self.cocycle[t, s] * self.matrices[t] @ self.matrices[s]
-                if op_norm(lhs - rhs) > tol * max(1.0, self.dim):
-                    raise ValueError("projective multiplication law fails")
+        # V(t) V(s) = V(ts) / sigma(t, s), checked at one generic pair
+        if op_norm(homomorphism_residual(self.group, self.matrices,
+                                         self.cocycle)) > \
+                tol * max(1.0, self.dim):
+            raise ValueError("projective multiplication law fails")
         if self.cocycle_identity_residual() > tol:
             raise ValueError("cocycle identity fails")
 
     def cocycle_identity_residual(self) -> float:
-        g, c = self.group, self.cocycle
-        worst = 0.0
-        for t in range(g.order):
-            for s in range(g.order):
-                ts = g.mult[t, s]
-                for r in range(g.order):
-                    sr = g.mult[s, r]
-                    worst = max(worst, abs(c[t, s] * c[ts, r]
-                                           - c[s, r] * c[t, sr]))
-        return worst
+        m, c = self.group.mult, self.cocycle
+        # entry (t, s, r) compares sigma(t,s) sigma(ts,r), sigma(s,r) sigma(t,sr)
+        lhs = c[:, :, None] * c[m]
+        rhs = c[None, :, :] * c[np.arange(self.group.order)[:, None, None],
+                                m[None, :, :]]
+        return float(np.max(np.abs(lhs - rhs)))
 
 
 def regular_rep(group: FiniteGroup) -> UnitaryRep:
@@ -515,18 +563,14 @@ def factor_permutation_index(dims, perms) -> np.ndarray:
 def permutation_rep(n: int, d: int) -> UnitaryRep:
     """Representation of S_n on the n-fold tensor power of C^d.
 
-    Each group element acts by permuting the tensor factors; the matrices are
-    permutation matrices in the product basis.
+    Each group element acts by permuting the tensor factors; the
+    representation keeps the permutations of the product basis as an index
+    array and builds the permutation matrices only when they are read.
     """
     group = symmetric_group(n)
-    dim = d ** n
-    if dim > _MAX_PERMUTATION_REP_DIM:
-        raise BudgetError(f"tensor power dimension {dim} exceeds "
-                          f"{_MAX_PERMUTATION_REP_DIM}")
-    dest = factor_permutation_index([d] * n, group.perms)
-    mats = np.zeros((group.order, dim, dim), dtype=complex)
-    mats[np.arange(group.order)[:, None], dest, np.arange(dim)] = 1.0
-    return UnitaryRep(group, mats, check=False)
+    return UnitaryRep(group, dest=factor_permutation_index([d] * n,
+                                                          group.perms),
+                      check=False)
 
 
 def isotypic_projection(parts, rep: UnitaryRep,

@@ -127,9 +127,7 @@ def fixed_point_unitary(ind: InducedRep,
     the jointly fixed subspace of the induced pair, so the two fixed subspaces
     have equal dimension.
     """
-    v = ind.base.unitary.matrices
-    avg = np.mean(v, axis=0)
-    base_fixed = orthonormal_columns(avg, tol)
+    base_fixed = orthonormal_columns(ind.base.unitary.mean(), tol)
     r1 = ind.num_blocks
     column = np.tile(base_fixed, (r1, 1)) / np.sqrt(r1)
     return column

@@ -95,6 +95,26 @@ def naive_convolution(action, f1, f2):
     return out
 
 
+def naive_involution(action, f):
+    """f*(g) = alpha_g(f(g^{-1}))*, with the adjoint taken as the conjugate
+    transpose of the ambient matrix."""
+    grp, alg = action.group, action.algebra
+    out = np.zeros_like(f)
+    for g in range(grp.order):
+        moved = action.matrix(g) @ f[grp.inv[g]]
+        out[g] = alg.coefficients(alg.embed(moved).conj().T, check=False)
+    return out
+
+
+def naive_integrated_form(pi, unitaries, f):
+    """sum_g pi(f(g)) U_g / |G| from the image stack and the unitary
+    matrices, one group element at a time."""
+    out = np.zeros(unitaries.shape[1:], dtype=complex)
+    for g in range(len(f)):
+        out += np.tensordot(f[g], pi, axes=(0, 0)) @ unitaries[g]
+    return out / len(f)
+
+
 def multiset_permutations(ms):
     return set(itertools.permutations(ms))
 

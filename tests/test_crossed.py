@@ -11,10 +11,11 @@ from cstarpow.crossed import (CovariantPair, CrossedElement, GroupAction,
                               group_average_projection, integrated_form,
                               involution, spatial_pair,
                               tensor_permutation_action, trivial_action)
-from cstarpow.groups import (UnitaryRep, cyclic_group, symmetric_group,
-                             young_subgroup)
+from cstarpow.groups import (UnitaryRep, cyclic_group, permutation_rep,
+                             symmetric_group, trivial_subgroup, young_subgroup)
+from cstarpow.induction import induce
 from cstarpow.linalg import is_projection, op_norm
-from oracles import naive_convolution
+from oracles import naive_convolution, naive_integrated_form, naive_involution
 
 
 def fixed_element(action, rng):
@@ -354,3 +355,128 @@ def test_valid_dense_systems_are_accepted(system):
     group, alg, maps, pi, unitaries = system
     action = GroupAction(group, alg, dense_maps=maps)
     CovariantPair(action, pi, UnitaryRep(group, unitaries))
+
+
+def test_spatial_covariance_is_checked_on_indices():
+    # the spatial pair of (C (+) M_2)^{(x)3} with two entries of one
+    # unitary's index row swapped: still a permutation, so only the exact
+    # index comparison of covariance can see it
+    action = tensor_permutation_action(make_algebra([1, 2]), 3)
+    tau = permutation_rep(3, 3)
+    dest = tau.dest.copy()
+    dest[1, [4, 5]] = dest[1, [5, 4]]
+    bad = UnitaryRep(action.group, dest=dest, check=False)
+    assert CovariantPair(action, None, bad, check=False).is_spatial
+    with pytest.raises(ValueError, match="covariance"):
+        CovariantPair(action, None, bad)
+    assert CovariantPair(action, None, tau).is_spatial
+
+
+def test_spatial_pair_keeps_index_form():
+    # S_6 on (C^2)^{(x)6}: the covariance check, the integrated form and
+    # the averaging projection all run on index arrays; neither the
+    # (720, 64, 64) unitaries nor the (64, 64, 64) image stack is built
+    action = tensor_permutation_action(make_algebra([1, 1]), 6)
+    pair = spatial_pair(action)
+    pu = integrated_form(pair, corner_projection(action))
+    assert np.array_equal(pu, group_average_projection(pair))
+    assert is_projection(pu, tol=1e-12)
+    assert round(float(np.real(np.trace(pu)))) == 7  # S^6(C^2)
+    assert pair._pi is None and pair.unitary._matrices is None
+
+
+def _compositions(n):
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1)
+            for rest in _compositions(n - first)]
+
+
+def _induced_pair(pair, sub):
+    """The pair induced from the restriction of ``pair`` to ``sub``; its
+    images and unitaries are dense."""
+    base = CovariantPair(pair.action.restrict(sub), pair.pi,
+                         UnitaryRep(sub.group,
+                                    pair.unitary.matrices[list(sub.elements)],
+                                    check=False))
+    return induce(base, pair.action, sub).pair
+
+
+@st.composite
+def _crossed_systems(draw):
+    """An action with covariant pairs of both forms: matrix-unit images with
+    permutation unitaries, and dense images and unitaries.
+
+    - the factor permutations of a tensor power of a mixed block list, with
+      its spatial pair and a pair induced from a Young subgroup
+    - a symmetric group permuting equal blocks of an algebra with one fixed
+      block of another size, with the pair permuting the blocks' ambient
+      ranges and the pair induced from the trivial subgroup
+    - a tensor permutation system conjugated off the matrix-unit basis, as
+      in ``_conjugated_systems``, with its dense pair
+    """
+    kind = draw(st.sampled_from(["tensor", "blocks", "dense"]))
+    if kind == "dense":
+        group, alg, maps, pi, unitaries = draw(_conjugated_systems())
+        action = GroupAction(group, alg, dense_maps=maps)
+        return action, [CovariantPair(action, pi, UnitaryRep(group, unitaries))]
+    if kind == "tensor":
+        n = draw(st.integers(1, 3))
+        blocks = draw(st.lists(st.integers(1, 2), min_size=1,
+                               max_size=3 if n < 3 else 2))
+        action = tensor_permutation_action(make_algebra(blocks), n)
+        pair = spatial_pair(action)
+        fitting = [q for q in _compositions(n)
+                   if young_subgroup(q, action.group).index * pair.dim <= 64]
+        sub = young_subgroup(draw(st.sampled_from(fitting)), action.group)
+        return action, [pair, _induced_pair(pair, sub)]
+    k = draw(st.integers(1, 2))
+    count = draw(st.integers(1, 3))
+    alg = make_algebra([k] * count + [3])
+    group = symmetric_group(count)
+    block_perms = [tuple(p) + (count,) for p in group.perms]
+    action = block_permutation_action(alg, group, block_perms=block_perms)
+    offsets = np.cumsum([0] + list(alg.blocks))
+    dest = np.tile(np.arange(alg.ambient), (group.order, 1))
+    for g, p in enumerate(block_perms):
+        for j in range(count):
+            dest[g, offsets[j]:offsets[j] + k] = offsets[p[j]] + np.arange(k)
+    pair = CovariantPair(action, None, UnitaryRep(group, dest=dest))
+    return action, [pair, _induced_pair(pair, trivial_subgroup(group))]
+
+
+def _close(a, b, tol=1e-10):
+    return np.max(np.abs(a - b), initial=0.0) <= \
+        tol * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_crossed_systems(), st.integers(0, 2 ** 32 - 1))
+def test_batched_crossed_arithmetic_matches_oracles(system, seed):
+    action, pairs = system
+    rng = np.random.default_rng(seed)
+    f1, f2 = random_crossed(action, rng), random_crossed(action, rng)
+    assert _close(convolve(f1, f2).values,
+                  naive_convolution(action, f1.values, f2.values))
+    assert _close(involution(f1).values, naive_involution(action, f1.values))
+    for pair in pairs:
+        assert _close(integrated_form(pair, f1),
+                      naive_integrated_form(pair.pi, pair.unitary.matrices,
+                                            f1.values))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_crossed_systems(), st.integers(0, 2 ** 32 - 1))
+def test_convolution_is_associative_unital_and_represented(system, seed):
+    action, pairs = system
+    rng = np.random.default_rng(seed)
+    f1, f2, f3 = (random_crossed(action, rng) for _ in range(3))
+    f12 = convolve(f1, f2)
+    assert _close(convolve(f12, f3).values,
+                  convolve(f1, convolve(f2, f3)).values)
+    one = crossed_unit(action)
+    assert _close(convolve(one, f1).values, f1.values)
+    assert _close(convolve(f1, one).values, f1.values)
+    for pair in pairs:
+        assert _close(integrated_form(pair, f12),
+                      integrated_form(pair, f1) @ integrated_form(pair, f2))

@@ -317,3 +317,46 @@ def test_projective_rep_cocycle_identity():
     assert rep.cocycle_identity_residual() < 1e-12
     with pytest.raises(ValueError):
         ProjectiveRep(g, mats, np.ones((2, 2), dtype=complex))
+
+
+def test_permutation_form_matches_its_matrices():
+    tau = permutation_rep(3, 2)
+    dense = UnitaryRep(tau.group, tau.matrices)
+    assert tau.dest is not None and dense.dest is None
+    assert np.array_equal(tau.character(), dense.character())
+    assert np.array_equal(tau.mean(), dense.mean())
+    # the index form checks its table exactly: one row rotated breaks it
+    UnitaryRep(tau.group, dest=tau.dest)
+    bad = tau.dest.copy()
+    bad[3] = np.roll(bad[3], 1)
+    with pytest.raises(ValueError, match="multiplication table"):
+        UnitaryRep(tau.group, dest=bad)
+    # dense matrices are built only when read, within the budget
+    big = permutation_rep(2, 100)
+    assert big.dim == 10_000
+    with pytest.raises(BudgetError):
+        big.matrices
+
+
+def test_projective_law_sees_every_pair():
+    # the standard irrep of S_4 with one matrix negated, under the trivial
+    # cocycle: only pairs involving that element break the law
+    rep = sn_irrep((3, 1))
+    mats = rep.matrices.copy()
+    mats[5] = -mats[5]
+    ones = np.ones((rep.group.order,) * 2, dtype=complex)
+    ProjectiveRep(rep.group, rep.matrices, ones)
+    with pytest.raises(ValueError, match="projective multiplication"):
+        ProjectiveRep(rep.group, mats, ones)
+
+
+def test_cocycle_identity_residual_matches_loop():
+    g = symmetric_group(3)
+    rng = np.random.default_rng(5)
+    sigma = np.exp(2j * np.pi * rng.random((g.order, g.order)))
+    rep = ProjectiveRep(g, sn_irrep((2, 1)).matrices, sigma, check=False)
+    worst = max(abs(sigma[t, s] * sigma[g.mult[t, s], r]
+                    - sigma[s, r] * sigma[t, g.mult[s, r]])
+                for t in range(g.order) for s in range(g.order)
+                for r in range(g.order))
+    assert rep.cocycle_identity_residual() == worst
