@@ -13,7 +13,6 @@ units is again a single-entry matrix.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -269,19 +268,34 @@ class SymmetricPowerBasis:
     """Orbit-sum basis of the permutation-fixed part of a tensor power.
 
     ``index`` lists the size-n multisets of basis indices of the base algebra
-    (as sorted tuples) and ``vectors[i]`` is the sum of the basis monomials in
-    the orbit of ``index[i]``, as a coefficient vector of the power algebra.
+    (as sorted tuples, in ``combinations_with_replacement`` order).  The orbit
+    sum of ``index[i]`` is the sum of the basis monomials of the power algebra
+    whose digits form that multiset, so every monomial lies in exactly one
+    orbit sum, with coefficient 1; ``orbit[m]`` is the row of ``index`` that
+    holds monomial m.
     """
 
     base: FdCStarAlgebra
     power: FdCStarAlgebra
     n: int
     index: tuple
-    vectors: np.ndarray
+    orbit: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.index)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The orbit sums as dense coefficient rows of the power algebra,
+        built on each read."""
+        total = self.orbit.shape[0]
+        if self.size * total > MAX_DENSE_ENTRIES:
+            raise BudgetError(
+                f"symmetric power basis needs {self.size}x{total} coefficients")
+        out = np.zeros((self.size, total), dtype=complex)
+        out[self.orbit, np.arange(total)] = 1.0
+        return out
 
 
 def symmetric_power_count(d: int, n: int) -> int:
@@ -289,24 +303,24 @@ def symmetric_power_count(d: int, n: int) -> int:
     return math.comb(d + n - 1, n)
 
 
-def symmetric_power_basis(a: FdCStarAlgebra, n: int,
-                          max_entries: int = MAX_DENSE_ENTRIES
-                          ) -> SymmetricPowerBasis:
-    count = symmetric_power_count(a.dim, n)
+def symmetric_power_basis(a: FdCStarAlgebra, n: int) -> SymmetricPowerBasis:
+    """The orbit labels of the n-th tensor power's basis monomials.
+
+    The multiset of a monomial is its sorted digit row; ``np.unique`` orders
+    the distinct rows lexicographically, which is the
+    ``combinations_with_replacement`` order of ``index``, and its inverse
+    labels every monomial with its row.
+    """
     total = a.dim ** n
-    if count * total > max_entries or total * n > max_entries:
+    if total * n > MAX_DENSE_ENTRIES:
         raise BudgetError(
-            f"symmetric power basis needs {count}x{total} coefficients")
+            f"symmetric power basis needs {total}x{n} monomial digits")
     power = tensor_power(a, n)
-    radix = a.dim ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    vectors = np.zeros((count, total), dtype=complex)
-    index = []
-    for row, multiset in enumerate(
-            itertools.combinations_with_replacement(range(a.dim), n)):
-        index.append(multiset)
-        for perm in set(itertools.permutations(multiset)):
-            vectors[row, np.dot(perm, radix)] = 1.0
-    return SymmetricPowerBasis(a, power, n, tuple(index), vectors)
+    digits = np.stack(np.unravel_index(np.arange(total), (a.dim,) * n), axis=1)
+    index, orbit = np.unique(np.sort(digits, axis=1), axis=0,
+                             return_inverse=True)
+    return SymmetricPowerBasis(a, power, n, tuple(map(tuple, index.tolist())),
+                               orbit)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .algebra import (FdCStarAlgebra, SymmetricPowerBasis, power_map,
+from .algebra import (FdCStarAlgebra, SymmetricPowerBasis,
                       power_map_differential, symmetric_power_basis,
-                      symmetric_power_count, tensor_power)
+                      symmetric_power_count)
 from .crossed import GroupAction
 from .errors import VerificationError
 from .groups import (ProjectiveRep, Subgroup, check_partition,
@@ -138,33 +139,24 @@ class RealizedIrrep:
         return int(self.images.shape[1])
 
 
-def _block_entries_on_vectors(base: FdCStarAlgebra, beta, vectors, dest):
-    """Nonzero entries ``(which, row, col, value)`` of the images of
-    power-algebra coefficient vectors, each moved by the factor permutation
-    with index ``dest``, under the product of block representations chosen by
-    beta: entry ``(row, col)`` of the image of vector ``which`` is ``value``.
+def _block_entries_on_vectors(base: FdCStarAlgebra, beta, orbit, dest):
+    """Nonzero entries ``(which, row, col)`` of the images of the orbit sums
+    labelled by ``orbit``, each monomial moved by the factor permutation with
+    index ``dest``, under the product of block representations chosen by
+    beta: entry ``(row, col)`` of the image of orbit sum ``which`` is 1.
 
-    Every basis monomial maps to a single matrix entry (or to zero when some
-    factor misses its assigned block), and distinct monomials map to
-    distinct entries, so the evaluation is positional.
+    Every basis monomial lies in one orbit sum with coefficient 1 and maps to
+    a single matrix entry (or to zero when some factor misses its assigned
+    block), and distinct monomials map to distinct entries, so the evaluation
+    is positional.
     """
-    n = len(beta)
+    digits = np.unravel_index(dest, (base.dim,) * len(beta))
+    ok = np.logical_and.reduce(
+        [base.block_of[i] == b for i, b in zip(digits, beta)])
     dims = [base.blocks[b] for b in beta]
-    radix = np.ones(n, dtype=np.int64)
-    for t in range(n - 2, -1, -1):
-        radix[t] = radix[t + 1] * dims[t + 1]
-    which, flat = np.nonzero(vectors)
-    rest = dest[flat]
-    row = np.zeros_like(rest)
-    col = np.zeros_like(rest)
-    ok = np.ones(rest.shape, dtype=bool)
-    for t in range(n - 1, -1, -1):
-        i = rest % base.dim
-        rest = rest // base.dim
-        ok &= base.block_of[i] == beta[t]
-        row += base.local[i, 0] * radix[t]
-        col += base.local[i, 1] * radix[t]
-    return which[ok], row[ok], col[ok], vectors[which[ok], flat[ok]]
+    row = np.ravel_multi_index([base.local[i[ok], 0] for i in digits], dims)
+    col = np.ravel_multi_index([base.local[i[ok], 1] for i in digits], dims)
+    return orbit[ok], row, col
 
 
 def _young_factorization(sub: Subgroup, q):
@@ -252,12 +244,11 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     span = np.arange(d_mult)
     t = np.zeros((sym.size, size, w.shape[1]), dtype=complex)
     for j, dest in enumerate(dests):
-        which, row, col, value = _block_entries_on_vectors(
-            algebra, beta, sym.vectors, dest)
+        which, row, col = _block_entries_on_vectors(
+            algebra, beta, sym.orbit, dest)
         rows = (j * m_block + row[:, None] * d_mult + span).ravel()
         cols = (j * m_block + col[:, None] * d_mult + span).ravel()
-        np.add.at(t, (np.repeat(which, d_mult), rows),
-                  np.repeat(value, d_mult)[:, None] * w[cols])
+        np.add.at(t, (np.repeat(which, d_mult), rows), w[cols])
     images = np.matmul(w.conj().T, t)
     return RealizedIrrep(desc, images)
 
@@ -283,13 +274,16 @@ def symmetric_power_span(algebra: FdCStarAlgebra, n: int,
                          ) -> SpannedAlgebra:
     """The fixed-point span of the n-th tensor power as concrete matrices.
 
-    Members are the embedded orbit sums, which have disjoint supports and so
-    are pairwise orthogonal; generators are the embedded derivatives of the
+    Members are the embedded orbit sums, scattered from the orbit labels at
+    the power algebra's unit positions; they have disjoint supports and so
+    are pairwise orthogonal.  Generators are the embedded derivatives of the
     power map at the basis units of the algebra.
     """
     if sym is None:
         sym = symmetric_power_basis(algebra, n)
-    mats = np.stack([sym.power.embed(v) for v in sym.vectors])
+    ambient = sym.power.ambient
+    mats = np.zeros((sym.size, ambient, ambient), dtype=complex)
+    mats[sym.orbit, sym.power.positions[:, 0], sym.power.positions[:, 1]] = 1
     eye = np.eye(algebra.dim)
     gens = np.stack(
         [sym.power.embed(power_map_differential(algebra, eye[i], n))
@@ -507,17 +501,16 @@ def direct_sum_of_power_maps(algebra: FdCStarAlgebra, degrees):
     """The block direct sum of the power maps of the given degrees.
 
     Returns a callable on coefficient vectors; useful as a concrete
-    multiplicative map with known homogeneous parts.
+    multiplicative map with known homogeneous parts.  A tensor power is
+    carried by the Kronecker product embedding, so the block of degree d is
+    the d-th Kronecker power of the embedded argument.
     """
     degrees = [int(d) for d in degrees]
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be positive")
 
     def phi(x):
-        blocks = []
-        for d in degrees:
-            power = tensor_power(algebra, d)
-            blocks.append(power.embed(power_map(algebra, x, d)))
-        return direct_sum(blocks)
+        m = algebra.embed(x)
+        return direct_sum([reduce(np.kron, [m] * d) for d in degrees])
 
     return phi

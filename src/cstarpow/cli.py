@@ -192,8 +192,7 @@ def _load_action(args, cfg: RunConfig):
     if blocks is None:
         raise CliParseError("provide --blocks or --action-spec")
     base = make_algebra(blocks)
-    if base.ambient ** args.n > cfg.budget:
-        raise BudgetError("tensor power exceeds the budget")
+    _check_budget(base, args.n, cfg.budget)
     return tensor_permutation_action(base, args.n)
 
 

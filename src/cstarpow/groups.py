@@ -32,7 +32,7 @@ class FiniteGroup:
     """A finite group as an explicit multiplication table on 0..order-1."""
 
     def __init__(self, mult, perms=None, check: bool = True):
-        mult = np.array(mult, dtype=np.int64)
+        mult = np.asarray(mult, dtype=np.int64)
         if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
             raise ValueError("multiplication table must be square")
         self.order = int(mult.shape[0])

@@ -90,20 +90,19 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
                     check: bool = True, seed: int = 0, orthogonal: bool = False) -> SpannedAlgebra:
     """Build a SpannedAlgebra from a spanning family.
 
-    Reduces the family to a linearly independent subset and verifies closure
-    under adjoints and products at generic members x = sum c_i b_i and
-    y = sum e_j b_j drawn from ``seed``: x* and xy are linear and bilinear in
-    the basis, so one outside the span shows with probability one; the
-    bounds scale with the largest member, not with x or y.  ``orthogonal``
-    asserts that the family is already pairwise orthogonal (e.g. matrices
-    with disjoint supports), in which case normalizing rows gives the
-    orthonormal basis directly.
+    Factors the family once by an SVD: an independent family is its own
+    ``span_basis``, and a rank-deficient one is replaced by the orthonormal
+    rows of its span.  Verifies closure under adjoints and products at
+    generic members x = sum c_i b_i and y = sum e_j b_j drawn from ``seed``:
+    x* and xy are linear and bilinear in the basis, so one outside the span
+    shows with probability one; the bounds scale with the largest member,
+    not with x or y.  ``orthogonal`` asserts that the family is already
+    pairwise orthogonal (e.g. matrices with disjoint supports), in which case
+    normalizing rows gives the orthonormal basis directly.
     """
     fam = _as_family(mats)
     n = fam.shape[1]
     vecs = fam.reshape(fam.shape[0], n * n)
-    # one economy factorization when the family is already independent,
-    # greedy selection of an independent subset otherwise
     basis, onb = fam, np.zeros((0, n * n), dtype=complex)
     if orthogonal and fam.shape[0]:
         norms = np.linalg.norm(vecs, axis=1)
@@ -113,21 +112,9 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
     elif fam.shape[0]:
         _, s, vh = np.linalg.svd(vecs, full_matrices=False)
         rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-        if rank == fam.shape[0]:
-            onb = vh[:rank]
-        else:
-            keep: list[int] = []
-            onb_rows: list[np.ndarray] = []
-            for i, v in enumerate(vecs):
-                w = v.copy()
-                for q in onb_rows:
-                    w = w - (q.conj() @ w) * q
-                nw = np.linalg.norm(w)
-                if nw > tol * max(1.0, np.linalg.norm(v)):
-                    keep.append(i)
-                    onb_rows.append(w / nw)
-            basis = fam[keep]
-            onb = np.array(onb_rows)
+        onb = vh[:rank]
+        if rank < fam.shape[0]:
+            basis = onb.reshape(rank, n, n)
     out = SpannedAlgebra(n, basis, onb, unital=False,
                          generators=None if generators is None
                          else _as_family(generators))

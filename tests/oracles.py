@@ -119,6 +119,19 @@ def multiset_permutations(ms):
     return set(itertools.permutations(ms))
 
 
+def symmetric_power_orbit_sums(dim, n):
+    """Multisets of size n from range(dim), in
+    ``combinations_with_replacement`` order, and their orbit sums as dense
+    rows, filled permutation by permutation."""
+    radix = dim ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    multisets = list(itertools.combinations_with_replacement(range(dim), n))
+    vectors = np.zeros((len(multisets), dim ** n), dtype=complex)
+    for row, multiset in enumerate(multisets):
+        for perm in set(itertools.permutations(multiset)):
+            vectors[row, np.dot(perm, radix)] = 1.0
+    return tuple(multisets), vectors
+
+
 def permuted_kron(vectors, perm):
     """Tensor product of factor vectors after moving factor t to slot
     perm[t], built with np.kron."""

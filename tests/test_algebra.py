@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cstarpow import algebra
 from cstarpow.algebra import (Representation, algebra_from_json,
                               algebra_to_json, element_from_json,
                               element_to_json, generated_star_algebra,
@@ -14,7 +17,7 @@ from cstarpow.algebra import (Representation, algebra_from_json,
 from cstarpow.crossed import tensor_permutation_action
 from cstarpow.errors import BudgetError
 from cstarpow.groups import symmetric_group
-from oracles import multiset_permutations
+from oracles import multiset_permutations, symmetric_power_orbit_sums
 
 
 def test_make_algebra_shapes(c3, m2, m23):
@@ -164,9 +167,31 @@ def test_symmetric_power_basis_vectors(m2):
         assert np.isclose(np.sum(v), len(multiset_permutations(multiset)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_symmetric_power_basis_matches_orbit_sums(data):
+    a = make_algebra(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                        max_size=3)))
+    # degree up to 4, with at most 4096 monomials for the dense reference
+    n = data.draw(st.integers(1, max(k for k in range(1, 5)
+                                     if a.dim ** k <= 4096)))
+    sym = symmetric_power_basis(a, n)
+    index, vectors = symmetric_power_orbit_sums(a.dim, n)
+    assert sym.index == index
+    assert np.array_equal(sym.vectors, vectors)
+
+
 def test_symmetric_power_budget_guard(m23):
+    # 13^7 monomials of 7 digits each, refused before any allocation
     with pytest.raises(BudgetError):
-        symmetric_power_basis(m23, 3, max_entries=1000)
+        symmetric_power_basis(m23, 7)
+
+
+def test_dense_orbit_sums_budget_guard(m2, monkeypatch):
+    sym = symmetric_power_basis(m2, 2)
+    monkeypatch.setattr(algebra, "MAX_DENSE_ENTRIES", sym.size * 16 - 1)
+    with pytest.raises(BudgetError):
+        sym.vectors
 
 
 def test_power_map_cases(m2, rng):

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from cstarpow.algebra import (make_algebra, power_map, symmetric_power_basis,
-                              tensor_power)
+from cstarpow.algebra import (SymmetricPowerBasis, make_algebra, power_map,
+                              symmetric_power_basis, tensor_power)
 from cstarpow.classify import (_descriptor,
                                direct_sum_of_power_maps, enumerate_sn_irreps,
                                homogeneous_components, intertwining_cocycle,
                                isotropy_group, non_schur_weyl_witness,
                                realize_sn_irrep, schur_weyl_injectivity_check,
-                               schur_weyl_labels, schur_weyl_rep,
+                               schur_weyl_family, schur_weyl_labels,
+                               schur_weyl_rep,
                                wedderburn_comparison, wedderburn_crosscheck)
 from cstarpow.crossed import spatial_pair, tensor_permutation_action
 from cstarpow.errors import VerificationError
-from cstarpow.linalg import op_norm
+from cstarpow.linalg import direct_sum, op_norm
 from cstarpow.structure import equivalent, is_irreducible
 from oracles import dense_realized_images
 
@@ -166,6 +167,19 @@ def test_wedderburn_crosscheck_cases(m2, c3):
     assert sum(d * d for d in enum) == 20 == math.comb(6, 3)
 
 
+def test_library_reads_orbit_labels_not_dense_vectors(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense orbit-sum vectors were read")
+
+    monkeypatch.setattr(SymmetricPowerBasis, "vectors", property(refuse))
+    a = make_algebra([2, 1])
+    enum, spec = wedderburn_comparison(a, 2)
+    assert enum == spec
+    family = schur_weyl_family(a, 3)
+    assert [(j, lam, rep.dim) for j, lam, rep in family] == \
+        [(0, (3,), 4), (0, (2, 1), 2), (1, (3,), 1)]
+
+
 # ---------------------------------------------------------------------------
 # Schur-Weyl representations
 
@@ -305,6 +319,14 @@ def test_homogeneous_pure_degree(m2, rng):
     assert op_norm(comps[2](x) - phi(x)) < 1e-9
     assert op_norm(comps[0](x)) < 1e-9
     assert op_norm(comps[1](x)) < 1e-9
+
+
+def test_power_map_sum_is_kronecker_powers_of_the_embedding(m23, rng):
+    phi = direct_sum_of_power_maps(m23, [1, 2, 3])
+    x = m23.random_element(rng)
+    blocks = [tensor_power(m23, d).embed(power_map(m23, x, d))
+              for d in (1, 2, 3)]
+    assert np.allclose(phi(x), direct_sum(blocks), rtol=0, atol=1e-12)
 
 
 def test_homogeneous_block_sum(m2, rng):

@@ -156,6 +156,15 @@ def test_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+def test_tensor_power_budget_of_actions(capsys):
+    # the third tensor power of C^3 has ambient 27, over a budget of 10
+    for cmd in ("crossed", "induce"):
+        code, _, err = run_cli(capsys, cmd, "--blocks", "1,1,1", "--n", "3",
+                               "--budget", "10")
+        assert code == 3
+        assert "budget" in err.lower()
+
+
 def test_verification_error_exits_4(capsys):
     # the degree-3 part aliases onto lower degrees below a bound of 3
     code, out, err = run_cli(capsys, "homog", "--blocks", "2", "--degrees",

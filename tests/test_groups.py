@@ -50,6 +50,11 @@ def test_bad_table_rejected():
         FiniteGroup([[0, 1], [0, 1]])
 
 
+def test_int64_table_is_not_copied():
+    table = cyclic_group(5).mult.copy()
+    assert np.shares_memory(FiniteGroup(table).mult, table)
+
+
 def test_group_json_round_trip():
     from cstarpow.groups import group_from_json, group_to_json
     assert group_from_json({"symmetric": 3}) is symmetric_group(3)
