@@ -309,18 +309,21 @@ def symmetric_power_basis(a: FdCStarAlgebra, n: int) -> SymmetricPowerBasis:
     The multiset of a monomial is its sorted digit row; ``np.unique`` orders
     the distinct rows lexicographically, which is the
     ``combinations_with_replacement`` order of ``index``, and its inverse
-    labels every monomial with its row.
+    labels every monomial with its row.  The ``count x total`` bound also
+    covers the dense arrays that the readers build from the labels (the
+    fixed-point span's member stack, the realization's accumulator).
     """
     total = a.dim ** n
-    if total * n > MAX_DENSE_ENTRIES:
+    count = symmetric_power_count(a.dim, n)
+    if count * total > MAX_DENSE_ENTRIES or total * n > MAX_DENSE_ENTRIES:
         raise BudgetError(
-            f"symmetric power basis needs {total}x{n} monomial digits")
+            f"symmetric power basis needs {count}x{total} coefficients")
     power = tensor_power(a, n)
     digits = np.stack(np.unravel_index(np.arange(total), (a.dim,) * n), axis=1)
     index, orbit = np.unique(np.sort(digits, axis=1), axis=0,
                              return_inverse=True)
     return SymmetricPowerBasis(a, power, n, tuple(map(tuple, index.tolist())),
-                               orbit)
+                               orbit.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

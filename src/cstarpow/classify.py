@@ -139,7 +139,7 @@ class RealizedIrrep:
         return int(self.images.shape[1])
 
 
-def _block_entries_on_vectors(base: FdCStarAlgebra, beta, orbit, dest):
+def _block_entries_of_orbits(base: FdCStarAlgebra, beta, orbit, dest):
     """Nonzero entries ``(which, row, col)`` of the images of the orbit sums
     labelled by ``orbit``, each monomial moved by the factor permutation with
     index ``dest``, under the product of block representations chosen by
@@ -244,7 +244,7 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     span = np.arange(d_mult)
     t = np.zeros((sym.size, size, w.shape[1]), dtype=complex)
     for j, dest in enumerate(dests):
-        which, row, col = _block_entries_on_vectors(
+        which, row, col = _block_entries_of_orbits(
             algebra, beta, sym.orbit, dest)
         rows = (j * m_block + row[:, None] * d_mult + span).ravel()
         cols = (j * m_block + col[:, None] * d_mult + span).ravel()

@@ -178,6 +178,7 @@ def test_symmetric_power_basis_matches_orbit_sums(data):
     sym = symmetric_power_basis(a, n)
     index, vectors = symmetric_power_orbit_sums(a.dim, n)
     assert sym.index == index
+    assert sym.orbit.shape == (a.dim ** n,)
     assert np.array_equal(sym.vectors, vectors)
 
 
@@ -185,6 +186,13 @@ def test_symmetric_power_budget_guard(m23):
     # 13^7 monomials of 7 digits each, refused before any allocation
     with pytest.raises(BudgetError):
         symmetric_power_basis(m23, 7)
+
+
+def test_orbit_sum_count_budget_guard(m2, monkeypatch):
+    # the count x total bound also guards the dense readers of the labels
+    monkeypatch.setattr(algebra, "MAX_DENSE_ENTRIES", 10 * 256 - 1)
+    with pytest.raises(BudgetError):
+        symmetric_power_basis(m2, 4)
 
 
 def test_dense_orbit_sums_budget_guard(m2, monkeypatch):

@@ -156,6 +156,16 @@ def test_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+def test_orbit_sum_budget_of_dense_readers(capsys):
+    # ambient 4^4 = 256 passes --budget, but the 3876 orbit sums of
+    # 65536 monomials are over the dense bound: refused before allocating
+    for args in (("sympow",), ("schur-weyl",), ("classify", "--crosscheck")):
+        code, _, err = run_cli(capsys, *args, "--blocks", "4", "--n", "4")
+        assert code == 3
+        assert "budget" in err.lower()
+        assert "symmetric power basis needs 3876x65536" in err
+
+
 def test_tensor_power_budget_of_actions(capsys):
     # the third tensor power of C^3 has ambient 27, over a budget of 10
     for cmd in ("crossed", "induce"):
