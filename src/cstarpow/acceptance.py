@@ -116,7 +116,7 @@ def suite_crossed(tol, seed, budget, samples: int = 50):
                            + 1j * rng.standard_normal(fixed.shape[0]))
             ix, iy = corner_embedding(action, x), corner_embedding(action, y)
             alg = action.algebra
-            xy = alg.coefficients(alg.embed(x) @ alg.embed(y), check=False)
+            xy = alg.multiply(x, y)
             worst = max(worst, float(np.max(np.abs(
                 convolve(ix, iy).values - corner_embedding(action, xy).values))))
             worst = max(worst, float(np.max(np.abs(
@@ -228,11 +228,7 @@ def suite_induction(tol, seed, budget):
     m2 = make_algebra([2])
     action3 = tensor_permutation_action(m2, 3)
     sub3 = young_subgroup([2, 1], group)
-    full = spatial_pair(action3, check=False)
-    base = CovariantPair(
-        action3.restrict(sub3), full.pi,
-        UnitaryRep(sub3.group, full.unitary.matrices[list(sub3.elements)],
-                   check=False))
+    base = spatial_pair(action3, check=False).restrict(sub3)
     ind = induce(base, action3, sub3, tol=tol)
     rest = commutant_restriction(ind, 0, tol)
     iso = fixed_point_unitary(ind, tol)

@@ -275,9 +275,9 @@ def symmetric_power_span(algebra: FdCStarAlgebra, n: int,
     """The fixed-point span of the n-th tensor power as concrete matrices.
 
     Members are the embedded orbit sums, scattered from the orbit labels at
-    the power algebra's unit positions; they have disjoint supports and so
-    are pairwise orthogonal.  Generators are the embedded derivatives of the
-    power map at the basis units of the algebra.
+    the power algebra's unit positions; their supports are disjoint, so the
+    span keeps entry labels, not an orthonormal copy.  Generators are the
+    embedded derivatives of the power map at the basis units of the algebra.
     """
     if sym is None:
         sym = symmetric_power_basis(algebra, n)
@@ -288,8 +288,7 @@ def symmetric_power_span(algebra: FdCStarAlgebra, n: int,
     gens = np.stack(
         [sym.power.embed(power_map_differential(algebra, eye[i], n))
          for i in range(algebra.dim)])
-    return spanned_algebra(mats, tol, generators=gens, check=False,
-                           orthogonal=True)
+    return spanned_algebra(mats, tol, generators=gens, check=False)
 
 
 def wedderburn_crosscheck(algebra: FdCStarAlgebra, n: int,

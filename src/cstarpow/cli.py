@@ -26,12 +26,11 @@ from .algebra import (algebra_from_json, make_algebra, symmetric_power_basis,
 from .classify import (direct_sum_of_power_maps, enumerate_sn_irreps,
                        homogeneous_components, schur_weyl_family,
                        schur_weyl_injectivity_check, wedderburn_comparison)
-from .crossed import (CovariantPair, action_from_json, corner_embedding,
-                      corner_projection, convolve, group_average_projection,
-                      integrated_form, involution, spatial_pair,
-                      tensor_permutation_action)
+from .crossed import (action_from_json, corner_embedding, corner_projection,
+                      convolve, group_average_projection, integrated_form,
+                      involution, spatial_pair, tensor_permutation_action)
 from .errors import BudgetError, VerificationError
-from .groups import UnitaryRep, trivial_subgroup, young_subgroup
+from .groups import trivial_subgroup, young_subgroup
 from .induction import commutant_restriction, fixed_point_unitary, induce
 from .linalg import op_norm
 from .structure import commutant_dimension
@@ -235,13 +234,7 @@ def cmd_induce(args, cfg: RunConfig) -> tuple[int, dict]:
         sub = young_subgroup(_parse_blocks(args.q), group)
     else:
         sub = trivial_subgroup(group)
-    full = spatial_pair(action, check=False)
-    base = CovariantPair(action.restrict(sub),
-                         full.pi,
-                         UnitaryRep(sub.group,
-                                    full.unitary.matrices[list(sub.elements)],
-                                    check=False),
-                         check=False)
+    base = spatial_pair(action, check=False).restrict(sub)
     ind = induce(base, action, sub, tol=cfg.tol)
     iso = fixed_point_unitary(ind, cfg.tol)
     restriction = commutant_restriction(ind, 0, cfg.tol)

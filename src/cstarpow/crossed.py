@@ -97,23 +97,16 @@ class GroupAction:
     def _check(self, tol):
         grp, alg = self.group, self.algebra
         if self.is_permutation:
+            # index rows, identity and group table, exactly
+            UnitaryRep(grp, dest=self.perm_maps)
             table = alg.product_table()
-            perms = self.perm_maps
-            for g in range(grp.order):
-                p = perms[g]
-                if sorted(p) != list(range(alg.dim)):
-                    raise ValueError("map is not a basis permutation")
+            for p in self.perm_maps:
                 lhs = table[p][:, p]
                 rhs = np.where(table >= 0, p[table], -1)
                 if not np.array_equal(lhs, rhs):
                     raise ValueError("map is not multiplicative")
                 if not np.array_equal(p[alg.star_index], alg.star_index[p]):
                     raise ValueError("map does not preserve adjoints")
-            for g in range(grp.order):
-                for h in range(grp.order):
-                    if not np.array_equal(perms[grp.mult[g, h]],
-                                          perms[g][perms[h]]):
-                        raise ValueError("maps do not compose with the table")
         else:
             rng = np.random.default_rng(0)
             x, y = alg.random_element(rng), alg.random_element(rng)
@@ -154,13 +147,12 @@ class GroupAction:
         """The same action viewed over a subgroup of the acting group."""
         if sub.ambient is not self.group:
             raise ValueError("subgroup does not live in the acting group")
+        rows = list(sub.elements)
         if self.is_permutation:
-            maps = self.perm_maps[list(sub.elements)]
-            return GroupAction(sub.group, self.algebra, perm_maps=maps,
-                               check=False)
-        maps = self.dense_maps[list(sub.elements)]
-        return GroupAction(sub.group, self.algebra, dense_maps=maps,
-                           check=False)
+            return GroupAction(sub.group, self.algebra,
+                               perm_maps=self.perm_maps[rows], check=False)
+        return GroupAction(sub.group, self.algebra,
+                           dense_maps=self.dense_maps[rows], check=False)
 
 
 def trivial_action(algebra: FdCStarAlgebra, group: FiniteGroup) -> GroupAction:
@@ -418,6 +410,13 @@ class CovariantPair:
         if np.max(np.abs(moved), initial=0.0) > 100 * tol * scale:
             raise ValueError("pair fails the covariance relation")
 
+    def restrict(self, sub: Subgroup) -> "CovariantPair":
+        """The same pair over a subgroup of the acting group, with the same
+        images (matrix units stay matrix units)."""
+        return CovariantPair(self.action.restrict(sub),
+                             None if self.matrix_units else self._pi,
+                             self.unitary.restrict(sub), check=False)
+
 
 def spatial_pair(action: GroupAction, check: bool = True) -> CovariantPair:
     """The defining pair of a tensor permutation system: the matrix units of
@@ -461,8 +460,5 @@ def group_average_projection(pair: CovariantPair) -> np.ndarray:
 def fixed_point_algebra(action: GroupAction,
                         tol: float = DEFAULT_TOL) -> SpannedAlgebra:
     """The fixed-point subalgebra as a concrete span in the ambient space."""
-    rows = action.fixed_space(tol)
-    mats = np.stack([action.algebra.embed(r) for r in rows]) if rows.size \
-        else np.zeros((0, action.algebra.ambient, action.algebra.ambient),
-                      dtype=complex)
-    return spanned_algebra(mats, tol, check=False)
+    return spanned_algebra(action.algebra.embed(action.fixed_space(tol)), tol,
+                           check=False)

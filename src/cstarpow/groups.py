@@ -381,6 +381,15 @@ class UnitaryRep:
     def mat(self, g: int) -> np.ndarray:
         return self.matrices[g]
 
+    def restrict(self, sub: Subgroup) -> "UnitaryRep":
+        """The same representation viewed over a subgroup of its group."""
+        if sub.ambient is not self.group:
+            raise ValueError("subgroup does not live in the group")
+        rows = list(sub.elements)
+        if self.dest is not None:
+            return UnitaryRep(sub.group, dest=self.dest[rows], check=False)
+        return UnitaryRep(sub.group, self._matrices[rows], check=False)
+
     def mean(self) -> np.ndarray:
         """The average of the matrices over the group."""
         if self.dest is None:
@@ -441,12 +450,9 @@ class ProjectiveRep:
 
 
 def regular_rep(group: FiniteGroup) -> UnitaryRep:
-    """Left regular representation by permutation matrices."""
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        mats[g, group.mult[g], np.arange(n)] = 1.0
-    return UnitaryRep(group, mats, check=False)
+    """Left regular representation, kept as the index array of the
+    multiplication table: g sends basis vector h to gh."""
+    return UnitaryRep(group, dest=group.mult, check=False)
 
 
 def _adjacent_transposition_matrices(parts):

@@ -46,17 +46,21 @@ def _as_family(mats) -> np.ndarray:
 class SpannedAlgebra:
     """A *-closed, product-closed linear span of matrices.
 
-    ``span_basis`` is linearly independent; ``onb`` holds an orthonormal
-    basis of the span as rows of vectorized matrices; ``generators`` is an
-    optional smaller family generating the span as an algebra, used to speed
-    up commutation solves.
+    ``span_basis`` is linearly independent; ``generators`` is an optional
+    smaller family generating the span as an algebra, used to speed up
+    commutation solves.  A basis with disjoint supports is kept as labels:
+    for each of the n^2 entries, ``owner`` is the member covering it (-1 if
+    none) and ``normalized`` the entry over that member's norm.  Other spans
+    keep orthonormal rows of vectorized matrices in ``onb``.
     """
 
     ambient: int
     span_basis: np.ndarray
-    onb: np.ndarray
     unital: bool
     generators: np.ndarray | None = None
+    onb: np.ndarray | None = None
+    owner: np.ndarray | None = None
+    normalized: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -67,9 +71,18 @@ class SpannedAlgebra:
         """Whether the distance from the span is at most tol times
         ``scale``, by default max(1, |mat|) in the Frobenius norm."""
         v = np.asarray(mat, dtype=complex).ravel()
-        # onb.conj() @ v without copying the onb matrix
-        proj = np.conj(self.onb @ np.conj(v))
-        resid = v - proj @ self.onb
+        if self.onb is None:
+            # coefficient of member i: sum of conj(w) v over its entries;
+            # slot 0 gathers the uncovered entries, where w is zero
+            w, k = self.normalized, self.owner + 1
+            p = np.conj(w) * v
+            coef = np.bincount(k, p.real, self.dim + 1) \
+                + 1j * np.bincount(k, p.imag, self.dim + 1)
+            resid = v - w * coef[k]
+        else:
+            # onb.conj() @ v without copying the onb matrix
+            proj = np.conj(self.onb @ np.conj(v))
+            resid = v - proj @ self.onb
         if scale is None:
             scale = max(1.0, float(np.linalg.norm(v)))
         return float(np.linalg.norm(resid)) <= tol * scale
@@ -87,40 +100,42 @@ class SpannedAlgebra:
 
 
 def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
-                    check: bool = True, seed: int = 0, orthogonal: bool = False) -> SpannedAlgebra:
+                    check: bool = True, seed: int = 0) -> SpannedAlgebra:
     """Build a SpannedAlgebra from a spanning family.
 
-    Factors the family once by an SVD: an independent family is its own
-    ``span_basis``, and a rank-deficient one is replaced by the orthonormal
-    rows of its span.  Verifies closure under adjoints and products at
-    generic members x = sum c_i b_i and y = sum e_j b_j drawn from ``seed``:
-    x* and xy are linear and bilinear in the basis, so one outside the span
-    shows with probability one; the bounds scale with the largest member,
-    not with x or y.  ``orthogonal`` asserts that the family is already
-    pairwise orthogonal (e.g. matrices with disjoint supports), in which case
-    normalizing rows gives the orthonormal basis directly.
+    A family with no zero member and no entry nonzero in two members is
+    pairwise orthogonal and its own ``span_basis``, kept with entry labels
+    (see SpannedAlgebra).  Any other family is factored once by an SVD: an
+    independent family is its own ``span_basis``, and a rank-deficient one
+    is replaced by the orthonormal rows of its span.  Verifies closure under
+    adjoints and products at generic members x = sum c_i b_i and
+    y = sum e_j b_j drawn from ``seed``: x* and xy are linear and bilinear in
+    the basis, so one outside the span shows with probability one; the
+    bounds scale with the largest member, not with x or y.
     """
     fam = _as_family(mats)
     n = fam.shape[1]
     vecs = fam.reshape(fam.shape[0], n * n)
-    basis, onb = fam, np.zeros((0, n * n), dtype=complex)
-    if orthogonal and fam.shape[0]:
-        norms = np.linalg.norm(vecs, axis=1)
-        if np.any(norms == 0):
-            raise ValueError("orthogonal family must not contain zero matrices")
-        onb = vecs / norms[:, None]
-    elif fam.shape[0]:
+    gens = None if generators is None else _as_family(generators)
+    nz = vecs != 0
+    if np.all(np.any(nz, axis=1)) and \
+            np.max(np.count_nonzero(nz, axis=0), initial=0) <= 1:
+        member, entry = np.nonzero(nz)
+        vals = vecs[member, entry]
+        norms = np.sqrt(np.bincount(member, np.abs(vals) ** 2, fam.shape[0]))
+        out = SpannedAlgebra(n, fam, False, gens, owner=np.full(n * n, -1),
+                             normalized=np.zeros(n * n, dtype=complex))
+        out.owner[entry] = member
+        out.normalized[entry] = vals / norms[member]
+    else:
         _, s, vh = np.linalg.svd(vecs, full_matrices=False)
         rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-        onb = vh[:rank]
-        if rank < fam.shape[0]:
-            basis = onb.reshape(rank, n, n)
-    out = SpannedAlgebra(n, basis, onb, unital=False,
-                         generators=None if generators is None
-                         else _as_family(generators))
+        basis = fam if rank == fam.shape[0] else vh[:rank].reshape(rank, n, n)
+        out = SpannedAlgebra(n, basis, False, gens, onb=vh[:rank])
     out.unital = out.contains(np.eye(n), tol)
     if check:
         rng = np.random.default_rng(seed)
+        basis = out.span_basis
         c = rng.standard_normal((2, basis.shape[0])) \
             + 1j * rng.standard_normal((2, basis.shape[0]))
         x, y = np.tensordot(c, basis, axes=(1, 0))
@@ -373,15 +388,28 @@ def _center_coefficients(basis: np.ndarray, constraints: np.ndarray,
 class WedderburnReport:
     """Minimal central projections with per-block dimension and multiplicity.
 
-    ``block_dims[j]`` is the size of the j-th simple summand of the algebra
-    and ``multiplicities[j]`` how often its defining representation occurs in
-    the ambient space, so rank(projection) = block_dim * multiplicity and the
-    squared block dims sum to the linear dimension of the span.
+    ``blocks[j]`` is (indices, projection), the j-th projection on the
+    ambient indices outside which it vanishes.  ``block_dims[j]`` is the
+    size of the j-th simple summand of the algebra and ``multiplicities[j]``
+    how often its defining representation occurs in the ambient space, so
+    rank(projection) = block_dim * multiplicity and the squared block dims
+    sum to the linear dimension of the span.
     """
 
-    central_projections: list
+    ambient: int
+    blocks: list
     block_dims: list
     multiplicities: list
+
+    @property
+    def central_projections(self) -> list:
+        """The projections as ambient matrices, built on each read."""
+        out = []
+        for idx, proj in self.blocks:
+            full = np.zeros((self.ambient, self.ambient), dtype=complex)
+            full[idx[:, None], idx] = proj
+            out.append(full)
+        return out
 
 
 def _support_components(basis: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -414,56 +442,37 @@ def _support_components(basis: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]
             for c in np.unique(member_root[member_root < n])]
 
 
-def _component_span(s: SpannedAlgebra, idx: np.ndarray, members: np.ndarray,
-                    tol) -> SpannedAlgebra:
-    """The span of the given members, all supported on ``idx x idx``, as
-    matrices on those indices, with the generators compressed there.
-
-    The whole span's orthonormal rows, restricted to the block, give the
-    orthogonal projection onto the component's span, which is all that
-    ``contains`` uses; rows that vanish on the block are dropped.
-    """
-    rows, cols = idx[:, None], idx
-    onb = s.onb[:, (rows * s.ambient + cols).ravel()]
-    onb = onb[np.any(onb != 0, axis=1)]
-    gens = None if s.generators is None else s.generators[:, rows, cols]
-    sub = SpannedAlgebra(idx.shape[0], s.span_basis[members][:, rows, cols],
-                         onb, unital=False, generators=gens)
-    sub.unital = sub.contains(np.eye(idx.shape[0]), tol)
-    return sub
-
-
 def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
                                 tol: float = DEFAULT_TOL,
                                 gap: float = SPECTRAL_GAP) -> WedderburnReport:
     """Wedderburn data of a *-closed span via a random central element.
 
     The ambient indices are first split into the connected components of the
-    members' supports, and each component is solved on its own block: the
-    span is the direct sum of the component spans, so its minimal central
-    projections are the union of theirs.  Per component, draws a random
-    Hermitian element of the center, clusters its eigenvalues (threshold
-    ``gap``), and takes the spectral projections; a generic draw separates
-    the minimal central projections with probability one.  The center is
-    solved once, through the same verified loop as the commutant; degenerate
-    central elements are redrawn, failing after five draws.
+    members' supports.  Each component's members, restricted to its block,
+    are built into a span of their own by ``spanned_algebra``, with the
+    generators compressed to the block: the span is the direct sum of the
+    component spans, so its minimal central projections are the union of
+    theirs, and the report keeps each on its component's indices.  Per
+    component, draws a random Hermitian element of the center, clusters its
+    eigenvalues (threshold ``gap``), and takes the spectral projections; a
+    generic draw separates the minimal central projections with probability
+    one.  The center is solved once, through the same verified loop as the
+    commutant; degenerate central elements are redrawn, failing after five
+    draws.
     """
-    n = s.ambient
-    projections, dims, mults = [], [], []
+    found = []
     for idx, members in _support_components(s.span_basis):
-        sub = _component_span(s, idx, members, tol)
-        for proj, d, k in _component_projections(sub, seed, tol, gap):
-            full = np.zeros((n, n), dtype=complex)
-            full[idx[:, None], idx] = proj
-            projections.append(full)
-            dims.append(d)
-            mults.append(k)
-    if sum(d * d for d in dims) != s.dim:
+        rows, cols = idx[:, None], idx
+        gens = None if s.generators is None else s.generators[:, rows, cols]
+        sub = spanned_algebra(s.span_basis[members[:, None, None], rows, cols],
+                              tol, gens, check=False)
+        found += [(d, k, (idx, proj)) for proj, d, k
+                  in _component_projections(sub, seed, tol, gap)]
+    if sum(f[0] ** 2 for f in found) != s.dim:
         raise DegenerateDrawError("block dimensions do not add up to the span")
-    order = sorted(range(len(dims)), key=lambda i: (dims[i], mults[i]))
-    return WedderburnReport([projections[i] for i in order],
-                            [dims[i] for i in order],
-                            [mults[i] for i in order])
+    found.sort(key=lambda f: f[:2])
+    return WedderburnReport(s.ambient, [f[2] for f in found],
+                            [f[0] for f in found], [f[1] for f in found])
 
 
 def _component_projections(s: SpannedAlgebra, seed, tol, gap):
@@ -552,9 +561,9 @@ def quasi_equivalent(pi, rho, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
         alg = spanned_algebra(fam, tol, check=False)
         rep = minimal_central_projections(alg, seed=seed, tol=tol)
         out = []
-        for proj in rep.central_projections:
+        for idx, proj in rep.blocks:
             w = orthonormal_columns(proj, tol)
-            out.append(np.matmul(w.conj().T, fam @ w))
+            out.append(np.matmul(w.conj().T, fam[:, idx[:, None], idx] @ w))
         return out
 
     bp, br = blocks(pi), blocks(rho)

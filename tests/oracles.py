@@ -144,6 +144,16 @@ def permuted_kron(vectors, perm):
     return out
 
 
+def distance_to_span(family, mat):
+    """Frobenius distance from a matrix to the linear span of a family, by
+    a least-squares solve over the vectorized members."""
+    family = np.asarray(family, dtype=complex)
+    a = family.reshape(family.shape[0], -1).T
+    b = np.asarray(mat, dtype=complex).ravel()
+    coef = np.linalg.lstsq(a, b, rcond=None)[0]
+    return float(np.linalg.norm(a @ coef - b))
+
+
 def support_components_bfs(mats):
     """Sets of ambient indices joined by the entries of each matrix, by a
     breadth-first search over index -> matrix -> index, with the members of

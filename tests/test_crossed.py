@@ -45,6 +45,17 @@ def test_action_validation_catches_bad_maps(c2):
         GroupAction(g, m2, perm_maps=bad)
 
 
+def test_action_validation_catches_a_table_failure(c2):
+    # each map is a *-automorphism of C (+) C, but the identity acts by the
+    # swap, so the maps do not follow the group table
+    g = cyclic_group(2)
+    assert g.identity == 0
+    maps = np.array([[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        GroupAction(g, c2, perm_maps=maps)
+    GroupAction(g, c2, perm_maps=maps[::-1])
+
+
 def test_action_homomorphism_table(swap_m2):
     g = swap_m2.group
     for a in range(g.order):

@@ -144,6 +144,12 @@ def test_character_orthogonality():
 def test_hook_dimensions_match_regular_representation_blocks():
     g = symmetric_group(3)
     reg = regular_rep(g)
+    # the index form against the permutation matrices built entry by entry
+    loop = np.zeros((g.order, g.order, g.order), dtype=complex)
+    for a in range(g.order):
+        for b in range(g.order):
+            loop[a, g.multiply(a, b), b] = 1.0
+    assert np.array_equal(reg.matrices, loop)
     span = spanned_algebra(reg.matrices, check=False)
     report = minimal_central_projections(span)
     assert sorted(report.block_dims) == [1, 1, 2]
@@ -365,3 +371,19 @@ def test_cocycle_identity_residual_matches_loop():
                 for t in range(g.order) for s in range(g.order)
                 for r in range(g.order))
     assert rep.cocycle_identity_residual() == worst
+
+
+def test_restricted_rep_keeps_the_subgroup_rows():
+    g = symmetric_group(3)
+    sub = young_subgroup([2, 1], g)
+    rows = list(sub.elements)
+    indexed = permutation_rep(3, 2)
+    dense = UnitaryRep(g, indexed.matrices)
+    for rep in (indexed, dense):
+        part = rep.restrict(sub)
+        assert part.group is sub.group
+        assert np.array_equal(part.matrices, indexed.matrices[rows])
+    assert indexed.restrict(sub).dest is not None
+    assert dense.restrict(sub).dest is None
+    with pytest.raises(ValueError):
+        indexed.restrict(young_subgroup([1, 1], symmetric_group(2)))

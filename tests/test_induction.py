@@ -70,6 +70,26 @@ def test_induced_dimension_and_block_permutation():
                         u[other * m:(other + 1) * m, j * m:(j + 1) * m])) < 1e-12
 
 
+def test_restricted_spatial_pair_matches_the_explicit_restriction():
+    action = tensor_permutation_action(make_algebra([2]), 3)
+    sub = young_subgroup([2, 1], action.group)
+    full = spatial_pair(action, check=False)
+    explicit = CovariantPair(action.restrict(sub), full.pi,
+                             UnitaryRep(sub.group,
+                                        full.unitary.matrices[list(sub.elements)],
+                                        check=False))
+    base = full.restrict(sub)
+    assert base.is_spatial
+    assert base.action.group is sub.group
+    assert np.array_equal(base.pi, explicit.pi)
+    assert np.array_equal(base.unitary.matrices, explicit.unitary.matrices)
+    base._check(1e-9)
+    ind, ind_explicit = induce(base, action, sub), induce(explicit, action, sub)
+    assert np.array_equal(ind.pair.pi, ind_explicit.pair.pi)
+    assert np.array_equal(ind.pair.unitary.matrices,
+                          ind_explicit.pair.unitary.matrices)
+
+
 def test_whole_group_induction_is_equivalent_to_base():
     m2 = make_algebra([2])
     action = tensor_permutation_action(m2, 2)

@@ -18,8 +18,8 @@ from cstarpow.structure import (_support_components, commutant,
                                 intertwiner_space, is_factor, is_irreducible,
                                 minimal_central_projections, quasi_equivalent,
                                 spanned_algebra)
-from oracles import (naive_commutant_dim, naive_intertwiner_dim,
-                     support_components_bfs)
+from oracles import (distance_to_span, naive_commutant_dim,
+                     naive_intertwiner_dim, support_components_bfs)
 
 
 def test_commutant_of_full_matrix_algebra(m2):
@@ -302,6 +302,9 @@ def test_minimal_central_projections_symmetric_square(m2):
 def test_minimal_central_projections_regular_rep():
     g = symmetric_group(3)
     span = spanned_algebra(regular_rep(g).matrices, check=False)
+    # permutation matrices of the regular representation have disjoint
+    # supports, so the span is kept as entry labels
+    assert span.onb is None
     report = minimal_central_projections(span)
     assert sorted(report.block_dims) == [1, 1, 2]
     assert sum(d * d for d in report.block_dims) == 6
@@ -510,3 +513,80 @@ def test_span_closure_sees_every_product():
     spanned_algebra(fam[1:])
     with pytest.raises(ValueError, match="products"):
         spanned_algebra(fam)
+
+
+@st.composite
+def _disjoint_family(draw):
+    """Members on disjoint random sets of entries of an ambient <= 8 matrix,
+    1-6 members with at least one entry each, random complex values."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(1, n * n))
+    count = draw(st.integers(1, min(6, size)))
+    entries = rng.permutation(n * n)[:size]
+    # every member gets one entry, the rest go to random members
+    owner = np.concatenate([np.arange(count),
+                            rng.integers(0, count, size - count)])
+    fam = np.zeros((count, n * n), dtype=complex)
+    fam[owner, entries] = rng.standard_normal(size) \
+        + 1j * rng.standard_normal(size)
+    return fam.reshape(count, n, n), rng
+
+
+def _span_answers(span, fam, rng, tol=1e-9):
+    """Membership of the members, of a generic combination and of the
+    identity, and of a random matrix at 2x and 0.5x its oracle distance."""
+    c = rng.standard_normal(fam.shape[0]) + 1j * rng.standard_normal(fam.shape[0])
+    answers = [span.contains(m, tol) for m in fam]
+    answers.append(span.contains(np.tensordot(c, fam, axes=(0, 0)), tol))
+    answers.append(span.contains(np.eye(span.ambient), tol))
+    mat = rng.standard_normal(fam.shape[1:]) \
+        + 1j * rng.standard_normal(fam.shape[1:])
+    dist = distance_to_span(fam, mat)
+    answers.append(span.contains(mat, tol, scale=2 * dist / tol)
+                   if dist > 1e-6 else span.contains(mat, tol))
+    answers.append(dist > 1e-6
+                   and span.contains(mat, tol, scale=0.5 * dist / tol))
+    return answers
+
+
+@settings(max_examples=60, deadline=None)
+@given(_disjoint_family())
+def test_disjoint_family_is_kept_as_labels(case):
+    fam, rng = case
+    span = spanned_algebra(fam, check=False)
+    assert span.onb is None and span.span_basis is fam
+    assert span.owner.shape == span.normalized.shape == (fam[0].size,)
+    state = rng.bit_generator.state
+    answers = _span_answers(span, fam, rng)
+    assert all(answers[:fam.shape[0] + 1]) and answers[-2] and not answers[-1]
+    # one member also nonzero on an entry of another: the same span, solved
+    # by the SVD, gives the same answers on the same draws
+    if fam.shape[0] >= 2:
+        shared = fam.copy()
+        shared[1] += 0.5 * fam[0]
+        other = spanned_algebra(shared, check=False)
+        assert other.onb is not None and other.owner is None
+        rng.bit_generator.state = state
+        assert _span_answers(other, fam, rng) == answers
+
+
+def test_symmetric_power_span_and_its_components_keep_labels(monkeypatch):
+    algebra = make_algebra([2, 1])
+    span = symmetric_power_span(algebra, 3)
+    assert span.onb is None
+    assert span.owner.shape == (span.ambient ** 2,)
+    subs = []
+    solve = structure._component_projections
+
+    def record(sub, *args):
+        subs.append(sub)
+        return solve(sub, *args)
+
+    monkeypatch.setattr(structure, "_component_projections", record)
+    report = minimal_central_projections(span)
+    assert len(subs) == len(_support_components(span.span_basis)) > 1
+    for sub in subs:
+        assert sub.onb is None and sub.owner.shape == (sub.ambient ** 2,)
+    enumerated, _ = wedderburn_comparison(algebra, 3)
+    assert sorted(report.block_dims) == enumerated
