@@ -24,7 +24,7 @@ from .crossed import (CovariantPair, block_permutation_action,
 from .groups import (UnitaryRep, cyclic_group, partitions, ssyt_count,
                      symmetric_group, trivial_subgroup, young_subgroup)
 from .induction import commutant_restriction, fixed_point_unitary, induce
-from .linalg import op_norm, orthonormal_columns
+from .linalg import DEFAULT_TOL, op_norm, orthonormal_columns
 from .structure import ergodic_bound_check, minimal_central_projections
 
 DIMENSION_CASES = [[1, 1], [1, 1, 1], [2], [2, 1], [2, 3]]
@@ -63,7 +63,7 @@ def suite_blocks(tol, seed, budget):
     """Tableau-count block structure of symmetric powers of one full block."""
     assertions = []
     for k, n in [(2, 2), (2, 3), (3, 2)]:
-        span = symmetric_power_span(make_algebra([k]), n, tol)
+        span = symmetric_power_span(make_algebra([k]), n)
         report = minimal_central_projections(span, seed=seed, tol=tol)
         expected = sorted(ssyt_count(lam, k) for lam in partitions(n)
                           if len(lam) <= k)
@@ -247,7 +247,7 @@ def suite_generation(tol, seed, budget):
     """The derivative elements generate the whole fixed-point span."""
     assertions = []
     for blocks, n in [([2], 2), ([2], 3), ([1, 1, 1], 3)]:
-        span = symmetric_power_span(make_algebra(blocks), n, tol)
+        span = symmetric_power_span(make_algebra(blocks), n)
         generated = generated_star_algebra(span.generators, span.ambient,
                                            tol=1e-8)
         combined = np.concatenate(
@@ -371,7 +371,7 @@ def suite_names() -> list[str]:
     return list(_SUITES)
 
 
-def run_suite(name: str, tol: float = 1e-9, seed: int = 0,
+def run_suite(name: str, tol: float = DEFAULT_TOL, seed: int = 0,
               budget: int = 2000) -> dict:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")

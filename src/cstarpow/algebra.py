@@ -310,8 +310,8 @@ def symmetric_power_basis(a: FdCStarAlgebra, n: int) -> SymmetricPowerBasis:
     the distinct rows lexicographically, which is the
     ``combinations_with_replacement`` order of ``index``, and its inverse
     labels every monomial with its row.  The ``count x total`` bound also
-    covers the dense arrays that the readers build from the labels (the
-    fixed-point span's member stack, the realization's accumulator).
+    covers the dense arrays that the readers build from the labels (a
+    one-component span's basis, the realization's accumulator).
     """
     total = a.dim ** n
     count = symmetric_power_count(a.dim, n)

@@ -35,8 +35,8 @@ from .groups import (ProjectiveRep, Subgroup, check_partition,
 from .induction import induced_unitaries
 from .linalg import DEFAULT_TOL, direct_sum, op_norm, orthonormal_columns
 from .structure import (SpannedAlgebra, commutant_dimension, equivalent,
-                        intertwiner_space, minimal_central_projections,
-                        spanned_algebra)
+                        intertwiner_space, label_span,
+                        minimal_central_projections)
 
 
 # ---------------------------------------------------------------------------
@@ -263,32 +263,30 @@ def wedderburn_comparison(algebra: FdCStarAlgebra, n: int,
     reference to the enumeration.  Both are sorted ascending.
     """
     enumerated = sorted(d.dim for d in enumerate_sn_irreps(algebra, n))
-    span = symmetric_power_span(algebra, n, tol, sym)
+    span = symmetric_power_span(algebra, n, sym)
     report = minimal_central_projections(span, seed=seed, tol=tol)
     return enumerated, sorted(report.block_dims)
 
 
 def symmetric_power_span(algebra: FdCStarAlgebra, n: int,
-                         tol: float = DEFAULT_TOL,
                          sym: SymmetricPowerBasis | None = None
                          ) -> SpannedAlgebra:
     """The fixed-point span of the n-th tensor power as concrete matrices.
 
-    Members are the embedded orbit sums, scattered from the orbit labels at
-    the power algebra's unit positions; their supports are disjoint, so the
-    span keeps entry labels, not an orthonormal copy.  Generators are the
-    embedded derivatives of the power map at the basis units of the algebra.
+    Member i is the orbit sum ``sym.index[i]``, 1 at the unit position of
+    each of its monomials; these supports are disjoint, so the orbit labels
+    go straight to ``label_span`` and no member stack is built.  Generators
+    are the embedded derivatives of the power map at the basis units of the
+    algebra.
     """
     if sym is None:
         sym = symmetric_power_basis(algebra, n)
     ambient = sym.power.ambient
-    mats = np.zeros((sym.size, ambient, ambient), dtype=complex)
-    mats[sym.orbit, sym.power.positions[:, 0], sym.power.positions[:, 1]] = 1
-    eye = np.eye(algebra.dim)
-    gens = np.stack(
-        [sym.power.embed(power_map_differential(algebra, eye[i], n))
-         for i in range(algebra.dim)])
-    return spanned_algebra(mats, tol, generators=gens, check=False)
+    row, col = sym.power.positions.T
+    gens = sym.power.embed(np.stack([power_map_differential(algebra, e, n)
+                                     for e in np.eye(algebra.dim)]))
+    return label_span(ambient, sym.orbit, row * ambient + col,
+                      np.ones(sym.orbit.shape[0]), gens)
 
 
 def wedderburn_crosscheck(algebra: FdCStarAlgebra, n: int,

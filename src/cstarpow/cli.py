@@ -32,7 +32,7 @@ from .crossed import (action_from_json, corner_embedding, corner_projection,
 from .errors import BudgetError, VerificationError
 from .groups import trivial_subgroup, young_subgroup
 from .induction import commutant_restriction, fixed_point_unitary, induce
-from .linalg import op_norm
+from .linalg import DEFAULT_TOL, op_norm
 from .structure import commutant_dimension
 
 EXIT_OK = 0
@@ -43,7 +43,7 @@ EXIT_VERIFY = 4
 
 @dataclass
 class RunConfig:
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     seed: int = 0
     output: str = "table"
     budget: int = 2000
@@ -336,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true",
                        help="emit canonical JSON instead of a table")

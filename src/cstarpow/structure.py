@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import BudgetError, DegenerateDrawError, VerificationError
 from .linalg import (DEFAULT_TOL, SPECTRAL_GAP, adjoint, cluster_eigenvalues,
-                     direct_sum, eig_hermitian, nullspace, orthonormal_columns)
+                     direct_sum, eig_hermitian, matrix_rank, nullspace,
+                     orthonormal_columns)
 
 # Largest ambient size of the dense last-resort commutation system (N^2 x
 # N^2 per member); the eigenbasis system (N^2 rows per constraint, one column
@@ -44,19 +45,17 @@ def _as_family(mats) -> np.ndarray:
 
 @dataclass
 class SpannedAlgebra:
-    """A *-closed, product-closed linear span of matrices.
-
-    ``span_basis`` is linearly independent; ``generators`` is an optional
-    smaller family generating the span as an algebra, used to speed up
-    commutation solves.  A basis with disjoint supports is kept as labels:
-    for each of the n^2 entries, ``owner`` is the member covering it (-1 if
-    none) and ``normalized`` the entry over that member's norm.  Other spans
-    keep orthonormal rows of vectorized matrices in ``onb``.
+    """A *-closed, product-closed linear span of matrices, held as an
+    orthonormal basis: as labels when its members have disjoint supports
+    (for each of the n^2 entries, ``owner`` is the member covering it, -1 if
+    none, and ``normalized`` that unit-norm member's entry), else as the
+    vectorized rows ``onb``.  ``span_basis`` builds the basis matrices from
+    that form on each read.  ``generators`` is an optional smaller family in
+    the span generating it as an algebra, used to speed up commutation
+    solves.
     """
 
     ambient: int
-    span_basis: np.ndarray
-    unital: bool
     generators: np.ndarray | None = None
     onb: np.ndarray | None = None
     owner: np.ndarray | None = None
@@ -64,39 +63,57 @@ class SpannedAlgebra:
 
     @property
     def dim(self) -> int:
-        return self.span_basis.shape[0]
+        if self.onb is not None:
+            return self.onb.shape[0]
+        return int(self.owner.max(initial=-1)) + 1
+
+    @property
+    def span_basis(self) -> np.ndarray:
+        rows = self.onb if self.onb is not None else np.where(
+            self.owner == np.arange(self.dim)[:, None], self.normalized, 0)
+        return rows.reshape(-1, self.ambient, self.ambient)
+
+    def coordinates(self, mats) -> np.ndarray:
+        """The (count, dim) coefficients on the orthonormal basis of the
+        projections onto the span of a matrix or a stack of them."""
+        v = np.asarray(mats, dtype=complex).reshape(-1, self.ambient ** 2)
+        if self.onb is not None:
+            # onb.conj() without copying the onb matrix
+            return np.conj(np.conj(v) @ self.onb.T)
+        # member i's coefficient sums conj(w) v over its entries; column 0
+        # gathers the uncovered entries, where w is zero
+        k, p = self.owner + 1, v * np.conj(self.normalized)
+        return np.stack([np.bincount(k, r.real, self.dim + 1)
+                         + 1j * np.bincount(k, r.imag, self.dim + 1)
+                         for r in p])[:, 1:]
 
     def contains(self, mat, tol: float = DEFAULT_TOL,
                  scale: float | None = None) -> bool:
         """Whether the distance from the span is at most tol times
         ``scale``, by default max(1, |mat|) in the Frobenius norm."""
         v = np.asarray(mat, dtype=complex).ravel()
+        coef = self.coordinates(v)[0]
         if self.onb is None:
-            # coefficient of member i: sum of conj(w) v over its entries;
-            # slot 0 gathers the uncovered entries, where w is zero
-            w, k = self.normalized, self.owner + 1
-            p = np.conj(w) * v
-            coef = np.bincount(k, p.real, self.dim + 1) \
-                + 1j * np.bincount(k, p.imag, self.dim + 1)
-            resid = v - w * coef[k]
+            # uncovered entries read any coefficient, times w = 0
+            resid = v - self.normalized * np.append(coef, 0)[self.owner]
         else:
-            # onb.conj() @ v without copying the onb matrix
-            proj = np.conj(self.onb @ np.conj(v))
-            resid = v - proj @ self.onb
+            resid = v - coef @ self.onb
         if scale is None:
             scale = max(1.0, float(np.linalg.norm(v)))
         return float(np.linalg.norm(resid)) <= tol * scale
 
-    def support(self) -> np.ndarray:
-        """Flat indices of the matrix entries where the span can be nonzero.
 
-        Commutators and products of span elements stay supported there, which
-        keeps the center solve small for sparse spans.
-        """
-        mask = np.any(self.span_basis != 0, axis=0)
-        if self.generators is not None:
-            mask |= np.any(self.generators != 0, axis=0)
-        return np.flatnonzero(mask.ravel())
+def label_span(n: int, member, entry, values,
+               generators=None) -> SpannedAlgebra:
+    """The label span on ambient n of members 0, 1, ... with disjoint,
+    nonempty supports (not checked), given as triplets: member ``member[t]``
+    has value ``values[t]`` at the flat entry ``entry[t]``."""
+    norms = np.sqrt(np.bincount(member, np.abs(values) ** 2))
+    out = SpannedAlgebra(n, generators, owner=np.full(n * n, -1),
+                         normalized=np.zeros(n * n, dtype=complex))
+    out.owner[entry] = member
+    out.normalized[entry] = values / norms[member]
+    return out
 
 
 def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
@@ -104,14 +121,13 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
     """Build a SpannedAlgebra from a spanning family.
 
     A family with no zero member and no entry nonzero in two members is
-    pairwise orthogonal and its own ``span_basis``, kept with entry labels
-    (see SpannedAlgebra).  Any other family is factored once by an SVD: an
-    independent family is its own ``span_basis``, and a rank-deficient one
-    is replaced by the orthonormal rows of its span.  Verifies closure under
-    adjoints and products at generic members x = sum c_i b_i and
+    pairwise orthogonal; its normalized members are the basis, kept as
+    labels by ``label_span``.  Any other family is factored once by an SVD,
+    and the orthonormal rows of its span are the basis.  Verifies closure
+    under adjoints and products at generic members x = sum c_i b_i and
     y = sum e_j b_j drawn from ``seed``: x* and xy are linear and bilinear in
     the basis, so one outside the span shows with probability one; the
-    bounds scale with the largest member, not with x or y.
+    basis is orthonormal, so the bounds are not scaled by x or y.
     """
     fam = _as_family(mats)
     n = fam.shape[1]
@@ -121,29 +137,18 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
     if np.all(np.any(nz, axis=1)) and \
             np.max(np.count_nonzero(nz, axis=0), initial=0) <= 1:
         member, entry = np.nonzero(nz)
-        vals = vecs[member, entry]
-        norms = np.sqrt(np.bincount(member, np.abs(vals) ** 2, fam.shape[0]))
-        out = SpannedAlgebra(n, fam, False, gens, owner=np.full(n * n, -1),
-                             normalized=np.zeros(n * n, dtype=complex))
-        out.owner[entry] = member
-        out.normalized[entry] = vals / norms[member]
+        out = label_span(n, member, entry, vecs[member, entry], gens)
     else:
-        _, s, vh = np.linalg.svd(vecs, full_matrices=False)
-        rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-        basis = fam if rank == fam.shape[0] else vh[:rank].reshape(rank, n, n)
-        out = SpannedAlgebra(n, basis, False, gens, onb=vh[:rank])
-    out.unital = out.contains(np.eye(n), tol)
+        out = SpannedAlgebra(n, gens, onb=orthonormal_columns(vecs.T, tol).T)
     if check:
         rng = np.random.default_rng(seed)
         basis = out.span_basis
         c = rng.standard_normal((2, basis.shape[0])) \
             + 1j * rng.standard_normal((2, basis.shape[0]))
         x, y = np.tensordot(c, basis, axes=(1, 0))
-        size = max(1.0, float(np.max(np.linalg.norm(basis, axis=(1, 2)),
-                                     initial=0.0)))
-        if not out.contains(adjoint(x), tol, size):
+        if not out.contains(adjoint(x), tol, 1.0):
             raise ValueError("span is not closed under adjoints")
-        if not out.contains(x @ y, tol, size ** 2):
+        if not out.contains(x @ y, tol, 1.0):
             raise ValueError("span is not closed under products")
     return out
 
@@ -359,29 +364,29 @@ def is_factor(pi, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
     commutant is the scalars.
     """
     comm = commutant(_as_family(pi), tol, seed)
-    return _center_coefficients(comm.span_basis, comm.span_basis,
-                                tol).shape[1] == 1
+    basis = comm.span_basis
+    return _center_basis(comm, basis, basis, tol).shape[0] == 1
 
 
 # ---------------------------------------------------------------------------
 # centers and minimal central projections
 
-def _center_coefficients(basis: np.ndarray, constraints: np.ndarray,
-                         tol: float, support=None) -> np.ndarray:
-    """Coefficient vectors x with sum_j x_j basis_j commuting with the
-    constraint matrices; returns an (dim basis, k) array of columns.
+def _center_basis(s: SpannedAlgebra, basis: np.ndarray,
+                  constraints: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of the elements sum_j x_j basis_j of the span
+    (``basis`` is ``s.span_basis``) that commute with the constraints.
 
-    ``support`` restricts the commutator rows to the span's support entries,
-    which is lossless because commutators of span elements stay in the span.
+    The constraints lie in the span, so each commutator [basis_j, m] does
+    too, and its span coordinates keep its norm: the system for x keeps the
+    singular values of the commutator system over all n^2 entries.  The
+    cutoff scales with the constraints (columns are at most 2|m|), since a
+    commutative span's system is round-off.
     """
-    cols = []
-    for m in constraints:
-        comm = (basis @ m - m @ basis).reshape(basis.shape[0], -1)
-        if support is not None:
-            comm = comm[:, support]
-        cols.append(comm.T)
-    stacked = np.concatenate(cols, axis=0)
-    return nullspace(stacked, tol)
+    scale = 2 * float(np.max(np.linalg.norm(constraints, axis=(1, 2))))
+    xi = nullspace(np.concatenate(
+        [s.coordinates(basis @ m - m @ basis).T for m in constraints]), tol,
+        scale=scale)
+    return np.tensordot(xi.T, basis, axes=(1, 0))
 
 
 @dataclass
@@ -412,21 +417,22 @@ class WedderburnReport:
         return out
 
 
-def _support_components(basis: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Connected components of the ambient indices under the span's supports.
+def _support_components(n: int, owner: np.ndarray
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Connected components of the ambient indices under the supports of a
+    label span on ambient n (``owner`` as in SpannedAlgebra).
 
-    A union-find over the ambient indices joins every row and column index
-    touched by one member: each round hooks the root of every touched index
-    onto the least root its members meet and then compresses paths, until
-    no root moves.  Each member then lies in the square block of one
-    component, and the span is the direct sum of the spans of each
-    component's members.  Only the sparsity pattern is read.
-    Returns (indices, members) per component; indices that no member
-    touches form no component.
+    A union-find over the ambient indices joins the row and column index
+    divmod(entry, n) of every entry a member owns: each round hooks the root
+    of every touched index onto the least root its members meet and then
+    compresses paths, until no root moves.  Each member then lies in the
+    square block of one component, and the span is the direct sum of the
+    spans of each component's members.  Returns (indices, members) per
+    component; indices that no member touches form no component.
     """
-    nz = basis != 0
-    touched = np.any(nz, axis=1) | np.any(nz, axis=2)
-    n = basis.shape[1]
+    entry = np.flatnonzero(owner >= 0)
+    touched = np.zeros((int(owner.max(initial=-1)) + 1, n), dtype=bool)
+    touched[np.tile(owner[entry], 2), np.concatenate(np.divmod(entry, n))] = 1
     roots = np.arange(n)
     while True:
         member_root = np.where(touched, roots, n).min(axis=1, initial=n)
@@ -447,25 +453,32 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
                                 gap: float = SPECTRAL_GAP) -> WedderburnReport:
     """Wedderburn data of a *-closed span via a random central element.
 
-    The ambient indices are first split into the connected components of the
-    members' supports.  Each component's members, restricted to its block,
-    are built into a span of their own by ``spanned_algebra``, with the
-    generators compressed to the block: the span is the direct sum of the
-    component spans, so its minimal central projections are the union of
-    theirs, and the report keeps each on its component's indices.  Per
-    component, draws a random Hermitian element of the center, clusters its
-    eigenvalues (threshold ``gap``), and takes the spectral projections; a
-    generic draw separates the minimal central projections with probability
-    one.  The center is solved once, through the same verified loop as the
-    commutant; degenerate central elements are redrawn, failing after five
-    draws.
+    A label span is first split into the connected components of its
+    members' supports, read from the labels.  Each component's labels on
+    its block form a label span of their own, with the generators
+    compressed to the block: the span is the direct sum of the component
+    spans, so its minimal central projections are the union of theirs, and
+    the report keeps each on its component's indices.  A dense span is one
+    component.  Per component, the center is solved in span coordinates,
+    through the same verified loop as the commutant; a random Hermitian
+    element of it is drawn, its eigenvalues clustered (threshold ``gap``),
+    and the spectral projections taken.  A generic draw separates the
+    minimal central projections with probability one; degenerate central
+    elements are redrawn, failing after five draws.
     """
+    parts = [(np.arange(s.ambient), s)]
+    if s.onb is None:
+        parts = []
+        for idx, members in _support_components(s.ambient, s.owner):
+            flat = (idx[:, None] * s.ambient + idx).ravel()
+            local = np.flatnonzero(s.owner[flat] >= 0)
+            gens = None if s.generators is None \
+                else s.generators[:, idx[:, None], idx]
+            parts.append((idx, label_span(
+                len(idx), np.searchsorted(members, s.owner[flat[local]]),
+                local, s.normalized[flat[local]], gens)))
     found = []
-    for idx, members in _support_components(s.span_basis):
-        rows, cols = idx[:, None], idx
-        gens = None if s.generators is None else s.generators[:, rows, cols]
-        sub = spanned_algebra(s.span_basis[members[:, None, None], rows, cols],
-                              tol, gens, check=False)
+    for idx, sub in parts:
         found += [(d, k, (idx, proj)) for proj, d, k
                   in _component_projections(sub, seed, tol, gap)]
     if sum(f[0] ** 2 for f in found) != s.dim:
@@ -478,48 +491,41 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
 def _component_projections(s: SpannedAlgebra, seed, tol, gap):
     basis = s.span_basis
     gens = s.generators if s.generators is not None else basis
-    support = s.support()
-    if support.shape[0] > 0.5 * s.ambient ** 2:
-        support = None
     rng = np.random.default_rng(seed)
 
-    def center_solve(constraints):
-        xi = _center_coefficients(basis, constraints, tol, support)
-        return np.tensordot(xi.T, basis, axes=(1, 0))
-
-    center = _verified_solve((gens,), (basis,), rng, center_solve,
-                             lambda: center_solve(basis), tol)
+    center = _verified_solve(
+        (gens,), (basis,), rng, lambda c: _center_basis(s, basis, c, tol),
+        lambda: _center_basis(s, basis, basis, tol), tol)
     herm = _hermitian_parts(center)
     last_error = "no attempt"
     for attempt in range(5):
         z = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
         w, v = eig_hermitian(z, max(tol, 1e-8))
         try:
-            return _projections_from_spectrum(s, w, v, tol, gap)
+            return _projections_from_spectrum(s, basis, w, v, tol, gap)
         except DegenerateDrawError as exc:
             last_error = str(exc)
     raise DegenerateDrawError(
         f"central projection extraction failed after 5 draws: {last_error}")
 
 
-def _projections_from_spectrum(s: SpannedAlgebra, w, v, tol, gap):
+def _projections_from_spectrum(s: SpannedAlgebra, basis, w, v, tol, gap):
     """(projection, block dim, multiplicity) of each spectral cluster."""
-    basis = s.span_basis
     out = []
     for idx in cluster_eigenvalues(w, gap):
         cols = v[:, idx]
         proj = cols @ cols.conj().T
         if not s.contains(proj, max(tol * 100, 1e-7)):
             # spectral cluster outside the span: only legitimate for the
-            # kernel of a degenerate algebra
-            if s.unital or abs(np.mean(w[idx])) > gap:
+            # kernel of a non-unital algebra
+            if abs(np.mean(w[idx])) > gap \
+                    or s.contains(np.eye(s.ambient), tol):
                 raise DegenerateDrawError("cluster projection not in the span")
             continue
         rank = int(round(float(np.real(np.trace(proj)))))
         compressed = np.matmul(cols.conj().T, basis @ cols)
-        sq = compressed.reshape(basis.shape[0], -1)
-        sv = np.linalg.svd(sq, compute_uv=False)
-        block_sq = int(np.sum(sv > max(tol, 1e-8) * sv[0]))
+        block_sq = matrix_rank(compressed.reshape(basis.shape[0], -1),
+                               max(tol, 1e-8))
         d = int(round(block_sq ** 0.5))
         if d * d != block_sq or d == 0 or rank % d != 0:
             raise DegenerateDrawError(

@@ -224,7 +224,7 @@ def test_fixed_point_algebra_dims(c2, m2, c3):
     assert fixed_point_algebra(tensor_permutation_action(c2, 3)).dim == 4
     swap = block_permutation_action(c2, symmetric_group(2))
     fixed = fixed_point_algebra(swap)
-    assert fixed.dim == 1 and fixed.unital
+    assert fixed.dim == 1 and fixed.contains(np.eye(fixed.ambient))
 
 
 def test_covariance_validation(swap_m2):

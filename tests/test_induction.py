@@ -205,6 +205,24 @@ def test_commutant_restriction_dims_and_apply():
         rest.apply(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_commutant_restriction_rejects_one_failing_member():
+    # M_2 (x) M_2 induced from the trivial subgroup of the swap: t = 1 (+)
+    # (1 + 1e-5) on the two coset blocks commutes with all 16 images and
+    # both block projections, and fails only on the unitary of the swap
+    action = tensor_permutation_action(make_algebra([2]), 2)
+    triv = trivial_subgroup(action.group)
+    ind = induce(spatial_pair(action, check=False).restrict(triv), action,
+                 triv)
+    rest = commutant_restriction(ind, 0)
+    t = np.diag(np.repeat([1.0, 1.0 + 1e-5], ind.block_dim))
+    assert sum(op_norm(t @ m - m @ t) > 1e-9
+               for m in pair_family(ind.pair)) == 1
+    with pytest.raises(ValueError):
+        rest.apply(t)
+    assert np.allclose(rest.apply(np.eye(ind.pair.dim)),
+                       np.eye(ind.block_dim))
+
+
 def test_commutant_restriction_full_isotropy_factor_base():
     # full matrix power: the base is a factor representation whose class is
     # fixed by the whole subgroup, so the induced commutant matches the

@@ -1,17 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cstarpow import structure
-from cstarpow.algebra import make_algebra
+from cstarpow.algebra import make_algebra, symmetric_power_count
 from cstarpow.classify import symmetric_power_span, wedderburn_comparison
 from cstarpow.crossed import (block_permutation_action,
                               tensor_permutation_action, trivial_action)
 from cstarpow.errors import BudgetError
 from cstarpow.groups import isotypic_projection, permutation_rep, regular_rep, \
     symmetric_group
-from cstarpow.linalg import direct_sum, op_norm
+from cstarpow.linalg import direct_sum, nullspace, op_norm
 from cstarpow.structure import (_support_components, commutant,
                                 commutant_dimension, equivalent,
                                 ergodic_bound_check, essential_subspace,
@@ -66,10 +68,11 @@ def test_commutant_of_identity_and_swap():
     assert commutant(fam).dim == 10 == naive_commutant_dim(fam)
 
 
-def _block_images(ks, mults, pad, rng):
+def _block_images(ks, mults, pad, rng, conjugate=True):
     """Images of the matrix units of the sum of the M_k under the sum of
     M_k (x) I_m plus a zero block of size pad, conjugated by a random
-    unitary.  Multiplicity 0 sends a block's units to zero."""
+    unitary unless ``conjugate`` is false.  Multiplicity 0 sends a block's
+    units to zero."""
     n = sum(k * m for k, m in zip(ks, mults)) + pad
     units, at = [], 0
     for k, m in zip(ks, mults):
@@ -78,9 +81,24 @@ def _block_images(ks, mults, pad, rng):
             member[at:at + k * m, at:at + k * m] = np.kron(unit, np.eye(m))
             units.append(member)
         at += k * m
+    if not conjugate:
+        return np.stack(units)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q = np.linalg.qr(x)[0]
     return np.matmul(q, np.stack(units) @ q.conj().T)
+
+
+@st.composite
+def _block_sum(draw):
+    """Sizes k <= 3 and multiplicities m >= 1 of a direct sum of M_k (x) I_m
+    plus a zero block of size pad, on ambient <= 12, and a generator."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ks, mults, room = [], [], 12
+    while room > 0 and (not ks or draw(st.booleans())):
+        ks.append(draw(st.integers(1, min(3, room))))
+        mults.append(draw(st.integers(1, room // ks[-1])))
+        room -= ks[-1] * mults[-1]
+    return ks, mults, draw(st.integers(0, room)), rng
 
 
 @st.composite
@@ -89,13 +107,7 @@ def _star_closed_family(draw):
     matrix units of a direct sum of M_k (x) I_m plus a zero block, or a
     generic element of that sum with its adjoint, conjugated by a random
     unitary.  The commutant is a sum of M_m, plus M_pad for the zero block."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    ks, mults, room = [], [], 12
-    while room > 0 and (not ks or draw(st.booleans())):
-        ks.append(draw(st.integers(1, min(3, room))))
-        mults.append(draw(st.integers(1, room // ks[-1])))
-        room -= ks[-1] * mults[-1]
-    pad = draw(st.integers(0, room))
+    ks, mults, pad, rng = draw(_block_sum())
     fam = _block_images(ks, mults, pad, rng)
     if draw(st.booleans()):
         c = rng.standard_normal(len(fam)) + 1j * rng.standard_normal(len(fam))
@@ -109,6 +121,39 @@ def _star_closed_family(draw):
 def test_commutant_dimension_on_star_closed_families(case):
     fam, expected = case
     assert commutant(fam).dim == naive_commutant_dim(fam) == expected
+
+
+@st.composite
+def _block_span(draw):
+    """The span of the matrix units of a ``_block_sum``, with its pairs
+    (k, m): as drawn it has disjoint supports and is kept as labels, and
+    conjugated by a random unitary it is kept as dense rows."""
+    ks, mults, pad, rng = draw(_block_sum())
+    fam = _block_images(ks, mults, pad, rng, draw(st.booleans()))
+    return spanned_algebra(fam, check=False), sorted(zip(ks, mults)), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_span())
+def test_span_coordinates_keep_norms_and_the_center_system(case):
+    span, blocks, rng = case
+    basis = span.span_basis
+    c = rng.standard_normal(span.dim) + 1j * rng.standard_normal(span.dim)
+    x = np.tensordot(c, basis, axes=(0, 0))
+    assert np.isclose(np.linalg.norm(span.coordinates(x)), np.linalg.norm(x))
+    # the center system in span coordinates against the commutator system
+    # over all n^2 entries, with the basis or a generic pair as constraints;
+    # a commutative span's system is round-off, so the cutoff scales with
+    # the constraints
+    for constraints in (basis, np.stack([x, x.conj().T])):
+        full = np.concatenate([(basis @ m - m @ basis).reshape(span.dim, -1).T
+                               for m in constraints])
+        scale = 2 * np.max(np.linalg.norm(constraints, axis=(1, 2)))
+        assert structure._center_basis(
+            span, basis, constraints, 1e-9).shape[0] \
+            == nullspace(full, 1e-9, scale).shape[1] == len(blocks)
+    report = minimal_central_projections(span)
+    assert sorted(zip(report.block_dims, report.multiplicities)) == blocks
 
 
 @st.composite
@@ -319,6 +364,22 @@ def test_minimal_central_projections_seed_independent(m23):
     assert key1 == key2
 
 
+def test_wedderburn_solve_builds_no_member_stack():
+    # S^3 of M_1 (+) M_2 (+) M_2: 165 orbit sums on ambient 125, a 41 MB
+    # member stack; the split and the center solve read the labels and
+    # build only each support component's basis
+    algebra = make_algebra([1, 2, 2])
+    stack = symmetric_power_count(algebra.dim, 3) * algebra.ambient ** 6 * 16
+    tracemalloc.start()
+    try:
+        enumerated, spectral = wedderburn_comparison(algebra, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enumerated == spectral
+    assert stack >= 30e6 and peak < stack / 2
+
+
 def test_wedderburn_report_consistency(m23):
     span = symmetric_power_span(m23, 2)
     report = minimal_central_projections(span)
@@ -341,21 +402,29 @@ def _embedded(fam, ambient, offset):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 10), st.floats(0.0, 0.2),
+@given(st.integers(1, 12), st.integers(1, 10), st.floats(0.0, 0.2),
        st.integers(0, 2 ** 32 - 1))
 def test_support_components_match_bfs_oracle(n, count, density, seed):
+    # labels of a family with disjoint supports: each entry is owned, with
+    # probability density, by one of count members, renumbered to those
+    # that own an entry
     rng = np.random.default_rng(seed)
-    mats = rng.random((count, n, n)) < density
+    owner = np.where(rng.random(n * n) < density,
+                     rng.integers(0, count, n * n), -1)
+    entry = np.flatnonzero(owner >= 0)
+    owner[entry] = np.unique(owner[entry], return_inverse=True)[1]
+    mats = np.zeros((owner.max(initial=-1) + 1, n * n), dtype=bool)
+    mats[owner[entry], entry] = True
     got = [(list(idx), list(members))
-           for idx, members in _support_components(mats)]
-    assert got == support_components_bfs(mats)
+           for idx, members in _support_components(n, owner)]
+    assert got == support_components_bfs(mats.reshape(-1, n, n))
 
 
 def test_split_keeps_a_straddling_member_in_one_component(m2):
     # a ⊕ a on ambient 4: E_01 ⊕ E_01 touches both copies
     span = spanned_algebra(np.stack([direct_sum([b, b])
                                      for b in m2.basis_matrices()]))
-    assert len(_support_components(span.span_basis)) == 1
+    assert len(_support_components(span.ambient, span.owner)) == 1
     report = minimal_central_projections(span)
     assert report.block_dims == [2]
     assert report.multiplicities == [2]
@@ -369,7 +438,7 @@ def test_split_of_a_direct_sum_is_the_union_of_the_parts(m2):
              for f in (m2_fam, reg_fam)]
     span = spanned_algebra(np.concatenate([_embedded(m2_fam, 8, 0),
                                            _embedded(reg_fam, 8, 2)]))
-    assert len(_support_components(span.span_basis)) == 2
+    assert len(_support_components(span.ambient, span.owner)) == 2
     report = minimal_central_projections(span)
     assert sorted(zip(report.block_dims, report.multiplicities)) == sorted(
         (d, k) for r in parts for d, k in zip(r.block_dims, r.multiplicities))
@@ -385,7 +454,7 @@ def test_split_of_a_direct_sum_is_the_union_of_the_parts(m2):
 def test_split_skips_indices_no_member_touches(m2):
     # M_2 on the first two of three indices
     span = spanned_algebra(_embedded(m2.basis_matrices(), 3, 0))
-    assert not span.unital
+    assert not span.contains(np.eye(3))
     report = minimal_central_projections(span)
     assert report.block_dims == [2] and report.multiplicities == [1]
     assert np.allclose(report.central_projections[0], np.diag([1, 1, 0]))
@@ -555,7 +624,9 @@ def _span_answers(span, fam, rng, tol=1e-9):
 def test_disjoint_family_is_kept_as_labels(case):
     fam, rng = case
     span = spanned_algebra(fam, check=False)
-    assert span.onb is None and span.span_basis is fam
+    norms = np.linalg.norm(fam, axis=(1, 2))
+    assert span.onb is None
+    assert np.allclose(span.span_basis, fam / norms[:, None, None])
     assert span.owner.shape == span.normalized.shape == (fam[0].size,)
     state = rng.bit_generator.state
     answers = _span_answers(span, fam, rng)
@@ -585,7 +656,7 @@ def test_symmetric_power_span_and_its_components_keep_labels(monkeypatch):
 
     monkeypatch.setattr(structure, "_component_projections", record)
     report = minimal_central_projections(span)
-    assert len(subs) == len(_support_components(span.span_basis)) > 1
+    assert len(subs) == len(_support_components(span.ambient, span.owner)) > 1
     for sub in subs:
         assert sub.onb is None and sub.owner.shape == (sub.ambient ** 2,)
     enumerated, _ = wedderburn_comparison(algebra, 3)
