@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -284,6 +284,13 @@ class SymmetricPowerBasis:
     @property
     def size(self) -> int:
         return len(self.index)
+
+    @cached_property
+    def action(self):
+        """The factor-permuting action of S_n on the tensor power, built on
+        first read and shared by every realization over this basis."""
+        from .crossed import tensor_permutation_action
+        return tensor_permutation_action(self.base, self.n)
 
     @property
     def vectors(self) -> np.ndarray:

@@ -5,10 +5,13 @@ tensor power of a direct sum of matrix blocks are labelled by descriptors:
 a set of distinct blocks, positive multiplicities summing to n, and one
 partition per chosen block bounded in length by the block size.  Each
 descriptor is realized concretely by building the product covariant pair
-over the matching Young subgroup, inducing up to the full symmetric group,
-integrating, and compressing to the range of the group averaging projection.
+over the matching Young subgroup as entry labels, inducing it up to the full
+symmetric group with ``induction.induce``, and compressing the induced
+images of the orbit sums to the range of the group averaging projection.
 The Schur-Weyl representations are the descriptors with a single block of
-multiplicity n, realized by that same construction.
+multiplicity n, realized by that same construction.  Homogeneous components
+of a multiplicative map are recovered by discrete Fourier inversion, with
+one evaluation of the map per root of unity at each point.
 
 The descriptor dimension is the product of semistandard tableau counts, and
 the multiset of descriptor dimensions must agree with the numerically
@@ -27,12 +30,12 @@ import numpy as np
 from .algebra import (FdCStarAlgebra, SymmetricPowerBasis,
                       power_map_differential, symmetric_power_basis,
                       symmetric_power_count)
-from .crossed import GroupAction
+from .crossed import CovariantPair, GroupAction
 from .errors import VerificationError
-from .groups import (ProjectiveRep, Subgroup, check_partition,
+from .groups import (ProjectiveRep, Subgroup, UnitaryRep, check_partition,
                      factor_permutation_index, partitions, sn_irrep,
                      ssyt_count, symmetric_group, young_subgroup)
-from .induction import induced_unitaries
+from .induction import induce
 from .linalg import DEFAULT_TOL, direct_sum, op_norm, orthonormal_columns
 from .structure import (SpannedAlgebra, commutant_dimension, equivalent,
                         intertwiner_space, label_span,
@@ -139,70 +142,52 @@ class RealizedIrrep:
         return int(self.images.shape[1])
 
 
-def _block_entries_of_orbits(base: FdCStarAlgebra, beta, orbit, dest):
-    """Nonzero entries ``(which, row, col)`` of the images of the orbit sums
-    labelled by ``orbit``, each monomial moved by the factor permutation with
-    index ``dest``, under the product of block representations chosen by
-    beta: entry ``(row, col)`` of the image of orbit sum ``which`` is 1.
+def _block_entries(base: FdCStarAlgebra, beta, d_mult: int):
+    """Nonzero entries ``(which, row, col)`` of the product of the block
+    representations chosen by beta on the basis monomials of the tensor
+    power, tensored with the identity on C^d_mult: entry ``(row, col)`` of
+    the image of monomial ``which`` is 1.
 
-    Every basis monomial lies in one orbit sum with coefficient 1 and maps to
-    a single matrix entry (or to zero when some factor misses its assigned
-    block), and distinct monomials map to distinct entries, so the evaluation
-    is positional.
+    Every monomial maps to a single matrix entry, or to zero when some
+    factor misses its assigned block, and distinct monomials map to distinct
+    entries, so the evaluation is positional.
     """
-    digits = np.unravel_index(dest, (base.dim,) * len(beta))
+    digits = np.unravel_index(np.arange(base.dim ** len(beta)),
+                              (base.dim,) * len(beta))
     ok = np.logical_and.reduce(
         [base.block_of[i] == b for i, b in zip(digits, beta)])
     dims = [base.blocks[b] for b in beta]
     row = np.ravel_multi_index([base.local[i[ok], 0] for i in digits], dims)
     col = np.ravel_multi_index([base.local[i[ok], 1] for i in digits], dims)
-    return orbit[ok], row, col
+    span = np.arange(d_mult)
+    return (np.repeat(np.flatnonzero(ok), d_mult),
+            (row[:, None] * d_mult + span).ravel(),
+            (col[:, None] * d_mult + span).ravel())
 
 
-def _young_factorization(sub: Subgroup, q):
-    """Per-block local permutations of every subgroup element.
-
-    Returns a list over the subgroup's local elements; each entry is a tuple
-    of per-block permutation tuples on 0..q_k-1.
-    """
-    offsets = np.concatenate([[0], np.cumsum(q)])
-    out = []
-    for amb in sub.elements:
-        p = sub.ambient.perms[amb]
-        factors = []
-        for k, qk in enumerate(q):
-            o = offsets[k]
-            factors.append(tuple(p[o + i] - o for i in range(qk)))
-        out.append(tuple(factors))
-    return out
-
-
-def _realization_unitaries(algebra, n, desc, sub: Subgroup):
+def _realization_unitaries(algebra, desc, sub: Subgroup):
     """The linking unitaries of the product pair: for each subgroup element,
     the factor permutation on the product carrier tensored with the conjugate
-    of the chosen symmetric group irreps of the multiplicity space."""
-    beta = []
-    for b, mult in zip(desc.blocks, desc.q):
-        beta.extend([b] * mult)
-    dims = [algebra.blocks[b] for b in beta]
+    of the chosen symmetric group irreps of the multiplicity space, each at
+    the element's permutation of its own block of factors.  Returns the
+    block of each factor, the unitaries and the multiplicity dimension."""
+    beta = np.repeat(desc.blocks, desc.q)
     ureps = [sn_irrep(lam) for lam in desc.lambdas]
-    d_mult = 1
-    for u in ureps:
-        d_mult *= u.dim
-    factor_groups = [symmetric_group(qk) for qk in desc.q]
-    lookup = [{p: i for i, p in enumerate(g.perms)} for g in factor_groups]
-    w1 = []
-    dests = factor_permutation_index(
-        dims, [sub.ambient.perms[amb] for amb in sub.elements])
+    lookups = [{p: i for i, p in enumerate(symmetric_group(qk).perms)}
+               for qk in desc.q]
+    offsets = np.cumsum([0, *desc.q])
+    perms = [sub.ambient.perms[amb] for amb in sub.elements]
+    dests = factor_permutation_index([algebra.blocks[b] for b in beta], perms)
     total = dests.shape[1]
-    for dest, factors in zip(dests, _young_factorization(sub, desc.q)):
+    w1 = []
+    for dest, p in zip(dests, perms):
         v0 = np.zeros((total, total), dtype=complex)
         v0[dest, np.arange(total)] = 1.0
         u0 = np.eye(1, dtype=complex)
-        for k, f in enumerate(factors):
-            u0 = np.kron(u0, ureps[k].mat(lookup[k][f]))
+        for u, lookup, o, qk in zip(ureps, lookups, offsets, desc.q):
+            u0 = np.kron(u0, u.mat(lookup[tuple(x - o for x in p[o:o + qk])]))
         w1.append(np.kron(v0, np.conj(u0)))
-    return beta, np.stack(w1), d_mult
+    return beta, np.stack(w1), u0.shape[0]
 
 
 def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
@@ -211,9 +196,9 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     """Concrete irreducible representation attached to a descriptor.
 
     Builds the product covariant pair over the Young subgroup of the
-    descriptor's multiplicities, induces to the full symmetric group in
-    coset-block form, and compresses the algebra action to the range of the
-    group averaging projection.  The compressed dimension must equal the
+    descriptor's multiplicities as entry labels, induces it to the full
+    symmetric group with ``induce``, and compresses the induced images of
+    the orbit sums to the range of the group averaging projection.  The compressed dimension must equal the
     descriptor dimension; distinct descriptors yield inequivalent
     irreducibles.
     """
@@ -221,34 +206,26 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
         raise ValueError("descriptor degree does not match n")
     if sym is None:
         sym = symmetric_power_basis(algebra, n)
-    group = symmetric_group(n)
-    sub = young_subgroup(desc.q, group)
-    beta, w1, d_mult = _realization_unitaries(algebra, n, desc, sub)
-    m_block = w1.shape[1]
-    size = sub.index * m_block
+    action = sym.action
+    sub = young_subgroup(desc.q, action.group)
+    beta, w1, d_mult = _realization_unitaries(algebra, desc, sub)
 
-    # induced unitaries and the averaging projection
-    avg = np.mean(induced_unitaries(sub, w1), axis=0)
-    w = orthonormal_columns(avg, tol)
+    base = CovariantPair(action.restrict(sub),
+                         _block_entries(algebra, beta, d_mult),
+                         UnitaryRep(sub.group, w1, check=False), check=False)
+    pair = induce(base, action, sub, tol=tol, check=False).pair
+
+    w = orthonormal_columns(pair.unitary.mean(), tol)
     if w.shape[1] != desc.dim:
         raise VerificationError(
             f"fixed space has rank {w.shape[1]}, descriptor dimension {desc.dim}")
 
-    # the induced algebra action on the orbit-sum basis vectors is sparse:
-    # block j is the product pair composed with the automorphism of g_j^{-1},
-    # tensored with the identity of the multiplicity space.  Accumulate
-    # t[a] = pi(a) w from its entries, then compress with w*.
-    dests = factor_permutation_index(
-        [algebra.dim] * n,
-        [group.perms[group.inverse(gj)] for gj in sub.coset_reps])
-    span = np.arange(d_mult)
-    t = np.zeros((sym.size, size, w.shape[1]), dtype=complex)
-    for j, dest in enumerate(dests):
-        which, row, col = _block_entries_of_orbits(
-            algebra, beta, sym.orbit, dest)
-        rows = (j * m_block + row[:, None] * d_mult + span).ravel()
-        cols = (j * m_block + col[:, None] * d_mult + span).ravel()
-        np.add.at(t, (np.repeat(which, d_mult), rows), w[cols])
+    # accumulate t[a] = pi(a) w from the induced entries of the orbit sums,
+    # then compress with w*; the dense induced unitaries are not needed
+    which, row, col = pair.labels
+    del pair
+    t = np.zeros((sym.size, *w.shape), dtype=complex)
+    np.add.at(t, (sym.orbit[which], row), w[col])
     images = np.matmul(w.conj().T, t)
     return RealizedIrrep(desc, images)
 
@@ -454,44 +431,51 @@ def intertwining_cocycle(pi, action: GroupAction, isotropy: Subgroup,
 
 def homogeneous_components(phi, algebra: FdCStarAlgebra, n_max: int,
                            tol: float = DEFAULT_TOL, seed: int = 0,
-                           samples: int = 8) -> list:
+                           samples: int = 8):
     """Split a multiplicative map into its homogeneous parts by discrete
     Fourier inversion over roots of unity.
 
-    ``phi`` maps coefficient vectors to matrices and is assumed to have no
-    component of degree above n_max.  Random samples check that the recovered
-    components sum back to phi and that each one is homogeneous of its degree
-    at a generic phase; a failure means the degree bound was too small
+    Returns a function that maps x to the list of the m = n_max + 1
+    components at x, from the m values phi(zeta^j x).  ``phi`` maps
+    coefficient vectors to matrices and is assumed to have no component of
+    degree above n_max.  Random samples check that the recovered components
+    sum back to phi and that each one is homogeneous of its degree at a
+    generic phase; a failure means the degree bound was too small
     (components above n_max alias onto lower degrees).  The values of the
     components at the unit are mutually orthogonal projections.
     """
     m = n_max + 1
     zeta = np.exp(2j * np.pi / m)
 
-    def component(k):
-        def phi_k(x):
-            x = np.asarray(x, dtype=complex)
-            acc = 0
-            for j in range(m):
-                acc = acc + zeta ** (-k * j) * phi(zeta ** j * x)
-            return acc / m
-        return phi_k
+    def components(x):
+        # one value of phi at a time, added into every component
+        x = np.asarray(x, dtype=complex)
+        acc = [0] * m
+        for j in range(m):
+            value = phi(zeta ** j * x)
+            for k in range(m):
+                acc[k] += zeta ** (-k * j) * value
+        for a in acc:
+            a /= m
+        return acc
 
-    comps = [component(k) for k in range(m)]
+    def check(x, z):
+        ref = phi(x)
+        scale = max(1.0, op_norm(ref))
+        values = components(x)
+        if op_norm(sum(values) - ref) > tol * scale:
+            raise VerificationError("degree bound too small for this map")
+        for k, (moved, value) in enumerate(zip(components(z * x), values)):
+            moved -= z ** k * value
+            if op_norm(moved) > tol * scale:
+                raise VerificationError("degree bound too small for this map")
+
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         x = algebra.random_element(rng)
-        x = x / max(algebra.norm(x), 1e-12)
-        ref = phi(x)
-        scale = max(1.0, op_norm(ref))
-        values = [c(x) for c in comps]
-        if op_norm(sum(values) - ref) > tol * scale:
-            raise VerificationError("degree bound too small for this map")
-        z = np.exp(2j * np.pi * rng.random())
-        for k, value in enumerate(values):
-            if op_norm(comps[k](z * x) - z ** k * value) > tol * scale:
-                raise VerificationError("degree bound too small for this map")
-    return comps
+        check(x / max(algebra.norm(x), 1e-12),
+              np.exp(2j * np.pi * rng.random()))
+    return components
 
 
 def direct_sum_of_power_maps(algebra: FdCStarAlgebra, degrees):

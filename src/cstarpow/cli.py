@@ -211,7 +211,7 @@ def cmd_crossed(args, cfg: RunConfig) -> tuple[int, dict]:
             c = rng.standard_normal(fixed.shape[0]) \
                 + 1j * rng.standard_normal(fixed.shape[0])
             x = fixed.T @ c
-            ix = corner_embedding(action, x, tol=1e-6)
+            ix = corner_embedding(action, x, tol=cfg.tol)
             err = op_norm(integrated_form(pair, ix) - pair.apply(x) @ pu)
             sample_worst = max(sample_worst, err)
     payload = {
@@ -288,8 +288,8 @@ def cmd_homog(args, cfg: RunConfig) -> tuple[int, dict]:
     rng = np.random.default_rng(cfg.seed + 1)
     x = algebra.random_element(rng)
     x = x / max(algebra.norm(x), 1e-12)
-    recovered = [float(op_norm(c(x))) for c in comps]
-    unit_projs = [c(algebra.unit()) for c in comps]
+    recovered = [float(op_norm(c)) for c in comps(x)]
+    unit_projs = comps(algebra.unit())
     ortho = 0.0
     for i in range(len(unit_projs)):
         for j in range(len(unit_projs)):
@@ -328,82 +328,63 @@ def cmd_verify(args, cfg: RunConfig) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 # parser
 
-def _build_parser() -> argparse.ArgumentParser:
+_BLOCKS = ("--blocks", {"help": "comma separated block sizes, e.g. 2,3"})
+_ALGEBRA = [_BLOCKS, ("--spec", {"help": "path to an algebra JSON file"})]
+_N = ("--n", {"type": int, "required": True})
+_ACTION = [_BLOCKS, ("--action-spec", {"help": "path to an action JSON file"}),
+           ("--n", {"type": int, "default": 2})]
+_COMMON = [
+    ("--tol", {"type": float, "default": DEFAULT_TOL}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--json", {"action": "store_true",
+                "help": "emit canonical JSON instead of a table"}),
+    ("--budget", {"type": int, "default": 2000,
+                  "help": "largest allowed ambient matrix size"}),
+]
+
+# subcommand -> (handler, help, arguments before the common ones)
+_COMMANDS = {
+    "sympow": (cmd_sympow, "dimension and block data of a symmetric power",
+               [*_ALGEBRA, _N]),
+    "classify": (cmd_classify, "enumerate irreducible representations",
+                 [*_ALGEBRA, _N, ("--crosscheck", {"action": "store_true"})]),
+    "crossed": (cmd_crossed, "corner identities of a crossed product",
+                [*_ACTION, ("--samples", {"type": _int_at_least(0),
+                                          "default": 20})]),
+    "induce": (cmd_induce, "induce a covariant pair from a subgroup",
+               [*_ACTION, ("--q", {"help": "composition describing a Young "
+                                           "subgroup"})]),
+    "schur-weyl": (cmd_schur_weyl, "Schur-Weyl representations",
+                   [*_ALGEBRA, _N, ("--injectivity-nmax", {"type": int})]),
+    "homog": (cmd_homog, "homogeneous components of a power map sum",
+              [*_ALGEBRA, ("--degrees", {"default": "1,2"}),
+               ("--nmax", {"type": _int_at_least(1)})]),
+    "verify": (cmd_verify, "run a named verification suite",
+               [("suite", {})]),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser for one subcommand, with its arguments; without a known
+    subcommand, one that lists them all for help and errors."""
     parser = argparse.ArgumentParser(
         prog="cstarpow",
         description="symmetric powers and crossed products of "
                     "finite-dimensional C*-algebras")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true",
-                       help="emit canonical JSON instead of a table")
-        p.add_argument("--budget", type=int, default=2000,
-                       help="largest allowed ambient matrix size")
-
-    p = sub.add_parser("sympow", help="dimension and block data of a symmetric power")
-    p.add_argument("--blocks", help="comma separated block sizes, e.g. 2,3")
-    p.add_argument("--spec", help="path to an algebra JSON file")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("classify", help="enumerate irreducible representations")
-    p.add_argument("--blocks")
-    p.add_argument("--spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--crosscheck", action="store_true")
-    common(p)
-
-    p = sub.add_parser("crossed", help="corner identities of a crossed product")
-    p.add_argument("--blocks")
-    p.add_argument("--action-spec", dest="action_spec")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--samples", type=_int_at_least(0), default=20)
-    common(p)
-
-    p = sub.add_parser("induce", help="induce a covariant pair from a subgroup")
-    p.add_argument("--blocks")
-    p.add_argument("--action-spec", dest="action_spec")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--q", help="composition describing a Young subgroup")
-    common(p)
-
-    p = sub.add_parser("schur-weyl", help="Schur-Weyl representations")
-    p.add_argument("--blocks")
-    p.add_argument("--spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--injectivity-nmax", dest="injectivity_nmax", type=int)
-    common(p)
-
-    p = sub.add_parser("homog", help="homogeneous components of a power map sum")
-    p.add_argument("--blocks")
-    p.add_argument("--spec")
-    p.add_argument("--degrees", default="1,2")
-    p.add_argument("--nmax", type=_int_at_least(1))
-    common(p)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite")
-    common(p)
-
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        if command not in _COMMANDS:
+            sub.add_parser(name, help=help_text)
+        elif name == command:
+            p = sub.add_parser(name, help=help_text)
+            for flag, options in arguments + _COMMON:
+                p.add_argument(flag, **options)
     return parser
 
 
-_COMMANDS = {
-    "sympow": cmd_sympow,
-    "classify": cmd_classify,
-    "crossed": cmd_crossed,
-    "induce": cmd_induce,
-    "schur-weyl": cmd_schur_weyl,
-    "homog": cmd_homog,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -412,7 +393,7 @@ def main(argv=None) -> int:
         cfg = RunConfig(tol=args.tol, seed=args.seed,
                         output="json" if args.json else "table",
                         budget=args.budget)
-        code, payload = _COMMANDS[args.command](args, cfg)
+        code, payload = _COMMANDS[args.command][0](args, cfg)
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FdCStarAlgebra, make_algebra, tensor_power
+from .algebra import (MAX_DENSE_ENTRIES, FdCStarAlgebra, make_algebra,
+                      tensor_power)
+from .errors import BudgetError
 from .groups import (FiniteGroup, Subgroup, UnitaryRep,
                      factor_permutation_index, group_from_json,
                      homomorphism_residual, permutation_rep, symmetric_group)
@@ -336,26 +338,36 @@ class CovariantPair:
     """An algebra representation and a unitary group representation that are
     linked by the covariance relation pi(alpha_g(x)) = U_g pi(x) U_g*.
 
-    ``pi_images`` stacks the image of every basis element.  ``None`` stands
-    for the algebra's own matrix units in its defining embedding, so that
-    pi(x) is ``algebra.embed(x)``; the stack ``pi`` is then built only when
-    it is read.
+    ``pi_images`` stacks the image of every basis element, or gives them as
+    entry labels ``(which, row, col)``: pi(e_which) has a 1 at (row, col),
+    and no two labels share an entry.  ``None`` stands for the labels of the
+    algebra's own positions, so that pi(x) is ``algebra.embed(x)``.  For
+    labels the stack ``pi`` is built only when it is read.
     """
 
     def __init__(self, action: GroupAction, pi_images, unitary: UnitaryRep,
                  check: bool = True, tol: float = DEFAULT_TOL):
         self.action = action
         self.unitary = unitary
-        self.matrix_units = pi_images is None
-        self._pi = None if pi_images is None else \
-            np.asarray(pi_images, dtype=complex)
         if unitary.group is not action.group:
             raise ValueError("unitary representation is over the wrong group")
-        alg = action.algebra
-        shape = (alg.dim, alg.ambient) if self._pi is None \
-            else self._pi.shape[:2]
-        if shape != (alg.dim, unitary.dim):
-            raise ValueError("pi images have the wrong shape")
+        alg, n = action.algebra, unitary.dim
+        if pi_images is None:
+            pi_images = (np.arange(alg.dim), *alg.positions.T)
+        self.labels = self._pi = None
+        if isinstance(pi_images, tuple):
+            labels = np.stack([np.asarray(a, dtype=np.int64).ravel()
+                               for a in pi_images])
+            if np.any((labels < 0) | (labels >= [[alg.dim], [n], [n]])):
+                raise ValueError("pi labels are out of range")
+            self.labels = which, row, col = tuple(labels)
+            key = np.sort(row * n + col)
+            if np.any(key[1:] == key[:-1]):
+                raise ValueError("pi labels share an entry")
+        else:
+            self._pi = np.asarray(pi_images, dtype=complex)
+            if self._pi.shape != (alg.dim, n, n):
+                raise ValueError("pi images have the wrong shape")
         if check:
             self._check(tol)
 
@@ -366,37 +378,51 @@ class CovariantPair:
     @property
     def pi(self) -> np.ndarray:
         if self._pi is None:
-            self._pi = self.action.algebra.basis_matrices()
+            n, count = self.dim, self.action.algebra.dim
+            if count * n * n > MAX_DENSE_ENTRIES:
+                raise BudgetError(f"image stack of {count}x{n}x{n} entries")
+            which, row, col = self.labels
+            self._pi = np.zeros((count, n, n), dtype=complex)
+            self._pi[which, row, col] = 1.0
         return self._pi
 
     @property
     def is_spatial(self) -> bool:
-        """Matrix-unit images with a permutation unitary and action, where
+        """Labelled images with a permutation unitary and action, where
         covariance and integrated forms reduce to index arithmetic."""
-        return self.matrix_units and self.unitary.dest is not None \
+        return self.labels is not None and self.unitary.dest is not None \
             and self.action.is_permutation
 
     def apply(self, coeffs) -> np.ndarray:
         """pi of a coefficient vector, or of each row of a stack."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        if self.matrix_units:
-            return self.action.algebra.embed(coeffs)
         n = self.dim
+        if self.labels is not None:
+            which, row, col = self.labels
+            out = np.zeros(coeffs.shape[:-1] + (n, n), dtype=complex)
+            out[..., row, col] = coeffs[..., which]
+            return out
         out = coeffs @ self._pi.reshape(self._pi.shape[0], n * n)
         return out.reshape(coeffs.shape[:-1] + (n, n))
 
     def _check(self, tol):
         """Covariance, exactly on indices for a spatial pair: U_g E(r, c)
-        U_g* is E(dest_g r, dest_g c), which must be the unit that alpha_g
-        moves E(r, c) to.  Otherwise at one generic x = sum_i c_i e_i for
-        every g at once: the law is linear in x, so a generic x shows any
-        failing basis element."""
+        U_g* is E(dest_g r, dest_g c), which must be an entry labelled with
+        the element that alpha_g moves the label of E(r, c) to.  dest_g is a
+        bijection and the entries are disjoint, so that is the whole law.
+        Otherwise at one generic x = sum_i c_i e_i for every g at once: the
+        law is linear in x, so a generic x shows any failing basis element."""
         action = self.action
         alg = action.algebra
         if self.is_spatial:
-            pos = alg.positions
-            if not np.array_equal(self.unitary.dest[:, pos],
-                                  pos[action.perm_maps]):
+            which, row, col = self.labels
+            n, dest = self.dim, self.unitary.dest
+            key = row * n + col
+            order = np.argsort(key)
+            moved = dest[:, row] * n + dest[:, col]
+            at = np.minimum(np.searchsorted(key[order], moved), key.size - 1)
+            if not (np.array_equal(key[order][at], moved) and np.array_equal(
+                    which[order][at], action.perm_maps[:, which])):
                 raise ValueError("pair fails the covariance relation")
             return
         c = alg.random_element(np.random.default_rng(0))
@@ -405,16 +431,16 @@ class CovariantPair:
             np.broadcast_to(c, (action.group.order, alg.dim))))
         u = self.unitary.matrices
         moved -= u @ x @ u.conj().transpose(0, 2, 1)
-        scale = 1.0 if self.matrix_units else \
+        scale = 1.0 if self.labels is not None else \
             max(1.0, float(np.max(np.abs(self._pi), initial=0.0)))
         if np.max(np.abs(moved), initial=0.0) > 100 * tol * scale:
             raise ValueError("pair fails the covariance relation")
 
     def restrict(self, sub: Subgroup) -> "CovariantPair":
         """The same pair over a subgroup of the acting group, with the same
-        images (matrix units stay matrix units)."""
+        images (labels stay labels)."""
         return CovariantPair(self.action.restrict(sub),
-                             None if self.matrix_units else self._pi,
+                             self._pi if self.labels is None else self.labels,
                              self.unitary.restrict(sub), check=False)
 
 
@@ -436,14 +462,13 @@ def integrated_form(pair: CovariantPair, f: CrossedElement) -> np.ndarray:
     grp, n = pair.action.group, pair.dim
     if pair.is_spatial:
         # E(r, c) U_g = E(r, dest_g^-1 c), and dest of g^-1 inverts dest_g;
-        # distinct units of one g land on distinct entries, so bincount sums
-        # every entry over g in order
-        pos = pair.action.algebra.positions
-        cols = pair.unitary.dest[grp.inv][:, pos[:, 1]]
-        flat = (pos[:, 0] * n + cols).ravel()
-        vals = f.values.ravel()
-        out = np.bincount(flat, vals.real, n * n) \
-            + 1j * np.bincount(flat, vals.imag, n * n)
+        # distinct entries of one g land on distinct entries, so bincount
+        # sums every entry over g in order
+        which, row, col = pair.labels
+        cols = pair.unitary.dest[grp.inv][:, col]
+        flat = (row * n + cols).ravel()
+        out = np.bincount(flat, f.values.real[:, which].ravel(), n * n) \
+            + 1j * np.bincount(flat, f.values.imag[:, which].ravel(), n * n)
         return out.reshape(n, n) / grp.order
     imgs = pair.apply(f.values)
     out = imgs.transpose(1, 0, 2).reshape(n, grp.order * n) \

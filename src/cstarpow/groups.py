@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -124,10 +124,12 @@ def group_to_json(group: FiniteGroup) -> dict:
 class Subgroup:
     """A subgroup of an ambient group, with left coset bookkeeping.
 
-    ``elements`` are ambient indices in increasing order; ``group`` is the
-    intrinsic multiplication table on local indices; ``coset_reps`` are the
-    smallest ambient index in each left coset (for symmetric groups this is
-    the lexicographically minimal permutation).
+    ``elements`` are ambient indices in increasing order, and ``local[g]`` is
+    the local index of ambient element g (-1 off the subgroup); ``group`` is
+    the intrinsic multiplication table on local indices; ``coset_reps`` are
+    the smallest ambient index in each left coset (for symmetric groups this
+    is the lexicographically minimal permutation), and ``coset_of[g]`` is
+    the coset of g.
     """
 
     def __init__(self, ambient: FiniteGroup, elements):
@@ -143,24 +145,17 @@ class Subgroup:
                     raise ValueError("subset not closed under multiplication")
         self.ambient = ambient
         self.elements = elements
-        self.local = {amb: i for i, amb in enumerate(elements)}
-        table = [[self.local[ambient.multiply(a, b)] for b in elements]
-                 for a in elements]
+        self.local = np.full(ambient.order, -1, dtype=np.int64)
+        self.local[list(elements)] = np.arange(len(elements))
+        table = self.local[ambient.mult[np.ix_(elements, elements)]]
         perms = None
         if ambient.perms is not None:
             perms = [ambient.perms[a] for a in elements]
         self.group = FiniteGroup(table, perms=perms, check=False)
-        coset_of = np.full(ambient.order, -1, dtype=np.int64)
-        reps = []
-        for g in range(ambient.order):
-            if coset_of[g] >= 0:
-                continue
-            j = len(reps)
-            reps.append(g)
-            for h in elements:
-                coset_of[ambient.multiply(g, h)] = j
-        self.coset_reps = tuple(reps)
-        self.coset_of = coset_of
+        # the least element of the coset g H represents it
+        reps, self.coset_of = np.unique(
+            ambient.mult[:, elements].min(axis=1), return_inverse=True)
+        self.coset_reps = tuple(reps.tolist())
 
     @property
     def order(self) -> int:
@@ -169,6 +164,17 @@ class Subgroup:
     @property
     def index(self) -> int:
         return len(self.coset_reps)
+
+    @cached_property
+    def coset_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where g moves coset block j, for every ambient g and block j: the
+        block k of the coset of g g_j, and the local index of g_k^-1 g g_j,
+        as two (ambient order, index) arrays."""
+        amb = self.ambient
+        reps = np.array(self.coset_reps)
+        moved = amb.mult[:, reps]
+        target = self.coset_of[moved]
+        return target, self.local[amb.mult[amb.inv[reps[target]], moved]]
 
     def __repr__(self):
         return f"Subgroup(order={self.order}, index={self.index})"

@@ -5,8 +5,11 @@ coset.  With coset representatives g_0 = identity, g_1, ..., g_r, the algebra
 acts block-diagonally, the j-th block being the base representation composed
 with the automorphism of g_j^{-1}, and a group element g maps block j to the
 block k of its translated coset, acting there by the base unitary of
-g_k^{-1} g g_j.  Coset representatives are the lexicographically minimal
-elements, so the construction is deterministic.
+g_k^{-1} g g_j.  ``Subgroup.coset_table`` gives k and g_k^{-1} g g_j for
+every (g, j) at once, and ``induce`` is the one construction of induced
+pairs: labelled images and index unitaries stay in that form, so inducing a
+spatial pair is index arithmetic.  Coset representatives are the
+lexicographically minimal elements, so the construction is deterministic.
 """
 
 from __future__ import annotations
@@ -33,10 +36,6 @@ class InducedRep:
     block_dim: int
 
     @property
-    def coset_reps(self) -> tuple:
-        return self.subgroup.coset_reps
-
-    @property
     def num_blocks(self) -> int:
         return len(self.subgroup.coset_reps)
 
@@ -45,8 +44,7 @@ class InducedRep:
 
     def block_target(self, g: int, j: int) -> int:
         """Index of the coset block that g sends block j to."""
-        amb = self.subgroup.ambient
-        return int(self.subgroup.coset_of[amb.multiply(g, self.coset_reps[j])])
+        return int(self.subgroup.coset_table[0][g, j])
 
 
 def induce(base: CovariantPair, action: GroupAction, sub: Subgroup,
@@ -55,7 +53,10 @@ def induce(base: CovariantPair, action: GroupAction, sub: Subgroup,
 
     ``base`` must be a covariant pair of the action restricted to ``sub``;
     the result is a covariant pair of the full system whose dimension is the
-    subgroup index times the base dimension.
+    subgroup index times the base dimension.  Over a permutation action,
+    labelled base images induce to labels and an index unitary to an index
+    unitary, so a spatial base induces to a spatial pair; dense blocks are
+    placed only for dense inputs.
     """
     if sub.ambient is not action.group:
         raise ValueError("subgroup does not live in the acting group")
@@ -63,39 +64,35 @@ def induce(base: CovariantPair, action: GroupAction, sub: Subgroup,
         raise ValueError("base pair is not over the given subgroup")
     _check_restriction(base.action, action, sub, tol)
     grp = action.group
-    m = base.dim
-    n = sub.index * m
+    m, r = base.dim, sub.index
+    n = r * m
+    reps = np.array(sub.coset_reps)
 
-    pi = np.zeros((action.algebra.dim, n, n), dtype=complex)
-    for j, gj in enumerate(sub.coset_reps):
-        sl = slice(j * m, (j + 1) * m)
-        pi[:, sl, sl] = action.composed_images(grp.inverse(gj), base.pi)
+    if base.labels is not None and action.is_permutation:
+        # the entry of base label i in block j belongs to the element that
+        # alpha of g_j moves e_i to
+        which, row, col = base.labels
+        shift = np.arange(r)[:, None] * m
+        pi = (action.perm_maps[reps][:, which], row + shift, col + shift)
+    else:
+        pi = np.zeros((action.algebra.dim, n, n), dtype=complex)
+        for j, gj in enumerate(reps):
+            sl = slice(j * m, (j + 1) * m)
+            pi[:, sl, sl] = action.composed_images(grp.inverse(gj), base.pi)
 
-    unitary = UnitaryRep(grp, induced_unitaries(sub, base.unitary.matrices),
-                         check=False)
+    # g maps block j to block k by the base unitary of local index h
+    k, h = sub.coset_table
+    if base.unitary.dest is not None:
+        dest = k[:, :, None] * m + base.unitary.dest[h]
+        unitary = UnitaryRep(grp, dest=dest.reshape(grp.order, n),
+                             check=False)
+    else:
+        mats = np.zeros((grp.order, r, m, r, m), dtype=complex)
+        mats[np.arange(grp.order)[:, None], k, :, np.arange(r), :] = \
+            base.unitary.matrices[h]
+        unitary = UnitaryRep(grp, mats.reshape(grp.order, n, n), check=False)
     pair = CovariantPair(action, pi, unitary, check=check, tol=tol)
     return InducedRep(base, sub, action, pair, m)
-
-
-def induced_unitaries(sub: Subgroup, base_mats) -> np.ndarray:
-    """The group unitaries of the representation induced from ``sub``.
-
-    ``base_mats[h]`` is the base unitary of the subgroup element with local
-    index h.  In coset-block form, g maps block j to the block k of the coset
-    of g g_j and acts there by the base unitary of g_k^{-1} g g_j.
-    """
-    grp = sub.ambient
-    reps = sub.coset_reps
-    m = base_mats.shape[1]
-    n = len(reps) * m
-    umats = np.zeros((grp.order, n, n), dtype=complex)
-    for g in range(grp.order):
-        for j, gj in enumerate(reps):
-            k = int(sub.coset_of[grp.multiply(g, gj)])
-            h = grp.multiply(grp.inverse(reps[k]), grp.multiply(g, gj))
-            umats[g, k * m:(k + 1) * m, j * m:(j + 1) * m] = \
-                base_mats[sub.local[h]]
-    return umats
 
 
 def _check_restriction(base_action: GroupAction, action: GroupAction,
@@ -175,7 +172,7 @@ def _compressed_family(ind: InducedRep, j: int) -> np.ndarray:
     elements leave block j invariant.
     """
     grp = ind.action.group
-    gj = ind.coset_reps[j]
+    gj = ind.subgroup.coset_reps[j]
     sl = ind.block_slice(j)
     pi_j = ind.pair.pi[:, sl, sl]
     conj_elements = [grp.multiply(gj, grp.multiply(h, grp.inverse(gj)))

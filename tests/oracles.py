@@ -115,6 +115,14 @@ def naive_integrated_form(pi, unitaries, f):
     return out / len(f)
 
 
+def compositions(n):
+    """All ordered ways to write n as a sum of positive parts."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1)
+            for rest in compositions(n - first)]
+
+
 def multiset_permutations(ms):
     return set(itertools.permutations(ms))
 
@@ -178,20 +186,56 @@ def support_components_bfs(mats):
     return out
 
 
+def induced_unitaries(sub, base_mats):
+    """The group unitaries of the representation induced from ``sub``.
+
+    ``base_mats[h]`` is the base unitary of the subgroup element with local
+    index h.  In coset-block form, g maps block j to the block k of the coset
+    of g g_j and acts there by the base unitary of g_k^{-1} g g_j; filled
+    one (g, j) at a time."""
+    grp = sub.ambient
+    reps = sub.coset_reps
+    m = base_mats.shape[1]
+    n = len(reps) * m
+    umats = np.zeros((grp.order, n, n), dtype=complex)
+    for g in range(grp.order):
+        for j, gj in enumerate(reps):
+            k = int(sub.coset_of[grp.multiply(g, gj)])
+            h = grp.multiply(grp.inverse(reps[k]), grp.multiply(g, gj))
+            umats[g, k * m:(k + 1) * m, j * m:(j + 1) * m] = \
+                base_mats[sub.local[h]]
+    return umats
+
+
+def induced_images(action, sub, base_pi):
+    """The induced image stack: block j holds the base images composed
+    with the automorphism of g_j^{-1}, applied as its dense coefficient
+    matrix, one coset at a time."""
+    grp = sub.ambient
+    m = base_pi.shape[1]
+    n = sub.index * m
+    pi = np.zeros((base_pi.shape[0], n, n), dtype=complex)
+    for j, gj in enumerate(sub.coset_reps):
+        moved = np.tensordot(action.matrix(grp.inverse(gj)), base_pi,
+                             axes=(0, 0))
+        pi[:, j * m:(j + 1) * m, j * m:(j + 1) * m] = moved
+    return pi
+
+
 def dense_realized_images(algebra, n, desc, sym):
     """Images of the realization of a descriptor, built the direct way: for
     each orbit-sum vector, the induced algebra action as a dense matrix,
     filled monomial by monomial, compressed to the range of the averaging
-    projection.  The unitaries and the projection come from the package;
-    only the action and its compression are rebuilt here."""
+    projection.  The Young product's unitaries and the orthonormalization
+    come from the package; their induction, the action and its compression
+    are rebuilt here."""
     from cstarpow.classify import _realization_unitaries
     from cstarpow.groups import symmetric_group, young_subgroup
-    from cstarpow.induction import induced_unitaries
     from cstarpow.linalg import orthonormal_columns
 
     group = symmetric_group(n)
     sub = young_subgroup(desc.q, group)
-    beta, w1, d_mult = _realization_unitaries(algebra, n, desc, sub)
+    beta, w1, d_mult = _realization_unitaries(algebra, desc, sub)
     m_block = w1.shape[1]
     size = sub.index * m_block
     w = orthonormal_columns(np.mean(induced_unitaries(sub, w1), axis=0))

@@ -316,9 +316,10 @@ def test_homogeneous_pure_degree(m2, rng):
     comps = homogeneous_components(phi, m2, 2)
     x = m2.random_element(rng)
     x = x / m2.norm(x)
-    assert op_norm(comps[2](x) - phi(x)) < 1e-9
-    assert op_norm(comps[0](x)) < 1e-9
-    assert op_norm(comps[1](x)) < 1e-9
+    c0, c1, c2 = comps(x)
+    assert op_norm(c2 - phi(x)) < 1e-9
+    assert op_norm(c0) < 1e-9
+    assert op_norm(c1) < 1e-9
 
 
 def test_power_map_sum_is_kronecker_powers_of_the_embedding(m23, rng):
@@ -332,9 +333,7 @@ def test_power_map_sum_is_kronecker_powers_of_the_embedding(m23, rng):
 def test_homogeneous_block_sum(m2, rng):
     phi = direct_sum_of_power_maps(m2, [1, 2])
     comps = homogeneous_components(phi, m2, 2)
-    unit = m2.unit()
-    p1 = comps[1](unit)
-    p2 = comps[2](unit)
+    _, p1, p2 = comps(m2.unit())
     assert np.allclose(p1, np.diag([1, 1, 0, 0, 0, 0]))
     assert np.allclose(p2, np.diag([0, 0, 1, 1, 1, 1]))
     assert op_norm(p1 @ p2) < 1e-12
@@ -343,14 +342,13 @@ def test_homogeneous_block_sum(m2, rng):
         x = x / m2.norm(x)
         y = m2.random_element(rng)
         y = y / m2.norm(y)
+        cx, cy, cxy = comps(x), comps(y), comps(m2.multiply(x, y))
+        z = np.exp(0.7j)
+        czx = comps(z * x)
         for deg in (1, 2):
-            lhs = comps[deg](m2.multiply(x, y))
-            rhs = comps[deg](x) @ comps[deg](y)
-            assert op_norm(lhs - rhs) < 1e-9
-            z = np.exp(0.7j)
-            assert op_norm(comps[deg](z * x) - z ** deg * comps[deg](x)) < 1e-9
-        total = sum(c(x) for c in comps)
-        assert op_norm(total - phi(x)) < 1e-9
+            assert op_norm(cxy[deg] - cx[deg] @ cy[deg]) < 1e-9
+            assert op_norm(czx[deg] - z ** deg * cx[deg]) < 1e-9
+        assert op_norm(sum(cx) - phi(x)) < 1e-9
 
 
 def test_homogeneous_constant_on_point():
@@ -359,9 +357,23 @@ def test_homogeneous_constant_on_point():
     def phi(x):
         return np.eye(1, dtype=complex)
 
-    comps = homogeneous_components(phi, point, 1)
-    assert op_norm(comps[0](np.array([0.3 + 0.1j])) - np.eye(1)) < 1e-12
-    assert op_norm(comps[1](np.array([0.3 + 0.1j]))) < 1e-12
+    c0, c1 = homogeneous_components(phi, point, 1)(np.array([0.3 + 0.1j]))
+    assert op_norm(c0 - np.eye(1)) < 1e-12
+    assert op_norm(c1) < 1e-12
+
+
+def test_homogeneous_components_evaluate_phi_once_per_point(m2):
+    inner = direct_sum_of_power_maps(m2, [1, 2])
+    calls = []
+
+    def phi(x):
+        calls.append(1)
+        return inner(x)
+
+    comps = homogeneous_components(phi, m2, 3, samples=5)
+    assert len(calls) == 5 * (2 * 4 + 1)
+    del calls[:]
+    assert len(comps(m2.unit())) == 4 and len(calls) == 4
 
 
 def test_homogeneous_degree_bound_too_small(m2):

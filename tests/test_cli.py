@@ -127,6 +127,19 @@ def test_parse_errors(capsys):
     assert run_cli(capsys, "verify", "nonsense")[0] == 2          # bad suite
 
 
+def test_every_subcommand_has_help_and_unknown_ones_exit_2(capsys):
+    for name in cli._COMMANDS:
+        assert main([name, "--help"]) == 0
+        assert f"usage: cstarpow {name}" in capsys.readouterr().out
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in cli._COMMANDS)
+    assert main(["nosuch"]) == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+    assert main([]) == 2
+    assert "required: command" in capsys.readouterr().err
+
+
 def test_homog_budget_preflight(capsys):
     # degree 3 of M_2 has ambient 8, over a budget of 4
     code, _, err = run_cli(capsys, "homog", "--blocks", "2", "--degrees",
@@ -199,7 +212,8 @@ def test_memory_error_exits_3(capsys, monkeypatch):
     def fail(args, cfg):
         raise MemoryError("Unable to allocate 11.4 GiB")
 
-    monkeypatch.setitem(cli._COMMANDS, "sympow", fail)
+    monkeypatch.setitem(cli._COMMANDS, "sympow",
+                        (fail, *cli._COMMANDS["sympow"][1:]))
     code, out, err = run_cli(capsys, "sympow", "--blocks", "2", "--n", "4")
     assert code == 3
     assert out == ""

@@ -15,7 +15,8 @@ from cstarpow.groups import (UnitaryRep, cyclic_group, permutation_rep,
                              symmetric_group, trivial_subgroup, young_subgroup)
 from cstarpow.induction import induce
 from cstarpow.linalg import is_projection, op_norm
-from oracles import naive_convolution, naive_integrated_form, naive_involution
+from oracles import (compositions, naive_convolution, naive_integrated_form,
+                     naive_involution)
 
 
 def fixed_element(action, rng):
@@ -396,13 +397,6 @@ def test_spatial_pair_keeps_index_form():
     assert pair._pi is None and pair.unitary._matrices is None
 
 
-def _compositions(n):
-    if n == 0:
-        return [()]
-    return [(first,) + rest for first in range(1, n + 1)
-            for rest in _compositions(n - first)]
-
-
 def _induced_pair(pair, sub):
     """The pair induced from the restriction of ``pair`` to ``sub``; its
     images and unitaries are dense."""
@@ -437,7 +431,7 @@ def _crossed_systems(draw):
                                max_size=3 if n < 3 else 2))
         action = tensor_permutation_action(make_algebra(blocks), n)
         pair = spatial_pair(action)
-        fitting = [q for q in _compositions(n)
+        fitting = [q for q in compositions(n)
                    if young_subgroup(q, action.group).index * pair.dim <= 64]
         sub = young_subgroup(draw(st.sampled_from(fitting)), action.group)
         return action, [pair, _induced_pair(pair, sub)]

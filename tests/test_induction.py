@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarpow.algebra import make_algebra
-from cstarpow.crossed import (CovariantPair, GroupAction,
+from cstarpow.crossed import (CovariantPair, CrossedElement, GroupAction,
                               block_permutation_action,
-                              group_average_projection, spatial_pair,
-                              tensor_permutation_action)
+                              group_average_projection, integrated_form,
+                              spatial_pair, tensor_permutation_action)
 from cstarpow.groups import (UnitaryRep, symmetric_group,
                              trivial_subgroup, whole_subgroup, young_subgroup)
 from cstarpow.induction import (commutant_restriction, fixed_point_unitary,
                                 induce)
 from cstarpow.linalg import op_norm, orthonormal_columns
 from cstarpow.structure import commutant, equivalent
+from oracles import compositions, induced_images, induced_unitaries
 
 
 def pair_family(pair):
@@ -101,6 +104,70 @@ def test_whole_group_induction_is_equivalent_to_base():
     ind = induce(base, action, sub)
     assert ind.pair.dim == base.dim
     assert equivalent(pair_family(ind.pair), pair_family(full))
+
+
+@st.composite
+def _young_inductions(draw):
+    """A tensor permutation system of a small block list with a Young
+    subgroup, small enough for the dense oracle (induced dimension at most
+    64)."""
+    n = draw(st.integers(1, 3))
+    blocks = draw(st.lists(st.integers(1, 2), min_size=1,
+                           max_size=3 if n < 3 else 2))
+    action = tensor_permutation_action(make_algebra(blocks), n)
+    subs = [young_subgroup(q, action.group) for q in compositions(n)]
+    return action, draw(st.sampled_from(
+        [s for s in subs if s.index * action.algebra.ambient <= 64]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_young_inductions(), st.integers(0, 2 ** 32 - 1))
+def test_label_induction_matches_the_dense_oracle(system, seed):
+    action, sub = system
+    base = spatial_pair(action).restrict(sub)
+    pair = induce(base, action, sub).pair
+    assert pair.labels is not None and pair.unitary.dest is not None
+    assert pair.dim == sub.index * base.dim
+    pi = induced_images(action, sub, base.pi)
+    umats = induced_unitaries(sub, base.unitary.matrices)
+    assert np.array_equal(pair.pi, pi)
+    assert np.array_equal(pair.unitary.matrices, umats)
+    # a dense base induces to the same dense pair
+    dense_base = CovariantPair(base.action, base.pi, UnitaryRep(
+        sub.group, base.unitary.matrices, check=False))
+    dense = induce(dense_base, action, sub).pair
+    assert np.array_equal(dense.pi, pi)
+    assert np.array_equal(dense.unitary.matrices, umats)
+    rng = np.random.default_rng(seed)
+    f = CrossedElement(action, rng.standard_normal(
+        (action.group.order, action.algebra.dim, 2)) @ [1, 1j])
+    assert np.allclose(integrated_form(pair, f), integrated_form(dense, f),
+                       rtol=0, atol=1e-12)
+
+
+def test_moving_one_label_breaks_exact_covariance():
+    action = tensor_permutation_action(make_algebra([1, 2]), 3)
+    sub = young_subgroup([2, 1], action.group)
+    pair = induce(spatial_pair(action).restrict(sub), action, sub).pair
+    assert pair.is_spatial
+    which, row, col = pair.labels
+    taken = set(zip(row.tolist(), col.tolist()))
+    free = next((r, c) for r in range(pair.dim) for c in range(pair.dim)
+                if (r, c) not in taken)
+    for t in (0, which.size // 2, which.size - 1):
+        moved_row, moved_col = row.copy(), col.copy()
+        moved_row[t], moved_col[t] = free
+        with pytest.raises(ValueError, match="covariance"):
+            CovariantPair(action, (which, moved_row, moved_col), pair.unitary)
+        relabelled = which.copy()
+        relabelled[t] = (which[t] + 1) % action.algebra.dim
+        with pytest.raises(ValueError, match="covariance"):
+            CovariantPair(action, (relabelled, row, col), pair.unitary)
+    CovariantPair(action, pair.labels, pair.unitary)
+    with pytest.raises(ValueError, match="share an entry"):
+        CovariantPair(action, (which, np.r_[row[1], row[1:]],
+                               np.r_[col[1], col[1:]]), pair.unitary,
+                      check=False)
 
 
 def test_induction_in_stages():
