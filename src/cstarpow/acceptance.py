@@ -311,28 +311,26 @@ def suite_schur_weyl(tol, seed, budget):
 def suite_homog(tol, seed, budget, samples: int = 100):
     """Homogeneous splitting of a two-degree power map sum."""
     algebra = make_algebra([2])
-    phi = direct_sum_of_power_maps(algebra, [1, 2])
-    comps = homogeneous_components(phi, algebra, 2, tol=tol, seed=seed)
+    phi, target = direct_sum_of_power_maps(algebra, [1, 2])
+    comps = homogeneous_components(phi, algebra, target, 2, tol=tol,
+                                   seed=seed)
+    norm, mul = target.norm, target.multiply
     rng = np.random.default_rng(seed + 1)
-    unit = algebra.unit()
-    projs = comps(unit)
-    worst = 0.0
-    for i in range(len(projs)):
-        worst = max(worst, op_norm(projs[i] @ projs[i] - projs[i]))
-        for j in range(len(projs)):
-            if i != j:
-                worst = max(worst, op_norm(projs[i] @ projs[j]))
+    projs = comps(algebra.unit())
+    # p_i p_j = p_i when i = j and 0 otherwise
+    worst = max(norm(mul(p, q) - (p if i == j else 0))
+                for i, p in enumerate(projs) for j, q in enumerate(projs))
     for _ in range(samples):
         x = algebra.random_element(rng)
         x = x / max(algebra.norm(x), 1e-12)
         y = algebra.random_element(rng)
         y = y / max(algebra.norm(y), 1e-12)
         cx, cy, cxy = comps(x), comps(y), comps(algebra.multiply(x, y))
-        worst = max(worst, op_norm(sum(cx) - phi(x)))
+        worst = max(worst, norm(sum(cx) - phi(x)))
         z = np.exp(2j * np.pi * rng.random())
         for deg, czx in enumerate(comps(z * x)):
-            worst = max(worst, op_norm(cxy[deg] - cx[deg] @ cy[deg]))
-            worst = max(worst, op_norm(czx - z ** deg * cx[deg]))
+            worst = max(worst, norm(cxy[deg] - mul(cx[deg], cy[deg])))
+            worst = max(worst, norm(czx - z ** deg * cx[deg]))
     assertions = [_assertion(
         "components are multiplicative, homogeneous, and sum back",
         worst < tol, worst_residual=worst, samples=samples)]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .groups import factor_permutation_index, symmetric_group
-from .linalg import DEFAULT_TOL, op_norm, orthonormal_columns
+from .linalg import DEFAULT_TOL, orthonormal_columns
 
 # Caps for materializing large coefficient-space objects (entries, not bytes).
 MAX_DENSE_ENTRIES = 70_000_000
@@ -64,6 +64,10 @@ class FdCStarAlgebra:
             grid = np.empty((k, k), dtype=np.int64)
             grid[self.local[idx, 0], self.local[idx, 1]] = idx
             self.block_units.append(grid)
+        # block_units stacked per block size: x[units] is a stack of blocks
+        self._size_groups = [
+            np.stack([u for u in self.block_units if len(u) == k])
+            for k in sorted(set(self.blocks))]
         self._product_table = None
 
     def _lookup(self, keys):
@@ -102,7 +106,11 @@ class FdCStarAlgebra:
         return coeffs
 
     def multiply(self, x, y) -> np.ndarray:
-        return self.coefficients(self.embed(x) @ self.embed(y), check=False)
+        """The product: one batched matrix product per block size."""
+        out = np.empty(self.dim, dtype=complex)
+        for units in self._size_groups:
+            out[units] = np.asarray(x)[units] @ np.asarray(y)[units]
+        return out
 
     def star(self, x) -> np.ndarray:
         """The adjoint of an element, or of each row of a stack."""
@@ -112,7 +120,10 @@ class FdCStarAlgebra:
         return out
 
     def norm(self, x) -> float:
-        return op_norm(self.embed(x))
+        """The operator norm, the largest block norm: one SVD per size."""
+        x = np.asarray(x)
+        return float(max(np.linalg.svd(x[units], compute_uv=False).max()
+                         for units in self._size_groups))
 
     def basis_matrices(self) -> np.ndarray:
         if self.dim * self.ambient ** 2 > MAX_DENSE_ENTRIES:
@@ -241,7 +252,8 @@ def power_map(a: FdCStarAlgebra, x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if a.dim ** n > MAX_DENSE_ENTRIES:
         raise BudgetError("tensor power coefficient space too large")
-    return reduce(np.kron, [x] * n)
+    return reduce(lambda p, _: np.multiply.outer(p, x).ravel(),
+                  range(n - 1), x)
 
 
 def power_map_differential(a: FdCStarAlgebra, x, n: int) -> np.ndarray:

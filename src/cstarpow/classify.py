@@ -23,20 +23,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .algebra import (FdCStarAlgebra, SymmetricPowerBasis,
+from .algebra import (FdCStarAlgebra, SymmetricPowerBasis, make_algebra,
                       power_map_differential, symmetric_power_basis,
-                      symmetric_power_count)
+                      symmetric_power_count, tensor_algebra)
 from .crossed import CovariantPair, GroupAction
 from .errors import VerificationError
 from .groups import (ProjectiveRep, Subgroup, UnitaryRep, check_partition,
                      factor_permutation_index, partitions, sn_irrep,
                      ssyt_count, symmetric_group, young_subgroup)
 from .induction import induce
-from .linalg import DEFAULT_TOL, direct_sum, op_norm, orthonormal_columns
+from .linalg import DEFAULT_TOL, op_norm, orthonormal_columns
 from .structure import (SpannedAlgebra, commutant_dimension, equivalent,
                         intertwiner_space, label_span,
                         minimal_central_projections)
@@ -429,46 +428,36 @@ def intertwining_cocycle(pi, action: GroupAction, isotropy: Subgroup,
 # ---------------------------------------------------------------------------
 # homogeneous components of multiplicative maps
 
-def homogeneous_components(phi, algebra: FdCStarAlgebra, n_max: int,
+def homogeneous_components(phi, algebra: FdCStarAlgebra,
+                           target: FdCStarAlgebra, n_max: int,
                            tol: float = DEFAULT_TOL, seed: int = 0,
                            samples: int = 8):
     """Split a multiplicative map into its homogeneous parts by discrete
     Fourier inversion over roots of unity.
 
-    Returns a function that maps x to the list of the m = n_max + 1
-    components at x, from the m values phi(zeta^j x).  ``phi`` maps
-    coefficient vectors to matrices and is assumed to have no component of
-    degree above n_max.  Random samples check that the recovered components
-    sum back to phi and that each one is homogeneous of its degree at a
-    generic phase; a failure means the degree bound was too small
-    (components above n_max alias onto lower degrees).  The values of the
-    components at the unit are mutually orthogonal projections.
+    ``phi`` maps coefficient vectors of ``algebra`` to those of ``target``
+    and has no component of degree above n_max.  Returns a function that
+    maps x to the (m, target.dim) array of the m = n_max + 1 components at
+    x, the DFT weight matrix times the values phi(zeta^j x) at the m-th
+    roots of unity.  Random samples check, in ``target.norm``, that they sum
+    back to phi and are homogeneous at a generic phase; a failure means the
+    degree bound was too small (components above n_max alias onto lower
+    degrees).  The components at the unit are orthogonal projections.
     """
     m = n_max + 1
-    zeta = np.exp(2j * np.pi / m)
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    weights = np.vander(roots, increasing=True).conj() / m
 
     def components(x):
-        # one value of phi at a time, added into every component
-        x = np.asarray(x, dtype=complex)
-        acc = [0] * m
-        for j in range(m):
-            value = phi(zeta ** j * x)
-            for k in range(m):
-                acc[k] += zeta ** (-k * j) * value
-        for a in acc:
-            a /= m
-        return acc
+        return weights @ np.stack([phi(r * np.asarray(x)) for r in roots])
 
     def check(x, z):
         ref = phi(x)
-        scale = max(1.0, op_norm(ref))
+        scale = max(1.0, target.norm(ref))
         values = components(x)
-        if op_norm(sum(values) - ref) > tol * scale:
+        moved = components(z * x) - z ** np.arange(m)[:, None] * values
+        if max(map(target.norm, [values.sum(0) - ref, *moved])) > tol * scale:
             raise VerificationError("degree bound too small for this map")
-        for k, (moved, value) in enumerate(zip(components(z * x), values)):
-            moved -= z ** k * value
-            if op_norm(moved) > tol * scale:
-                raise VerificationError("degree bound too small for this map")
 
     rng = np.random.default_rng(seed)
     for _ in range(samples):
@@ -479,19 +468,31 @@ def homogeneous_components(phi, algebra: FdCStarAlgebra, n_max: int,
 
 
 def direct_sum_of_power_maps(algebra: FdCStarAlgebra, degrees):
-    """The block direct sum of the power maps of the given degrees.
+    """The direct sum of the power maps of the given degrees, a concrete
+    multiplicative map with known homogeneous parts, as ``(phi, target)``.
 
-    Returns a callable on coefficient vectors; useful as a concrete
-    multiplicative map with known homogeneous parts.  A tensor power is
-    carried by the Kronecker product embedding, so the block of degree d is
-    the d-th Kronecker power of the embedded argument.
+    ``target`` has the blocks of ``tensor_power(algebra, d)`` for each d in
+    turn.  ``phi`` builds the powers of x as one chain of outer products of
+    coefficient vectors and gathers it into the target's basis through each
+    power's block units; no ambient matrix is built.
     """
     degrees = [int(d) for d in degrees]
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be positive")
+    powers = [algebra]
+    while len(powers) < max(degrees):
+        powers.append(tensor_algebra(powers[-1], algebra))
+    starts = np.cumsum([0] + [p.dim for p in powers])
+    grids = [starts[d - 1] + u for d in degrees
+             for u in powers[d - 1].block_units]
+    target = make_algebra([len(g) for g in grids])
+    # make_algebra orders its basis block by block, each block row-major
+    index = np.concatenate([g.ravel() for g in grids])
 
     def phi(x):
-        m = algebra.embed(x)
-        return direct_sum([reduce(np.kron, [m] * d) for d in degrees])
+        chain = [np.asarray(x, dtype=complex)]
+        for _ in powers[1:]:
+            chain.append(np.multiply.outer(chain[-1], chain[0]).ravel())
+        return np.concatenate(chain)[index]
 
-    return phi
+    return phi, target

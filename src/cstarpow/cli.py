@@ -282,19 +282,17 @@ def cmd_homog(args, cfg: RunConfig) -> tuple[int, dict]:
     degrees = _parse_blocks(args.degrees)
     _check_budget(algebra, max(degrees), cfg.budget)
     n_max = args.nmax if args.nmax is not None else max(degrees)
-    phi = direct_sum_of_power_maps(algebra, degrees)
-    comps = homogeneous_components(phi, algebra, n_max, tol=cfg.tol,
+    phi, target = direct_sum_of_power_maps(algebra, degrees)
+    comps = homogeneous_components(phi, algebra, target, n_max, tol=cfg.tol,
                                    seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     x = algebra.random_element(rng)
     x = x / max(algebra.norm(x), 1e-12)
-    recovered = [float(op_norm(c)) for c in comps(x)]
+    recovered = [target.norm(c) for c in comps(x)]
     unit_projs = comps(algebra.unit())
-    ortho = 0.0
-    for i in range(len(unit_projs)):
-        for j in range(len(unit_projs)):
-            if i != j:
-                ortho = max(ortho, op_norm(unit_projs[i] @ unit_projs[j]))
+    ortho = max(target.norm(target.multiply(p, q))
+                for i, p in enumerate(unit_projs)
+                for j, q in enumerate(unit_projs) if i != j)
     payload = {
         "degrees": degrees,
         "n_max": n_max,

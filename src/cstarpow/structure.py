@@ -444,8 +444,9 @@ def _support_components(n: int, owner: np.ndarray
         if np.array_equal(hooked, roots):
             break
         roots = hooked
+    # bincount, not np.unique: that imports numpy.ma on its first call
     return [(np.flatnonzero(roots == c), np.flatnonzero(member_root == c))
-            for c in np.unique(member_root[member_root < n])]
+            for c in np.flatnonzero(np.bincount(member_root, minlength=n)[:n])]
 
 
 def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,

@@ -24,6 +24,16 @@ def naive_kron(a, b):
     return out
 
 
+def embedded_multiply(alg, x, y):
+    """Product of two elements through their ambient matrices."""
+    return alg.coefficients(alg.embed(x) @ alg.embed(y), check=False)
+
+
+def embedded_norm(alg, x):
+    """Operator norm of an element's ambient matrix, by one dense SVD."""
+    return float(np.linalg.norm(alg.embed(x), 2))
+
+
 def naive_commutant_dim(family, tol=1e-9):
     """Dimension of {X : XF = FX for all F}, via the full linear system."""
     family = np.asarray(family, dtype=complex)

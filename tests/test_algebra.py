@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstarpow import algebra
-from cstarpow.algebra import (Representation, algebra_from_json,
+from cstarpow.algebra import (FdCStarAlgebra, Representation,
+                              algebra_from_json,
                               algebra_to_json, element_from_json,
                               element_to_json, generated_star_algebra,
                               make_algebra, power_map,
@@ -17,7 +18,8 @@ from cstarpow.algebra import (Representation, algebra_from_json,
 from cstarpow.crossed import tensor_permutation_action
 from cstarpow.errors import BudgetError
 from cstarpow.groups import symmetric_group
-from oracles import multiset_permutations, symmetric_power_orbit_sums
+from oracles import (embedded_multiply, embedded_norm, multiset_permutations,
+                     symmetric_power_orbit_sums)
 
 
 def test_make_algebra_shapes(c3, m2, m23):
@@ -180,6 +182,49 @@ def test_symmetric_power_basis_matches_orbit_sums(data):
     assert sym.index == index
     assert sym.orbit.shape == (a.dim ** n,)
     assert np.array_equal(sym.vectors, vectors)
+
+
+def _agrees_with_embedded_oracles(a, x, y):
+    """Block-native product and norm against the ambient-matrix ones."""
+    prod = embedded_multiply(a, x, y)
+    assert np.max(np.abs(a.multiply(x, y) - prod)) <= 1e-12 * max(
+        1.0, np.max(np.abs(prod)))
+    norm = embedded_norm(a, x)
+    assert abs(a.norm(x) - norm) <= 1e-12 * norm
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_block_arithmetic_matches_the_embedded_oracles(data):
+    blocks = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    a = make_algebra(data.draw(blocks))
+    form = data.draw(st.sampled_from(["sum", "tensor", "power"]))
+    if form == "tensor":
+        a = tensor_algebra(a, make_algebra(data.draw(blocks)))
+    elif form == "power":
+        a = tensor_power(a, 2 if a.ambient > 4 else 3)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    x, y = a.random_element(rng), a.random_element(rng)
+    _agrees_with_embedded_oracles(a, x, y)
+    # an element of the last block alone, where every other block reads 0
+    last = np.zeros(a.dim, dtype=complex)
+    last[a.block_units[-1]] = x[a.block_units[-1]]
+    _agrees_with_embedded_oracles(a, last, y)
+
+
+def test_oracle_check_catches_a_norm_that_reads_one_size_group(monkeypatch):
+    a = make_algebra([2, 1, 3])
+    x = np.zeros(a.dim, dtype=complex)
+    x[a.block_units[-1]] = np.arange(1, 10).reshape(3, 3)
+    _agrees_with_embedded_oracles(a, x, x)
+
+    def first_group_norm(self, x):
+        units = self._size_groups[0]
+        return float(np.linalg.svd(x[units], compute_uv=False).max())
+
+    monkeypatch.setattr(FdCStarAlgebra, "norm", first_group_norm)
+    with pytest.raises(AssertionError):
+        _agrees_with_embedded_oracles(a, x, x)
 
 
 def test_symmetric_power_budget_guard(m23):

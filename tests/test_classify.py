@@ -15,7 +15,7 @@ from cstarpow.classify import (_descriptor,
                                wedderburn_comparison, wedderburn_crosscheck)
 from cstarpow.crossed import spatial_pair, tensor_permutation_action
 from cstarpow.errors import VerificationError
-from cstarpow.linalg import direct_sum, op_norm
+from cstarpow.linalg import op_norm
 from cstarpow.structure import equivalent, is_irreducible
 from oracles import dense_realized_images
 
@@ -311,32 +311,43 @@ def test_homogeneous_pure_degree(m2, rng):
     power = tensor_power(m2, 2)
 
     def phi(x):
-        return power.embed(power_map(m2, x, 2))
+        return power_map(m2, x, 2)
 
-    comps = homogeneous_components(phi, m2, 2)
+    comps = homogeneous_components(phi, m2, power, 2)
     x = m2.random_element(rng)
     x = x / m2.norm(x)
     c0, c1, c2 = comps(x)
-    assert op_norm(c2 - phi(x)) < 1e-9
-    assert op_norm(c0) < 1e-9
-    assert op_norm(c1) < 1e-9
+    assert power.norm(c2 - phi(x)) < 1e-9
+    assert power.norm(c0) < 1e-9
+    assert power.norm(c1) < 1e-9
 
 
-def test_power_map_sum_is_kronecker_powers_of_the_embedding(m23, rng):
-    phi = direct_sum_of_power_maps(m23, [1, 2, 3])
-    x = m23.random_element(rng)
-    blocks = [tensor_power(m23, d).embed(power_map(m23, x, d))
-              for d in (1, 2, 3)]
-    assert np.allclose(phi(x), direct_sum(blocks), rtol=0, atol=1e-12)
+def test_power_map_sum_blocks_are_diagonal_blocks_of_the_powers(rng):
+    for blocks, degrees in [([2, 3], [1, 2, 3]), ([1, 1, 2], [3, 1])]:
+        algebra = make_algebra(blocks)
+        phi, target = direct_sum_of_power_maps(algebra, degrees)
+        x = algebra.random_element(rng)
+        value = phi(x)
+        j = 0
+        for d in degrees:
+            power = tensor_power(algebra, d)
+            dense = power.embed(power_map(algebra, x, d))
+            for units in power.block_units:
+                rows = power.positions[units[:, 0], 0]
+                assert np.array_equal(value[target.block_units[j]],
+                                      dense[np.ix_(rows, rows)])
+                j += 1
+        assert j == len(target.blocks)
 
 
 def test_homogeneous_block_sum(m2, rng):
-    phi = direct_sum_of_power_maps(m2, [1, 2])
-    comps = homogeneous_components(phi, m2, 2)
+    phi, target = direct_sum_of_power_maps(m2, [1, 2])
+    assert target.blocks == (2, 4)
+    comps = homogeneous_components(phi, m2, target, 2)
     _, p1, p2 = comps(m2.unit())
-    assert np.allclose(p1, np.diag([1, 1, 0, 0, 0, 0]))
-    assert np.allclose(p2, np.diag([0, 0, 1, 1, 1, 1]))
-    assert op_norm(p1 @ p2) < 1e-12
+    assert np.allclose(target.embed(p1), np.diag([1, 1, 0, 0, 0, 0]))
+    assert np.allclose(target.embed(p2), np.diag([0, 0, 1, 1, 1, 1]))
+    assert target.norm(target.multiply(p1, p2)) < 1e-12
     for _ in range(10):
         x = m2.random_element(rng)
         x = x / m2.norm(x)
@@ -346,37 +357,39 @@ def test_homogeneous_block_sum(m2, rng):
         z = np.exp(0.7j)
         czx = comps(z * x)
         for deg in (1, 2):
-            assert op_norm(cxy[deg] - cx[deg] @ cy[deg]) < 1e-9
-            assert op_norm(czx[deg] - z ** deg * cx[deg]) < 1e-9
-        assert op_norm(sum(cx) - phi(x)) < 1e-9
+            assert target.norm(
+                cxy[deg] - target.multiply(cx[deg], cy[deg])) < 1e-9
+            assert target.norm(czx[deg] - z ** deg * cx[deg]) < 1e-9
+        assert target.norm(sum(cx) - phi(x)) < 1e-9
 
 
 def test_homogeneous_constant_on_point():
     point = make_algebra([1])
 
     def phi(x):
-        return np.eye(1, dtype=complex)
+        return np.ones(1, dtype=complex)
 
-    c0, c1 = homogeneous_components(phi, point, 1)(np.array([0.3 + 0.1j]))
-    assert op_norm(c0 - np.eye(1)) < 1e-12
-    assert op_norm(c1) < 1e-12
+    c0, c1 = homogeneous_components(phi, point, point, 1)(
+        np.array([0.3 + 0.1j]))
+    assert point.norm(c0 - np.ones(1)) < 1e-12
+    assert point.norm(c1) < 1e-12
 
 
 def test_homogeneous_components_evaluate_phi_once_per_point(m2):
-    inner = direct_sum_of_power_maps(m2, [1, 2])
+    inner, target = direct_sum_of_power_maps(m2, [1, 2])
     calls = []
 
     def phi(x):
         calls.append(1)
         return inner(x)
 
-    comps = homogeneous_components(phi, m2, 3, samples=5)
+    comps = homogeneous_components(phi, m2, target, 3, samples=5)
     assert len(calls) == 5 * (2 * 4 + 1)
     del calls[:]
     assert len(comps(m2.unit())) == 4 and len(calls) == 4
 
 
 def test_homogeneous_degree_bound_too_small(m2):
-    phi = direct_sum_of_power_maps(m2, [1, 2])
+    phi, target = direct_sum_of_power_maps(m2, [1, 2])
     with pytest.raises(VerificationError):
-        homogeneous_components(phi, m2, 1)
+        homogeneous_components(phi, m2, target, 1)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import cstarpow
 from cstarpow import classify, cli
+from cstarpow.algebra import FdCStarAlgebra
 from cstarpow.cli import main
 from cstarpow.errors import DegenerateDrawError
 
@@ -231,3 +237,25 @@ def test_verify_suite_deterministic(capsys):
     _, out1 = run_json(capsys, "verify", "dimensions", "--seed", "11")
     _, out2 = run_json(capsys, "verify", "dimensions", "--seed", "11")
     assert out1 == out2
+
+
+def test_power_map_jobs_never_build_an_ambient_matrix(capsys, monkeypatch):
+    def refuse(self, coeffs):
+        raise AssertionError("embed called")
+
+    monkeypatch.setattr(FdCStarAlgebra, "embed", refuse)
+    for argv in (["homog", "--blocks", "1,2", "--degrees", "1,2,3"],
+                 ["verify", "homog"], ["verify", "commutativity"]):
+        code, _ = run_json(capsys, *argv)
+        assert code == 0
+
+
+def test_sympow_does_not_import_numpy_ma():
+    script = ("import sys\n"
+              "from cstarpow.cli import main\n"
+              "assert main(['sympow', '--blocks', '2,1', '--n', '2']) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cstarpow.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
