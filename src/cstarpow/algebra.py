@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -186,19 +186,13 @@ def make_algebra(blocks) -> FdCStarAlgebra:
     blocks = tuple(int(k) for k in blocks)
     if not blocks or any(k <= 0 for k in blocks):
         raise ValueError("block sizes must be a non-empty list of positive ints")
-    positions, block_of, local = [], [], []
-    offset = 0
-    for j, k in enumerate(blocks):
-        for r in range(k):
-            for c in range(k):
-                positions.append((offset + r, offset + c))
-                block_of.append(j)
-                local.append((r, c))
-        offset += k
-    return FdCStarAlgebra(blocks, offset,
-                          np.array(positions, dtype=np.int64),
-                          np.array(block_of, dtype=np.int64),
-                          np.array(local, dtype=np.int64))
+    # block by block, each block row-major
+    local = np.concatenate([np.stack(np.divmod(np.arange(k * k), k), axis=1)
+                            for k in blocks])
+    block_of = np.repeat(np.arange(len(blocks)), [k * k for k in blocks])
+    offsets = np.cumsum([0, *blocks])
+    return FdCStarAlgebra(blocks, offsets[-1],
+                          local + offsets[block_of][:, None], block_of, local)
 
 
 def tensor_algebra(a: FdCStarAlgebra, b: FdCStarAlgebra) -> FdCStarAlgebra:
@@ -297,13 +291,6 @@ class SymmetricPowerBasis:
     def size(self) -> int:
         return len(self.index)
 
-    @cached_property
-    def action(self):
-        """The factor-permuting action of S_n on the tensor power, built on
-        first read and shared by every realization over this basis."""
-        from .crossed import tensor_permutation_action
-        return tensor_permutation_action(self.base, self.n)
-
     @property
     def vectors(self) -> np.ndarray:
         """The orbit sums as dense coefficient rows of the power algebra,
@@ -329,8 +316,10 @@ def symmetric_power_basis(a: FdCStarAlgebra, n: int) -> SymmetricPowerBasis:
     the distinct rows lexicographically, which is the
     ``combinations_with_replacement`` order of ``index``, and its inverse
     labels every monomial with its row.  The ``count x total`` bound also
-    covers the dense arrays that the readers build from the labels (a
-    one-component span's basis, the realization's accumulator).
+    covers the dense arrays that the readers build from the labels: a
+    one-component span's basis, and the realization's ``count x N*d x dim``
+    accumulator (carrier N, multiplicity d), as N*d*dim is at most the
+    total by Schur-Weyl duality in each block.
     """
     total = a.dim ** n
     count = symmetric_power_count(a.dim, n)

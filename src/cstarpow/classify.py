@@ -4,14 +4,16 @@ The irreducible representations of the permutation-fixed part of an n-fold
 tensor power of a direct sum of matrix blocks are labelled by descriptors:
 a set of distinct blocks, positive multiplicities summing to n, and one
 partition per chosen block bounded in length by the block size.  Each
-descriptor is realized concretely by building the product covariant pair
-over the matching Young subgroup as entry labels, inducing it up to the full
-symmetric group with ``induction.induce``, and compressing the induced
-images of the orbit sums to the range of the group averaging projection.
-The Schur-Weyl representations are the descriptors with a single block of
-multiplicity n, realized by that same construction.  Homogeneous components
-of a multiplicative map are recovered by discrete Fourier inversion, with
-one evaluation of the map per root of unity at each point.
+descriptor is realized concretely on the fixed vectors of the pair induced
+from the matching Young subgroup.  On the orbit sums, which the symmetric
+group fixes, that pair is copies of the Young product pair, and its fixed
+vectors are the constant functions with Young-fixed values (Frobenius
+reciprocity), so the realization compresses the product pair's entry
+labels to those values and never induces.  The Schur-Weyl representations
+are the descriptors with a single block of multiplicity n, realized by that
+same construction.  Homogeneous components of a multiplicative map are
+recovered by discrete Fourier inversion, with one evaluation of the map per
+root of unity at each point.
 
 The descriptor dimension is the product of semistandard tableau counts, and
 the multiset of descriptor dimensions must agree with the numerically
@@ -22,19 +24,20 @@ performs exactly that comparison with two independent computations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .algebra import (FdCStarAlgebra, SymmetricPowerBasis, make_algebra,
                       power_map_differential, symmetric_power_basis,
                       symmetric_power_count, tensor_algebra)
-from .crossed import CovariantPair, GroupAction
+from .crossed import GroupAction
 from .errors import VerificationError
-from .groups import (ProjectiveRep, Subgroup, UnitaryRep, check_partition,
+from .groups import (ProjectiveRep, Subgroup, check_partition,
                      factor_permutation_index, partitions, sn_irrep,
-                     ssyt_count, symmetric_group, young_subgroup)
-from .induction import induce
+                     ssyt_count, symmetric_group)
 from .linalg import DEFAULT_TOL, op_norm, orthonormal_columns
 from .structure import (SpannedAlgebra, commutant_dimension, equivalent,
                         intertwiner_space, label_span,
@@ -164,29 +167,34 @@ def _block_entries(base: FdCStarAlgebra, beta, d_mult: int):
             (col[:, None] * d_mult + span).ravel())
 
 
-def _realization_unitaries(algebra, desc, sub: Subgroup):
-    """The linking unitaries of the product pair: for each subgroup element,
-    the factor permutation on the product carrier tensored with the conjugate
-    of the chosen symmetric group irreps of the multiplicity space, each at
-    the element's permutation of its own block of factors.  Returns the
-    block of each factor, the unitaries and the multiplicity dimension."""
-    beta = np.repeat(desc.blocks, desc.q)
+def _young_fixed_vectors(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
+                         beta, tol: float):
+    """Orthonormal columns spanning the vectors fixed by the Young subgroup
+    H = S_q1 x ... x S_qm under V(h) (x) conj(U(h)), and the multiplicity
+    dimension d.  V(h) permutes the factors of the product carrier and U(h)
+    is the tensor product of the chosen symmetric group irreps, each at h's
+    permutation of its own block of factors.
+
+    H is enumerated as tuples of block permutations and V(h) kept as a
+    ``factor_permutation_index`` row, so the mean over H is one (N, N)
+    scatter-add of the small conj(U(h)) blocks.  By Frobenius reciprocity
+    these are the values of the constant functions that make up the fixed
+    vectors of the pair induced to S_n.
+    """
+    dims = [algebra.blocks[b] for b in beta]
     ureps = [sn_irrep(lam) for lam in desc.lambdas]
-    lookups = [{p: i for i, p in enumerate(symmetric_group(qk).perms)}
-               for qk in desc.q]
-    offsets = np.cumsum([0, *desc.q])
-    perms = [sub.ambient.perms[amb] for amb in sub.elements]
-    dests = factor_permutation_index([algebra.blocks[b] for b in beta], perms)
-    total = dests.shape[1]
-    w1 = []
-    for dest, p in zip(dests, perms):
-        v0 = np.zeros((total, total), dtype=complex)
-        v0[dest, np.arange(total)] = 1.0
-        u0 = np.eye(1, dtype=complex)
-        for u, lookup, o, qk in zip(ureps, lookups, offsets, desc.q):
-            u0 = np.kron(u0, u.mat(lookup[tuple(x - o for x in p[o:o + qk])]))
-        w1.append(np.kron(v0, np.conj(u0)))
-    return beta, np.stack(w1), u0.shape[0]
+    total, d = math.prod(dims), math.prod(u.dim for u in ureps)
+    offsets = np.cumsum([0, *desc.q[:-1]])
+    cols = np.arange(total)
+    mean = np.zeros((total, d, total, d), dtype=complex)
+    for h in itertools.product(*(enumerate(symmetric_group(qk).perms)
+                                 for qk in desc.q)):
+        p = [o + x for o, (_, perm) in zip(offsets, h) for x in perm]
+        dest = factor_permutation_index(dims, [p])[0]
+        u = reduce(np.kron, [rep.mat(i) for rep, (i, _) in zip(ureps, h)])
+        mean[dest, :, cols, :] += np.conj(u)
+    order = math.prod(math.factorial(qk) for qk in desc.q)
+    return orthonormal_columns(mean.reshape(total * d, -1) / order, tol), d
 
 
 def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
@@ -194,35 +202,26 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
                      tol: float = DEFAULT_TOL) -> RealizedIrrep:
     """Concrete irreducible representation attached to a descriptor.
 
-    Builds the product covariant pair over the Young subgroup of the
-    descriptor's multiplicities as entry labels, induces it to the full
-    symmetric group with ``induce``, and compresses the induced images of
-    the orbit sums to the range of the group averaging projection.  The compressed dimension must equal the
-    descriptor dimension; distinct descriptors yield inequivalent
-    irreducibles.
+    The pair induced from the Young subgroup of the descriptor's
+    multiplicities acts on the orbit sums, which S_n fixes, as copies of the
+    Young product pair, and its fixed vectors are the constant functions
+    with Young-fixed values.  So the images are the product pair's images of
+    the orbit sums compressed to those values, w* pi(a) w, accumulated from
+    its entry labels.  The rank of w must equal the descriptor dimension;
+    distinct descriptors yield inequivalent irreducibles.
     """
     if desc.degree != n:
         raise ValueError("descriptor degree does not match n")
     if sym is None:
         sym = symmetric_power_basis(algebra, n)
-    action = sym.action
-    sub = young_subgroup(desc.q, action.group)
-    beta, w1, d_mult = _realization_unitaries(algebra, desc, sub)
-
-    base = CovariantPair(action.restrict(sub),
-                         _block_entries(algebra, beta, d_mult),
-                         UnitaryRep(sub.group, w1, check=False), check=False)
-    pair = induce(base, action, sub, tol=tol, check=False).pair
-
-    w = orthonormal_columns(pair.unitary.mean(), tol)
+    beta = np.repeat(desc.blocks, desc.q)
+    w, d_mult = _young_fixed_vectors(algebra, desc, beta, tol)
     if w.shape[1] != desc.dim:
         raise VerificationError(
             f"fixed space has rank {w.shape[1]}, descriptor dimension {desc.dim}")
 
-    # accumulate t[a] = pi(a) w from the induced entries of the orbit sums,
-    # then compress with w*; the dense induced unitaries are not needed
-    which, row, col = pair.labels
-    del pair
+    # accumulate t[a] = pi(a) w from the entries of the orbit sums
+    which, row, col = _block_entries(algebra, beta, d_mult)
     t = np.zeros((sym.size, *w.shape), dtype=complex)
     np.add.at(t, (sym.orbit[which], row), w[col])
     images = np.matmul(w.conj().T, t)
@@ -284,7 +283,7 @@ def schur_weyl_rep(algebra: FdCStarAlgebra, block: int, lam,
     count of semistandard tableaux of shape lam with entries up to the block
     size.  Partitions with more rows than the block size have zero carrier
     and are rejected.  This is the descriptor with the single block and
-    multiplicity n, realized by the same induction as every other.
+    multiplicity n, realized by the same construction as every other.
     """
     lam = check_partition(lam)
     n = sum(lam)

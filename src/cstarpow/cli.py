@@ -254,7 +254,8 @@ def cmd_induce(args, cfg: RunConfig) -> tuple[int, dict]:
 
 def cmd_schur_weyl(args, cfg: RunConfig) -> tuple[int, dict]:
     algebra = _load_algebra(args)
-    _check_budget(algebra, args.n, cfg.budget)
+    # the injectivity check realizes every degree up to its bound
+    _check_budget(algebra, max(args.n, args.injectivity_nmax or 0), cfg.budget)
     family = schur_weyl_family(algebra, args.n, cfg.tol)
     reps = [{
         "block": j,
@@ -353,7 +354,8 @@ _COMMANDS = {
                [*_ACTION, ("--q", {"help": "composition describing a Young "
                                            "subgroup"})]),
     "schur-weyl": (cmd_schur_weyl, "Schur-Weyl representations",
-                   [*_ALGEBRA, _N, ("--injectivity-nmax", {"type": int})]),
+                   [*_ALGEBRA, _N, ("--injectivity-nmax",
+                                     {"type": _int_at_least(1)})]),
     "homog": (cmd_homog, "homogeneous components of a power map sum",
               [*_ALGEBRA, ("--degrees", {"default": "1,2"}),
                ("--nmax", {"type": _int_at_least(1)})]),

@@ -276,17 +276,6 @@ def corner_embedding(action: GroupAction, x,
 _CONVOLVE_TILE = 1 << 16
 
 
-def _column_grids(alg: FdCStarAlgebra) -> list:
-    """The blocks' basis-index grids, transposed and stacked per block size:
-    entry [b, c, r] of a (count, k, k) array is the index of unit (r, c) of
-    block b."""
-    by_size: dict = {}
-    for k, grid in zip(alg.blocks, alg.block_units):
-        by_size.setdefault(k, []).append(grid.T)
-    # C order, which the gathers indexed by these grids keep
-    return [np.ascontiguousarray(np.stack(grids)) for grids in by_size.values()]
-
-
 def convolve(f1: CrossedElement, f2: CrossedElement) -> CrossedElement:
     """Twisted convolution in block layout, batched over the group.
 
@@ -302,7 +291,10 @@ def convolve(f1: CrossedElement, f2: CrossedElement) -> CrossedElement:
     grp, alg = action.group, action.algebra
     order = grp.order
     out = np.empty((order, alg.dim), dtype=complex)
-    for grid in _column_grids(alg):
+    for units in alg._size_groups:
+        # grid[b, c, r] is the index of unit (r, c) of block b, in C order,
+        # which the gathers indexed by it keep
+        grid = np.ascontiguousarray(units.transpose(0, 2, 1))
         count, k, _ = grid.shape
         step = max(1, _CONVOLVE_TILE // grid.size)
         for lo in range(0, order, step):

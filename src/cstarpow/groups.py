@@ -134,20 +134,19 @@ class Subgroup:
 
     def __init__(self, ambient: FiniteGroup, elements):
         elements = tuple(sorted(set(int(e) for e in elements)))
-        elem_set = set(elements)
-        if ambient.identity not in elem_set:
+        if ambient.identity not in elements:
             raise ValueError("subgroup must contain the identity")
-        for a in elements:
-            if ambient.inverse(a) not in elem_set:
-                raise ValueError("subset not closed under inverses")
-            for b in elements:
-                if ambient.multiply(a, b) not in elem_set:
-                    raise ValueError("subset not closed under multiplication")
+        e = np.array(elements, dtype=np.int64)
+        self.local = np.full(ambient.order, -1, dtype=np.int64)
+        self.local[e] = np.arange(len(elements))
+        # local is -1 exactly where an inverse or a product leaves the subset
+        if np.any(self.local[ambient.inv[e]] < 0):
+            raise ValueError("subset not closed under inverses")
+        table = self.local[ambient.mult[np.ix_(e, e)]]
+        if np.any(table < 0):
+            raise ValueError("subset not closed under multiplication")
         self.ambient = ambient
         self.elements = elements
-        self.local = np.full(ambient.order, -1, dtype=np.int64)
-        self.local[list(elements)] = np.arange(len(elements))
-        table = self.local[ambient.mult[np.ix_(elements, elements)]]
         perms = None
         if ambient.perms is not None:
             perms = [ambient.perms[a] for a in elements]

@@ -232,20 +232,46 @@ def induced_images(action, sub, base_pi):
     return pi
 
 
+def young_unitaries(algebra, desc, sub):
+    """The linking unitaries of the Young product pair, one dense matrix
+    per subgroup element: the factor permutation on the product carrier,
+    Kronecker with the conjugate of the chosen symmetric group irreps, each
+    at the element's permutation of its own block of factors.  Returns the
+    block of each factor, the stack and the multiplicity dimension."""
+    from cstarpow.groups import factor_permutation_index, sn_irrep, \
+        symmetric_group
+
+    beta = np.repeat(desc.blocks, desc.q)
+    ureps = [sn_irrep(lam) for lam in desc.lambdas]
+    offsets = np.cumsum([0, *desc.q])
+    perms = [sub.ambient.perms[amb] for amb in sub.elements]
+    dests = factor_permutation_index([algebra.blocks[b] for b in beta], perms)
+    total = dests.shape[1]
+    mats = []
+    for dest, p in zip(dests, perms):
+        v0 = np.zeros((total, total), dtype=complex)
+        v0[dest, np.arange(total)] = 1.0
+        u0 = np.eye(1, dtype=complex)
+        for u, o, qk in zip(ureps, offsets, desc.q):
+            local = symmetric_group(qk).perms.index(
+                tuple(x - o for x in p[o:o + qk]))
+            u0 = naive_kron(u0, u.mat(local))
+        mats.append(naive_kron(v0, np.conj(u0)))
+    return beta, np.stack(mats), u0.shape[0]
+
+
 def dense_realized_images(algebra, n, desc, sym):
-    """Images of the realization of a descriptor, built the direct way: for
-    each orbit-sum vector, the induced algebra action as a dense matrix,
-    filled monomial by monomial, compressed to the range of the averaging
-    projection.  The Young product's unitaries and the orthonormalization
-    come from the package; their induction, the action and its compression
-    are rebuilt here."""
-    from cstarpow.classify import _realization_unitaries
+    """Images of the realization of a descriptor, built the direct way: the
+    Young product's dense unitaries induced to S_n; for each orbit-sum
+    vector, the induced algebra action as a dense matrix, filled monomial by
+    monomial, compressed to the range of the averaging projection.  Only the
+    orthonormalization comes from the package."""
     from cstarpow.groups import symmetric_group, young_subgroup
     from cstarpow.linalg import orthonormal_columns
 
     group = symmetric_group(n)
     sub = young_subgroup(desc.q, group)
-    beta, w1, d_mult = _realization_unitaries(algebra, desc, sub)
+    beta, w1, d_mult = young_unitaries(algebra, desc, sub)
     m_block = w1.shape[1]
     size = sub.index * m_block
     w = orthonormal_columns(np.mean(induced_unitaries(sub, w1), axis=0))
@@ -271,3 +297,20 @@ def dense_realized_images(algebra, n, desc, sym):
                        j * m_block + col * d_mult + s] = vec[flat]
         out[a] = w.conj().T @ pi @ w
     return out
+
+
+def make_algebra_arrays(blocks):
+    """``positions``, ``block_of`` and ``local`` of the block-diagonal
+    embedding, filled unit by unit: block by block, each block row-major."""
+    positions, block_of, local = [], [], []
+    offset = 0
+    for j, k in enumerate(blocks):
+        for r in range(k):
+            for c in range(k):
+                positions.append((offset + r, offset + c))
+                block_of.append(j)
+                local.append((r, c))
+        offset += k
+    return (np.array(positions, dtype=np.int64),
+            np.array(block_of, dtype=np.int64),
+            np.array(local, dtype=np.int64))

@@ -18,8 +18,8 @@ from cstarpow.algebra import (FdCStarAlgebra, Representation,
 from cstarpow.crossed import tensor_permutation_action
 from cstarpow.errors import BudgetError
 from cstarpow.groups import symmetric_group
-from oracles import (embedded_multiply, embedded_norm, multiset_permutations,
-                     symmetric_power_orbit_sums)
+from oracles import (embedded_multiply, embedded_norm, make_algebra_arrays,
+                     multiset_permutations, symmetric_power_orbit_sums)
 
 
 def test_make_algebra_shapes(c3, m2, m23):
@@ -182,6 +182,17 @@ def test_symmetric_power_basis_matches_orbit_sums(data):
     assert sym.index == index
     assert sym.orbit.shape == (a.dim ** n,)
     assert np.array_equal(sym.vectors, vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+def test_make_algebra_arrays_match_the_unit_by_unit_loop(blocks):
+    a = make_algebra(blocks)
+    for got, want in zip((a.positions, a.block_of, a.local),
+                         make_algebra_arrays(blocks)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert a.ambient == sum(blocks)
 
 
 def _agrees_with_embedded_oracles(a, x, y):

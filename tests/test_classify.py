@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cstarpow.classify import (_descriptor,
 from cstarpow.crossed import spatial_pair, tensor_permutation_action
 from cstarpow.errors import VerificationError
 from cstarpow.linalg import op_norm
-from cstarpow.structure import equivalent, is_irreducible
+from cstarpow.structure import equivalent, intertwiner_space, is_irreducible
 from oracles import dense_realized_images
 
 
@@ -117,8 +118,22 @@ def test_realize_product_descriptor_is_tensor_of_blocks(m23):
     assert equivalent(rep.images, np.stack(direct))
 
 
+def _distance_up_to_a_unitary(got, want):
+    """max |T got T* - want| for the unitary T spanning the one-dimensional
+    intertwiner space of two irreducibles; infinite when that space is not
+    one-dimensional."""
+    space = intertwiner_space(got, want)
+    if space.shape[0] != 1:
+        return np.inf
+    t = space[0]
+    t = t / np.sqrt(np.real(np.trace(t.conj().T @ t)) / t.shape[0])
+    return float(np.max(np.abs(t @ got @ t.conj().T - want)))
+
+
 @pytest.mark.parametrize("blocks", [[2], [1, 1], [2, 1], [2, 2], [4]])
 def test_realized_images_match_dense_oracle(blocks):
+    # the orthonormal basis of the fixed vectors is free, so the images are
+    # compared up to one unitary
     algebra = make_algebra(blocks)
     for n in range(1, 4):
         if algebra.ambient ** n > 200:
@@ -127,7 +142,34 @@ def test_realized_images_match_dense_oracle(blocks):
         for desc in enumerate_sn_irreps(algebra, n):
             got = realize_sn_irrep(algebra, n, desc, sym=sym).images
             want = dense_realized_images(algebra, n, desc, sym)
-            assert np.max(np.abs(got - want)) <= 1e-12, (n, desc)
+            assert _distance_up_to_a_unitary(got, want) <= 1e-10, (n, desc)
+
+
+def test_unitary_comparison_rejects_transposed_images():
+    # transposing every image is an anti-representation, equivalent to no
+    # irreducible of dimension above one
+    algebra = make_algebra([2, 1])
+    sym = symmetric_power_basis(algebra, 2)
+    for desc in enumerate_sn_irreps(algebra, 2):
+        want = dense_realized_images(algebra, 2, desc, sym)
+        got = realize_sn_irrep(algebra, 2, desc, sym=sym).images
+        if desc.dim > 1:
+            assert _distance_up_to_a_unitary(
+                got.transpose(0, 2, 1), want) > 1e-10, desc
+
+
+def test_schur_weyl_family_stays_small():
+    # no stack indexed by group elements: degree 5 of M_2 needs S_5's
+    # (120, N, N) unitaries on the carrier of N = 160 if built densely
+    algebra = make_algebra([2])
+    tracemalloc.start()
+    try:
+        family = schur_weyl_family(algebra, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [rep.dim for _, _, rep in family] == [6, 4, 2]
+    assert peak < 10 * 2 ** 20
 
 
 def test_realize_all_dims_one_for_commutative(c3):

@@ -163,6 +163,25 @@ def test_homog_nmax_must_be_positive_and_is_honoured(capsys):
     assert len(payload["component_norms_at_sample"]) == 4
 
 
+def test_schur_weyl_injectivity_nmax_must_be_positive(capsys):
+    assert run_cli(capsys, "schur-weyl", "--blocks", "2", "--n", "1",
+                   "--injectivity-nmax", "-1")[0] == 2
+
+
+def test_schur_weyl_budget_covers_the_injectivity_degrees(capsys,
+                                                          monkeypatch):
+    # degree 1 passes the budget, but the check realizes degree 6 of M_4,
+    # ambient 4096: refused before any realization
+    def refuse(*args, **kwargs):
+        raise AssertionError("realized before the budget check")
+
+    monkeypatch.setattr(cli, "schur_weyl_family", refuse)
+    code, _, err = run_cli(capsys, "schur-weyl", "--blocks", "4", "--n", "1",
+                           "--injectivity-nmax", "6")
+    assert code == 3
+    assert "budget" in err.lower()
+
+
 def test_crossed_samples_must_be_non_negative(capsys):
     assert run_cli(capsys, "crossed", "--blocks", "1,1", "--samples",
                    "-1")[0] == 2

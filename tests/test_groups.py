@@ -89,8 +89,13 @@ def test_young_subgroup_cosets():
 
 def test_subgroup_closure_validation():
     g = symmetric_group(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="multiplication"):
         Subgroup(g, [g.identity, 1, 2])  # two transpositions don't close
+    # a 3-cycle without its inverse, the other 3-cycle
+    cycle = g.perms.index((1, 2, 0))
+    with pytest.raises(ValueError, match="inverses"):
+        Subgroup(g, [g.identity, cycle])
+    assert Subgroup(g, [g.identity, cycle, g.inverse(cycle)]).order == 3
 
 
 def test_partitions_and_tableaux():
