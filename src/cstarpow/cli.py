@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -49,8 +50,8 @@ class RunConfig:
     budget: int = 2000
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not math.isfinite(self.tol) or self.tol <= 0:
+            raise ValueError("tol must be positive and finite")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
 

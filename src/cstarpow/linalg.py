@@ -82,16 +82,6 @@ def nullspace(m, tol: float = DEFAULT_TOL,
     return vh[rank:].conj().T
 
 
-def matrix_rank(m, tol: float = DEFAULT_TOL) -> int:
-    m = as_matrix(m)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
-
-
 def orthonormal_columns(a, tol: float = DEFAULT_TOL,
                         scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the column space of a, as columns; singular

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BudgetError, DegenerateDrawError, VerificationError
 from .linalg import (DEFAULT_TOL, SPECTRAL_GAP, adjoint, cluster_eigenvalues,
-                     direct_sum, eig_hermitian, matrix_rank, nullspace,
+                     direct_sum, eig_hermitian, nullspace,
                      orthonormal_columns)
 
 # Largest ambient size of the dense last-resort commutation system (N^2 x
@@ -80,27 +80,46 @@ class SpannedAlgebra:
         if self.onb is not None:
             # onb.conj() without copying the onb matrix
             return np.conj(np.conj(v) @ self.onb.T)
-        # member i's coefficient sums conj(w) v over its entries; column 0
+        # member i's coefficient of row t sums conj(w) v over its entries,
+        # at the flat index t * (dim + 1) + i + 1; index 0 of each row
         # gathers the uncovered entries, where w is zero
-        k, p = self.owner + 1, v * np.conj(self.normalized)
-        return np.stack([np.bincount(k, r.real, self.dim + 1)
-                         + 1j * np.bincount(k, r.imag, self.dim + 1)
-                         for r in p])[:, 1:]
+        size = v.shape[0] * (self.dim + 1)
+        key = (np.arange(v.shape[0])[:, None] * (self.dim + 1)
+               + self.owner + 1).ravel()
+        p = (v * np.conj(self.normalized)).ravel()
+        return (np.bincount(key, p.real, size)
+                + 1j * np.bincount(key, p.imag, size)
+                ).reshape(-1, self.dim + 1)[:, 1:]
+
+    def combine(self, coeffs) -> np.ndarray:
+        """The (count, n, n) matrices sum_j coeffs[i, j] b_j of the rows of
+        a (count, dim) coefficient array."""
+        coeffs = np.atleast_2d(coeffs)
+        if self.onb is not None:
+            flat = coeffs @ self.onb
+        else:
+            # uncovered entries read the appended zero coefficient
+            padded = np.concatenate(
+                [coeffs, np.zeros((coeffs.shape[0], 1))], axis=1)
+            flat = padded[:, self.owner] * self.normalized
+        return flat.reshape(-1, self.ambient, self.ambient)
 
     def contains(self, mat, tol: float = DEFAULT_TOL,
                  scale: float | None = None) -> bool:
         """Whether the distance from the span is at most tol times
         ``scale``, by default max(1, |mat|) in the Frobenius norm."""
         v = np.asarray(mat, dtype=complex).ravel()
-        coef = self.coordinates(v)[0]
-        if self.onb is None:
-            # uncovered entries read any coefficient, times w = 0
-            resid = v - self.normalized * np.append(coef, 0)[self.owner]
-        else:
-            resid = v - coef @ self.onb
+        resid = v - self.combine(self.coordinates(v)).ravel()
         if scale is None:
             scale = max(1.0, float(np.linalg.norm(v)))
         return float(np.linalg.norm(resid)) <= tol * scale
+
+    def labels(self):
+        """Owner, weight, row and column of each covered entry of a label
+        span."""
+        entry = np.flatnonzero(self.owner >= 0)
+        return (self.owner[entry], self.normalized[entry],
+                *np.divmod(entry, self.ambient))
 
 
 def label_span(n: int, member, entry, values,
@@ -364,29 +383,111 @@ def is_factor(pi, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
     commutant is the scalars.
     """
     comm = commutant(_as_family(pi), tol, seed)
-    basis = comm.span_basis
-    return _center_basis(comm, basis, basis, tol).shape[0] == 1
+    return _center_basis(comm, comm.span_basis, tol).shape[0] == 1
 
 
 # ---------------------------------------------------------------------------
 # centers and minimal central projections
 
-def _center_basis(s: SpannedAlgebra, basis: np.ndarray,
-                  constraints: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the elements sum_j x_j basis_j of the span
-    (``basis`` is ``s.span_basis``) that commute with the constraints.
+# Most entry pairs, times the constraints they gather, held at once by the
+# label forms of the center system and of the block dimensions.
+PAIR_CHUNK = 1 << 20
 
-    The constraints lie in the span, so each commutator [basis_j, m] does
-    too, and its span coordinates keep its norm: the system for x keeps the
+
+def _line_pairs(line: np.ndarray, chunk: int = PAIR_CHUNK):
+    """All ordered pairs (e, f) of positions on a common line, line[e] ==
+    line[f], yielded as two index arrays per group of consecutive lines;
+    a group holds at most ``chunk`` pairs, or one line that alone holds
+    more."""
+    order = np.argsort(line, kind="stable")
+    counts = np.bincount(line)
+    ends = np.cumsum(counts)
+    pairs = counts.astype(np.int64) ** 2
+    total = np.cumsum(pairs)
+    lo = 0
+    while lo < counts.size:
+        hi = max(lo + 1, int(np.searchsorted(
+            total, total[lo] - pairs[lo] + chunk, side="right")))
+        f = order[ends[lo] - counts[lo]:ends[hi - 1]]
+        reps = counts[line[f]]
+        # the partners of the i-th f fill reps[i] consecutive slots
+        first = ends[line[f]] - reps - (np.cumsum(reps) - reps)
+        yield order[np.repeat(first, reps) + np.arange(reps.sum())], \
+            np.repeat(f, reps)
+        lo = hi
+
+
+def _center_system(s: SpannedAlgebra, constraints: np.ndarray) -> np.ndarray:
+    """The (count * dim, dim) system whose row t * dim + k and column j is
+    the span coordinate <b_k, b_j m_t - m_t b_j> of the commutator of basis
+    element b_j with constraint m_t.
+
+    A dense span takes the products with its basis.  A label span reads its
+    entries e (weight w_e on row r_e, column c_e) instead: (b_j m)[r_f, c_f]
+    sums w_e m[c_e, c_f] over the entries e of b_j on row r_f, and
+    (m b_j)[r_f, c_f] sums m[r_f, r_e] w_e over those on column c_f.  So
+    each pair (e, f) of entries on a common row adds conj(w_f) w_e
+    m[c_e, c_f] at (k, j) = (owner of f, owner of e), and each pair on a
+    common column subtracts conj(w_f) w_e m[r_f, r_e].  The pairs depend on
+    the labels only; each group of them gathers every constraint at once.
+    """
+    count, dim = constraints.shape[0], s.dim
+    if s.onb is not None:
+        basis = s.span_basis
+        return np.concatenate([s.coordinates(basis @ m - m @ basis).T
+                               for m in constraints])
+    own, w, row, col = s.labels()
+    size = count * dim * dim
+    offset = np.arange(count)[:, None] * dim * dim
+    out = np.zeros(size, dtype=complex)
+    # m[r_f, r_e] is the transpose of m read at (r_e, r_f)
+    for line, other, mats, sign in (
+            (row, col, constraints.reshape(count, -1), 1),
+            (col, row, constraints.transpose(0, 2, 1).reshape(count, -1), -1)):
+        for e, f in _line_pairs(line, max(1, PAIR_CHUNK // count)):
+            key = (offset + own[f] * dim + own[e]).ravel()
+            vals = (mats[:, other[e] * s.ambient + other[f]]
+                    * (sign * np.conj(w[f]) * w[e])).ravel()
+            out += np.bincount(key, vals.real, size) \
+                + 1j * np.bincount(key, vals.imag, size)
+    return out.reshape(count * dim, dim)
+
+
+def _center_basis(s: SpannedAlgebra, constraints: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """Orthonormal basis of the elements sum_j x_j b_j of the span that
+    commute with the constraints, from the nullspace of ``_center_system``.
+
+    The constraints lie in the span, so each commutator [b_j, m] does too,
+    and its span coordinates keep its norm: the system for x keeps the
     singular values of the commutator system over all n^2 entries.  The
     cutoff scales with the constraints (columns are at most 2|m|), since a
     commutative span's system is round-off.
     """
     scale = 2 * float(np.max(np.linalg.norm(constraints, axis=(1, 2))))
-    xi = nullspace(np.concatenate(
-        [s.coordinates(basis @ m - m @ basis).T for m in constraints]), tol,
-        scale=scale)
-    return np.tensordot(xi.T, basis, axes=(1, 0))
+    xi = nullspace(_center_system(s, constraints), tol, scale=scale)
+    return s.combine(xi.T)
+
+
+def _basis_gram(s: SpannedAlgebra) -> np.ndarray:
+    """G = sum_j b_j b_j^* over the orthonormal basis, so that tr(P G) =
+    sum_j |P b_j|_F^2 for any projection P.
+
+    The rows of a dense span give G as one product.  On labels, G[r_e, r_f]
+    sums w_e conj(w_f) over the pairs of entries of one member on a common
+    column.
+    """
+    n = s.ambient
+    if s.onb is not None:
+        rows = s.span_basis.transpose(1, 0, 2).reshape(n, -1)
+        return rows @ rows.conj().T
+    own, w, row, col = s.labels()
+    out = np.zeros(n * n, dtype=complex)
+    for e, f in _line_pairs(own * n + col):
+        key, vals = row[e] * n + row[f], w[e] * np.conj(w[f])
+        out += np.bincount(key, vals.real, n * n) \
+            + 1j * np.bincount(key, vals.imag, n * n)
+    return out.reshape(n, n)
 
 
 @dataclass
@@ -461,11 +562,14 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
     spans, so its minimal central projections are the union of theirs, and
     the report keeps each on its component's indices.  A dense span is one
     component.  Per component, the center is solved in span coordinates,
-    through the same verified loop as the commutant; a random Hermitian
-    element of it is drawn, its eigenvalues clustered (threshold ``gap``),
-    and the spectral projections taken.  A generic draw separates the
-    minimal central projections with probability one; degenerate central
-    elements are redrawn, failing after five draws.
+    through the same verified loop as the commutant, from a system built
+    from the entries of a label span (``_center_system``); a random
+    Hermitian element of it is drawn, its eigenvalues clustered (threshold
+    ``gap``), and the spectral projections taken.  Each block dimension is
+    the square root of a trace, tr(P G) with G = sum_j b_j b_j^*
+    (``_projections_from_spectrum``).  A generic draw separates the minimal
+    central projections with probability one; degenerate central elements
+    are redrawn, failing after five draws.
     """
     parts = [(np.arange(s.ambient), s)]
     if s.onb is None:
@@ -495,28 +599,37 @@ def _component_projections(s: SpannedAlgebra, seed, tol, gap):
     rng = np.random.default_rng(seed)
 
     center = _verified_solve(
-        (gens,), (basis,), rng, lambda c: _center_basis(s, basis, c, tol),
-        lambda: _center_basis(s, basis, basis, tol), tol)
+        (gens,), (basis,), rng, lambda c: _center_basis(s, c, tol),
+        lambda: _center_basis(s, basis, tol), tol)
     herm = _hermitian_parts(center)
+    gram = _basis_gram(s)
     last_error = "no attempt"
     for attempt in range(5):
         z = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
         w, v = eig_hermitian(z, max(tol, 1e-8))
         try:
-            return _projections_from_spectrum(s, basis, w, v, tol, gap)
+            return _projections_from_spectrum(s, gram, w, v, tol, gap)
         except DegenerateDrawError as exc:
             last_error = str(exc)
     raise DegenerateDrawError(
         f"central projection extraction failed after 5 draws: {last_error}")
 
 
-def _projections_from_spectrum(s: SpannedAlgebra, basis, w, v, tol, gap):
-    """(projection, block dim, multiplicity) of each spectral cluster."""
+def _projections_from_spectrum(s: SpannedAlgebra, gram, w, v, tol, gap):
+    """(projection, block dim, multiplicity) of each spectral cluster.
+
+    For a central projection P of the span, b -> P b is the Hilbert-Schmidt
+    orthogonal projection of the span onto its summand P A.  So the squared
+    block dimension d^2 = dim P A is its trace sum_j |P b_j|_F^2 = tr(P G),
+    with ``gram`` the G of ``_basis_gram``; the trace must lie within
+    max(100 tol, 1e-7) times the span dimension of a nonzero square.
+    """
+    bound = max(tol * 100, 1e-7)
     out = []
     for idx in cluster_eigenvalues(w, gap):
         cols = v[:, idx]
         proj = cols @ cols.conj().T
-        if not s.contains(proj, max(tol * 100, 1e-7)):
+        if not s.contains(proj, bound):
             # spectral cluster outside the span: only legitimate for the
             # kernel of a non-unital algebra
             if abs(np.mean(w[idx])) > gap \
@@ -524,13 +637,11 @@ def _projections_from_spectrum(s: SpannedAlgebra, basis, w, v, tol, gap):
                 raise DegenerateDrawError("cluster projection not in the span")
             continue
         rank = int(round(float(np.real(np.trace(proj)))))
-        compressed = np.matmul(cols.conj().T, basis @ cols)
-        block_sq = matrix_rank(compressed.reshape(basis.shape[0], -1),
-                               max(tol, 1e-8))
-        d = int(round(block_sq ** 0.5))
-        if d * d != block_sq or d == 0 or rank % d != 0:
+        block_sq = float(np.real(np.vdot(gram, proj)))
+        d = int(round(max(block_sq, 0.0) ** 0.5))
+        if abs(block_sq - d * d) > bound * s.dim or d == 0 or rank % d != 0:
             raise DegenerateDrawError(
-                f"cluster gives non-square block dimension {block_sq}")
+                f"cluster gives non-square block dimension {block_sq:.6g}")
         out.append((proj, d, rank // d))
     if sum(d * d for _, d, _ in out) != s.dim:
         raise DegenerateDrawError("block dimensions do not add up to the span")

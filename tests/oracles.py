@@ -46,6 +46,27 @@ def naive_commutant_dim(family, tol=1e-9):
     return stacked.shape[1] - np.linalg.matrix_rank(stacked, tol=tol * 100)
 
 
+def commutator_coordinates(basis, constraints):
+    """The (count * dim, dim) stack of one (dim, dim) block per constraint
+    m, holding the coordinates <b_k, b_j m - m b_j> of the commutators of an
+    orthonormal basis b, from the dense products."""
+    basis = np.asarray(basis, dtype=complex)
+    blocks = []
+    for m in np.asarray(constraints, dtype=complex):
+        comm = basis @ m - m @ basis
+        blocks.append(np.einsum("kab,jab->kj", basis.conj(), comm))
+    return np.concatenate(blocks)
+
+
+def compressed_rank(basis, proj, tol=1e-8):
+    """Dimension of the compressions P b P of a family to the range of a
+    projection P, as the rank of the stacked compressed members."""
+    w, v = np.linalg.eigh(np.asarray(proj, dtype=complex))
+    cols = v[:, w > 0.5]
+    compressed = np.stack([cols.conj().T @ b @ cols for b in basis])
+    return np.linalg.matrix_rank(compressed.reshape(len(basis), -1), tol=tol)
+
+
 def naive_intertwiner_dim(pi, rho, tol=1e-9):
     pi = np.asarray(pi, dtype=complex)
     rho = np.asarray(rho, dtype=complex)

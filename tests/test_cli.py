@@ -133,6 +133,14 @@ def test_parse_errors(capsys):
     assert run_cli(capsys, "verify", "nonsense")[0] == 2          # bad suite
 
 
+def test_non_finite_tol_is_bad_input(capsys):
+    for tol in ("nan", "inf", "-1"):
+        code, out, err = run_cli(capsys, "sympow", "--blocks", "2", "--n",
+                                 "2", "--tol", tol)
+        assert code == 2
+        assert out == "" and "tol must be positive and finite" in err
+
+
 def test_every_subcommand_has_help_and_unknown_ones_exit_2(capsys):
     for name in cli._COMMANDS:
         assert main([name, "--help"]) == 0

@@ -20,7 +20,8 @@ from cstarpow.structure import (_support_components, commutant,
                                 intertwiner_space, is_factor, is_irreducible,
                                 minimal_central_projections, quasi_equivalent,
                                 spanned_algebra)
-from oracles import (distance_to_span, naive_commutant_dim,
+from oracles import (commutator_coordinates, compressed_rank,
+                     distance_to_span, naive_commutant_dim,
                      naive_intertwiner_dim, support_components_bfs)
 
 
@@ -149,11 +150,64 @@ def test_span_coordinates_keep_norms_and_the_center_system(case):
         full = np.concatenate([(basis @ m - m @ basis).reshape(span.dim, -1).T
                                for m in constraints])
         scale = 2 * np.max(np.linalg.norm(constraints, axis=(1, 2)))
-        assert structure._center_basis(
-            span, basis, constraints, 1e-9).shape[0] \
+        assert structure._center_basis(span, constraints, 1e-9).shape[0] \
             == nullspace(full, 1e-9, scale).shape[1] == len(blocks)
     report = minimal_central_projections(span)
     assert sorted(zip(report.block_dims, report.multiplicities)) == blocks
+
+
+def _phased(span, rng):
+    """The label span with each member times a random phase, so that its
+    weights are complex and differ between members."""
+    own, w, row, col = span.labels()
+    phase = np.exp(2j * np.pi * rng.random(span.dim))
+    return structure.label_span(span.ambient, own, row * span.ambient + col,
+                                w * phase[own])
+
+
+@st.composite
+def _wedderburn_span(draw):
+    """A ``_block_span``, or the symmetric power span of a block list on
+    ambient <= 27; labels get random member phases, and a symmetric power
+    conjugated by a random unitary is kept as dense rows."""
+    if draw(st.booleans()):
+        span, _, rng = draw(_block_span())
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        blocks = draw(st.sampled_from([[1], [2], [3], [1, 1], [2, 1],
+                                       [1, 1, 1]]))
+        n = draw(st.integers(1, max(a for a in (1, 2, 3)
+                                    if sum(blocks) ** a <= 27)))
+        span = symmetric_power_span(make_algebra(blocks), n)
+        if draw(st.booleans()):
+            x = rng.standard_normal((span.ambient,) * 2) \
+                + 1j * rng.standard_normal((span.ambient,) * 2)
+            q = np.linalg.qr(x)[0]
+            span = spanned_algebra(
+                np.matmul(q, span.span_basis @ q.conj().T), check=False)
+    if span.onb is None:
+        span = _phased(span, rng)
+    return span, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wedderburn_span())
+def test_center_system_and_trace_block_dims_match_dense_oracles(case):
+    span, rng = case
+    basis = span.span_basis
+    c = rng.standard_normal(span.dim) + 1j * rng.standard_normal(span.dim)
+    x = np.tensordot(c, basis, axes=(0, 0))
+    for constraints in (basis, np.stack([x, x.conj().T])):
+        got = structure._center_system(span, constraints)
+        assert np.max(np.abs(got - commutator_coordinates(
+            basis, constraints))) <= 1e-12
+    # the trace tr(P G) against the rank of the compressed family, on each
+    # minimal central projection and on their sum
+    gram = structure._basis_gram(span)
+    projs = minimal_central_projections(span).central_projections
+    for proj in projs + [sum(projs)]:
+        assert abs(np.real(np.vdot(gram, proj))
+                   - compressed_rank(basis, proj)) <= 1e-9
 
 
 @st.composite
@@ -378,6 +432,20 @@ def test_wedderburn_solve_builds_no_member_stack():
         tracemalloc.stop()
     assert enumerated == spectral
     assert stack >= 30e6 and peak < stack / 2
+
+
+def test_wedderburn_solve_of_s3_m2_m3_stays_small(m23):
+    # the label center system and the trace block dimensions form no
+    # product with a component's basis: 28 MB before, 14 MB with them
+    span = symmetric_power_span(m23, 3)
+    tracemalloc.start()
+    try:
+        report = minimal_central_projections(span)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(d * d for d in report.block_dims) == span.dim
+    assert peak < 20e6
 
 
 def test_wedderburn_report_consistency(m23):
