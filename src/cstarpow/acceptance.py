@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (generated_star_algebra, make_algebra,
-                      square_map_multiplicativity, symmetric_power_basis,
-                      symmetric_power_count)
+                      power_map_differential, square_map_multiplicativity,
+                      symmetric_power_basis, symmetric_power_count)
 from .classify import (direct_sum_of_power_maps, homogeneous_components,
                        non_schur_weyl_witness, schur_weyl_injectivity_check,
                        symmetric_power_span, wedderburn_comparison)
@@ -247,8 +247,13 @@ def suite_generation(tol, seed, budget):
     """The derivative elements generate the whole fixed-point span."""
     assertions = []
     for blocks, n in [([2], 2), ([2], 3), ([1, 1, 1], 3)]:
-        span = symmetric_power_span(make_algebra(blocks), n)
-        generated = generated_star_algebra(span.generators, span.ambient,
+        algebra = make_algebra(blocks)
+        sym = symmetric_power_basis(algebra, n)
+        span = symmetric_power_span(algebra, n, sym)
+        derivatives = sym.power.embed(np.stack(
+            [power_map_differential(algebra, e, n)
+             for e in np.eye(algebra.dim)]))
+        generated = generated_star_algebra(derivatives, span.ambient,
                                            tol=1e-8)
         combined = np.concatenate(
             [generated.reshape(generated.shape[0], -1),

@@ -31,8 +31,8 @@ from functools import reduce
 import numpy as np
 
 from .algebra import (FdCStarAlgebra, SymmetricPowerBasis, make_algebra,
-                      power_map_differential, symmetric_power_basis,
-                      symmetric_power_count, tensor_algebra)
+                      symmetric_power_basis, symmetric_power_count,
+                      tensor_algebra)
 from .crossed import GroupAction
 from .errors import VerificationError
 from .groups import (ProjectiveRep, Subgroup, check_partition,
@@ -250,18 +250,14 @@ def symmetric_power_span(algebra: FdCStarAlgebra, n: int,
 
     Member i is the orbit sum ``sym.index[i]``, 1 at the unit position of
     each of its monomials; these supports are disjoint, so the orbit labels
-    go straight to ``label_span`` and no member stack is built.  Generators
-    are the embedded derivatives of the power map at the basis units of the
-    algebra.
+    go straight to ``label_span`` and no member stack is built.
     """
     if sym is None:
         sym = symmetric_power_basis(algebra, n)
     ambient = sym.power.ambient
     row, col = sym.power.positions.T
-    gens = sym.power.embed(np.stack([power_map_differential(algebra, e, n)
-                                     for e in np.eye(algebra.dim)]))
     return label_span(ambient, sym.orbit, row * ambient + col,
-                      np.ones(sym.orbit.shape[0]), gens)
+                      np.ones(sym.orbit.shape[0]))
 
 
 def wedderburn_crosscheck(algebra: FdCStarAlgebra, n: int,

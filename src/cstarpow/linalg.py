@@ -100,14 +100,17 @@ def orthonormal_columns(a, tol: float = DEFAULT_TOL,
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and a unitary eigenvector matrix.
 
-    Rejects inputs that fail the Hermiticity test ``op_norm(m - m*) <= tol *
-    max(1, op_norm(m))``.
+    Rejects inputs that fail the Hermiticity test ``|m - m*|_F <= tol *
+    max(1, c)``, with c the largest column norm of m.  The Frobenius norm
+    bounds the operator norm from above and c bounds it from below, so this
+    rejects whatever ``op_norm(m - m*) > tol * max(1, op_norm(m))`` rejects,
+    without an SVD.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("eig_hermitian requires a square matrix")
-    scale = max(1.0, op_norm(m))
-    if op_norm(m - adjoint(m)) > tol * scale:
+    scale = max(1.0, float(np.max(np.linalg.norm(m, axis=0), initial=0.0)))
+    if np.linalg.norm(m - adjoint(m)) > tol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(m)
     return w, v

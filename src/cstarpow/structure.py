@@ -1,22 +1,25 @@
 """Wedderburn analysis of concrete *-closed matrix algebras.
 
-Commutants, centers, minimal central projections, and equivalence tests for
+Commutants, minimal central projections, and equivalence tests for
 representations given by the images of an algebra basis.
 
-Commutants are solved in the eigenbasis of a generic Hermitian element H of
-a *-closed family: whatever commutes with the family commutes with H, so in
-the eigenbasis of H it is block diagonal over the eigenvalue clusters of H,
-and only the sum of the squared cluster sizes are unknowns instead of all
-N^2 entries (the generic step of Murota, Kanno, Kojima & Kojima, Japan J.
-Indust. Appl. Math. 27 (2010)).  Large families are first replaced by
-generic linear combinations with their adjoints, whose commutant equals the
-family's with probability one.  Candidates are verified against a generic
-combination of the whole family and its adjoint, which exposes a failing
-member with probability one (the idea of Freivalds' check, IFIP 1977); a
-failing draw is retried with added combinations, and an exhaustive solve is
-the last resort.  The center solve runs through the same loop, and the size
-guard bounds each system built.  Intertwiners and equivalence are read off
-the corners of the commutant of pi (+) rho.
+Both work in the eigenbasis of a generic Hermitian element H (the generic
+step of Murota, Kanno, Kojima & Kojima and of Maehara & Murota, both Japan
+J. Indust. Appl. Math. 27 (2010)).  Whatever commutes with a *-closed
+family commutes with H, so the commutant is block diagonal over the
+eigenvalue clusters of H in its eigenbasis, and only the sum of the squared
+cluster sizes are unknowns instead of all N^2 entries.  Large families are
+first replaced by generic linear combinations with their adjoints, whose
+commutant equals the family's with probability one.  Candidates are
+verified against a generic combination of the whole family and its
+adjoint, which exposes a failing member with probability one (the idea of
+Freivalds' check, IFIP 1977); a failing draw is retried with added
+combinations, and an exhaustive solve is the last resort.  The size guard
+bounds each system built.  Minimal central projections need no solve: H
+drawn from the span itself has the same clusters on each copy of one
+simple summand, and a second generic member links exactly the clusters of
+one summand.  Intertwiners and equivalence are read off the corners of the
+commutant of pi (+) rho.
 """
 
 from __future__ import annotations
@@ -50,13 +53,10 @@ class SpannedAlgebra:
     (for each of the n^2 entries, ``owner`` is the member covering it, -1 if
     none, and ``normalized`` that unit-norm member's entry), else as the
     vectorized rows ``onb``.  ``span_basis`` builds the basis matrices from
-    that form on each read.  ``generators`` is an optional smaller family in
-    the span generating it as an algebra, used to speed up commutation
-    solves.
+    that form on each read.
     """
 
     ambient: int
-    generators: np.ndarray | None = None
     onb: np.ndarray | None = None
     owner: np.ndarray | None = None
     normalized: np.ndarray | None = None
@@ -122,21 +122,20 @@ class SpannedAlgebra:
                 *np.divmod(entry, self.ambient))
 
 
-def label_span(n: int, member, entry, values,
-               generators=None) -> SpannedAlgebra:
+def label_span(n: int, member, entry, values) -> SpannedAlgebra:
     """The label span on ambient n of members 0, 1, ... with disjoint,
     nonempty supports (not checked), given as triplets: member ``member[t]``
     has value ``values[t]`` at the flat entry ``entry[t]``."""
     norms = np.sqrt(np.bincount(member, np.abs(values) ** 2))
-    out = SpannedAlgebra(n, generators, owner=np.full(n * n, -1),
+    out = SpannedAlgebra(n, owner=np.full(n * n, -1),
                          normalized=np.zeros(n * n, dtype=complex))
     out.owner[entry] = member
     out.normalized[entry] = values / norms[member]
     return out
 
 
-def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
-                    check: bool = True, seed: int = 0) -> SpannedAlgebra:
+def spanned_algebra(mats, tol: float = DEFAULT_TOL, check: bool = True,
+                    seed: int = 0) -> SpannedAlgebra:
     """Build a SpannedAlgebra from a spanning family.
 
     A family with no zero member and no entry nonzero in two members is
@@ -151,14 +150,13 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, generators=None,
     fam = _as_family(mats)
     n = fam.shape[1]
     vecs = fam.reshape(fam.shape[0], n * n)
-    gens = None if generators is None else _as_family(generators)
     nz = vecs != 0
     if np.all(np.any(nz, axis=1)) and \
             np.max(np.count_nonzero(nz, axis=0), initial=0) <= 1:
         member, entry = np.nonzero(nz)
-        out = label_span(n, member, entry, vecs[member, entry], gens)
+        out = label_span(n, member, entry, vecs[member, entry])
     else:
-        out = SpannedAlgebra(n, gens, onb=orthonormal_columns(vecs.T, tol).T)
+        out = SpannedAlgebra(n, onb=orthonormal_columns(vecs.T, tol).T)
     if check:
         rng = np.random.default_rng(seed)
         basis = out.span_basis
@@ -225,27 +223,6 @@ def _verify_commutant(cands: np.ndarray, blocks, tol: float, rng) -> bool:
     return True
 
 
-def _verified_solve(gens, fam, rng, solve, exhaustive, tol: float) -> np.ndarray:
-    """Draw -> solve -> verify -> redraw -> exhaustive: up to four
-    generators with their adjoints, or else a generic combination and its
-    adjoint, are the constraints of ``solve``; two more draws each add a
-    combination, and ``exhaustive()`` follows the third failure.  ``gens``
-    and ``fam`` are given as blocks."""
-    if gens[0].shape[0] <= 4:
-        members = _members(gens)
-        constraints = np.concatenate(
-            [members, np.conj(np.transpose(members, (0, 2, 1)))])
-    else:
-        constraints = np.stack(_random_combos(gens, rng, 1))
-    for _ in range(3):
-        cands = solve(constraints)
-        if _verify_commutant(cands, fam, tol, rng):
-            return cands
-        constraints = np.concatenate(
-            [constraints, np.stack(_random_combos(gens, rng, 1))])
-    return exhaustive()
-
-
 def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
     """Commutant of a *-closed spanned algebra or matrix family in its
     ambient space.
@@ -253,8 +230,7 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
     The family must be closed under adjoints (up to span): the solve keeps
     only what commutes with a Hermitian element built from the members and
     their adjoints, which for a family that is not *-closed can drop part of
-    its commutant.  A SpannedAlgebra's generators must generate it as a
-    *-algebra.  Each draw of ``_verified_solve`` takes a random real
+    its commutant.  Each draw of ``_commutant_basis`` takes a random real
     combination H of the Hermitian parts of the constraints, H = V D V*, and
     solves [X', V* m V] = 0 for the unknown X' = V* X V restricted to the
     blocks of the eigenvalue clusters of H; the dense commutation system of
@@ -265,19 +241,19 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
     Returns a SpannedAlgebra; the double commutant of a unital *-closed span
     recovers the span itself at these (finite) sizes.
     """
-    if isinstance(s, SpannedAlgebra):
-        fam = s.span_basis
-        gens = s.generators if s.generators is not None else fam
-    else:
-        fam = gens = _as_family(s)
-    return spanned_algebra(_commutant_basis((gens,), (fam,), tol, seed), tol,
+    fam = s.span_basis if isinstance(s, SpannedAlgebra) else _as_family(s)
+    return spanned_algebra(_commutant_basis((fam,), tol, seed), tol,
                            check=False)
 
 
-def _commutant_basis(gens, fam, tol: float, seed: int) -> np.ndarray:
-    """Orthonormal basis of the commutant of ``fam``, generated as a
-    *-algebra by ``gens``, both given as blocks; see ``commutant``."""
-    n = sum(f.shape[1] for f in fam)
+def _commutant_basis(blocks, tol: float, seed: int) -> np.ndarray:
+    """Orthonormal basis of the commutant of a family given as blocks; see
+    ``commutant``.  Draw -> solve -> verify -> redraw -> exhaustive: up to
+    four members with their adjoints, or else a generic combination and its
+    adjoint, are the constraints of the eigenbasis solve; two more draws
+    each add a combination, and the dense system of the whole family
+    follows the third failure."""
+    n = sum(f.shape[1] for f in blocks)
     rng = np.random.default_rng(seed)
 
     def eigenbasis_solve(constraints):
@@ -307,15 +283,24 @@ def _commutant_basis(gens, fam, tol: float, seed: int) -> np.ndarray:
         reduced[:, rows, cols] = coeffs.T
         return np.matmul(v, reduced @ v.conj().T)
 
-    def dense_solve():
-        if n > MAX_COMMUTANT_AMBIENT:
-            raise BudgetError(
-                f"dense commutant solve limited to ambient {MAX_COMMUTANT_AMBIENT}")
-        stacked = np.concatenate(
-            [_commutation_operator(m) for m in _members(fam)], axis=0)
-        return nullspace(stacked, tol).T.reshape(-1, n, n)
-
-    return _verified_solve(gens, fam, rng, eigenbasis_solve, dense_solve, tol)
+    if blocks[0].shape[0] <= 4:
+        members = _members(blocks)
+        constraints = np.concatenate(
+            [members, np.conj(np.transpose(members, (0, 2, 1)))])
+    else:
+        constraints = np.stack(_random_combos(blocks, rng, 1))
+    for _ in range(3):
+        cands = eigenbasis_solve(constraints)
+        if _verify_commutant(cands, blocks, tol, rng):
+            return cands
+        constraints = np.concatenate(
+            [constraints, np.stack(_random_combos(blocks, rng, 1))])
+    if n > MAX_COMMUTANT_AMBIENT:
+        raise BudgetError(
+            f"dense commutant solve limited to ambient {MAX_COMMUTANT_AMBIENT}")
+    stacked = np.concatenate(
+        [_commutation_operator(m) for m in _members(blocks)], axis=0)
+    return nullspace(stacked, tol).T.reshape(-1, n, n)
 
 
 def commutant_dimension(family, tol: float = DEFAULT_TOL, seed: int = 0) -> int:
@@ -336,7 +321,7 @@ def _commutant_corners(pi, rho, tol: float, seed: int):
     if pi.shape[0] != rho.shape[0]:
         raise ValueError("the two representations must share a basis")
     p = pi.shape[1]
-    basis = _commutant_basis((pi, rho), (pi, rho), tol, seed)
+    basis = _commutant_basis((pi, rho), tol, seed)
     corners = []
     for cut in (basis[:, :p, :p], basis[:, p:, :p], basis[:, p:, p:]):
         q = orthonormal_columns(cut.reshape(cut.shape[0], -1).T, tol,
@@ -379,25 +364,27 @@ def is_irreducible(pi, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
 def is_factor(pi, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
     """Whether the generated von Neumann algebra has trivial center.
 
-    At finite dimension this is the condition that the center of the
-    commutant is the scalars.
+    ``pi`` must span a *-algebra, as the images of an algebra basis do;
+    with the identity it then spans the generated von Neumann algebra, a
+    factor iff it has one minimal central projection.
     """
-    comm = commutant(_as_family(pi), tol, seed)
-    return _center_basis(comm, comm.span_basis, tol).shape[0] == 1
+    fam = _as_family(pi)
+    eye = np.eye(fam.shape[1], dtype=complex)[None]
+    span = spanned_algebra(np.concatenate([fam, eye]), tol, seed=seed)
+    return len(minimal_central_projections(span, seed, tol).blocks) == 1
 
 
 # ---------------------------------------------------------------------------
-# centers and minimal central projections
+# minimal central projections
 
-# Most entry pairs, times the constraints they gather, held at once by the
-# label forms of the center system and of the block dimensions.
+# Most entry pairs held at once by the label form of the block dimensions.
 PAIR_CHUNK = 1 << 20
 
 
-def _line_pairs(line: np.ndarray, chunk: int = PAIR_CHUNK):
+def _line_pairs(line: np.ndarray):
     """All ordered pairs (e, f) of positions on a common line, line[e] ==
     line[f], yielded as two index arrays per group of consecutive lines;
-    a group holds at most ``chunk`` pairs, or one line that alone holds
+    a group holds at most PAIR_CHUNK pairs, or one line that alone holds
     more."""
     order = np.argsort(line, kind="stable")
     counts = np.bincount(line)
@@ -407,7 +394,7 @@ def _line_pairs(line: np.ndarray, chunk: int = PAIR_CHUNK):
     lo = 0
     while lo < counts.size:
         hi = max(lo + 1, int(np.searchsorted(
-            total, total[lo] - pairs[lo] + chunk, side="right")))
+            total, total[lo] - pairs[lo] + PAIR_CHUNK, side="right")))
         f = order[ends[lo] - counts[lo]:ends[hi - 1]]
         reps = counts[line[f]]
         # the partners of the i-th f fill reps[i] consecutive slots
@@ -415,58 +402,6 @@ def _line_pairs(line: np.ndarray, chunk: int = PAIR_CHUNK):
         yield order[np.repeat(first, reps) + np.arange(reps.sum())], \
             np.repeat(f, reps)
         lo = hi
-
-
-def _center_system(s: SpannedAlgebra, constraints: np.ndarray) -> np.ndarray:
-    """The (count * dim, dim) system whose row t * dim + k and column j is
-    the span coordinate <b_k, b_j m_t - m_t b_j> of the commutator of basis
-    element b_j with constraint m_t.
-
-    A dense span takes the products with its basis.  A label span reads its
-    entries e (weight w_e on row r_e, column c_e) instead: (b_j m)[r_f, c_f]
-    sums w_e m[c_e, c_f] over the entries e of b_j on row r_f, and
-    (m b_j)[r_f, c_f] sums m[r_f, r_e] w_e over those on column c_f.  So
-    each pair (e, f) of entries on a common row adds conj(w_f) w_e
-    m[c_e, c_f] at (k, j) = (owner of f, owner of e), and each pair on a
-    common column subtracts conj(w_f) w_e m[r_f, r_e].  The pairs depend on
-    the labels only; each group of them gathers every constraint at once.
-    """
-    count, dim = constraints.shape[0], s.dim
-    if s.onb is not None:
-        basis = s.span_basis
-        return np.concatenate([s.coordinates(basis @ m - m @ basis).T
-                               for m in constraints])
-    own, w, row, col = s.labels()
-    size = count * dim * dim
-    offset = np.arange(count)[:, None] * dim * dim
-    out = np.zeros(size, dtype=complex)
-    # m[r_f, r_e] is the transpose of m read at (r_e, r_f)
-    for line, other, mats, sign in (
-            (row, col, constraints.reshape(count, -1), 1),
-            (col, row, constraints.transpose(0, 2, 1).reshape(count, -1), -1)):
-        for e, f in _line_pairs(line, max(1, PAIR_CHUNK // count)):
-            key = (offset + own[f] * dim + own[e]).ravel()
-            vals = (mats[:, other[e] * s.ambient + other[f]]
-                    * (sign * np.conj(w[f]) * w[e])).ravel()
-            out += np.bincount(key, vals.real, size) \
-                + 1j * np.bincount(key, vals.imag, size)
-    return out.reshape(count * dim, dim)
-
-
-def _center_basis(s: SpannedAlgebra, constraints: np.ndarray,
-                  tol: float) -> np.ndarray:
-    """Orthonormal basis of the elements sum_j x_j b_j of the span that
-    commute with the constraints, from the nullspace of ``_center_system``.
-
-    The constraints lie in the span, so each commutator [b_j, m] does too,
-    and its span coordinates keep its norm: the system for x keeps the
-    singular values of the commutator system over all n^2 entries.  The
-    cutoff scales with the constraints (columns are at most 2|m|), since a
-    commutative span's system is round-off.
-    """
-    scale = 2 * float(np.max(np.linalg.norm(constraints, axis=(1, 2))))
-    xi = nullspace(_center_system(s, constraints), tol, scale=scale)
-    return s.combine(xi.T)
 
 
 def _basis_gram(s: SpannedAlgebra) -> np.ndarray:
@@ -551,25 +486,21 @@ def _support_components(n: int, owner: np.ndarray
 
 
 def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
-                                tol: float = DEFAULT_TOL,
-                                gap: float = SPECTRAL_GAP) -> WedderburnReport:
-    """Wedderburn data of a *-closed span via a random central element.
+                                tol: float = DEFAULT_TOL) -> WedderburnReport:
+    """Wedderburn data of a *-closed span from two generic members.
 
     A label span is first split into the connected components of its
     members' supports, read from the labels.  Each component's labels on
-    its block form a label span of their own, with the generators
-    compressed to the block: the span is the direct sum of the component
-    spans, so its minimal central projections are the union of theirs, and
-    the report keeps each on its component's indices.  A dense span is one
-    component.  Per component, the center is solved in span coordinates,
-    through the same verified loop as the commutant, from a system built
-    from the entries of a label span (``_center_system``); a random
-    Hermitian element of it is drawn, its eigenvalues clustered (threshold
-    ``gap``), and the spectral projections taken.  Each block dimension is
-    the square root of a trace, tr(P G) with G = sum_j b_j b_j^*
-    (``_projections_from_spectrum``).  A generic draw separates the minimal
-    central projections with probability one; degenerate central elements
-    are redrawn, failing after five draws.
+    its block form a label span of their own: the span is the direct sum of
+    the component spans, so its minimal central projections are the union
+    of theirs, and the report keeps each on its component's indices.  A
+    dense span is one component.  Per component, generic members x1 and x2
+    are drawn and the eigenvalues of H = (x1 + x1*)/2 clustered; x2 links
+    the clusters of one simple summand, and each linked component of
+    clusters sums to one minimal central projection, whose block dimension
+    is its cluster count (``_projections_from_spectrum``).  Only span
+    members are read, never a description of the algebra.  A draw that
+    fails a check is redrawn, failing after five draws.
     """
     parts = [(np.arange(s.ambient), s)]
     if s.onb is None:
@@ -577,72 +508,88 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
         for idx, members in _support_components(s.ambient, s.owner):
             flat = (idx[:, None] * s.ambient + idx).ravel()
             local = np.flatnonzero(s.owner[flat] >= 0)
-            gens = None if s.generators is None \
-                else s.generators[:, idx[:, None], idx]
             parts.append((idx, label_span(
                 len(idx), np.searchsorted(members, s.owner[flat[local]]),
-                local, s.normalized[flat[local]], gens)))
+                local, s.normalized[flat[local]])))
     found = []
     for idx, sub in parts:
         found += [(d, k, (idx, proj)) for proj, d, k
-                  in _component_projections(sub, seed, tol, gap)]
-    if sum(f[0] ** 2 for f in found) != s.dim:
-        raise DegenerateDrawError("block dimensions do not add up to the span")
+                  in _component_projections(sub, seed, tol)]
     found.sort(key=lambda f: f[:2])
     return WedderburnReport(s.ambient, [f[2] for f in found],
                             [f[0] for f in found], [f[1] for f in found])
 
 
-def _component_projections(s: SpannedAlgebra, seed, tol, gap):
-    basis = s.span_basis
-    gens = s.generators if s.generators is not None else basis
+def _component_projections(s: SpannedAlgebra, seed, tol):
     rng = np.random.default_rng(seed)
-
-    center = _verified_solve(
-        (gens,), (basis,), rng, lambda c: _center_basis(s, c, tol),
-        lambda: _center_basis(s, basis, tol), tol)
-    herm = _hermitian_parts(center)
     gram = _basis_gram(s)
     last_error = "no attempt"
-    for attempt in range(5):
-        z = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
-        w, v = eig_hermitian(z, max(tol, 1e-8))
+    for _ in range(5):
+        # x1 for the clusters, x2 for their links, and a commutation probe
+        x1, x2, probe = s.combine(rng.standard_normal((3, s.dim))
+                                  + 1j * rng.standard_normal((3, s.dim)))
+        w, v = eig_hermitian((x1 + adjoint(x1)) / 2, tol)
         try:
-            return _projections_from_spectrum(s, gram, w, v, tol, gap)
+            return _projections_from_spectrum(s, gram, w, v, x2, probe, tol)
         except DegenerateDrawError as exc:
             last_error = str(exc)
     raise DegenerateDrawError(
         f"central projection extraction failed after 5 draws: {last_error}")
 
 
-def _projections_from_spectrum(s: SpannedAlgebra, gram, w, v, tol, gap):
-    """(projection, block dim, multiplicity) of each spectral cluster.
+def _projections_from_spectrum(s: SpannedAlgebra, gram, w, v, x2, probe,
+                               tol):
+    """(projection, block dim, multiplicity) of each component of the
+    eigenvalue clusters of H = V diag(w) V* linked by x2.
 
-    For a central projection P of the span, b -> P b is the Hilbert-Schmidt
-    orthogonal projection of the span onto its summand P A.  So the squared
-    block dimension d^2 = dim P A is its trace sum_j |P b_j|_F^2 = tr(P G),
-    with ``gram`` the G of ``_basis_gram``; the trace must lie within
-    max(100 tol, 1e-7) times the span dimension of a nonzero square.
+    On a summand M_d (x) I_m of the span, a generic H has d eigenvalues of
+    multiplicity m, none shared with another summand.  A generic x2 links
+    clusters c, c' (Q_c x2 Q_c' or Q_c' x2 Q_c nonzero, beyond 100 tol
+    |x2|) iff they lie in one summand, so each connected component of the
+    links sums to a minimal central projection P, with d its cluster count
+    and m its cluster size.  For P, b -> P b is the Hilbert-Schmidt
+    orthogonal projection of the span onto P A, so d^2 = dim P A =
+    sum_j |P b_j|_F^2 = tr(P G), with ``gram`` the G of ``_basis_gram``.
+    Each P must lie in the span, have that trace within max(100 tol, 1e-7)
+    times the span dimension, a rank divisible by d, and commute with the
+    generic ``probe``; the squared block dimensions must sum to the span
+    dimension.  A single unlinked cluster outside the span is skipped when
+    it is the kernel of a non-unital span.
     """
     bound = max(tol * 100, 1e-7)
+    gap = SPECTRAL_GAP * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    clusters = cluster_eigenvalues(w, gap)
+    # the clusters are runs of the ascending eigenvalues, so |Q_c x2 Q_c'|^2
+    # sums a run-by-run block of x2's squared entries in the eigenbasis
+    starts = [c[0] for c in clusters]
+    weight = np.add.reduceat(np.add.reduceat(
+        np.abs(v.conj().T @ x2 @ v) ** 2, starts, axis=0), starts, axis=1)
+    k = len(clusters)
+    link = (weight + weight.T > (100 * tol) ** 2 * np.sum(np.abs(x2) ** 2)) \
+        | np.eye(k, dtype=bool)
+    # the link graph's components are the support components of labels
+    # whose member c owns the entries (c, c') of the clusters it links
     out = []
-    for idx in cluster_eigenvalues(w, gap):
+    for comp, _ in _support_components(
+            k, np.where(link, np.arange(k)[:, None], -1).ravel()):
+        idx = np.concatenate([clusters[c] for c in comp])
         cols = v[:, idx]
         proj = cols @ cols.conj().T
         if not s.contains(proj, bound):
-            # spectral cluster outside the span: only legitimate for the
-            # kernel of a non-unital algebra
-            if abs(np.mean(w[idx])) > gap \
+            # only legitimate for the kernel of a non-unital algebra
+            if len(comp) > 1 or abs(np.mean(w[idx])) > gap \
                     or s.contains(np.eye(s.ambient), tol):
-                raise DegenerateDrawError("cluster projection not in the span")
+                raise DegenerateDrawError("linked clusters outside the span")
             continue
-        rank = int(round(float(np.real(np.trace(proj)))))
+        d = len(comp)
         block_sq = float(np.real(np.vdot(gram, proj)))
-        d = int(round(max(block_sq, 0.0) ** 0.5))
-        if abs(block_sq - d * d) > bound * s.dim or d == 0 or rank % d != 0:
+        if abs(block_sq - d * d) > bound * s.dim or idx.size % d != 0:
             raise DegenerateDrawError(
-                f"cluster gives non-square block dimension {block_sq:.6g}")
-        out.append((proj, d, rank // d))
+                f"{d} linked clusters give tr(P G) = {block_sq:.6g}")
+        if np.linalg.norm(proj @ probe - probe @ proj) \
+                > bound * max(1.0, float(np.linalg.norm(probe))):
+            raise DegenerateDrawError("linked clusters are not central")
+        out.append((proj, d, idx.size // d))
     if sum(d * d for _, d, _ in out) != s.dim:
         raise DegenerateDrawError("block dimensions do not add up to the span")
     return out

@@ -58,6 +58,17 @@ def commutator_coordinates(basis, constraints):
     return np.concatenate(blocks)
 
 
+def center_dimension(basis, tol=1e-9):
+    """Dimension of the center of the span of an orthonormal basis, as the
+    nullspace of the commutator coordinates of the basis with itself.  A
+    singular value counts as rank above tol times the constraints' scale,
+    2 max |b|_F, since a commutative span's system is round-off."""
+    basis = np.asarray(basis, dtype=complex)
+    scale = 2 * np.max(np.linalg.norm(basis, axis=(1, 2)))
+    system = commutator_coordinates(basis, basis)
+    return system.shape[1] - np.linalg.matrix_rank(system, tol=tol * scale)
+
+
 def compressed_rank(basis, proj, tol=1e-8):
     """Dimension of the compressions P b P of a family to the range of a
     projection P, as the rank of the stacked compressed members."""

@@ -112,6 +112,20 @@ def test_eig_hermitian_cases(rng):
         eig_hermitian(random_complex(rng, 3, 3))
 
 
+def test_eig_hermitian_refuses_an_asymmetry_of_ten_tolerances(rng):
+    # an anti-Hermitian part with |m - m*| = 10 tol on a Hermitian matrix of
+    # operator norm 1 fails the operator-norm test, and must fail this one;
+    # a part with |m - m*| = tol / 10 passes
+    tol = 1e-9
+    x, y = random_complex(rng, 6, 6), random_complex(rng, 6, 6)
+    h = (x + x.conj().T) / 2
+    skew = (y - y.conj().T) / 2
+    h, skew = h / op_norm(h), skew / op_norm(skew)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig_hermitian(h + 5 * tol * skew, tol)
+    eig_hermitian(h + 0.05 * tol * skew, tol)
+
+
 def test_is_projection_cases(rng):
     assert is_projection(np.eye(4))
     assert is_projection(np.full((2, 2), 0.5))

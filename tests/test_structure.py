@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cstarpow import structure
@@ -10,19 +10,19 @@ from cstarpow.algebra import make_algebra, symmetric_power_count
 from cstarpow.classify import symmetric_power_span, wedderburn_comparison
 from cstarpow.crossed import (block_permutation_action,
                               tensor_permutation_action, trivial_action)
-from cstarpow.errors import BudgetError
+from cstarpow.errors import BudgetError, DegenerateDrawError
 from cstarpow.groups import isotypic_projection, permutation_rep, regular_rep, \
     symmetric_group
-from cstarpow.linalg import direct_sum, nullspace, op_norm
+from cstarpow.linalg import direct_sum, op_norm
 from cstarpow.structure import (_support_components, commutant,
                                 commutant_dimension, equivalent,
                                 ergodic_bound_check, essential_subspace,
                                 intertwiner_space, is_factor, is_irreducible,
                                 minimal_central_projections, quasi_equivalent,
                                 spanned_algebra)
-from oracles import (commutator_coordinates, compressed_rank,
-                     distance_to_span, naive_commutant_dim,
-                     naive_intertwiner_dim, support_components_bfs)
+from oracles import (center_dimension, compressed_rank, distance_to_span,
+                     naive_commutant_dim, naive_intertwiner_dim,
+                     support_components_bfs)
 
 
 def test_commutant_of_full_matrix_algebra(m2):
@@ -142,17 +142,10 @@ def test_span_coordinates_keep_norms_and_the_center_system(case):
     c = rng.standard_normal(span.dim) + 1j * rng.standard_normal(span.dim)
     x = np.tensordot(c, basis, axes=(0, 0))
     assert np.isclose(np.linalg.norm(span.coordinates(x)), np.linalg.norm(x))
-    # the center system in span coordinates against the commutator system
-    # over all n^2 entries, with the basis or a generic pair as constraints;
-    # a commutative span's system is round-off, so the cutoff scales with
-    # the constraints
-    for constraints in (basis, np.stack([x, x.conj().T])):
-        full = np.concatenate([(basis @ m - m @ basis).reshape(span.dim, -1).T
-                               for m in constraints])
-        scale = 2 * np.max(np.linalg.norm(constraints, axis=(1, 2)))
-        assert structure._center_basis(span, constraints, 1e-9).shape[0] \
-            == nullspace(full, 1e-9, scale).shape[1] == len(blocks)
+    # the center solved from the commutators of the whole basis has one
+    # dimension per minimal central projection the engine finds
     report = minimal_central_projections(span)
+    assert center_dimension(basis) == len(report.blocks) == len(blocks)
     assert sorted(zip(report.block_dims, report.multiplicities)) == blocks
 
 
@@ -193,18 +186,15 @@ def _wedderburn_span(draw):
 @settings(max_examples=40, deadline=None)
 @given(_wedderburn_span())
 def test_center_system_and_trace_block_dims_match_dense_oracles(case):
-    span, rng = case
+    span, _ = case
     basis = span.span_basis
-    c = rng.standard_normal(span.dim) + 1j * rng.standard_normal(span.dim)
-    x = np.tensordot(c, basis, axes=(0, 0))
-    for constraints in (basis, np.stack([x, x.conj().T])):
-        got = structure._center_system(span, constraints)
-        assert np.max(np.abs(got - commutator_coordinates(
-            basis, constraints))) <= 1e-12
-    # the trace tr(P G) against the rank of the compressed family, on each
-    # minimal central projection and on their sum
     gram = structure._basis_gram(span)
     projs = minimal_central_projections(span).central_projections
+    # one minimal central projection per dimension of the center solved
+    # from the commutators of the whole basis
+    assert center_dimension(basis) == len(projs)
+    # the trace tr(P G) against the rank of the compressed family, on each
+    # minimal central projection and on their sum
     for proj in projs + [sum(projs)]:
         assert abs(np.real(np.vdot(gram, proj))
                    - compressed_rank(basis, proj)) <= 1e-9
@@ -420,8 +410,8 @@ def test_minimal_central_projections_seed_independent(m23):
 
 def test_wedderburn_solve_builds_no_member_stack():
     # S^3 of M_1 (+) M_2 (+) M_2: 165 orbit sums on ambient 125, a 41 MB
-    # member stack; the split and the center solve read the labels and
-    # build only each support component's basis
+    # member stack; the split, the draws and the block dimensions read the
+    # labels and build no basis
     algebra = make_algebra([1, 2, 2])
     stack = symmetric_power_count(algebra.dim, 3) * algebra.ambient ** 6 * 16
     tracemalloc.start()
@@ -435,8 +425,8 @@ def test_wedderburn_solve_builds_no_member_stack():
 
 
 def test_wedderburn_solve_of_s3_m2_m3_stays_small(m23):
-    # the label center system and the trace block dimensions form no
-    # product with a component's basis: 28 MB before, 14 MB with them
+    # the draws and the trace block dimensions form no product with a
+    # component's basis
     span = symmetric_power_span(m23, 3)
     tracemalloc.start()
     try:
@@ -537,9 +527,9 @@ def test_split_skips_indices_no_member_touches(m2):
 
 @st.composite
 def _blocks_and_degree(draw):
-    """Block lists and degrees with ambient ** n <= 64.  Blocks are at most
-    3 wide: one block of size k is a single support component of size k ** n,
-    and k = 4, n = 3 alone takes seconds."""
+    """Block lists and degrees with ambient ** n <= 64, blocks at most 3
+    wide; single wide blocks, one support component of size k ** n, are
+    explicit examples."""
     n = draw(st.integers(1, 4))
     room = max(a for a in range(1, 9) if a ** n <= 64)
     blocks = [draw(st.integers(1, min(3, room)))]
@@ -552,6 +542,8 @@ def _blocks_and_degree(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(_blocks_and_degree(), st.integers(0, 1000))
+@example(([8], 2), 0)
+@example(([4], 3), 0)
 def test_enumerated_blocks_equal_spectral_blocks(case, seed):
     blocks, n = case
     enumerated, spectral = wedderburn_comparison(make_algebra(blocks), n,
@@ -590,6 +582,65 @@ def test_irreducible_and_factor(m2, m23):
     assert commutant_dimension(doubled) == 4
     defining = m23.basis_matrices()
     assert not is_factor(defining)  # two central summands
+    e00 = np.zeros((1, 2, 2), dtype=complex)
+    e00[0, 0, 0] = 1.0
+    assert not is_factor(e00)  # with I it spans the diagonals of C^2
+    assert is_factor(np.zeros((1, 2, 2), dtype=complex))  # the scalars
+
+
+def _zero_links_for(monkeypatch, failing):
+    """Makes x2, the second member of each draw of the Wedderburn engine,
+    zero for the first ``failing`` draws; returns the list of draws."""
+    combine = structure.SpannedAlgebra.combine
+    draws = []
+
+    def zero_second(self, coeffs):
+        out = combine(self, coeffs)
+        if out.shape[0] == 3:  # x1, x2 and the commutation probe
+            draws.append(out)
+            if len(draws) <= failing:
+                out[1] = 0
+        return out
+
+    monkeypatch.setattr(structure.SpannedAlgebra, "combine", zero_second)
+    return draws
+
+
+def test_degenerate_draws_are_redrawn(monkeypatch, m2):
+    # a zero x2 links no clusters, so the 3-dim summand of S^2(M_2) falls
+    # apart into rank-one projections of trace 3, which is not 1^2
+    span = symmetric_power_span(m2, 2)
+    assert len(_support_components(span.ambient, span.owner)) == 1
+    draws = _zero_links_for(monkeypatch, 1)
+    report = minimal_central_projections(span)
+    assert len(draws) == 2 and sorted(report.block_dims) == [1, 3]
+    monkeypatch.undo()
+    draws = _zero_links_for(monkeypatch, 5)
+    with pytest.raises(DegenerateDrawError, match="after 5 draws"):
+        minimal_central_projections(span)
+    assert len(draws) == 5
+
+
+def test_commutation_probe_rejects_links_across_summands():
+    # M_2 (+) M_2 with H = diag(1, 2, 3, 4): a generic x2 of the span links
+    # the clusters 0, 1 and 2, 3.  Links 0-2 and 1-3 instead give
+    # diag(1, 0, 1, 0) and diag(0, 1, 0, 1), which lie in the span, have
+    # trace 4 = 2^2 against G = 2 I, even rank and squares summing to 8:
+    # only the commutation probe sees that they are not central
+    span = spanned_algebra(make_algebra([2, 2]).basis_matrices())
+    gram = structure._basis_gram(span)
+    w, v = np.arange(1.0, 5.0), np.eye(4, dtype=complex)
+    rng = np.random.default_rng(0)
+    x2, probe = span.combine(rng.standard_normal((2, span.dim))
+                             + 1j * rng.standard_normal((2, span.dim)))
+    found = structure._projections_from_spectrum(span, gram, w, v, x2,
+                                                 probe, 1e-9)
+    assert [(d, m) for _, d, m in found] == [(2, 1), (2, 1)]
+    crossed = np.zeros((4, 4), dtype=complex)
+    crossed[0, 2] = crossed[1, 3] = 1.0
+    with pytest.raises(DegenerateDrawError, match="not central"):
+        structure._projections_from_spectrum(span, gram, w, v, crossed,
+                                             probe, 1e-9)
 
 
 def test_essential_subspace():
