@@ -106,10 +106,11 @@ class FdCStarAlgebra:
         return coeffs
 
     def multiply(self, x, y) -> np.ndarray:
-        """The product: one batched matrix product per block size."""
-        out = np.empty(self.dim, dtype=complex)
+        """The product, one batched matmul per block size; stacks broadcast."""
+        x, y = np.asarray(x), np.asarray(y)
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
         for units in self._size_groups:
-            out[units] = np.asarray(x)[units] @ np.asarray(y)[units]
+            out[..., units] = x[..., units] @ y[..., units]
         return out
 
     def star(self, x) -> np.ndarray:
@@ -119,11 +120,14 @@ class FdCStarAlgebra:
         out[..., self.star_index] = np.conj(x)
         return out
 
-    def norm(self, x) -> float:
-        """The operator norm, the largest block norm: one SVD per size."""
+    def norm(self, x):
+        """The operator norm, the largest block norm, from one SVD call per
+        size; a stack ``(..., dim)`` gives the norms ``(...)``."""
         x = np.asarray(x)
-        return float(max(np.linalg.svd(x[units], compute_uv=False).max()
-                         for units in self._size_groups))
+        out = np.max([np.linalg.svd(x[..., units], compute_uv=False)
+                      .max(axis=(-2, -1)) for units in self._size_groups],
+                     axis=0)
+        return float(out) if x.ndim == 1 else out
 
     def basis_matrices(self) -> np.ndarray:
         if self.dim * self.ambient ** 2 > MAX_DENSE_ENTRIES:
@@ -374,17 +378,13 @@ def square_map_multiplicativity(a: FdCStarAlgebra, trials: int = 100,
     with probability one.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        x = a.random_element(rng)
-        y = a.random_element(rng)
-        x = x / max(a.norm(x), 1e-12)
-        y = y / max(a.norm(y), 1e-12)
-        xy = a.multiply(x, y)
-        lhs = a.multiply(xy, xy)
-        rhs = a.multiply(a.multiply(x, x), a.multiply(y, y))
-        if a.norm(lhs - rhs) > tol:
-            return False
-    return True
+    pairs = np.array([[a.random_element(rng), a.random_element(rng)]
+                      for _ in range(trials)]).reshape(trials, 2, a.dim)
+    pairs = pairs / np.maximum(a.norm(pairs), 1e-12)[..., None]
+    x, y = pairs[:, 0], pairs[:, 1]
+    xy = a.multiply(x, y)
+    rhs = a.multiply(a.multiply(x, x), a.multiply(y, y))
+    return not np.any(a.norm(a.multiply(xy, xy) - rhs) > tol)
 
 
 # ---------------------------------------------------------------------------

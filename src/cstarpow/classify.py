@@ -437,7 +437,9 @@ def homogeneous_components(phi, algebra: FdCStarAlgebra,
     roots of unity.  Random samples check, in ``target.norm``, that they sum
     back to phi and are homogeneous at a generic phase; a failure means the
     degree bound was too small (components above n_max alias onto lower
-    degrees).  The components at the unit are orthogonal projections.
+    degrees).  A residual passes with no SVD if its coefficient 2-norm, the
+    Frobenius norm (the matrix units are orthonormal), is at most tol.  The
+    components at the unit are orthogonal projections.
     """
     m = n_max + 1
     roots = np.exp(2j * np.pi * np.arange(m) / m)
@@ -448,10 +450,12 @@ def homogeneous_components(phi, algebra: FdCStarAlgebra,
 
     def check(x, z):
         ref = phi(x)
-        scale = max(1.0, target.norm(ref))
         values = components(x)
         moved = components(z * x) - z ** np.arange(m)[:, None] * values
-        if max(map(target.norm, [values.sum(0) - ref, *moved])) > tol * scale:
+        residuals = [values.sum(0) - ref, *moved]
+        if (max(map(np.linalg.norm, residuals)) > tol
+                and max(map(target.norm, residuals))
+                > tol * max(1.0, target.norm(ref))):
             raise VerificationError("degree bound too small for this map")
 
     rng = np.random.default_rng(seed)

@@ -282,15 +282,15 @@ def cmd_schur_weyl(args, cfg: RunConfig) -> tuple[int, dict]:
 def cmd_homog(args, cfg: RunConfig) -> tuple[int, dict]:
     algebra = _load_algebra(args)
     degrees = _parse_blocks(args.degrees)
+    if not degrees:
+        raise CliParseError("--degrees needs at least one degree")
     _check_budget(algebra, max(degrees), cfg.budget)
     n_max = args.nmax if args.nmax is not None else max(degrees)
     phi, target = direct_sum_of_power_maps(algebra, degrees)
     comps = homogeneous_components(phi, algebra, target, n_max, tol=cfg.tol,
                                    seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed + 1)
-    x = algebra.random_element(rng)
-    x = x / max(algebra.norm(x), 1e-12)
-    recovered = [target.norm(c) for c in comps(x)]
+    x = algebra.random_element(np.random.default_rng(cfg.seed + 1))
+    recovered = target.norm(comps(x / max(algebra.norm(x), 1e-12))).tolist()
     unit_projs = comps(algebra.unit())
     ortho = max(target.norm(target.multiply(p, q))
                 for i, p in enumerate(unit_projs)

@@ -223,6 +223,31 @@ def test_block_arithmetic_matches_the_embedded_oracles(data):
     _agrees_with_embedded_oracles(a, last, y)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_stack_arithmetic_equals_the_per_row_calls(data):
+    blocks = data.draw(st.lists(st.integers(1, 3), min_size=0, max_size=3))
+    blocks.insert(data.draw(st.integers(0, len(blocks))), 1)
+    a = make_algebra(blocks)
+    shape = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                     max_size=2)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    x, y = (rng.standard_normal((2, *shape, a.dim))
+            + 1j * rng.standard_normal((2, *shape, a.dim)))
+    rows_x, rows_y = x.reshape(-1, a.dim), y.reshape(-1, a.dim)
+    norms = a.norm(x)
+    assert norms.shape == shape
+    assert np.array_equal(norms.ravel(), [a.norm(r) for r in rows_x])
+    assert all(type(a.norm(r)) is float for r in rows_x)
+    prods = a.multiply(x, y)
+    assert prods.shape == shape + (a.dim,)
+    assert np.array_equal(prods.reshape(-1, a.dim),
+                          [a.multiply(r, s) for r, s in zip(rows_x, rows_y)])
+    # an element against a stack broadcasts
+    assert np.array_equal(a.multiply(rows_x[0], y).reshape(-1, a.dim),
+                          [a.multiply(rows_x[0], s) for s in rows_y])
+
+
 def test_oracle_check_catches_a_norm_that_reads_one_size_group(monkeypatch):
     a = make_algebra([2, 1, 3])
     x = np.zeros(a.dim, dtype=complex)

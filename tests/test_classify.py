@@ -435,3 +435,56 @@ def test_homogeneous_degree_bound_too_small(m2):
     phi, target = direct_sum_of_power_maps(m2, [1, 2])
     with pytest.raises(VerificationError):
         homogeneous_components(phi, m2, target, 1)
+
+
+def _counting_norm(target):
+    calls = []
+    norm = target.norm
+
+    def counted(x):
+        calls.append(1)
+        return norm(x)
+
+    target.norm = counted
+    return calls
+
+
+def test_homogeneous_check_takes_no_svd_when_the_screen_passes(m2):
+    phi, target = direct_sum_of_power_maps(m2, [1, 2])
+    calls = _counting_norm(target)
+    homogeneous_components(phi, m2, target, 2)
+    assert calls == []
+
+
+def test_homogeneous_check_falls_back_to_the_operator_norm():
+    # a term of degree 2 aliases onto degree 0 when n_max = 1: it moves the
+    # degree-0 component by eps (z^2 - 1) u^2 on all 100 one-by-one blocks,
+    # Frobenius norm up to 20 eps > tol, operator norm at most 2 eps <= tol
+    point, target = make_algebra([1]), make_algebra([1] * 100)
+    tol, eps = 1e-6, 0.5e-6
+
+    def phi(x):
+        u = x[0] / abs(x[0])
+        return target.unit() + eps * u ** 2
+
+    calls = _counting_norm(target)
+    homogeneous_components(phi, point, target, 1, tol=tol)
+    assert calls
+    with pytest.raises(VerificationError):
+        homogeneous_components(phi, point, target, 1, tol=eps / 2)
+
+
+def test_homogeneous_check_builds_no_stacked_residual():
+    # the residual rows are screened one by one: stacking them in one
+    # array adds ~0.6 MB to this peak, which was 1.29 MB (numpy 2.4) before
+    # the screen
+    algebra = make_algebra([3, 3])
+    phi, target = direct_sum_of_power_maps(algebra, [1, 2, 3])
+    homogeneous_components(phi, algebra, target, 3)
+    tracemalloc.start()
+    try:
+        homogeneous_components(phi, algebra, target, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3e6

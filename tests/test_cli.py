@@ -162,6 +162,14 @@ def test_homog_budget_preflight(capsys):
     assert "budget" in err.lower()
 
 
+def test_homog_rejects_an_empty_degree_list(capsys):
+    for degrees in (",", ""):
+        code, _, err = run_cli(capsys, "homog", "--blocks", "2", "--degrees",
+                               degrees)
+        assert code == 2
+        assert "--degrees needs at least one degree" in err
+
+
 def test_homog_nmax_must_be_positive_and_is_honoured(capsys):
     assert run_cli(capsys, "homog", "--blocks", "2", "--nmax", "0")[0] == 2
     code, payload = run_json(capsys, "homog", "--blocks", "1", "--degrees",
