@@ -320,10 +320,9 @@ def symmetric_power_basis(a: FdCStarAlgebra, n: int) -> SymmetricPowerBasis:
     the distinct rows lexicographically, which is the
     ``combinations_with_replacement`` order of ``index``, and its inverse
     labels every monomial with its row.  The ``count x total`` bound also
-    covers the dense arrays that the readers build from the labels: a
-    one-component span's basis, and the realization's ``count x N*d x dim``
-    accumulator (carrier N, multiplicity d), as N*d*dim is at most the
-    total by Schur-Weyl duality in each block.
+    covers ``vectors``, the last dense reader of the labels; the
+    realization of irreducibles reads the labels in bounded batches and
+    needs no such guard.
     """
     total = a.dim ** n
     count = symmetric_power_count(a.dim, n)

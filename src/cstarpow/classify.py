@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .crossed import GroupAction
 from .errors import VerificationError
 from .groups import (ProjectiveRep, Subgroup, check_partition,
                      factor_permutation_index, partitions, sn_irrep,
-                     ssyt_count, symmetric_group)
+                     ssyt_count)
 from .linalg import DEFAULT_TOL, op_norm, orthonormal_columns
 from .structure import (SpannedAlgebra, commutant_dimension, equivalent,
                         intertwiner_space, label_span,
@@ -132,6 +131,13 @@ def enumerate_sn_irreps(algebra: FdCStarAlgebra, n: int) -> list[IrrepDescriptor
 # ---------------------------------------------------------------------------
 # concrete realization
 
+# Oversampling of the range finder for fixed vectors and the seed of its
+# Gaussian block, and the entries per batch of realized images.
+_RANGE_OVERSAMPLE = 4
+_RANGE_SEED = 0
+_IMAGE_CHUNK = 1 << 16
+
+
 @dataclass
 class RealizedIrrep:
     """A representation of the symmetric power given on its orbit-sum basis."""
@@ -167,34 +173,80 @@ def _block_entries(base: FdCStarAlgebra, beta, d_mult: int):
             (col[:, None] * d_mult + span).ravel())
 
 
-def _young_fixed_vectors(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
-                         beta, tol: float):
-    """Orthonormal columns spanning the vectors fixed by the Young subgroup
-    H = S_q1 x ... x S_qm under V(h) (x) conj(U(h)), and the multiplicity
-    dimension d.  V(h) permutes the factors of the product carrier and U(h)
+def _young_mean(algebra: FdCStarAlgebra, desc: IrrepDescriptor, beta):
+    """The mean of R(h) = V(h) (x) conj(U(h)) over the Young subgroup
+    H = S_q1 x ... x S_qm, as a function on arrays of shape
+    (N, d_1, ..., d_m, columns), and that shape without the columns.
+    V(h) permutes the factors of the product carrier (dimension N) and U(h)
     is the tensor product of the chosen symmetric group irreps, each at h's
     permutation of its own block of factors.
 
-    H is enumerated as tuples of block permutations and V(h) kept as a
-    ``factor_permutation_index`` row, so the mean over H is one (N, N)
-    scatter-add of the small conj(U(h)) blocks.  By Frobenius reciprocity
-    these are the values of the constant functions that make up the fixed
-    vectors of the pair induced to S_n.
+    With tau_i = (i q) and tau_q the identity, S_q is the disjoint union of
+    the cosets tau_i S_(q-1), so the mean over S_q is the mean of the
+    R(tau_i) applied after the mean over S_(q-1) (Clausen, Theoret. Comput.
+    Sci. 67, 1989).  Unrolled along S_1 < S_2 < ... < S_q in every block,
+    the mean over H is sum_k q_k (q_k + 1) / 2 applications of some R(tau),
+    each a row permutation (one ``factor_permutation_index`` covers all the
+    transpositions, which are their own inverses) and a d_k x d_k product on
+    one multiplicity factor.
     """
     dims = [algebra.blocks[b] for b in beta]
     ureps = [sn_irrep(lam) for lam in desc.lambdas]
-    total, d = math.prod(dims), math.prod(u.dim for u in ureps)
-    offsets = np.cumsum([0, *desc.q[:-1]])
-    cols = np.arange(total)
-    mean = np.zeros((total, d, total, d), dtype=complex)
-    for h in itertools.product(*(enumerate(symmetric_group(qk).perms)
-                                 for qk in desc.q)):
-        p = [o + x for o, (_, perm) in zip(offsets, h) for x in perm]
-        dest = factor_permutation_index(dims, [p])[0]
-        u = reduce(np.kron, [rep.mat(i) for rep, (i, _) in zip(ureps, h)])
-        mean[dest, :, cols, :] += np.conj(u)
-    order = math.prod(math.factorial(qk) for qk in desc.q)
-    return orthonormal_columns(mean.reshape(total * d, -1) / order, tol), d
+    levels, perms, mats = [], [], []
+    offset = 0
+    for k, (qk, rep) in enumerate(zip(desc.q, ureps)):
+        for q in range(2, qk + 1):
+            levels.append((k, q, len(perms)))
+            for i in (offset + np.arange(q - 1)).tolist():
+                p = np.arange(len(beta))
+                p[[i, offset + q - 1]] = offset + q - 1, i
+                local = (p[offset:offset + qk] - offset).tolist()
+                mats.append(np.conj(rep.mat(rep.group.perms.index(tuple(local)))))
+                perms.append(p)
+        offset += qk
+    dest = factor_permutation_index(dims, perms)
+    shape = (math.prod(dims), *(u.dim for u in ureps))
+
+    def mean(x):
+        for k, q, first in levels:
+            # multiplicity factor k as the middle axis of a view of x
+            view = (shape[0], math.prod(shape[1:k + 1]), shape[k + 1], -1)
+            acc = x.copy()
+            for t in range(first, first + q - 1):
+                moved = x[dest[t]].reshape(view)
+                acc += np.matmul(mats[t], moved).reshape(x.shape)
+            x = acc / q
+        return x
+
+    return mean, shape
+
+
+def _young_fixed_vectors(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
+                         beta, tol: float):
+    """Orthonormal columns, of shape (N*d, desc.dim), spanning the vectors
+    fixed by the Young subgroup under ``_young_mean``, and the multiplicity
+    dimension d.  By Frobenius reciprocity these are the values of the
+    constant functions that make up the fixed vectors of the pair induced
+    to S_n.
+
+    A randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53,
+    2011): the mean, an orthogonal projection, is applied to a Gaussian
+    block of desc.dim + ``_RANGE_OVERSAMPLE`` columns from a fixed seed and
+    the result orthonormalized.  The rank must equal desc.dim, and the mean
+    must fix the columns found; either failure raises ``VerificationError``.
+    """
+    mean, shape = _young_mean(algebra, desc, beta)
+    columns = (*shape, desc.dim + _RANGE_OVERSAMPLE)
+    rng = np.random.default_rng(_RANGE_SEED)
+    block = rng.standard_normal(columns) + 1j * rng.standard_normal(columns)
+    w = orthonormal_columns(mean(block).reshape(math.prod(shape), -1), tol)
+    if w.shape[1] != desc.dim:
+        raise VerificationError(
+            f"fixed space has rank {w.shape[1]}, descriptor dimension {desc.dim}")
+    fixed = mean(w.reshape(*shape, -1)).reshape(w.shape)
+    if op_norm(fixed - w) > 100 * tol:
+        raise VerificationError("the Young mean does not fix its range")
+    return w, math.prod(shape[1:])
 
 
 def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
@@ -205,10 +257,14 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     The pair induced from the Young subgroup of the descriptor's
     multiplicities acts on the orbit sums, which S_n fixes, as copies of the
     Young product pair, and its fixed vectors are the constant functions
-    with Young-fixed values.  So the images are the product pair's images of
-    the orbit sums compressed to those values, w* pi(a) w, accumulated from
-    its entry labels.  The rank of w must equal the descriptor dimension;
-    distinct descriptors yield inequivalent irreducibles.
+    with Young-fixed values w.  So the image of orbit sum a is the product
+    pair's image compressed to those values, w* pi(a) w, which is
+    sum_e conj(w[row_e])^T w[col_e] over the entry labels e of a.  The
+    labels are grouped by orbit, and orbits with equally many entries are
+    summed by batched products in chunks of at most ``_IMAGE_CHUNK``
+    entries, counting the gathered rows and the outputs.  The rank of w
+    must equal the descriptor dimension; distinct descriptors yield
+    inequivalent irreducibles.
     """
     if desc.degree != n:
         raise ValueError("descriptor degree does not match n")
@@ -216,15 +272,22 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
         sym = symmetric_power_basis(algebra, n)
     beta = np.repeat(desc.blocks, desc.q)
     w, d_mult = _young_fixed_vectors(algebra, desc, beta, tol)
-    if w.shape[1] != desc.dim:
-        raise VerificationError(
-            f"fixed space has rank {w.shape[1]}, descriptor dimension {desc.dim}")
+    dim = w.shape[1]
 
-    # accumulate t[a] = pi(a) w from the entries of the orbit sums
     which, row, col = _block_entries(algebra, beta, d_mult)
-    t = np.zeros((sym.size, *w.shape), dtype=complex)
-    np.add.at(t, (sym.orbit[which], row), w[col])
-    images = np.matmul(w.conj().T, t)
+    label = sym.orbit[which]
+    order = np.argsort(label, kind="stable")
+    counts = np.bincount(label, minlength=sym.size)
+    starts = np.cumsum(counts) - counts
+    images = np.zeros((sym.size, dim, dim), dtype=complex)
+    for size in np.unique(counts[counts > 0]):
+        orbits = np.flatnonzero(counts == size)
+        step = max(1, _IMAGE_CHUNK // (size * 2 * dim + dim * dim))
+        for lo in range(0, orbits.size, step):
+            part = orbits[lo:lo + step]
+            entries = order[starts[part, None] + np.arange(size)]
+            left = w[row[entries]].conj().transpose(0, 2, 1)
+            images[part] = np.matmul(left, w[col[entries]])
     return RealizedIrrep(desc, images)
 
 

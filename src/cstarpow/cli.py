@@ -330,9 +330,9 @@ def cmd_verify(args, cfg: RunConfig) -> tuple[int, dict]:
 
 _BLOCKS = ("--blocks", {"help": "comma separated block sizes, e.g. 2,3"})
 _ALGEBRA = [_BLOCKS, ("--spec", {"help": "path to an algebra JSON file"})]
-_N = ("--n", {"type": int, "required": True})
+_N = ("--n", {"type": _int_at_least(1), "required": True})
 _ACTION = [_BLOCKS, ("--action-spec", {"help": "path to an action JSON file"}),
-           ("--n", {"type": int, "default": 2})]
+           ("--n", {"type": _int_at_least(1), "default": 2})]
 _COMMON = [
     ("--tol", {"type": float, "default": DEFAULT_TOL}),
     ("--seed", {"type": int, "default": 0}),

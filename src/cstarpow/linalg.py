@@ -71,9 +71,13 @@ def nullspace(m, tol: float = DEFAULT_TOL,
     m = as_matrix(m)
     if m.shape[0] == 0 or m.shape[1] == 0:
         return np.eye(m.shape[1], dtype=complex)
-    # economy factorization suffices for tall inputs; wide inputs need the
-    # full right factor to expose the trailing kernel directions
+    # a tall input has the singular values and right vectors of its R
+    # factor, which is square, so no left factor of m's height is built;
+    # wide inputs need the full right factor to expose the trailing kernel
+    # directions
     full = m.shape[0] < m.shape[1]
+    if m.shape[0] > m.shape[1]:
+        m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=full)
     if scale is None:
         scale = s[0] if s.size else 0.0

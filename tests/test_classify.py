@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from cstarpow.algebra import (SymmetricPowerBasis, make_algebra, power_map,
                               symmetric_power_basis, tensor_power)
+from cstarpow import classify
 from cstarpow.classify import (_descriptor,
                                direct_sum_of_power_maps, enumerate_sn_irreps,
                                homogeneous_components, intertwining_cocycle,
@@ -16,6 +18,7 @@ from cstarpow.classify import (_descriptor,
                                wedderburn_comparison, wedderburn_crosscheck)
 from cstarpow.crossed import spatial_pair, tensor_permutation_action
 from cstarpow.errors import VerificationError
+from cstarpow.groups import sn_irrep, symmetric_group
 from cstarpow.linalg import op_norm
 from cstarpow.structure import equivalent, intertwiner_space, is_irreducible
 from oracles import dense_realized_images
@@ -172,6 +175,38 @@ def test_schur_weyl_family_stays_small():
     assert peak < 10 * 2 ** 20
 
 
+def test_warm_realization_builds_no_accumulator():
+    # a dense (orbits, N*d, dim) accumulator of the images takes 33 MB here
+    algebra = make_algebra([4])
+    sym = symmetric_power_basis(algebra, 3)
+    desc = _descriptor(algebra, (0,), (3,), ((2, 1),))
+    realize_sn_irrep(algebra, 3, desc, sym=sym)
+    tracemalloc.start()
+    try:
+        rep = realize_sn_irrep(algebra, 3, desc, sym=sym)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.dim == 20
+    assert peak < 12 * 2 ** 20
+
+
+def test_degree_seven_family_builds_no_dense_mean():
+    # the mean over S_7 as one (N*d)^2 matrix is 1792 x 1792 for (4, 3)
+    algebra = make_algebra([2])
+    symmetric_group(7)
+    for _, lam in schur_weyl_labels(algebra, 7):
+        sn_irrep(lam)
+    tracemalloc.start()
+    try:
+        family = schur_weyl_family(algebra, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [rep.dim for _, _, rep in family] == [8, 6, 4, 2]
+    assert peak < 32 * 2 ** 20
+
+
 def test_realize_all_dims_one_for_commutative(c3):
     sym = symmetric_power_basis(c3, 2)
     descs = enumerate_sn_irreps(c3, 2)
@@ -194,6 +229,32 @@ def test_realized_descriptors_are_separating(m23):
 def test_realize_rejects_mismatched_degree(m2):
     desc = enumerate_sn_irreps(m2, 2)[0]
     with pytest.raises(ValueError):
+        realize_sn_irrep(m2, 3, desc)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("blocks,q,lambdas", [
+    ((0,), (3,), ((2, 1),)), ((0, 1), (2, 1), ((2,), (1,)))])
+def test_descriptor_dimension_off_by_one_is_refused(shift, blocks, q, lambdas):
+    algebra = make_algebra([2, 2])
+    desc = _descriptor(algebra, blocks, q, lambdas)
+    wrong = dataclasses.replace(desc, dim=desc.dim + shift)
+    with pytest.raises(VerificationError, match="rank"):
+        realize_sn_irrep(algebra, 3, wrong)
+
+
+def test_a_mean_that_moves_its_range_is_refused(m2, monkeypatch):
+    # twice the Young mean has the rank of the mean, so only the check that
+    # the mean fixes the columns found tells them apart
+    young_mean = classify._young_mean
+
+    def doubled(*args):
+        mean, shape = young_mean(*args)
+        return (lambda x: 2 * mean(x)), shape
+
+    monkeypatch.setattr(classify, "_young_mean", doubled)
+    desc = _descriptor(m2, (0,), (3,), ((2, 1),))
+    with pytest.raises(VerificationError, match="fix"):
         realize_sn_irrep(m2, 3, desc)
 
 

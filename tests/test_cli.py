@@ -154,6 +154,17 @@ def test_every_subcommand_has_help_and_unknown_ones_exit_2(capsys):
     assert "required: command" in capsys.readouterr().err
 
 
+def test_every_degree_below_one_is_refused_at_parse_time(capsys):
+    takes_n = [name for name, (_, _, arguments) in cli._COMMANDS.items()
+               if any(flag == "--n" for flag, _ in arguments)]
+    assert takes_n == ["sympow", "classify", "crossed", "induce", "schur-weyl"]
+    for name in takes_n:
+        for n in ("0", "-1"):
+            code, out, err = run_cli(capsys, name, "--blocks", "2", "--n", n)
+            assert code == 2 and out == ""
+            assert "must be at least 1" in err, (name, n)
+
+
 def test_homog_budget_preflight(capsys):
     # degree 3 of M_2 has ambient 8, over a budget of 4
     code, _, err = run_cli(capsys, "homog", "--blocks", "2", "--degrees",

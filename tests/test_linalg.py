@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarpow.linalg import (adjoint, direct_sum, eig_hermitian, is_projection,
                              kron, nullspace, op_norm, orthonormal_columns,
                              spectral_projections)
-from oracles import naive_kron, naive_nullspace_dim
+from oracles import naive_kron, naive_nullspace_dim, scipy_null_space
 
 
 def random_complex(rng, m, n):
@@ -97,6 +99,21 @@ def test_nullspace_of_constructed_rank_two(rng):
     v = nullspace(m)
     assert v.shape == (4, 2) == (4, naive_nullspace_dim(m))
     assert np.max(np.abs(m @ v)) < 1e-9 * op_norm(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 8), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+def test_tall_nullspace_matches_scipy(cols, rank, extra, seed):
+    # a tall input goes through its R factor; the kernel must have scipy's
+    # rank and span
+    rank = min(rank, cols)
+    rng = np.random.default_rng(seed)
+    m = random_complex(rng, cols + extra, rank) @ random_complex(rng, rank, cols)
+    got, want = nullspace(m), scipy_null_space(m)
+    assert got.shape == want.shape == (cols, cols - rank)
+    assert np.allclose(got.conj().T @ got, np.eye(cols - rank))
+    assert np.allclose(got @ got.conj().T, want @ want.conj().T)
 
 
 def test_eig_hermitian_cases(rng):
