@@ -150,29 +150,6 @@ class RealizedIrrep:
         return int(self.images.shape[1])
 
 
-def _block_entries(base: FdCStarAlgebra, beta, d_mult: int):
-    """Nonzero entries ``(which, row, col)`` of the product of the block
-    representations chosen by beta on the basis monomials of the tensor
-    power, tensored with the identity on C^d_mult: entry ``(row, col)`` of
-    the image of monomial ``which`` is 1.
-
-    Every monomial maps to a single matrix entry, or to zero when some
-    factor misses its assigned block, and distinct monomials map to distinct
-    entries, so the evaluation is positional.
-    """
-    digits = np.unravel_index(np.arange(base.dim ** len(beta)),
-                              (base.dim,) * len(beta))
-    ok = np.logical_and.reduce(
-        [base.block_of[i] == b for i, b in zip(digits, beta)])
-    dims = [base.blocks[b] for b in beta]
-    row = np.ravel_multi_index([base.local[i[ok], 0] for i in digits], dims)
-    col = np.ravel_multi_index([base.local[i[ok], 1] for i in digits], dims)
-    span = np.arange(d_mult)
-    return (np.repeat(np.flatnonzero(ok), d_mult),
-            (row[:, None] * d_mult + span).ravel(),
-            (col[:, None] * d_mult + span).ravel())
-
-
 def _young_mean(algebra: FdCStarAlgebra, desc: IrrepDescriptor, beta):
     """The mean of R(h) = V(h) (x) conj(U(h)) over the Young subgroup
     H = S_q1 x ... x S_qm, as a function on arrays of shape
@@ -274,8 +251,16 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     w, d_mult = _young_fixed_vectors(algebra, desc, beta, tol)
     dim = w.shape[1]
 
-    which, row, col = _block_entries(algebra, beta, d_mult)
-    label = sym.orbit[which]
+    # the product pair's entries: the units of the power block beta, each 1
+    # at its local (row, col), in unit order, tensored with I on C^d_mult
+    units = sym.power.block_units[
+        np.ravel_multi_index(beta, (len(algebra.blocks),) * n)]
+    by_unit = np.argsort(units, axis=None)
+    row, col = np.divmod(by_unit, len(units))
+    span = np.arange(d_mult)
+    row = (row[:, None] * d_mult + span).ravel()
+    col = (col[:, None] * d_mult + span).ravel()
+    label = np.repeat(sym.orbit[units.ravel()[by_unit]], d_mult)
     order = np.argsort(label, kind="stable")
     counts = np.bincount(label, minlength=sym.size)
     starts = np.cumsum(counts) - counts

@@ -395,10 +395,7 @@ def main(argv=None) -> int:
                         output="json" if args.json else "table",
                         budget=args.budget)
         code, payload = _COMMANDS[args.command][0](args, cfg)
-    except CliParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except (CliParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetError as exc:

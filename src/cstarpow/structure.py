@@ -19,7 +19,8 @@ bounds each system built.  Minimal central projections need no solve: H
 drawn from the span itself has the same clusters on each copy of one
 simple summand, and a second generic member links exactly the clusters of
 one summand.  Intertwiners and equivalence are read off the corners of the
-commutant of pi (+) rho.
+commutant of pi (+) rho, and quasi-equivalence off the minimal central
+projections of its span.
 """
 
 from __future__ import annotations
@@ -159,10 +160,8 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, check: bool = True,
         out = SpannedAlgebra(n, onb=orthonormal_columns(vecs.T, tol).T)
     if check:
         rng = np.random.default_rng(seed)
-        basis = out.span_basis
-        c = rng.standard_normal((2, basis.shape[0])) \
-            + 1j * rng.standard_normal((2, basis.shape[0]))
-        x, y = np.tensordot(c, basis, axes=(1, 0))
+        x, y = out.combine(rng.standard_normal((2, out.dim))
+                           + 1j * rng.standard_normal((2, out.dim)))
         if not out.contains(adjoint(x), tol, 1.0):
             raise ValueError("span is not closed under adjoints")
         if not out.contains(x @ y, tol, 1.0):
@@ -238,12 +237,13 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
     eigenbasis system exceeds MAX_COMMUTANT_AMBIENT^4 entries or the dense
     one is needed above ambient MAX_COMMUTANT_AMBIENT.
 
-    Returns a SpannedAlgebra; the double commutant of a unital *-closed span
-    recovers the span itself at these (finite) sizes.
+    Returns a SpannedAlgebra on the solve's orthonormal basis; the double
+    commutant of a unital *-closed span recovers the span itself at these
+    (finite) sizes.
     """
     fam = s.span_basis if isinstance(s, SpannedAlgebra) else _as_family(s)
-    return spanned_algebra(_commutant_basis((fam,), tol, seed), tol,
-                           check=False)
+    basis = _commutant_basis((fam,), tol, seed)
+    return SpannedAlgebra(fam.shape[1], onb=basis.reshape(basis.shape[0], -1))
 
 
 def _commutant_basis(blocks, tol: float, seed: int) -> np.ndarray:
@@ -310,24 +310,12 @@ def commutant_dimension(family, tol: float = DEFAULT_TOL, seed: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # intertwiners and equivalence
 
-def _commutant_corners(pi, rho, tol: float, seed: int):
-    """Orthonormal bases of the corners (1, 1), (2, 1) and (2, 2) of the
-    commutant of pi (+) rho: pi', Hom(pi, rho) and rho'.  The block
-    projections lie in the commutant, so the corners are orthogonal summands
-    and the cuts of its basis span them.  The basis is orthonormal, so each
-    cut's singular values are 1 on its corner and round-off elsewhere; they
-    are ranked against 1, since a zero corner's cut holds only round-off."""
+def _pair(pi, rho):
+    """Two representations as families on one algebra basis."""
     pi, rho = _as_family(pi), _as_family(rho)
     if pi.shape[0] != rho.shape[0]:
         raise ValueError("the two representations must share a basis")
-    p = pi.shape[1]
-    basis = _commutant_basis((pi, rho), tol, seed)
-    corners = []
-    for cut in (basis[:, :p, :p], basis[:, p:, :p], basis[:, p:, p:]):
-        q = orthonormal_columns(cut.reshape(cut.shape[0], -1).T, tol,
-                                scale=1.0)
-        corners.append(q.T.reshape(-1, *cut.shape[1:]))
-    return corners
+    return pi, rho
 
 
 def intertwiner_space(pi, rho, tol: float = DEFAULT_TOL,
@@ -337,23 +325,46 @@ def intertwiner_space(pi, rho, tol: float = DEFAULT_TOL,
     ``pi`` and ``rho`` are *-representations on the same algebra basis; the
     space is the (2, 1) corner of the commutant of pi (+) rho, so the size
     guards of ``commutant`` apply on ambient dim pi + dim rho (a pair of high
-    multiplicity, such as two copies of I_21, raises BudgetError).  Returns
-    an array of shape (k, dim rho, dim pi).
+    multiplicity, such as two copies of I_21, raises BudgetError).  The
+    block projections lie in the commutant, so the (2, 1) cut of its
+    orthonormal basis spans the corner, with singular values 1 on it and
+    round-off elsewhere; they are ranked against 1, since a zero corner's
+    cut holds only round-off.  Returns an array of shape
+    (k, dim rho, dim pi).
     """
-    return _commutant_corners(pi, rho, tol, seed)[1]
+    pi, rho = _pair(pi, rho)
+    p = pi.shape[1]
+    cut = _commutant_basis((pi, rho), tol, seed)[:, p:, :p]
+    q = orthonormal_columns(cut.reshape(cut.shape[0], -1).T, tol, scale=1.0)
+    return q.T.reshape(-1, *cut.shape[1:])
 
 
 def equivalent(pi, rho, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
     """Unitary equivalence of two *-representations given on the same basis.
 
     With multiplicity vectors m and n over the irreducible types (the zero
-    representation counted as one more type), the corners of the commutant
-    of pi (+) rho have dimensions sum m^2, sum m n and sum n^2, and by
-    Cauchy-Schwarz the three are equal iff m = n.
+    representation counted as one more type), the corners (1, 1), (2, 1)
+    and (2, 2) of the commutant of pi (+) rho have dimensions sum m^2,
+    sum m n and sum n^2, and by Cauchy-Schwarz the three are equal iff
+    m = n.  The block projections E_i lie in the commutant, so the cut
+    b -> E_i b E_j is an orthogonal projection of it, and the dimension of
+    its corner is its trace sum_k |E_i b_k E_j|_F^2 over the orthonormal
+    basis.  A trace farther than max(100 tol, 1e-7) times the commutant's
+    dimension from an integer raises DegenerateDrawError.
     """
     if _as_family(pi).shape[1] != _as_family(rho).shape[1]:
         return False
-    dims = {c.shape[0] for c in _commutant_corners(pi, rho, tol, seed)}
+    pi, rho = _pair(pi, rho)
+    p = pi.shape[1]
+    basis = _commutant_basis((pi, rho), tol, seed)
+    bound = max(tol * 100, 1e-7) * basis.shape[0]
+    dims = set()
+    for cut in (basis[:, :p, :p], basis[:, p:, :p], basis[:, p:, p:]):
+        trace = float(np.sum(np.abs(cut) ** 2))
+        if abs(trace - round(trace)) > bound:
+            raise DegenerateDrawError(
+                f"commutant corner has trace {trace:.6g}, not an integer")
+        dims.add(round(trace))
     return len(dims) == 1
 
 
@@ -614,30 +625,20 @@ def essential_subspace(images, tol: float = DEFAULT_TOL) -> np.ndarray:
 def quasi_equivalent(pi, rho, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
     """Same set of irreducible constituents, ignoring multiplicities.
 
-    Decomposes both representations by minimal central projections of their
-    image spans and matches the compressed factor blocks by nonzero
-    intertwiner spaces.
+    One run of ``minimal_central_projections`` on the span of pi (+) rho,
+    which skips their common kernel.  A minimal central projection commutes
+    with the block projections, which lie in the commutant, so it splits
+    into one projection on each summand, and its trace on a summand, a
+    rank, is nonzero iff the summand holds that irreducible type.
     """
-    def blocks(fam):
-        fam = _as_family(fam)
-        p = essential_subspace(fam, tol)
-        q = orthonormal_columns(p, tol)
-        fam = np.matmul(q.conj().T, fam @ q)
-        alg = spanned_algebra(fam, tol, check=False)
-        rep = minimal_central_projections(alg, seed=seed, tol=tol)
-        out = []
-        for idx, proj in rep.blocks:
-            w = orthonormal_columns(proj, tol)
-            out.append(np.matmul(w.conj().T, fam[:, idx[:, None], idx] @ w))
-        return out
-
-    bp, br = blocks(pi), blocks(rho)
-
-    def matched(xs, ys):
-        return all(any(intertwiner_space(x, y, tol).shape[0] > 0 for y in ys)
-                   for x in xs)
-
-    return matched(bp, br) and matched(br, bp)
+    pi, rho = _pair(pi, rho)
+    p = pi.shape[1]
+    span = spanned_algebra(_members((pi, rho)), tol, check=False)
+    for idx, proj in minimal_central_projections(span, seed, tol).blocks:
+        diag = np.real(np.diagonal(proj))
+        if (np.sum(diag[idx < p]) > 0.5) != (np.sum(diag[idx >= p]) > 0.5):
+            return False
+    return True
 
 
 @dataclass

@@ -228,6 +228,15 @@ def test_intertwiners_and_equivalence_are_commutant_corners(case):
     for t in space:
         assert np.allclose(t @ pi, rho @ t, atol=1e-9)
     assert equivalent(pi, rho) == (m == n)
+    # quasi-equivalence ignores multiplicities and the zero blocks, which
+    # the minimal central projections of the span of pi (+) rho skip
+    assert quasi_equivalent(pi, rho) == \
+        ([a > 0 for a in m[:-1]] == [b > 0 for b in n[:-1]])
+
+
+def _gram(span):
+    basis = span.span_basis
+    return np.tensordot(basis.conj(), basis, axes=([1, 2], [1, 2]))
 
 
 def test_commutant_falls_back_to_the_dense_system(monkeypatch, m2):
@@ -240,7 +249,8 @@ def test_commutant_falls_back_to_the_dense_system(monkeypatch, m2):
         return dense(m)
 
     monkeypatch.setattr(structure, "_commutation_operator", counted)
-    assert commutant(fam).dim == 4
+    comm = commutant(fam)
+    assert comm.dim == 4 and np.allclose(_gram(comm), np.eye(4), atol=1e-12)
     assert calls["dense"] == 0
     verify = structure._verify_commutant
 
@@ -249,7 +259,8 @@ def test_commutant_falls_back_to_the_dense_system(monkeypatch, m2):
         return calls["verify"] > 3 and verify(cands, f, tol, rng)
 
     monkeypatch.setattr(structure, "_verify_commutant", failing_three_draws)
-    assert commutant(fam).dim == 4
+    comm = commutant(fam)
+    assert comm.dim == 4 and np.allclose(_gram(comm), np.eye(4), atol=1e-12)
     assert calls == {"verify": 3, "dense": fam.shape[0]}
 
 
@@ -287,6 +298,36 @@ def test_zero_intertwiner_corner_when_clusters_couple(monkeypatch, rng):
     assert equivalent(pi, pi)
 
 
+def test_equivalence_takes_no_svd_beyond_the_solve(monkeypatch, rng):
+    # the corner dimensions are traces of the orthonormal commutant basis,
+    # so the one SVD is that of the eigenbasis solve's nullspace
+    pi, rho = _inequivalent_irreps(rng)
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    structure._commutant_basis((pi, rho), structure.DEFAULT_TOL, 0)
+    assert len(calls) == 1
+    assert not equivalent(pi, rho)
+    assert len(calls) == 2
+
+
+def test_equivalence_refuses_a_non_integer_corner_trace(monkeypatch):
+    # a unit member split between the (1, 1) and (2, 1) corners is no
+    # commutant basis: each of those cuts has trace 1/2
+    split = np.zeros((1, 2, 2), dtype=complex)
+    split[0, 0, 0] = split[0, 1, 0] = np.sqrt(0.5)
+    monkeypatch.setattr(structure, "_commutant_basis",
+                        lambda blocks, tol, seed: split)
+    one = np.ones((1, 1, 1), dtype=complex)
+    with pytest.raises(DegenerateDrawError, match="not an integer"):
+        equivalent(one, one)
+
+
 def test_pair_solves_inherit_the_eigenbasis_guard():
     # [I_21] (+) [I_21] is one eigenvalue cluster of 42: 1764 unknowns on
     # ambient 42 exceed 40^4 entries, so the pair is refused before any
@@ -296,6 +337,8 @@ def test_pair_solves_inherit_the_eigenbasis_guard():
         intertwiner_space(eye, eye)
     with pytest.raises(BudgetError):
         equivalent(eye, eye)
+    # quasi-equivalence reads the span of the pair, which is one-dimensional
+    assert quasi_equivalent(eye, eye)
     # a lower multiplicity stays within the guard
     assert equivalent(np.eye(10, dtype=complex)[None],
                       np.eye(10, dtype=complex)[None])
