@@ -319,16 +319,13 @@ def symmetric_power_basis(a: FdCStarAlgebra, n: int) -> SymmetricPowerBasis:
     The multiset of a monomial is its sorted digit row; ``np.unique`` orders
     the distinct rows lexicographically, which is the
     ``combinations_with_replacement`` order of ``index``, and its inverse
-    labels every monomial with its row.  The ``count x total`` bound also
-    covers ``vectors``, the last dense reader of the labels; the
-    realization of irreducibles reads the labels in bounded batches and
-    needs no such guard.
+    labels every monomial with its row.  The guard bounds that digit
+    table, ``total x n`` entries; the labels themselves are ``total``
+    entries, and ``vectors`` checks its own dense size on each read.
     """
     total = a.dim ** n
-    count = symmetric_power_count(a.dim, n)
-    if count * total > MAX_DENSE_ENTRIES or total * n > MAX_DENSE_ENTRIES:
-        raise BudgetError(
-            f"symmetric power basis needs {count}x{total} coefficients")
+    if total * n > MAX_DENSE_ENTRIES:
+        raise BudgetError(f"symmetric power basis needs {total}x{n} digits")
     power = tensor_power(a, n)
     digits = np.stack(np.unravel_index(np.arange(total), (a.dim,) * n), axis=1)
     index, orbit = np.unique(np.sort(digits, axis=1), axis=0,

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (FdCStarAlgebra, SymmetricPowerBasis, make_algebra,
-                      symmetric_power_basis, symmetric_power_count,
-                      tensor_algebra)
+from .algebra import (MAX_DENSE_ENTRIES, FdCStarAlgebra, SymmetricPowerBasis,
+                      make_algebra, symmetric_power_basis,
+                      symmetric_power_count, tensor_algebra)
 from .crossed import GroupAction
-from .errors import VerificationError
+from .errors import BudgetError, VerificationError
 from .groups import (ProjectiveRep, Subgroup, check_partition,
                      factor_permutation_index, partitions, sn_irrep,
                      ssyt_count)
@@ -241,12 +241,16 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     summed by batched products in chunks of at most ``_IMAGE_CHUNK``
     entries, counting the gathered rows and the outputs.  The rank of w
     must equal the descriptor dimension; distinct descriptors yield
-    inequivalent irreducibles.
+    inequivalent irreducibles.  The image stack, one dim x dim image per
+    orbit sum, is checked against MAX_DENSE_ENTRIES before any work.
     """
     if desc.degree != n:
         raise ValueError("descriptor degree does not match n")
     if sym is None:
         sym = symmetric_power_basis(algebra, n)
+    if sym.size * desc.dim ** 2 > MAX_DENSE_ENTRIES:
+        raise BudgetError(f"images of {sym.size} orbit sums on dimension "
+                          f"{desc.dim} are too large")
     beta = np.repeat(desc.blocks, desc.q)
     w, d_mult = _young_fixed_vectors(algebra, desc, beta, tol)
     dim = w.shape[1]

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import MAX_DENSE_ENTRIES
 from .errors import BudgetError, DegenerateDrawError, VerificationError
 from .linalg import (DEFAULT_TOL, SPECTRAL_GAP, adjoint, cluster_eigenvalues,
                      direct_sum, eig_hermitian, nullspace,
@@ -51,28 +52,29 @@ def _as_family(mats) -> np.ndarray:
 class SpannedAlgebra:
     """A *-closed, product-closed linear span of matrices, held as an
     orthonormal basis: as labels when its members have disjoint supports
-    (for each of the n^2 entries, ``owner`` is the member covering it, -1 if
-    none, and ``normalized`` that unit-norm member's entry), else as the
-    vectorized rows ``onb``.  ``span_basis`` builds the basis matrices from
-    that form on each read.
+    (label t gives unit-norm member ``member[t]`` the value ``weight[t]`` at
+    the flat entry ``entry[t]`` of n x n; the entries outside the labels
+    are zero), else as the vectorized rows ``onb``.  ``span_basis`` builds
+    the basis matrices from that form on each read.
     """
 
     ambient: int
     onb: np.ndarray | None = None
-    owner: np.ndarray | None = None
-    normalized: np.ndarray | None = None
+    member: np.ndarray | None = None
+    entry: np.ndarray | None = None
+    weight: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         if self.onb is not None:
             return self.onb.shape[0]
-        return int(self.owner.max(initial=-1)) + 1
+        return int(self.member.max(initial=-1)) + 1
 
     @property
     def span_basis(self) -> np.ndarray:
-        rows = self.onb if self.onb is not None else np.where(
-            self.owner == np.arange(self.dim)[:, None], self.normalized, 0)
-        return rows.reshape(-1, self.ambient, self.ambient)
+        if self.onb is None:
+            return self.combine(np.eye(self.dim))
+        return self.onb.reshape(-1, self.ambient, self.ambient)
 
     def coordinates(self, mats) -> np.ndarray:
         """The (count, dim) coefficients on the orthonormal basis of the
@@ -81,16 +83,13 @@ class SpannedAlgebra:
         if self.onb is not None:
             # onb.conj() without copying the onb matrix
             return np.conj(np.conj(v) @ self.onb.T)
-        # member i's coefficient of row t sums conj(w) v over its entries,
-        # at the flat index t * (dim + 1) + i + 1; index 0 of each row
-        # gathers the uncovered entries, where w is zero
-        size = v.shape[0] * (self.dim + 1)
-        key = (np.arange(v.shape[0])[:, None] * (self.dim + 1)
-               + self.owner + 1).ravel()
-        p = (v * np.conj(self.normalized)).ravel()
+        # member i's coefficient of row t sums conj(w) v over its labels,
+        # at the flat index t * dim + i
+        size = v.shape[0] * self.dim
+        key = (np.arange(v.shape[0])[:, None] * self.dim + self.member).ravel()
+        p = (v[:, self.entry] * np.conj(self.weight)).ravel()
         return (np.bincount(key, p.real, size)
-                + 1j * np.bincount(key, p.imag, size)
-                ).reshape(-1, self.dim + 1)[:, 1:]
+                + 1j * np.bincount(key, p.imag, size)).reshape(-1, self.dim)
 
     def combine(self, coeffs) -> np.ndarray:
         """The (count, n, n) matrices sum_j coeffs[i, j] b_j of the rows of
@@ -99,10 +98,8 @@ class SpannedAlgebra:
         if self.onb is not None:
             flat = coeffs @ self.onb
         else:
-            # uncovered entries read the appended zero coefficient
-            padded = np.concatenate(
-                [coeffs, np.zeros((coeffs.shape[0], 1))], axis=1)
-            flat = padded[:, self.owner] * self.normalized
+            flat = np.zeros((len(coeffs), self.ambient ** 2), dtype=complex)
+            flat[:, self.entry] = coeffs[:, self.member] * self.weight
         return flat.reshape(-1, self.ambient, self.ambient)
 
     def contains(self, mat, tol: float = DEFAULT_TOL,
@@ -115,24 +112,15 @@ class SpannedAlgebra:
             scale = max(1.0, float(np.linalg.norm(v)))
         return float(np.linalg.norm(resid)) <= tol * scale
 
-    def labels(self):
-        """Owner, weight, row and column of each covered entry of a label
-        span."""
-        entry = np.flatnonzero(self.owner >= 0)
-        return (self.owner[entry], self.normalized[entry],
-                *np.divmod(entry, self.ambient))
-
 
 def label_span(n: int, member, entry, values) -> SpannedAlgebra:
     """The label span on ambient n of members 0, 1, ... with disjoint,
     nonempty supports (not checked), given as triplets: member ``member[t]``
-    has value ``values[t]`` at the flat entry ``entry[t]``."""
+    has value ``values[t]`` at the flat entry ``entry[t]``.  The triplets
+    are kept, with each member's values scaled to unit norm."""
     norms = np.sqrt(np.bincount(member, np.abs(values) ** 2))
-    out = SpannedAlgebra(n, owner=np.full(n * n, -1),
-                         normalized=np.zeros(n * n, dtype=complex))
-    out.owner[entry] = member
-    out.normalized[entry] = values / norms[member]
-    return out
+    return SpannedAlgebra(n, member=member, entry=entry,
+                          weight=values / norms[member])
 
 
 def spanned_algebra(mats, tol: float = DEFAULT_TOL, check: bool = True,
@@ -235,7 +223,8 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
     blocks of the eigenvalue clusters of H; the dense commutation system of
     the whole family is the last resort.  BudgetError is raised when the
     eigenbasis system exceeds MAX_COMMUTANT_AMBIENT^4 entries or the dense
-    one is needed above ambient MAX_COMMUTANT_AMBIENT.
+    one is needed above ambient MAX_COMMUTANT_AMBIENT or above
+    MAX_DENSE_ENTRIES entries (members x N^4).
 
     Returns a SpannedAlgebra on the solve's orthonormal basis; the double
     commutant of a unital *-closed span recovers the span itself at these
@@ -295,9 +284,10 @@ def _commutant_basis(blocks, tol: float, seed: int) -> np.ndarray:
             return cands
         constraints = np.concatenate(
             [constraints, np.stack(_random_combos(blocks, rng, 1))])
-    if n > MAX_COMMUTANT_AMBIENT:
-        raise BudgetError(
-            f"dense commutant solve limited to ambient {MAX_COMMUTANT_AMBIENT}")
+    if n > MAX_COMMUTANT_AMBIENT or \
+            len(blocks[0]) * n ** 4 > MAX_DENSE_ENTRIES:
+        raise BudgetError(f"dense commutant system of {len(blocks[0])} "
+                          f"members on ambient {n} is too large")
     stacked = np.concatenate(
         [_commutation_operator(m) for m in _members(blocks)], axis=0)
     return nullspace(stacked, tol).T.reshape(-1, n, n)
@@ -398,7 +388,9 @@ def _line_pairs(line: np.ndarray):
     a group holds at most PAIR_CHUNK pairs, or one line that alone holds
     more."""
     order = np.argsort(line, kind="stable")
-    counts = np.bincount(line)
+    # the distinct lines numbered 0, 1, ... along the sorted positions
+    ids = np.cumsum(np.diff(line[order], prepend=line[order[:1]]) != 0)
+    counts = np.bincount(ids)
     ends = np.cumsum(counts)
     pairs = counts.astype(np.int64) ** 2
     total = np.cumsum(pairs)
@@ -406,10 +398,10 @@ def _line_pairs(line: np.ndarray):
     while lo < counts.size:
         hi = max(lo + 1, int(np.searchsorted(
             total, total[lo] - pairs[lo] + PAIR_CHUNK, side="right")))
-        f = order[ends[lo] - counts[lo]:ends[hi - 1]]
-        reps = counts[line[f]]
+        part = slice(ends[lo] - counts[lo], ends[hi - 1])
+        f, reps = order[part], counts[ids[part]]
         # the partners of the i-th f fill reps[i] consecutive slots
-        first = ends[line[f]] - reps - (np.cumsum(reps) - reps)
+        first = ends[ids[part]] - reps - (np.cumsum(reps) - reps)
         yield order[np.repeat(first, reps) + np.arange(reps.sum())], \
             np.repeat(f, reps)
         lo = hi
@@ -427,10 +419,10 @@ def _basis_gram(s: SpannedAlgebra) -> np.ndarray:
     if s.onb is not None:
         rows = s.span_basis.transpose(1, 0, 2).reshape(n, -1)
         return rows @ rows.conj().T
-    own, w, row, col = s.labels()
+    row, col = np.divmod(s.entry, n)
     out = np.zeros(n * n, dtype=complex)
-    for e, f in _line_pairs(own * n + col):
-        key, vals = row[e] * n + row[f], w[e] * np.conj(w[f])
+    for e, f in _line_pairs(s.member * n + col):
+        key, vals = row[e] * n + row[f], s.weight[e] * np.conj(s.weight[f])
         out += np.bincount(key, vals.real, n * n) \
             + 1j * np.bincount(key, vals.imag, n * n)
     return out.reshape(n, n)
@@ -464,35 +456,38 @@ class WedderburnReport:
         return out
 
 
-def _support_components(n: int, owner: np.ndarray
-                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+def _support_components(n: int, member: np.ndarray, entry: np.ndarray
+                        ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Connected components of the ambient indices under the supports of a
-    label span on ambient n (``owner`` as in SpannedAlgebra).
+    label span on ambient n (``member`` and ``entry`` as in SpannedAlgebra).
 
-    A union-find over the ambient indices joins the row and column index
-    divmod(entry, n) of every entry a member owns: each round hooks the root
-    of every touched index onto the least root its members meet and then
-    compresses paths, until no root moves.  Each member then lies in the
-    square block of one component, and the span is the direct sum of the
-    spans of each component's members.  Returns (indices, members) per
-    component; indices that no member touches form no component.
+    A union-find over the ambient indices joins the row and the column
+    divmod(entry, n) of every label to ``anchor``, one row of the same
+    member (whichever the scatter keeps): each round hooks the two roots of
+    every such edge onto the lesser and then compresses paths, until no
+    root moves.  Each member then lies in
+    the square block of one component, and the span is the direct sum of
+    the spans of each component's members.  Returns (indices, members,
+    labels) per component; indices that no label touches form no
+    component.
     """
-    entry = np.flatnonzero(owner >= 0)
-    touched = np.zeros((int(owner.max(initial=-1)) + 1, n), dtype=bool)
-    touched[np.tile(owner[entry], 2), np.concatenate(np.divmod(entry, n))] = 1
+    row, col = np.divmod(entry, n)
+    anchor = np.zeros(int(member.max(initial=-1)) + 1, dtype=np.intp)
+    anchor[member] = row
+    edges = np.stack([np.tile(anchor[member], 2), np.concatenate([row, col])])
     roots = np.arange(n)
     while True:
-        member_root = np.where(touched, roots, n).min(axis=1, initial=n)
-        least = np.where(touched, member_root[:, None], n).min(axis=0, initial=n)
-        hooked = roots.copy()
-        np.minimum.at(hooked, roots, least)
+        hooked, ends = roots.copy(), roots[edges]
+        np.minimum.at(hooked, ends.ravel(), np.tile(ends.min(axis=0), 2))
         while not np.array_equal(hooked[hooked], hooked):
             hooked = hooked[hooked]
         if np.array_equal(hooked, roots):
             break
         roots = hooked
+    member_root, label_root = roots[anchor], roots[row]
     # bincount, not np.unique: that imports numpy.ma on its first call
-    return [(np.flatnonzero(roots == c), np.flatnonzero(member_root == c))
+    return [(np.flatnonzero(roots == c), np.flatnonzero(member_root == c),
+             np.flatnonzero(label_root == c))
             for c in np.flatnonzero(np.bincount(member_root, minlength=n)[:n])]
 
 
@@ -516,12 +511,13 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
     parts = [(np.arange(s.ambient), s)]
     if s.onb is None:
         parts = []
-        for idx, members in _support_components(s.ambient, s.owner):
-            flat = (idx[:, None] * s.ambient + idx).ravel()
-            local = np.flatnonzero(s.owner[flat] >= 0)
+        for idx, members, labels in _support_components(
+                s.ambient, s.member, s.entry):
+            row, col = np.searchsorted(idx, np.divmod(s.entry[labels],
+                                                      s.ambient))
             parts.append((idx, label_span(
-                len(idx), np.searchsorted(members, s.owner[flat[local]]),
-                local, s.normalized[flat[local]])))
+                len(idx), np.searchsorted(members, s.member[labels]),
+                row * len(idx) + col, s.weight[labels])))
     found = []
     for idx, sub in parts:
         found += [(d, k, (idx, proj)) for proj, d, k
@@ -581,8 +577,8 @@ def _projections_from_spectrum(s: SpannedAlgebra, gram, w, v, x2, probe,
     # the link graph's components are the support components of labels
     # whose member c owns the entries (c, c') of the clusters it links
     out = []
-    for comp, _ in _support_components(
-            k, np.where(link, np.arange(k)[:, None], -1).ravel()):
+    for comp, _, _ in _support_components(k, np.nonzero(link)[0],
+                                          np.flatnonzero(link)):
         idx = np.concatenate([clusters[c] for c in comp])
         cols = v[:, idx]
         proj = cols @ cols.conj().T

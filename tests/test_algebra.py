@@ -269,11 +269,14 @@ def test_symmetric_power_budget_guard(m23):
         symmetric_power_basis(m23, 7)
 
 
-def test_orbit_sum_count_budget_guard(m2, monkeypatch):
-    # the count x total bound also guards the dense readers of the labels
-    monkeypatch.setattr(algebra, "MAX_DENSE_ENTRIES", 10 * 256 - 1)
+def test_orbit_sums_past_the_dense_bound_stay_labels():
+    # 3876 orbit sums of 65536 monomials are over the dense bound: the
+    # labels are built, and only the dense read is refused
+    sym = symmetric_power_basis(make_algebra([4]), 4)
+    assert sym.size == 3876 and sym.orbit.shape == (65536,)
+    assert sym.size * sym.orbit.size > algebra.MAX_DENSE_ENTRIES
     with pytest.raises(BudgetError):
-        symmetric_power_basis(m2, 4)
+        sym.vectors
 
 
 def test_dense_orbit_sums_budget_guard(m2, monkeypatch):

@@ -17,7 +17,7 @@ from cstarpow.classify import (_descriptor,
                                schur_weyl_rep,
                                wedderburn_comparison, wedderburn_crosscheck)
 from cstarpow.crossed import spatial_pair, tensor_permutation_action
-from cstarpow.errors import VerificationError
+from cstarpow.errors import BudgetError, VerificationError
 from cstarpow.groups import sn_irrep, symmetric_group
 from cstarpow.linalg import op_norm
 from cstarpow.structure import equivalent, intertwiner_space, is_irreducible
@@ -189,6 +189,25 @@ def test_warm_realization_builds_no_accumulator():
         tracemalloc.stop()
     assert rep.dim == 20
     assert peak < 12 * 2 ** 20
+
+
+def test_image_stack_over_the_dense_bound_is_refused(monkeypatch):
+    # S^3(M_2) has 20 orbit sums, and (3) of block 0 has dimension 4: a
+    # cap one entry below the 20 x 4 x 4 images refuses before any solve
+    algebra = make_algebra([2])
+    sym = symmetric_power_basis(algebra, 3)
+    desc = _descriptor(algebra, (0,), (3,), ((3,),))
+    assert sym.size == 20 and desc.dim == 4
+
+    def refuse(*args):
+        raise AssertionError("solved before the budget check")
+
+    monkeypatch.setattr(classify, "_young_fixed_vectors", refuse)
+    monkeypatch.setattr(classify, "MAX_DENSE_ENTRIES", 20 * 4 * 4 - 1)
+    with pytest.raises(BudgetError, match="20 orbit sums"):
+        realize_sn_irrep(algebra, 3, desc, sym=sym)
+    monkeypatch.undo()
+    assert realize_sn_irrep(algebra, 3, desc, sym=sym).dim == 4
 
 
 def test_degree_seven_family_builds_no_dense_mean():

@@ -221,14 +221,18 @@ def test_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
-def test_orbit_sum_budget_of_dense_readers(capsys):
-    # ambient 4^4 = 256 passes --budget, but the 3876 orbit sums of
-    # 65536 monomials are over the dense bound: refused before allocating
-    for args in (("sympow",), ("schur-weyl",), ("classify", "--crosscheck")):
-        code, _, err = run_cli(capsys, *args, "--blocks", "4", "--n", "4")
-        assert code == 3
-        assert "budget" in err.lower()
-        assert "symmetric power basis needs 3876x65536" in err
+def test_orbit_sums_past_the_dense_bound_are_classified(capsys):
+    # ambient 4^4 = 256 passes --budget; the 3876 orbit sums of 65536
+    # monomials are over the dense bound, but no reader builds them densely
+    code, payload = run_json(capsys, "sympow", "--blocks", "4", "--n", "4")
+    assert code == 0
+    assert payload["wedderburn_block_dims"] == payload["enumerated_dims"] \
+        == [1, 15, 20, 35, 45]
+    code, payload = run_json(capsys, "classify", "--blocks", "4", "--n", "4",
+                             "--crosscheck")
+    assert code == 0
+    check = payload["crosscheck"]
+    assert check["passed"] and check["spectral"] == check["enumerated"]
 
 
 def test_tensor_power_budget_of_actions(capsys):

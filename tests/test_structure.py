@@ -152,10 +152,9 @@ def test_span_coordinates_keep_norms_and_the_center_system(case):
 def _phased(span, rng):
     """The label span with each member times a random phase, so that its
     weights are complex and differ between members."""
-    own, w, row, col = span.labels()
     phase = np.exp(2j * np.pi * rng.random(span.dim))
-    return structure.label_span(span.ambient, own, row * span.ambient + col,
-                                w * phase[own])
+    return structure.label_span(span.ambient, span.member, span.entry,
+                                span.weight * phase[span.member])
 
 
 @st.composite
@@ -382,6 +381,30 @@ def test_commutant_fallback_above_the_dense_cap_is_refused(monkeypatch, rng):
     assert calls == {"verify": 3, "dense": 0}
 
 
+def test_dense_fallback_of_many_members_is_refused(monkeypatch):
+    # 500 diagonal members on ambient 20 <= MAX_COMMUTANT_AMBIENT: their
+    # dense system has 500 x 20^4 = 80M entries, over MAX_DENSE_ENTRIES
+    fam = np.zeros((500, 20, 20), dtype=complex)
+    fam[:, np.arange(20), np.arange(20)] = \
+        np.random.default_rng(0).standard_normal((500, 20))
+    assert 500 * 20 ** 4 > structure.MAX_DENSE_ENTRIES
+    calls = {"verify": 0, "dense": 0}
+
+    def failing(cands, f, tol, gen):
+        calls["verify"] += 1
+        return False
+
+    def counted(m):
+        calls["dense"] += 1
+        return np.zeros((0, 0))
+
+    monkeypatch.setattr(structure, "_verify_commutant", failing)
+    monkeypatch.setattr(structure, "_commutation_operator", counted)
+    with pytest.raises(BudgetError, match="500 members"):
+        commutant(fam)
+    assert calls == {"verify": 3, "dense": 0}
+
+
 def test_verification_sees_every_member():
     # 299 diagonal members commute with the candidate; the one member that
     # does not lies outside the fixed-seed sample of 256 members that an
@@ -516,16 +539,25 @@ def test_support_components_match_bfs_oracle(n, count, density, seed):
     owner[entry] = np.unique(owner[entry], return_inverse=True)[1]
     mats = np.zeros((owner.max(initial=-1) + 1, n * n), dtype=bool)
     mats[owner[entry], entry] = True
-    got = [(list(idx), list(members))
-           for idx, members in _support_components(n, owner)]
+    comps = _support_components(n, owner[entry], entry)
+    got = [(list(idx), list(members)) for idx, members, _ in comps]
     assert got == support_components_bfs(mats.reshape(-1, n, n))
+    # each label falls in the component of its member
+    assert sorted(t for _, _, lab in comps for t in lab) \
+        == list(range(entry.size))
+    for _, members, lab in comps:
+        assert set(owner[entry[lab]]) == set(members)
+
+
+def _components(span):
+    return _support_components(span.ambient, span.member, span.entry)
 
 
 def test_split_keeps_a_straddling_member_in_one_component(m2):
     # a ⊕ a on ambient 4: E_01 ⊕ E_01 touches both copies
     span = spanned_algebra(np.stack([direct_sum([b, b])
                                      for b in m2.basis_matrices()]))
-    assert len(_support_components(span.ambient, span.owner)) == 1
+    assert len(_components(span)) == 1
     report = minimal_central_projections(span)
     assert report.block_dims == [2]
     assert report.multiplicities == [2]
@@ -539,7 +571,7 @@ def test_split_of_a_direct_sum_is_the_union_of_the_parts(m2):
              for f in (m2_fam, reg_fam)]
     span = spanned_algebra(np.concatenate([_embedded(m2_fam, 8, 0),
                                            _embedded(reg_fam, 8, 2)]))
-    assert len(_support_components(span.ambient, span.owner)) == 2
+    assert len(_components(span)) == 2
     report = minimal_central_projections(span)
     assert sorted(zip(report.block_dims, report.multiplicities)) == sorted(
         (d, k) for r in parts for d, k in zip(r.block_dims, r.multiplicities))
@@ -653,7 +685,7 @@ def test_degenerate_draws_are_redrawn(monkeypatch, m2):
     # a zero x2 links no clusters, so the 3-dim summand of S^2(M_2) falls
     # apart into rank-one projections of trace 3, which is not 1^2
     span = symmetric_power_span(m2, 2)
-    assert len(_support_components(span.ambient, span.owner)) == 1
+    assert len(_components(span)) == 1
     draws = _zero_links_for(monkeypatch, 1)
     report = minimal_central_projections(span)
     assert len(draws) == 2 and sorted(report.block_dims) == [1, 3]
@@ -789,7 +821,9 @@ def test_disjoint_family_is_kept_as_labels(case):
     norms = np.linalg.norm(fam, axis=(1, 2))
     assert span.onb is None
     assert np.allclose(span.span_basis, fam / norms[:, None, None])
-    assert span.owner.shape == span.normalized.shape == (fam[0].size,)
+    labels = np.count_nonzero(fam)
+    assert span.member.shape == span.entry.shape == span.weight.shape \
+        == (labels,)
     state = rng.bit_generator.state
     answers = _span_answers(span, fam, rng)
     assert all(answers[:fam.shape[0] + 1]) and answers[-2] and not answers[-1]
@@ -799,16 +833,31 @@ def test_disjoint_family_is_kept_as_labels(case):
         shared = fam.copy()
         shared[1] += 0.5 * fam[0]
         other = spanned_algebra(shared, check=False)
-        assert other.onb is not None and other.owner is None
+        assert other.onb is not None and other.member is None
         rng.bit_generator.state = state
         assert _span_answers(other, fam, rng) == answers
+
+
+def test_label_path_allocates_nothing_of_the_ambient_size():
+    # S^4(C^6) on ambient 1296: 126 orbit sums, one label per diagonal
+    # entry; one ambient^2 array of 8-byte entries would be 13.4 MB
+    algebra = make_algebra([1] * 6)
+    tracemalloc.start()
+    try:
+        enumerated, spectral = wedderburn_comparison(algebra, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enumerated == spectral == [1] * 126
+    assert peak < 1296 ** 2 * 8
 
 
 def test_symmetric_power_span_and_its_components_keep_labels(monkeypatch):
     algebra = make_algebra([2, 1])
     span = symmetric_power_span(algebra, 3)
     assert span.onb is None
-    assert span.owner.shape == (span.ambient ** 2,)
+    assert span.member.shape == span.entry.shape == span.weight.shape \
+        == (algebra.dim ** 3,)
     subs = []
     solve = structure._component_projections
 
@@ -818,8 +867,10 @@ def test_symmetric_power_span_and_its_components_keep_labels(monkeypatch):
 
     monkeypatch.setattr(structure, "_component_projections", record)
     report = minimal_central_projections(span)
-    assert len(subs) == len(_support_components(span.ambient, span.owner)) > 1
+    assert len(subs) == len(_components(span)) > 1
     for sub in subs:
-        assert sub.onb is None and sub.owner.shape == (sub.ambient ** 2,)
+        assert sub.onb is None
+        assert sub.member.shape == sub.entry.shape == sub.weight.shape
+    assert sum(sub.member.size for sub in subs) == span.member.size
     enumerated, _ = wedderburn_comparison(algebra, 3)
     assert sorted(report.block_dims) == enumerated
