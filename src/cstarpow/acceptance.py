@@ -127,7 +127,7 @@ def suite_crossed(tol, seed, budget, samples: int = 50):
             worst = max(worst, op_norm(
                 integrated_form(pair, ix) - pu @ pair.apply(x)))
         # the averaging projection has exactly the joint fixed vectors as range
-        u_fixed = orthonormal_columns(pu, tol)
+        u_fixed = orthonormal_columns(pu, tol, scale=1.0)
         res = u_fixed - np.stack([pair.unitary.mat(g) @ u_fixed
                                   for g in range(action.group.order)]).mean(axis=0)
         worst = max(worst, float(np.max(np.abs(res))))
@@ -188,7 +188,7 @@ def suite_induction(tol, seed, budget):
     rest = commutant_restriction(ind, 0, tol)
     iso = fixed_point_unitary(ind, tol)
     induced_fixed = orthonormal_columns(
-        group_average_projection(ind.pair), tol).shape[1]
+        group_average_projection(ind.pair), tol, scale=1.0).shape[1]
     assertions.append(_assertion(
         "trivial-subgroup induction over the 3-point algebra",
         rest.source_dim == rest.target_dim == 1
@@ -214,7 +214,7 @@ def suite_induction(tol, seed, budget):
             ok = ok and rest.source_dim == rest.target_dim
         iso = fixed_point_unitary(ind, tol)
         induced_fixed = orthonormal_columns(
-            group_average_projection(ind.pair), tol).shape[1]
+            group_average_projection(ind.pair), tol, scale=1.0).shape[1]
         ok = ok and iso.shape[1] == induced_fixed
         assertions.append(_assertion(
             f"character orbit over the two-one Young subgroup, "
@@ -233,7 +233,7 @@ def suite_induction(tol, seed, budget):
     rest = commutant_restriction(ind, 0, tol)
     iso = fixed_point_unitary(ind, tol)
     induced_fixed = orthonormal_columns(
-        group_average_projection(ind.pair), tol).shape[1]
+        group_average_projection(ind.pair), tol, scale=1.0).shape[1]
     assertions.append(_assertion(
         "matrix power spatial pair over the two-one Young subgroup",
         ind.pair.dim == 24 and rest.source_dim == rest.target_dim

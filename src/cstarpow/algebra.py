@@ -316,20 +316,22 @@ def symmetric_power_count(d: int, n: int) -> int:
 def symmetric_power_basis(a: FdCStarAlgebra, n: int) -> SymmetricPowerBasis:
     """The orbit labels of the n-th tensor power's basis monomials.
 
-    The multiset of a monomial is its sorted digit row; ``np.unique`` orders
-    the distinct rows lexicographically, which is the
-    ``combinations_with_replacement`` order of ``index``, and its inverse
-    labels every monomial with its row.  The guard bounds that digit
-    table, ``total x n`` entries; the labels themselves are ``total``
-    entries, and ``vectors`` checks its own dense size on each read.
+    The multiset of a monomial is its sorted digit row, packed into one key
+    below ``total`` in radix ``a.dim``.  Key order is the lexicographic, or
+    ``combinations_with_replacement``, order of ``index``, so a 1-D
+    ``np.unique`` gives ``index`` and, by its inverse, the row of every
+    monomial.  The guard bounds the ``total x n`` digits; ``vectors`` checks
+    its own dense size on each read.
     """
     total = a.dim ** n
     if total * n > MAX_DENSE_ENTRIES:
         raise BudgetError(f"symmetric power basis needs {total}x{n} digits")
     power = tensor_power(a, n)
-    digits = np.stack(np.unravel_index(np.arange(total), (a.dim,) * n), axis=1)
-    index, orbit = np.unique(np.sort(digits, axis=1), axis=0,
-                             return_inverse=True)
+    shape = (a.dim,) * n
+    digits = np.sort(np.unravel_index(np.arange(total), shape), axis=0)
+    keys, orbit = np.unique(np.ravel_multi_index(digits, shape),
+                            return_inverse=True)
+    index = np.transpose(np.unravel_index(keys, shape))
     return SymmetricPowerBasis(a, power, n, tuple(map(tuple, index.tolist())),
                                orbit.reshape(-1))
 

@@ -226,6 +226,14 @@ def _young_fixed_vectors(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
     return w, math.prod(shape[1:])
 
 
+def _check_image_budget(algebra: FdCStarAlgebra, desc: IrrepDescriptor):
+    """Refuse an image stack over MAX_DENSE_ENTRIES, counting orbit sums."""
+    count = symmetric_power_count(algebra.dim, desc.degree)
+    if count * desc.dim ** 2 > MAX_DENSE_ENTRIES:
+        raise BudgetError(f"images of {count} orbit sums on dimension "
+                          f"{desc.dim} are too large")
+
+
 def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
                      sym: SymmetricPowerBasis | None = None,
                      tol: float = DEFAULT_TOL) -> RealizedIrrep:
@@ -246,11 +254,9 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     """
     if desc.degree != n:
         raise ValueError("descriptor degree does not match n")
+    _check_image_budget(algebra, desc)
     if sym is None:
         sym = symmetric_power_basis(algebra, n)
-    if sym.size * desc.dim ** 2 > MAX_DENSE_ENTRIES:
-        raise BudgetError(f"images of {sym.size} orbit sums on dimension "
-                          f"{desc.dim} are too large")
     beta = np.repeat(desc.blocks, desc.q)
     w, d_mult = _young_fixed_vectors(algebra, desc, beta, tol)
     dim = w.shape[1]
@@ -354,10 +360,13 @@ def schur_weyl_family(algebra: FdCStarAlgebra, n: int,
                       sym: SymmetricPowerBasis | None = None):
     """Every Schur-Weyl representation of degree n, as (block, partition,
     representation) in the order of ``schur_weyl_labels``."""
+    labels = schur_weyl_labels(algebra, n)
+    for j, lam in labels:
+        _check_image_budget(algebra, _descriptor(algebra, (j,), (n,), (lam,)))
     if sym is None:
         sym = symmetric_power_basis(algebra, n)
     return [(j, lam, schur_weyl_rep(algebra, j, lam, sym=sym, tol=tol))
-            for j, lam in schur_weyl_labels(algebra, n)]
+            for j, lam in labels]
 
 
 def schur_weyl_injectivity_check(algebra: FdCStarAlgebra, n_max: int,

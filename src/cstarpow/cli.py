@@ -196,14 +196,18 @@ def _load_action(args, cfg: RunConfig):
     return tensor_permutation_action(base, args.n)
 
 
+def _max_deviation(a, b) -> float:
+    """The largest entry of |a - b|, computed in place in ``a``."""
+    return float(np.max(np.abs(np.subtract(a, b, out=a), out=a).real))
+
+
 def cmd_crossed(args, cfg: RunConfig) -> tuple[int, dict]:
     action = _load_action(args, cfg)
     rng = np.random.default_rng(cfg.seed)
     pair = spatial_pair(action, check=False) if hasattr(action, "base") else None
     p = corner_projection(action)
-    pp = convolve(p, p)
-    p_residual = float(np.max(np.abs(pp.values - p.values)))
-    star_residual = float(np.max(np.abs(involution(p).values - p.values)))
+    p_residual = _max_deviation(convolve(p, p).values, p.values)
+    star_residual = _max_deviation(involution(p).values, p.values)
     fixed = action.fixed_space(cfg.tol)
     sample_worst = 0.0
     if pair is not None:

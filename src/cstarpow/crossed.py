@@ -15,6 +15,7 @@ times the indicator of the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,27 +67,20 @@ class GroupAction:
 
     def apply(self, g: int, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=complex)
-        if self.is_permutation:
-            out = np.empty_like(coeffs)
-            out[self.perm_maps[g]] = coeffs
-            return out
+        if self.is_permutation:  # the map of g^-1 inverts that of g
+            return coeffs[self.perm_maps[self.group.inv[g]]]
         return self.dense_maps[g] @ coeffs
 
     def apply_each(self, rows) -> np.ndarray:
         """Row g of the result is alpha_g applied to row g of ``rows``."""
         rows = np.asarray(rows, dtype=complex)
         if self.is_permutation:
-            out = np.empty(rows.shape, dtype=complex)
-            out[np.arange(self.group.order)[:, None], self.perm_maps] = rows
-            return out
+            return np.take_along_axis(rows, self.perm_maps[self.group.inv], 1)
         return (self.dense_maps @ rows[:, :, None])[:, :, 0]
 
     def matrix(self, g: int) -> np.ndarray:
-        if self.is_permutation:
-            d = self.algebra.dim
-            out = np.zeros((d, d), dtype=complex)
-            out[self.perm_maps[g], np.arange(d)] = 1.0
-            return out
+        if self.is_permutation:  # column j is unit p_g(j)
+            return np.identity(self.algebra.dim, complex)[:, self.perm_maps[g]]
         return self.dense_maps[g]
 
     def composed_images(self, g: int, images) -> np.ndarray:
@@ -234,7 +228,7 @@ class CrossedElement:
     values: np.ndarray  # (|G|, dim) coefficient rows
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = np.ascontiguousarray(self.values, dtype=complex)
         expected = (self.action.group.order, self.action.algebra.dim)
         if self.values.shape != expected:
             raise ValueError(f"values must have shape {expected}")
@@ -263,11 +257,15 @@ def corner_embedding(action: GroupAction, x,
     """
     x = np.asarray(x, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(x)))
-    const = np.tile(x, (action.group.order, 1))
-    if np.any(np.linalg.norm(action.apply_each(const) - x, axis=1)
-              > tol * scale):
+    # row g of x[perm_maps] is alpha of g^-1: one gather moves x by every g
+    moved = np.take(x, action.perm_maps) if action.is_permutation else \
+        action.apply_each(np.broadcast_to(x, (action.group.order, x.size)))
+    moved -= x
+    parts = moved.view(float)  # row norms without a squared copy
+    if np.any(np.sqrt(np.einsum("ij,ij->i", parts, parts)) > tol * scale):
         raise ValueError("element is not fixed by the action")
-    return CrossedElement(action, const)
+    moved[:] = x  # the checked buffer becomes the constant function
+    return CrossedElement(action, moved)
 
 
 # Entries of one tile of moved values in ``convolve``: large enough for
@@ -280,26 +278,30 @@ def convolve(f1: CrossedElement, f2: CrossedElement) -> CrossedElement:
     """Twisted convolution in block layout, batched over the group.
 
     Blocks of one size are handled together, on tiles of group elements g.
-    For each h, one gather takes alpha_h(f2(h^{-1} g)) for every g of the
-    tile with each block transposed, and one matrix product multiplies them
-    all by the transposed blocks of f1(h), as (A B)^T = B^T A^T.  No
-    ambient matrix is formed.
+    For each h, one flat gather takes alpha_h(f2(h^{-1} g)) for every g of
+    the tile with each block transposed, and one matrix product multiplies
+    them all by the transposed blocks of f1(h), as (A B)^T = B^T A^T; 1x1
+    blocks are gathered g-major and multiplied elementwise, into buffers of
+    one tile.  No ambient matrix is formed.
     """
     if f1.action is not f2.action:
         raise ValueError("convolution requires elements of the same system")
     action = f1.action
     grp, alg = action.group, action.algebra
-    order = grp.order
-    out = np.empty((order, alg.dim), dtype=complex)
+    order, dim = grp.order, alg.dim
+    out = np.empty((order, dim), dtype=complex)
     for units in alg._size_groups:
-        # grid[b, c, r] is the index of unit (r, c) of block b, in C order,
-        # which the gathers indexed by it keep
-        grid = np.ascontiguousarray(units.transpose(0, 2, 1))
-        count, k, _ = grid.shape
-        step = max(1, _CONVOLVE_TILE // grid.size)
+        count, k, _ = units.shape
+        # grid[b, c, r] is the index of unit (r, c) of block b, so that a
+        # gather by it holds each block transposed; 1x1 blocks go on the
+        # last axis, so that their gather, laid out (b, g, c, r), is g-major
+        grid = units.reshape(1, 1, -1) if k == 1 else units.transpose(0, 2, 1)
+        step = max(1, _CONVOLVE_TILE // units.size)
         for lo in range(0, order, step):
             tile = np.arange(lo, min(order, lo + step))
-            acc = np.zeros((count, tile.size * k, k), dtype=complex)
+            target = grid[:, None] + (tile * dim)[:, None, None]
+            idx = np.empty_like(target)
+            moved, prod, acc = np.zeros((3,) + target.shape, dtype=complex)
             for h in range(order):
                 hi = grp.inv[h]
                 rows = grp.mult[hi, tile]  # h^-1 g
@@ -307,20 +309,35 @@ def convolve(f1: CrossedElement, f2: CrossedElement) -> CrossedElement:
                     # the maps form a group: that of h^-1 inverts that of h
                     src, cols = f2.values, action.perm_maps[hi][grid]
                 else:
-                    src, cols = f2.values[rows] @ action.dense_maps[h].T, grid
-                    rows = np.arange(tile.size)
-                # moved[b, g, c, r]: unit (r, c) of block b of the moved value
-                moved = src[rows[None, :, None, None], cols[:, None]]
-                acc += moved.reshape(count, -1, k) @ f1.values[h][grid]
-            out[tile[None, :, None, None], grid[:, None]] = \
-                acc.reshape(count, tile.size, k, k)
-    return CrossedElement(action, out / order)
+                    src = f2.values[rows] @ action.dense_maps[h].T
+                    cols, rows = grid, np.arange(tile.size)
+                # idx is in range, and mode "raise" would buffer the output
+                np.add(cols[:, None], (rows * dim)[:, None, None], out=idx)
+                np.take(src, idx, out=moved, mode="clip")
+                left = f1.values[h][grid]
+                if k == 1:
+                    np.multiply(moved, left, out=prod)
+                else:
+                    np.matmul(moved.reshape(count, -1, k), left,
+                              out=prod.reshape(count, -1, k))
+                acc += prod
+            np.put(out, target, acc)
+    out /= order
+    return CrossedElement(action, out)
 
 
 def involution(f: CrossedElement) -> CrossedElement:
+    """f*(g) = alpha_g(f(g^{-1}))*; for a permutation action, entry i of f*(g)
+    is entry p_(g^-1)(star(i)) of f(g^{-1}), conjugated: one flat gather."""
     action = f.action
-    moved = action.apply_each(f.values[action.group.inv])
-    return CrossedElement(action, action.algebra.star(moved))
+    grp, alg = action.group, action.algebra
+    if not action.is_permutation:
+        moved = action.apply_each(f.values[grp.inv])
+        return CrossedElement(action, alg.star(moved))
+    idx = action.perm_maps[grp.inv[:, None], alg.star_index]
+    idx += grp.inv[:, None] * alg.dim
+    out = np.take(f.values, idx)
+    return CrossedElement(action, np.conjugate(out, out=out))
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +394,13 @@ class CovariantPair:
             self._pi = np.zeros((count, n, n), dtype=complex)
             self._pi[which, row, col] = 1.0
         return self._pi
+
+    @cached_property
+    def _integration_index(self) -> np.ndarray:
+        """Flat entry of E(row, col) U_g per g and label of a spatial pair."""
+        _, row, col = self.labels
+        inv = self.action.group.inv
+        return row * self.dim + self.unitary.dest[inv[:, None], col]
 
     @property
     def is_spatial(self) -> bool:
@@ -456,11 +480,11 @@ def integrated_form(pair: CovariantPair, f: CrossedElement) -> np.ndarray:
         # E(r, c) U_g = E(r, dest_g^-1 c), and dest of g^-1 inverts dest_g;
         # distinct entries of one g land on distinct entries, so bincount
         # sums every entry over g in order
-        which, row, col = pair.labels
-        cols = pair.unitary.dest[grp.inv][:, col]
-        flat = (row * n + cols).ravel()
-        out = np.bincount(flat, f.values.real[:, which].ravel(), n * n) \
-            + 1j * np.bincount(flat, f.values.imag[:, which].ravel(), n * n)
+        flat = pair._integration_index.ravel()
+        parts = f.values.view(float)  # entry i: real 2i, imaginary 2i + 1
+        re, im = (np.take(parts, 2 * pair.labels[0] + j, axis=1).ravel()
+                  for j in (0, 1))
+        out = np.bincount(flat, re, n * n) + 1j * np.bincount(flat, im, n * n)
         return out.reshape(n, n) / grp.order
     imgs = pair.apply(f.values)
     out = imgs.transpose(1, 0, 2).reshape(n, grp.order * n) \

@@ -115,9 +115,9 @@ def fixed_point_unitary(ind: InducedRep,
     Sends a base-fixed vector to the function constant with value that vector
     scaled by the inverse square root of the coset count; its range is exactly
     the jointly fixed subspace of the induced pair, so the two fixed subspaces
-    have equal dimension.
+    have equal dimension.  The mean, a projection, is ranked against 1.
     """
-    base_fixed = orthonormal_columns(ind.base.unitary.mean(), tol)
+    base_fixed = orthonormal_columns(ind.base.unitary.mean(), tol, scale=1.0)
     r1 = ind.num_blocks
     column = np.tile(base_fixed, (r1, 1)) / np.sqrt(r1)
     return column

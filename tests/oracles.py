@@ -182,6 +182,16 @@ def symmetric_power_orbit_sums(dim, n):
     return tuple(multisets), vectors
 
 
+def sorted_row_orbit_labels(dim, n):
+    """Orbit labels by ``np.unique`` over the sorted digit rows of every
+    monomial: the distinct rows, and the row of each monomial."""
+    digits = np.stack(np.unravel_index(np.arange(dim ** n), (dim,) * n),
+                      axis=1)
+    index, orbit = np.unique(np.sort(digits, axis=1), axis=0,
+                             return_inverse=True)
+    return tuple(map(tuple, index.tolist())), orbit.reshape(-1)
+
+
 def permuted_kron(vectors, perm):
     """Tensor product of factor vectors after moving factor t to slot
     perm[t], built with np.kron."""

@@ -19,7 +19,8 @@ from cstarpow.crossed import tensor_permutation_action
 from cstarpow.errors import BudgetError
 from cstarpow.groups import symmetric_group
 from oracles import (embedded_multiply, embedded_norm, make_algebra_arrays,
-                     multiset_permutations, symmetric_power_orbit_sums)
+                     multiset_permutations, sorted_row_orbit_labels,
+                     symmetric_power_orbit_sums)
 
 
 def test_make_algebra_shapes(c3, m2, m23):
@@ -182,6 +183,19 @@ def test_symmetric_power_basis_matches_orbit_sums(data):
     assert sym.index == index
     assert sym.orbit.shape == (a.dim ** n,)
     assert np.array_equal(sym.vectors, vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_key_orbit_labels_match_sorted_row_labels(data):
+    a = make_algebra(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                        max_size=4)))
+    n = data.draw(st.integers(1, max(k for k in range(1, 7)
+                                     if a.dim ** k <= 50_000)))
+    sym = symmetric_power_basis(a, n)
+    index, orbit = sorted_row_orbit_labels(a.dim, n)
+    assert sym.index == index
+    assert np.array_equal(sym.orbit, orbit)
 
 
 @settings(max_examples=40, deadline=None)

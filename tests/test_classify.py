@@ -210,6 +210,20 @@ def test_image_stack_over_the_dense_bound_is_refused(monkeypatch):
     assert realize_sn_irrep(algebra, 3, desc, sym=sym).dim == 4
 
 
+def test_family_over_the_dense_bound_is_refused_before_the_basis(
+        monkeypatch):
+    # S^3(M_2) has 20 orbit sums and its largest Schur-Weyl carrier, of
+    # (3), has dimension 4: a cap one entry below 20 x 4 x 4 refuses
+    # without building the orbit basis
+    def refuse(*args):
+        raise AssertionError("built the basis before the budget check")
+
+    monkeypatch.setattr(classify, "symmetric_power_basis", refuse)
+    monkeypatch.setattr(classify, "MAX_DENSE_ENTRIES", 20 * 4 * 4 - 1)
+    with pytest.raises(BudgetError, match="20 orbit sums on dimension 4"):
+        schur_weyl_family(make_algebra([2]), 3)
+
+
 def test_degree_seven_family_builds_no_dense_mean():
     # the mean over S_7 as one (N*d)^2 matrix is 1792 x 1792 for (4, 3)
     algebra = make_algebra([2])

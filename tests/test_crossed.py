@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstarpow import crossed
 from cstarpow.algebra import make_algebra, symmetric_power_basis
 from cstarpow.crossed import (CovariantPair, CrossedElement, GroupAction,
                               action_from_json, block_permutation_action,
@@ -485,3 +488,65 @@ def test_convolution_is_associative_unital_and_represented(system, seed):
     for pair in pairs:
         assert _close(integrated_form(pair, f12),
                       integrated_form(pair, f1) @ integrated_form(pair, f2))
+
+
+@pytest.mark.parametrize("tile", [1, 40, 200])
+@pytest.mark.parametrize("dense", [False, True])
+def test_tiled_kernels_match_oracles(tile, dense, monkeypatch):
+    # (C+C+M_2)^{(x)3} has blocks of sizes 1, 2, 4 and 8, eight of them
+    # 1x1; over S_3 these caps give several tiles per size, and a partial
+    # last one for sizes 1 (cap 40) and 2 and 8 (cap 200)
+    monkeypatch.setattr(crossed, "_CONVOLVE_TILE", tile)
+    action = tensor_permutation_action(make_algebra([1, 1, 2]), 3)
+    pair = spatial_pair(action)
+    if dense:
+        action = GroupAction(action.group, action.algebra, dense_maps=[
+            action.matrix(g) for g in range(action.group.order)])
+        pair = CovariantPair(action, pair.pi, pair.unitary)
+    rng = np.random.default_rng(tile)
+    f1, f2 = random_crossed(action, rng), random_crossed(action, rng)
+    assert _close(convolve(f1, f2).values,
+                  naive_convolution(action, f1.values, f2.values))
+    assert _close(involution(f1).values, naive_involution(action, f1.values))
+    assert _close(integrated_form(pair, f1),
+                  naive_integrated_form(pair.pi, pair.unitary.matrices,
+                                        f1.values))
+
+
+def test_corner_kernels_hold_at_most_two_elements():
+    # S_5 on M_2^{(x)5}: an element is 120 x 1024 coefficients; the check
+    # of corner_embedding and the gather of involution need no tiled copy
+    # of the input next to the result.  (At degree 4 the buffer of 8192
+    # entries that numpy gives a broadcast subtraction is a whole element.)
+    action = tensor_permutation_action(make_algebra([2]), 5)
+    x = fixed_element(action, np.random.default_rng(0))
+    f = corner_embedding(action, x)
+    f_star = corner_embedding(action, action.algebra.star(x))
+    element = action.group.order * action.algebra.dim * 16
+    for run, want in [(lambda: corner_embedding(action, x), f),
+                      (lambda: involution(f), f_star)]:
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out.values, want.values)
+        assert peak <= 2 * element
+
+
+def test_restricted_pair_indexes_its_own_labels():
+    action = tensor_permutation_action(make_algebra([1, 2]), 3)
+    pair = spatial_pair(action)
+    full = pair._integration_index
+    sub = young_subgroup((2, 1), action.group)
+    part = pair.restrict(sub)
+    which, row, col = part.labels
+    inv = part.action.group.inv
+    assert part.is_spatial and part._integration_index is not full
+    assert np.array_equal(part._integration_index,
+                          row * part.dim + part.unitary.dest[inv][:, col])
+    f = random_crossed(part.action, np.random.default_rng(0))
+    assert _close(integrated_form(part, f),
+                  naive_integrated_form(part.pi, part.unitary.matrices,
+                                        f.values))

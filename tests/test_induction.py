@@ -7,8 +7,9 @@ from cstarpow.algebra import make_algebra
 from cstarpow.crossed import (CovariantPair, CrossedElement, GroupAction,
                               block_permutation_action,
                               group_average_projection, integrated_form,
-                              spatial_pair, tensor_permutation_action)
-from cstarpow.groups import (UnitaryRep, symmetric_group,
+                              spatial_pair, tensor_permutation_action,
+                              trivial_action)
+from cstarpow.groups import (UnitaryRep, cyclic_group, symmetric_group,
                              trivial_subgroup, whole_subgroup, young_subgroup)
 from cstarpow.induction import (commutant_restriction, fixed_point_unitary,
                                 induce)
@@ -376,3 +377,21 @@ def test_induce_refuses_a_base_action_off_by_the_tolerance():
         induce(base, action, triv)
     exact = CovariantPair(action.restrict(triv), full.pi, base.unitary)
     assert induce(exact, action, triv).pair.dim == 8
+
+
+def test_fixed_point_unitary_ranks_a_round_off_mean_as_zero():
+    # the rotations of C^2 by Z_3 fix no vector; their mean is 1.1e-16 times
+    # the identity, which a cutoff relative to its own largest singular
+    # value would count as rank 2
+    group = cyclic_group(3)
+    action = trivial_action(make_algebra([1]), group)
+    t = 2 * np.pi * np.arange(3) / 3
+    rotations = np.stack([[np.cos(t), -np.sin(t)],
+                          [np.sin(t), np.cos(t)]]).transpose(2, 0, 1)
+    unitary = UnitaryRep(group, rotations.astype(complex))
+    assert 0 < np.max(np.abs(unitary.mean())) < 1e-15
+    assert orthonormal_columns(unitary.mean()).shape[1] == 2
+    sub = whole_subgroup(group)
+    base = CovariantPair(action.restrict(sub),
+                         np.eye(2, dtype=complex)[None], unitary.restrict(sub))
+    assert fixed_point_unitary(induce(base, action, sub)).shape == (2, 0)
