@@ -31,8 +31,8 @@ from .linalg import (DEFAULT_TOL, direct_sum, eig_hermitian, is_projection,
                      kron, nullspace, op_norm)
 from .structure import (SpannedAlgebra, WedderburnReport, commutant,
                         commutant_dimension, equivalent, ergodic_bound_check,
-                        essential_subspace, intertwiner_space, is_factor,
-                        is_irreducible, minimal_central_projections,
-                        quasi_equivalent, spanned_algebra)
+                        intertwiner_space, is_factor, is_irreducible,
+                        minimal_central_projections, quasi_equivalent,
+                        spanned_algebra)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .groups import factor_permutation_index, symmetric_group
-from .linalg import DEFAULT_TOL, orthonormal_columns
+from .linalg import DEFAULT_TOL, Draws, orthonormal_columns
 
 # Caps for materializing large coefficient-space objects (entries, not bytes).
 MAX_DENSE_ENTRIES = 70_000_000
@@ -375,9 +375,9 @@ def square_map_multiplicativity(a: FdCStarAlgebra, trials: int = 100,
     single random pair in any matrix block of size >= 2 witnesses failure
     with probability one.
     """
-    rng = np.random.default_rng(seed)
-    pairs = np.array([[a.random_element(rng), a.random_element(rng)]
-                      for _ in range(trials)]).reshape(trials, 2, a.dim)
+    rng = Draws(seed)
+    shape = (trials, 2, a.dim)
+    pairs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     pairs = pairs / np.maximum(a.norm(pairs), 1e-12)[..., None]
     x, y = pairs[:, 0], pairs[:, 1]
     xy = a.multiply(x, y)

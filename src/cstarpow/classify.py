@@ -37,7 +37,7 @@ from .errors import BudgetError, VerificationError
 from .groups import (ProjectiveRep, Subgroup, check_partition,
                      factor_permutation_index, partitions, sn_irrep,
                      ssyt_count)
-from .linalg import DEFAULT_TOL, op_norm, orthonormal_columns
+from .linalg import DEFAULT_TOL, Draws, op_norm, orthonormal_columns
 from .structure import (SpannedAlgebra, commutant_dimension, equivalent,
                         intertwiner_space, label_span,
                         minimal_central_projections)
@@ -214,7 +214,7 @@ def _young_fixed_vectors(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
     """
     mean, shape = _young_mean(algebra, desc, beta)
     columns = (*shape, desc.dim + _RANGE_OVERSAMPLE)
-    rng = np.random.default_rng(_RANGE_SEED)
+    rng = Draws(_RANGE_SEED)
     block = rng.standard_normal(columns) + 1j * rng.standard_normal(columns)
     w = orthonormal_columns(mean(block).reshape(math.prod(shape), -1), tol)
     if w.shape[1] != desc.dim:
@@ -275,7 +275,8 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     counts = np.bincount(label, minlength=sym.size)
     starts = np.cumsum(counts) - counts
     images = np.zeros((sym.size, dim, dim), dtype=complex)
-    for size in np.unique(counts[counts > 0]):
+    # the sizes that occur, ascending; np.unique would import numpy.ma
+    for size in np.flatnonzero(np.bincount(counts)[1:]) + 1:
         orbits = np.flatnonzero(counts == size)
         step = max(1, _IMAGE_CHUNK // (size * 2 * dim + dim * dim))
         for lo in range(0, orbits.size, step):
@@ -519,7 +520,7 @@ def homogeneous_components(phi, algebra: FdCStarAlgebra,
                 > tol * max(1.0, target.norm(ref))):
             raise VerificationError("degree bound too small for this map")
 
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     for _ in range(samples):
         x = algebra.random_element(rng)
         check(x / max(algebra.norm(x), 1e-12),

@@ -33,7 +33,7 @@ from .crossed import (action_from_json, corner_embedding, corner_projection,
 from .errors import BudgetError, VerificationError
 from .groups import trivial_subgroup, young_subgroup
 from .induction import commutant_restriction, fixed_point_unitary, induce
-from .linalg import DEFAULT_TOL, op_norm
+from .linalg import DEFAULT_TOL, Draws, op_norm
 from .structure import commutant_dimension
 
 EXIT_OK = 0
@@ -203,7 +203,7 @@ def _max_deviation(a, b) -> float:
 
 def cmd_crossed(args, cfg: RunConfig) -> tuple[int, dict]:
     action = _load_action(args, cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = Draws(cfg.seed)
     pair = spatial_pair(action, check=False) if hasattr(action, "base") else None
     p = corner_projection(action)
     p_residual = _max_deviation(convolve(p, p).values, p.values)
@@ -212,10 +212,9 @@ def cmd_crossed(args, cfg: RunConfig) -> tuple[int, dict]:
     sample_worst = 0.0
     if pair is not None:
         pu = group_average_projection(pair)
-        for _ in range(args.samples):
-            c = rng.standard_normal(fixed.shape[0]) \
-                + 1j * rng.standard_normal(fixed.shape[0])
-            x = fixed.T @ c
+        shape = (args.samples, fixed.shape[0])
+        for x in (rng.standard_normal(shape)
+                  + 1j * rng.standard_normal(shape)) @ fixed:
             ix = corner_embedding(action, x, tol=cfg.tol)
             err = op_norm(integrated_form(pair, ix) - pair.apply(x) @ pu)
             sample_worst = max(sample_worst, err)
@@ -293,7 +292,7 @@ def cmd_homog(args, cfg: RunConfig) -> tuple[int, dict]:
     phi, target = direct_sum_of_power_maps(algebra, degrees)
     comps = homogeneous_components(phi, algebra, target, n_max, tol=cfg.tol,
                                    seed=cfg.seed)
-    x = algebra.random_element(np.random.default_rng(cfg.seed + 1))
+    x = algebra.random_element(Draws(cfg.seed + 1))
     recovered = target.norm(comps(x / max(algebra.norm(x), 1e-12))).tolist()
     unit_projs = comps(algebra.unit())
     ortho = max(target.norm(target.multiply(p, q))
@@ -339,7 +338,7 @@ _ACTION = [_BLOCKS, ("--action-spec", {"help": "path to an action JSON file"}),
            ("--n", {"type": _int_at_least(1), "default": 2})]
 _COMMON = [
     ("--tol", {"type": float, "default": DEFAULT_TOL}),
-    ("--seed", {"type": int, "default": 0}),
+    ("--seed", {"type": _int_at_least(0), "default": 0}),
     ("--json", {"action": "store_true",
                 "help": "emit canonical JSON instead of a table"}),
     ("--budget", {"type": int, "default": 2000,

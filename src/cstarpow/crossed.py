@@ -25,7 +25,7 @@ from .errors import BudgetError
 from .groups import (FiniteGroup, Subgroup, UnitaryRep,
                      factor_permutation_index, group_from_json,
                      homomorphism_residual, permutation_rep, symmetric_group)
-from .linalg import DEFAULT_TOL, op_norm, orthonormal_columns
+from .linalg import DEFAULT_TOL, Draws, op_norm, orthonormal_columns
 from .structure import SpannedAlgebra, spanned_algebra
 
 
@@ -104,7 +104,7 @@ class GroupAction:
                 if not np.array_equal(p[alg.star_index], alg.star_index[p]):
                     raise ValueError("map does not preserve adjoints")
         else:
-            rng = np.random.default_rng(0)
+            rng = Draws(0)
             x, y = alg.random_element(rng), alg.random_element(rng)
             xy, unit = alg.multiply(x, y), alg.unit()
             for m in self.dense_maps:
@@ -441,7 +441,7 @@ class CovariantPair:
                     which[order][at], action.perm_maps[:, which])):
                 raise ValueError("pair fails the covariance relation")
             return
-        c = alg.random_element(np.random.default_rng(0))
+        c = alg.random_element(Draws(0))
         x = self.apply(c)
         moved = self.apply(action.apply_each(
             np.broadcast_to(c, (action.group.order, alg.dim))))

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BudgetError, VerificationError
-from .linalg import DEFAULT_TOL, op_norm
+from .linalg import DEFAULT_TOL, Draws, op_norm
 
 MAX_SYMMETRIC_N = 7
 
@@ -301,7 +301,7 @@ def homomorphism_residual(group: FiniteGroup, mats, cocycle=None) -> np.ndarray:
     1/cocycle[a, b] when a cocycle is given.  The coefficient of c_a e_b is
     the defect M_a M_b - M_ab / cocycle[a, b], so one generic draw shows any
     failing pair with probability one (Freivalds' idea, IFIP 1977)."""
-    rng = np.random.default_rng(0)
+    rng = Draws(0)
     c, e = rng.standard_normal((2, group.order)) \
         + 1j * rng.standard_normal((2, group.order))
     conv = np.zeros(group.order, dtype=complex)

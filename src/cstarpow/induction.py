@@ -21,7 +21,7 @@ import numpy as np
 from .crossed import CovariantPair, GroupAction
 from .errors import VerificationError
 from .groups import Subgroup, UnitaryRep
-from .linalg import DEFAULT_TOL, op_norm, orthonormal_columns
+from .linalg import DEFAULT_TOL, Draws, op_norm, orthonormal_columns
 from .structure import commutant
 
 
@@ -145,7 +145,7 @@ class CommutantRestriction:
         failing member shows.  The bound scales with t and the members."""
         t = np.asarray(t, dtype=complex)
         fam = _source_family(self.induced)
-        rng = np.random.default_rng(0)
+        rng = Draws(0)
         c = rng.standard_normal(fam.shape[0]) \
             + 1j * rng.standard_normal(fam.shape[0])
         x = np.tensordot(c, fam, axes=(0, 0))

@@ -31,9 +31,9 @@ import numpy as np
 
 from .algebra import MAX_DENSE_ENTRIES
 from .errors import BudgetError, DegenerateDrawError, VerificationError
-from .linalg import (DEFAULT_TOL, SPECTRAL_GAP, adjoint, cluster_eigenvalues,
-                     direct_sum, eig_hermitian, nullspace,
-                     orthonormal_columns)
+from .linalg import (DEFAULT_TOL, SPECTRAL_GAP, Draws, adjoint,
+                     cluster_eigenvalues, direct_sum, eig_hermitian,
+                     nullspace, orthonormal_columns)
 
 # Largest ambient size of the dense last-resort commutation system (N^2 x
 # N^2 per member); the eigenbasis system (N^2 rows per constraint, one column
@@ -147,7 +147,7 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, check: bool = True,
     else:
         out = SpannedAlgebra(n, onb=orthonormal_columns(vecs.T, tol).T)
     if check:
-        rng = np.random.default_rng(seed)
+        rng = Draws(seed)
         x, y = out.combine(rng.standard_normal((2, out.dim))
                            + 1j * rng.standard_normal((2, out.dim)))
         if not out.contains(adjoint(x), tol, 1.0):
@@ -243,7 +243,7 @@ def _commutant_basis(blocks, tol: float, seed: int) -> np.ndarray:
     each add a combination, and the dense system of the whole family
     follows the third failure."""
     n = sum(f.shape[1] for f in blocks)
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
 
     def eigenbasis_solve(constraints):
         herm = _hermitian_parts(constraints)
@@ -528,7 +528,7 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
 
 
 def _component_projections(s: SpannedAlgebra, seed, tol):
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     gram = _basis_gram(s)
     last_error = "no attempt"
     for _ in range(5):
@@ -603,20 +603,7 @@ def _projections_from_spectrum(s: SpannedAlgebra, gram, w, v, x2, probe,
 
 
 # ---------------------------------------------------------------------------
-# essential subspaces, quasi-equivalence, ergodicity
-
-def essential_subspace(images, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the span of the ranges of the images.
-
-    The zero representation yields the zero projection; compressing to the
-    range makes the representation nondegenerate.
-    """
-    fam = _as_family(images)
-    n = fam.shape[1]
-    stacked = fam.transpose(1, 0, 2).reshape(n, -1)
-    q = orthonormal_columns(stacked, tol)
-    return q @ q.conj().T
-
+# quasi-equivalence, ergodicity
 
 def quasi_equivalent(pi, rho, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
     """Same set of irreducible constituents, ignoring multiplicities.

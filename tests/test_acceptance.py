@@ -4,8 +4,11 @@ The named suites encode the systems and tolerances; this module drives them,
 pins the stated runtime bounds, and checks the headline numbers explicitly.
 """
 
+import dataclasses
 import json
 import time
+
+import numpy as np
 
 from cstarpow import acceptance
 from cstarpow.cli import main
@@ -127,3 +130,19 @@ def test_criterion_11_determinism(capsys):
 def test_suites_compare_against_the_given_tolerance():
     # the corner identities hold to ~1e-15, which is not below 1e-20
     assert acceptance.run_suite("crossed", tol=1e-20)["passed"] is False
+
+
+def test_dimension_law_fails_on_an_orbit_map_that_skips_a_row(monkeypatch):
+    # the rank is read off the orbit map, so moving the monomials of the
+    # last orbit sum into the first one must fail every case
+    basis = acceptance.symmetric_power_basis
+
+    def skip_last_row(algebra, n):
+        sym = basis(algebra, n)
+        orbit = np.where(sym.orbit == sym.size - 1, 0, sym.orbit)
+        return dataclasses.replace(sym, orbit=orbit)
+
+    monkeypatch.setattr(acceptance, "symmetric_power_basis", skip_last_row)
+    result = run("dimensions")
+    assert len(result["assertions"]) == 15
+    assert not any(a["passed"] for a in result["assertions"])

@@ -11,6 +11,18 @@ from cstarpow.cli import main
 from cstarpow.errors import DegenerateDrawError
 
 
+# one small job of every subcommand; verify runs all its suites
+SMALL_JOBS = [
+    ["sympow", "--blocks", "2,1", "--n", "2"],
+    ["classify", "--blocks", "2", "--n", "2", "--crosscheck"],
+    ["crossed", "--blocks", "1,1", "--n", "2", "--samples", "2"],
+    ["induce", "--blocks", "1,1", "--n", "2", "--q", "1,1"],
+    ["schur-weyl", "--blocks", "2", "--n", "2"],
+    ["homog", "--blocks", "2", "--degrees", "1,2"],
+    ["verify", "all"],
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -209,6 +221,14 @@ def test_schur_weyl_budget_covers_the_injectivity_degrees(capsys,
     assert "budget" in err.lower()
 
 
+def test_every_negative_seed_is_refused_at_parse_time(capsys):
+    assert [argv[0] for argv in SMALL_JOBS] == list(cli._COMMANDS)
+    for argv in SMALL_JOBS:
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "must be at least 0" in err, argv
+
+
 def test_crossed_samples_must_be_non_negative(capsys):
     assert run_cli(capsys, "crossed", "--blocks", "1,1", "--samples",
                    "-1")[0] == 2
@@ -300,12 +320,18 @@ def test_power_map_jobs_never_build_an_ambient_matrix(capsys, monkeypatch):
         assert code == 0
 
 
-def test_sympow_does_not_import_numpy_ma():
-    script = ("import sys\n"
+def test_no_job_imports_numpy_random_or_numpy_ma():
+    # numpy loads both lazily, for ~13 and ~18 ms of a fresh process
+    script = ("import json, sys\n"
               "from cstarpow.cli import main\n"
-              "assert main(['sympow', '--blocks', '2,1', '--n', '2']) == 0\n"
-              "print('numpy.ma' in sys.modules)\n")
+              "loaded = {}\n"
+              f"for argv in {SMALL_JOBS!r}:\n"
+              "    assert main([*argv, '--json']) == 0, argv\n"
+              "    loaded[' '.join(argv)] = sorted(\n"
+              "        {'numpy.random', 'numpy.ma'} & set(sys.modules))\n"
+              "print(json.dumps(loaded))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cstarpow.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "False"
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {" ".join(argv): [] for argv in SMALL_JOBS}

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstarpow.linalg import (adjoint, direct_sum, eig_hermitian, is_projection,
-                             kron, nullspace, op_norm, orthonormal_columns,
-                             spectral_projections)
+from cstarpow.algebra import make_algebra
+from cstarpow.linalg import (Draws, adjoint, direct_sum, eig_hermitian,
+                             is_projection, kron, nullspace, op_norm,
+                             orthonormal_columns, spectral_projections)
 from oracles import naive_kron, naive_nullspace_dim, scipy_null_space
 
 
@@ -164,3 +165,43 @@ def test_spectral_projections_resolve_identity(rng):
         for j, q in enumerate(pieces):
             if i != j:
                 assert op_norm(p @ q) < 1e-8
+
+
+def test_draws_are_a_function_of_the_seed():
+    for method in ("random", "standard_normal"):
+        first = getattr(Draws(7), method)(50)
+        assert np.array_equal(first, getattr(Draws(7), method)(50))
+        assert not np.array_equal(first, getattr(Draws(8), method)(50))
+
+
+def test_draws_have_the_requested_shapes():
+    draws = Draws(0)
+    for method in (draws.random, draws.standard_normal):
+        assert type(method()) is float
+        assert method(4).shape == (4,)
+        assert method((2, 3)).shape == (2, 3)
+        assert method(0).shape == (0,)
+
+
+def test_uniform_draws_lie_in_the_unit_interval():
+    u = Draws(1).random(200_000)
+    assert u.min() >= 0.0 and u.max() < 1.0
+    # 53 random bits: no draw is a multiple of a coarser grid than 2^-53
+    assert np.any(u * 2.0 ** 52 % 1.0)
+
+
+def test_normal_draws_have_mean_zero_and_variance_one():
+    n = 200_000
+    z = Draws(2).standard_normal(n)
+    assert np.all(np.isfinite(z))
+    # the sample variance of n normals has standard deviation sqrt(2 / n)
+    assert abs(z.mean()) < 5 / np.sqrt(n)
+    assert abs(z.var() - 1.0) < 5 * np.sqrt(2 / n)
+
+
+def test_random_element_takes_draws_or_a_numpy_generator():
+    a = make_algebra([2, 1])
+    for source in (Draws(0), np.random.default_rng(0)):
+        x = a.random_element(source)
+        assert x.shape == (a.dim,) and x.dtype == complex
+        assert np.all(x.imag != 0.0)

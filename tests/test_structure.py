@@ -16,8 +16,8 @@ from cstarpow.groups import isotypic_projection, permutation_rep, regular_rep, \
 from cstarpow.linalg import direct_sum, op_norm
 from cstarpow.structure import (_support_components, commutant,
                                 commutant_dimension, equivalent,
-                                ergodic_bound_check, essential_subspace,
-                                intertwiner_space, is_factor, is_irreducible,
+                                ergodic_bound_check, intertwiner_space,
+                                is_factor, is_irreducible,
                                 minimal_central_projections, quasi_equivalent,
                                 spanned_algebra)
 from oracles import (center_dimension, compressed_rank, distance_to_span,
@@ -716,19 +716,6 @@ def test_commutation_probe_rejects_links_across_summands():
     with pytest.raises(DegenerateDrawError, match="not central"):
         structure._projections_from_spectrum(span, gram, w, v, crossed,
                                              probe, 1e-9)
-
-
-def test_essential_subspace():
-    c2 = make_algebra([1, 1])
-    images = c2.basis_matrices()
-    assert np.allclose(essential_subspace(images), np.eye(2))
-    # a degenerate rep of the corner of one coordinate
-    degenerate = np.zeros((1, 2, 2), dtype=complex)
-    degenerate[0, 0, 0] = 1.0
-    p = essential_subspace(degenerate)
-    assert np.allclose(p, np.diag([1.0, 0.0]))
-    zero = np.zeros((1, 2, 2), dtype=complex)
-    assert np.allclose(essential_subspace(zero), np.zeros((2, 2)))
 
 
 def test_quasi_equivalence(m2, rng):
