@@ -168,6 +168,18 @@ def _character_orbit_base(action, sub, indices, mult, rng):
                          UnitaryRep(sub.group, umats, check=False))
 
 
+def _induced_pair_numbers(ind, tol, blocks=(0,)):
+    """The (source, target) commutant dimensions of the restriction to each
+    coset block in ``blocks``, and the fixed ranks of the base pair and of
+    the induced pair, the latter read off its averaging projection."""
+    dims = [(r.source_dim, r.target_dim)
+            for r in (commutant_restriction(ind, j, tol) for j in blocks)]
+    base_fixed = int(fixed_point_unitary(ind, tol).shape[1])
+    induced_fixed = int(orthonormal_columns(
+        group_average_projection(ind.pair), tol, scale=1.0).shape[1])
+    return dims, base_fixed, induced_fixed
+
+
 def suite_induction(tol, seed, budget):
     """Commutant dimensions transfer to coset blocks; fixed ranks agree."""
     assertions = []
@@ -184,16 +196,13 @@ def suite_induction(tol, seed, budget):
     base = CovariantPair(action.restrict(sub), char,
                          UnitaryRep(sub.group, np.eye(1, dtype=complex)[None]))
     ind = induce(base, action, sub, tol=tol)
-    rest = commutant_restriction(ind, 0, tol)
-    iso = fixed_point_unitary(ind, tol)
-    induced_fixed = orthonormal_columns(
-        group_average_projection(ind.pair), tol, scale=1.0).shape[1]
+    [(source, target)], base_fixed, induced_fixed = \
+        _induced_pair_numbers(ind, tol)
     assertions.append(_assertion(
         "trivial-subgroup induction over the 3-point algebra",
-        rest.source_dim == rest.target_dim == 1
-        and iso.shape[1] == induced_fixed,
-        source_dim=rest.source_dim, target_dim=rest.target_dim,
-        base_fixed=int(iso.shape[1]), induced_fixed=int(induced_fixed)))
+        source == target == 1 and base_fixed == induced_fixed,
+        source_dim=source, target_dim=target, base_fixed=base_fixed,
+        induced_fixed=induced_fixed))
 
     # character pair swapped by the two-one Young subgroup, with and without
     # a random multiplicity twist
@@ -205,21 +214,15 @@ def suite_induction(tol, seed, budget):
     for mult in (1, 2):
         base = _character_orbit_base(action2, sub2, orbit, mult, rng)
         ind = induce(base, action2, sub2, tol=tol)
-        ok = ind.pair.dim == sub2.index * base.dim
-        dims = []
-        for j in range(ind.num_blocks):
-            rest = commutant_restriction(ind, j, tol)
-            dims.append((rest.source_dim, rest.target_dim))
-            ok = ok and rest.source_dim == rest.target_dim
-        iso = fixed_point_unitary(ind, tol)
-        induced_fixed = orthonormal_columns(
-            group_average_projection(ind.pair), tol, scale=1.0).shape[1]
-        ok = ok and iso.shape[1] == induced_fixed
+        dims, base_fixed, induced_fixed = _induced_pair_numbers(
+            ind, tol, range(ind.num_blocks))
         assertions.append(_assertion(
             f"character orbit over the two-one Young subgroup, "
             f"multiplicity {mult}",
-            ok, commutant_dims=dims, base_fixed=int(iso.shape[1]),
-            induced_fixed=int(induced_fixed)))
+            ind.pair.dim == sub2.index * base.dim
+            and all(s == t for s, t in dims) and base_fixed == induced_fixed,
+            commutant_dims=dims, base_fixed=base_fixed,
+            induced_fixed=induced_fixed))
 
     # spatial pair of the full matrix power restricted to the Young subgroup:
     # the base is a factor representation with full isotropy, so the induced
@@ -229,16 +232,14 @@ def suite_induction(tol, seed, budget):
     sub3 = young_subgroup([2, 1], group)
     base = spatial_pair(action3, check=False).restrict(sub3)
     ind = induce(base, action3, sub3, tol=tol)
-    rest = commutant_restriction(ind, 0, tol)
-    iso = fixed_point_unitary(ind, tol)
-    induced_fixed = orthonormal_columns(
-        group_average_projection(ind.pair), tol, scale=1.0).shape[1]
+    [(source, target)], base_fixed, induced_fixed = \
+        _induced_pair_numbers(ind, tol)
     assertions.append(_assertion(
         "matrix power spatial pair over the two-one Young subgroup",
-        ind.pair.dim == 24 and rest.source_dim == rest.target_dim
-        and iso.shape[1] == induced_fixed,
-        source_dim=rest.source_dim, target_dim=rest.target_dim,
-        base_fixed=int(iso.shape[1]), induced_fixed=int(induced_fixed)))
+        ind.pair.dim == 24 and source == target
+        and base_fixed == induced_fixed,
+        source_dim=source, target_dim=target, base_fixed=base_fixed,
+        induced_fixed=induced_fixed))
     return assertions
 
 

@@ -3,9 +3,9 @@
 An algebra is a direct sum of full matrix blocks, carried by a fixed faithful
 embedding into one matrix space.  The linear basis consists of matrix units,
 so every basis element is a single-entry 0/1 matrix; elements are coefficient
-vectors over that basis.  Products, adjoints and coefficient extraction are
-therefore exact: the span is precisely the set of matrices supported on the
-basis positions, and that support set is closed under multiplication.
+vectors over that basis.  Products and adjoints are therefore exact: the
+span is precisely the set of matrices supported on the basis positions, and
+that support set is closed under multiplication.
 
 Tensor products keep this structure, because a Kronecker product of matrix
 units is again a single-entry matrix.
@@ -20,7 +20,6 @@ from functools import reduce
 import numpy as np
 
 from .errors import BudgetError
-from .groups import factor_permutation_index, symmetric_group
 from .linalg import DEFAULT_TOL, Draws, orthonormal_columns
 
 # Caps for materializing large coefficient-space objects (entries, not bytes).
@@ -94,17 +93,6 @@ class FdCStarAlgebra:
         out[..., self.positions[:, 0], self.positions[:, 1]] = coeffs
         return out
 
-    def coefficients(self, mat, check: bool = True,
-                     tol: float = DEFAULT_TOL) -> np.ndarray:
-        mat = np.asarray(mat, dtype=complex)
-        coeffs = mat[self.positions[:, 0], self.positions[:, 1]]
-        if check:
-            residual = np.linalg.norm(mat) ** 2 - np.linalg.norm(coeffs) ** 2
-            scale = max(1.0, float(np.linalg.norm(mat)) ** 2)
-            if abs(residual) > tol * scale:
-                raise ValueError("matrix does not lie in the algebra span")
-        return coeffs
-
     def multiply(self, x, y) -> np.ndarray:
         """The product, one batched matmul per block size; stacks broadcast."""
         x, y = np.asarray(x), np.asarray(y)
@@ -129,13 +117,6 @@ class FdCStarAlgebra:
                      axis=0)
         return float(out) if x.ndim == 1 else out
 
-    def basis_matrices(self) -> np.ndarray:
-        if self.dim * self.ambient ** 2 > MAX_DENSE_ENTRIES:
-            raise BudgetError("materializing the full basis is too large")
-        out = np.zeros((self.dim, self.ambient, self.ambient), dtype=complex)
-        out[np.arange(self.dim), self.positions[:, 0], self.positions[:, 1]] = 1.0
-        return out
-
     def product_table(self) -> np.ndarray:
         """(dim, dim) table with basis_i basis_j = basis_{T[i,j]}, -1 for zero."""
         if self._product_table is None:
@@ -150,36 +131,10 @@ class FdCStarAlgebra:
             self._product_table = table
         return self._product_table
 
-    # -- block representations ---------------------------------------------
-
-    def block_images(self, j: int) -> np.ndarray:
-        """Images of all basis elements under the defining irrep of block j."""
-        k = self.blocks[j]
-        out = np.zeros((self.dim, k, k), dtype=complex)
-        idx = np.nonzero(self.block_of == j)[0]
-        out[idx, self.local[idx, 0], self.local[idx, 1]] = 1.0
-        return out
-
     # -- random elements ----------------------------------------------------
 
     def random_element(self, rng) -> np.ndarray:
         return rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-
-    def random_positive(self, rng) -> np.ndarray:
-        x = self.random_element(rng)
-        return self.multiply(self.star(x), x)
-
-    def random_unitary(self, rng) -> np.ndarray:
-        """Haar unitary: per-block QR of a complex Gaussian matrix with
-        phase-normalized R diagonal."""
-        out = np.zeros(self.dim, dtype=complex)
-        for j, k in enumerate(self.blocks):
-            g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-            q, r = np.linalg.qr(g)
-            d = np.diagonal(r)
-            q = q * (d / np.abs(d))[None, :]
-            out[self.block_units[j].ravel()] = q.ravel()
-        return out
 
     def __repr__(self):
         return f"FdCStarAlgebra(blocks={list(self.blocks)})"
@@ -230,20 +185,7 @@ def tensor_power(a: FdCStarAlgebra, n: int) -> FdCStarAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# symmetrization and power maps on tensor powers
-
-def symmetrize(a: FdCStarAlgebra, n: int, x) -> np.ndarray:
-    """Average of x over all permutations of the tensor factors.
-
-    The result is fixed by every factor permutation; the averaging map is
-    idempotent, unital, and positive.  The permutations are closed under
-    inverses, so reading x through each permutation's index averages the
-    same terms as moving it.
-    """
-    x = np.asarray(x, dtype=complex)
-    dest = factor_permutation_index([a.dim] * n, symmetric_group(n).perms)
-    return np.mean(x[dest], axis=0)
-
+# power maps on tensor powers
 
 def power_map(a: FdCStarAlgebra, x, n: int) -> np.ndarray:
     """The multiplicative power map x -> x tensor ... tensor x (n factors)."""
@@ -295,18 +237,6 @@ class SymmetricPowerBasis:
     def size(self) -> int:
         return len(self.index)
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """The orbit sums as dense coefficient rows of the power algebra,
-        built on each read."""
-        total = self.orbit.shape[0]
-        if self.size * total > MAX_DENSE_ENTRIES:
-            raise BudgetError(
-                f"symmetric power basis needs {self.size}x{total} coefficients")
-        out = np.zeros((self.size, total), dtype=complex)
-        out[self.orbit, np.arange(total)] = 1.0
-        return out
-
 
 def symmetric_power_count(d: int, n: int) -> int:
     """Multisets of size n from d symbols."""
@@ -320,8 +250,7 @@ def symmetric_power_basis(a: FdCStarAlgebra, n: int) -> SymmetricPowerBasis:
     below ``total`` in radix ``a.dim``.  Key order is the lexicographic, or
     ``combinations_with_replacement``, order of ``index``, so a 1-D
     ``np.unique`` gives ``index`` and, by its inverse, the row of every
-    monomial.  The guard bounds the ``total x n`` digits; ``vectors`` checks
-    its own dense size on each read.
+    monomial.  The guard bounds the ``total x n`` digits.
     """
     total = a.dim ** n
     if total * n > MAX_DENSE_ENTRIES:
@@ -433,25 +362,7 @@ class Representation:
                             self.images(), axes=(0, 0))
 
 
-def algebra_to_json(a: FdCStarAlgebra) -> dict:
-    return {"blocks": list(a.blocks)}
-
-
 def algebra_from_json(obj) -> FdCStarAlgebra:
     if not isinstance(obj, dict) or "blocks" not in obj:
         raise ValueError('algebra spec must be {"blocks": [...]}')
     return make_algebra(obj["blocks"])
-
-
-def element_to_json(coeffs) -> dict:
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return {"coeffs": [[float(z.real), float(z.imag)] for z in coeffs]}
-
-
-def element_from_json(obj, algebra: FdCStarAlgebra | None = None) -> np.ndarray:
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise ValueError('element spec must be {"coeffs": [[re, im], ...]}')
-    out = np.array([complex(re, im) for re, im in obj["coeffs"]])
-    if algebra is not None and out.shape[0] != algebra.dim:
-        raise ValueError("coefficient count does not match the algebra")
-    return out

@@ -17,8 +17,8 @@ root of unity at each point.
 
 The descriptor dimension is the product of semistandard tableau counts, and
 the multiset of descriptor dimensions must agree with the numerically
-computed block structure of the fixed-point span; `wedderburn_crosscheck`
-performs exactly that comparison with two independent computations.
+computed block structure of the fixed-point span; `wedderburn_comparison`
+returns both lists, from two independent computations.
 """
 
 from __future__ import annotations
@@ -317,12 +317,6 @@ def symmetric_power_span(algebra: FdCStarAlgebra, n: int,
     row, col = sym.power.positions.T
     return label_span(ambient, sym.orbit, row * ambient + col,
                       np.ones(sym.orbit.shape[0]))
-
-
-def wedderburn_crosscheck(algebra: FdCStarAlgebra, n: int,
-                          tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
-    enumerated, spectral = wedderburn_comparison(algebra, n, tol, seed)
-    return enumerated == spectral
 
 
 # ---------------------------------------------------------------------------

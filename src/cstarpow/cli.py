@@ -78,23 +78,42 @@ def _int_at_least(low: int):
     return parse
 
 
-def _load_algebra(args):
-    if getattr(args, "spec", None):
-        try:
-            with open(args.spec) as fh:
-                return algebra_from_json(json.load(fh))
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise CliParseError(f"cannot read algebra spec: {exc}") from exc
-    if getattr(args, "blocks", None):
-        return make_algebra(_parse_blocks(args.blocks))
-    raise CliParseError("provide --blocks or --spec")
+def _read_spec(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CliParseError(f"cannot read {what}: {exc}") from exc
 
 
-def _check_budget(algebra, n, budget):
-    ambient = algebra.ambient ** n
-    if ambient > budget:
+def _check_budget(blocks, n: int, budget: int):
+    """Refuse a block list whose ambient size, the sum of the blocks, to the
+    power n exceeds the budget, before anything is built.  The power is not
+    formed: from ambient size 2 on, n above the bit length of the budget is
+    already over it.  A list with a block below 1 is left to make_algebra,
+    which refuses it."""
+    blocks = [int(k) for k in blocks]
+    if min(blocks, default=0) < 1:
+        return
+    ambient = sum(blocks)
+    if ambient > 1 and n > budget.bit_length() or ambient ** n > budget:
         raise BudgetError(
-            f"ambient size {ambient} exceeds the budget {budget}")
+            f"ambient size {ambient}^{n} exceeds the budget {budget}")
+
+
+def _load_algebra(args, n: int, budget: int):
+    """The algebra of --spec or --blocks, once _check_budget passes its
+    blocks at degree n."""
+    if getattr(args, "spec", None):
+        spec = _read_spec(args.spec, "algebra spec")
+        _check_budget(spec.get("blocks", []) if isinstance(spec, dict)
+                      else [], n, budget)
+        return algebra_from_json(spec)
+    if getattr(args, "blocks", None):
+        blocks = _parse_blocks(args.blocks)
+        _check_budget(blocks, n, budget)
+        return make_algebra(blocks)
+    raise CliParseError("provide --blocks or --spec")
 
 
 def _print_payload(payload: dict, as_json: bool):
@@ -135,8 +154,7 @@ def _table_lines(payload, prefix=""):
 # subcommands
 
 def cmd_sympow(args, cfg: RunConfig) -> tuple[int, dict]:
-    algebra = _load_algebra(args)
-    _check_budget(algebra, args.n, cfg.budget)
+    algebra = _load_algebra(args, args.n, cfg.budget)
     sym = symmetric_power_basis(algebra, args.n)
     enumerated, spectral = wedderburn_comparison(
         algebra, args.n, tol=cfg.tol, seed=cfg.seed, sym=sym)
@@ -156,8 +174,7 @@ def cmd_sympow(args, cfg: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_classify(args, cfg: RunConfig) -> tuple[int, dict]:
-    algebra = _load_algebra(args)
-    _check_budget(algebra, args.n, cfg.budget)
+    algebra = _load_algebra(args, args.n, cfg.budget)
     descs = enumerate_sn_irreps(algebra, args.n)
     expected = symmetric_power_count(algebra.dim, args.n)
     payload = {
@@ -182,18 +199,26 @@ def cmd_classify(args, cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _load_action(args, cfg: RunConfig):
+    """The action of --action-spec, or the factor permutations of the --n-th
+    tensor power of --blocks, once _check_budget passes its algebra: the
+    power, or the algebra a dense action acts on."""
     if getattr(args, "action_spec", None):
+        spec = _read_spec(args.action_spec, "action spec")
         try:
-            with open(args.action_spec) as fh:
-                return action_from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            if "tensor_permutation" in spec:
+                power = spec["tensor_permutation"]
+                _check_budget(power["base_blocks"], int(power["n"]),
+                              cfg.budget)
+            elif "maps" in spec:
+                _check_budget(spec["blocks"], 1, cfg.budget)
+            return action_from_json(spec)
+        except (ValueError, KeyError) as exc:
             raise CliParseError(f"cannot read action spec: {exc}") from exc
-    blocks = _parse_blocks(args.blocks) if args.blocks else None
-    if blocks is None:
+    if not args.blocks:
         raise CliParseError("provide --blocks or --action-spec")
-    base = make_algebra(blocks)
-    _check_budget(base, args.n, cfg.budget)
-    return tensor_permutation_action(base, args.n)
+    blocks = _parse_blocks(args.blocks)
+    _check_budget(blocks, args.n, cfg.budget)
+    return tensor_permutation_action(make_algebra(blocks), args.n)
 
 
 def _max_deviation(a, b) -> float:
@@ -257,9 +282,9 @@ def cmd_induce(args, cfg: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_schur_weyl(args, cfg: RunConfig) -> tuple[int, dict]:
-    algebra = _load_algebra(args)
     # the injectivity check realizes every degree up to its bound
-    _check_budget(algebra, max(args.n, args.injectivity_nmax or 0), cfg.budget)
+    algebra = _load_algebra(args, max(args.n, args.injectivity_nmax or 0),
+                            cfg.budget)
     family = schur_weyl_family(algebra, args.n, cfg.tol)
     reps = [{
         "block": j,
@@ -283,11 +308,10 @@ def cmd_schur_weyl(args, cfg: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_homog(args, cfg: RunConfig) -> tuple[int, dict]:
-    algebra = _load_algebra(args)
     degrees = _parse_blocks(args.degrees)
     if not degrees:
         raise CliParseError("--degrees needs at least one degree")
-    _check_budget(algebra, max(degrees), cfg.budget)
+    algebra = _load_algebra(args, max(degrees), cfg.budget)
     n_max = args.nmax if args.nmax is not None else max(degrees)
     phi, target = direct_sum_of_power_maps(algebra, degrees)
     comps = homogeneous_components(phi, algebra, target, n_max, tol=cfg.tol,

@@ -26,7 +26,6 @@ from .groups import (FiniteGroup, Subgroup, UnitaryRep,
                      factor_permutation_index, group_from_json,
                      homomorphism_residual, permutation_rep, symmetric_group)
 from .linalg import DEFAULT_TOL, Draws, op_norm, orthonormal_columns
-from .structure import SpannedAlgebra, spanned_algebra
 
 
 class GroupAction:
@@ -151,11 +150,6 @@ class GroupAction:
                            dense_maps=self.dense_maps[rows], check=False)
 
 
-def trivial_action(algebra: FdCStarAlgebra, group: FiniteGroup) -> GroupAction:
-    maps = np.tile(np.arange(algebra.dim), (group.order, 1))
-    return GroupAction(group, algebra, perm_maps=maps, check=False)
-
-
 def tensor_permutation_action(base: FdCStarAlgebra, n: int,
                               check: bool = False) -> GroupAction:
     """The symmetric group permuting the factors of an n-fold tensor power."""
@@ -232,12 +226,6 @@ class CrossedElement:
         expected = (self.action.group.order, self.action.algebra.dim)
         if self.values.shape != expected:
             raise ValueError(f"values must have shape {expected}")
-
-
-def crossed_unit(action: GroupAction) -> CrossedElement:
-    vals = np.zeros((action.group.order, action.algebra.dim), dtype=complex)
-    vals[action.group.identity] = action.group.order * action.algebra.unit()
-    return CrossedElement(action, vals)
 
 
 def corner_projection(action: GroupAction) -> CrossedElement:
@@ -496,10 +484,3 @@ def group_average_projection(pair: CovariantPair) -> np.ndarray:
     """Mean of the group unitaries; the orthogonal projection onto the
     jointly fixed subspace."""
     return pair.unitary.mean()
-
-
-def fixed_point_algebra(action: GroupAction,
-                        tol: float = DEFAULT_TOL) -> SpannedAlgebra:
-    """The fixed-point subalgebra as a concrete span in the ambient space."""
-    return spanned_algebra(action.algebra.embed(action.fixed_space(tol)), tol,
-                           check=False)

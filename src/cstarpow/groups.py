@@ -63,17 +63,6 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
-    def conjugate(self, g: int, h: int) -> int:
-        """g h g^{-1}."""
-        return int(self.mult[self.mult[g, h], self.inv[g]])
-
-    def is_associative(self) -> bool:
-        """Exhaustive associativity check; cubic memory in the order."""
-        m = self.mult
-        left = m[m, :]    # left[a, b, c] = (ab)c
-        right = m[:, m]   # right[a, b, c] = a(bc)
-        return bool(np.array_equal(left, right))
-
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
 
@@ -115,10 +104,6 @@ def group_from_json(obj) -> FiniteGroup:
             raise ValueError("inverse list does not match the table")
         return group
     raise ValueError('group description needs "symmetric" or "table"')
-
-
-def group_to_json(group: FiniteGroup) -> dict:
-    return {"table": group.mult.tolist(), "inv": group.inv.tolist()}
 
 
 class Subgroup:
@@ -177,10 +162,6 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup(order={self.order}, index={self.index})"
-
-
-def whole_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, range(group.order))
 
 
 def trivial_subgroup(group: FiniteGroup) -> Subgroup:
@@ -404,17 +385,6 @@ class UnitaryRep:
         return np.bincount(flat, minlength=n * n).reshape(n, n) \
             / complex(self.group.order)
 
-    def character(self) -> np.ndarray:
-        return np.einsum("gii->g", self.matrices)
-
-    def tensor(self, other: "UnitaryRep") -> "UnitaryRep":
-        if self.group is not other.group:
-            raise ValueError("tensor product requires the same group")
-        mats = np.einsum("gij,gkl->gikjl", self.matrices, other.matrices)
-        d = self.dim * other.dim
-        return UnitaryRep(self.group, mats.reshape(self.group.order, d, d),
-                          check=False)
-
 
 class ProjectiveRep:
     """A projective unitary representation with an explicit 2-cocycle.
@@ -452,12 +422,6 @@ class ProjectiveRep:
         rhs = c[None, :, :] * c[np.arange(self.group.order)[:, None, None],
                                 m[None, :, :]]
         return float(np.max(np.abs(lhs - rhs)))
-
-
-def regular_rep(group: FiniteGroup) -> UnitaryRep:
-    """Left regular representation, kept as the index array of the
-    multiplication table: g sends basis vector h to gh."""
-    return UnitaryRep(group, dest=group.mult, check=False)
 
 
 def _adjacent_transposition_matrices(parts):
@@ -529,10 +493,6 @@ def sn_irrep(parts) -> UnitaryRep:
     return rep
 
 
-def sn_character(parts) -> np.ndarray:
-    return np.real(sn_irrep(parts).character())
-
-
 def factor_permutation_index(dims, perms) -> np.ndarray:
     """Where factor permutations send the product basis of a tensor product.
 
@@ -582,24 +542,3 @@ def permutation_rep(n: int, d: int) -> UnitaryRep:
     return UnitaryRep(group, dest=factor_permutation_index([d] * n,
                                                           group.perms),
                       check=False)
-
-
-def isotypic_projection(parts, rep: UnitaryRep,
-                        tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the isotypic component of a partition.
-
-    ``rep`` must be a unitary representation of the symmetric group on
-    sum(parts) points.  The projections over all partitions of n resolve the
-    identity.
-    """
-    parts = check_partition(parts)
-    n = sum(parts)
-    if rep.group is not symmetric_group(n):
-        raise ValueError("rep is not a representation of S_n for this partition")
-    chi = sn_character(parts)
-    d = syt_dimension(parts)
-    proj = (d / rep.group.order) * np.einsum(
-        "g,gij->ij", np.conj(chi).astype(complex), rep.matrices)
-    if op_norm(proj @ proj - proj) > tol * max(1.0, rep.dim):
-        raise VerificationError("isotypic projection is not idempotent")
-    return proj

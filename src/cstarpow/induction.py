@@ -21,7 +21,7 @@ import numpy as np
 from .crossed import CovariantPair, GroupAction
 from .errors import VerificationError
 from .groups import Subgroup, UnitaryRep
-from .linalg import DEFAULT_TOL, Draws, op_norm, orthonormal_columns
+from .linalg import DEFAULT_TOL, orthonormal_columns
 from .structure import commutant
 
 
@@ -41,10 +41,6 @@ class InducedRep:
 
     def block_slice(self, j: int) -> slice:
         return slice(j * self.block_dim, (j + 1) * self.block_dim)
-
-    def block_target(self, g: int, j: int) -> int:
-        """Index of the coset block that g sends block j to."""
-        return int(self.subgroup.coset_table[0][g, j])
 
 
 def induce(base: CovariantPair, action: GroupAction, sub: Subgroup,
@@ -129,32 +125,12 @@ class CommutantRestriction:
 
     The source is the commutant of the induced integrated image together with
     the block projections; the target is the commutant of the compressed pair
-    at block j (over the conjugated subgroup).  The map is a *-isomorphism,
-    checked here by dimension equality.
+    at the block (over the conjugated subgroup).  The map is a *-isomorphism,
+    checked by dimension equality.
     """
 
-    induced: InducedRep
-    block: int
     source_dim: int
     target_dim: int
-    tol: float
-
-    def apply(self, t) -> np.ndarray:
-        """The corner of t at the block, once t commutes with a generic
-        combination x of the source family: [t, x] is linear in x, so a
-        failing member shows.  The bound scales with t and the members."""
-        t = np.asarray(t, dtype=complex)
-        fam = _source_family(self.induced)
-        rng = Draws(0)
-        c = rng.standard_normal(fam.shape[0]) \
-            + 1j * rng.standard_normal(fam.shape[0])
-        x = np.tensordot(c, fam, axes=(0, 0))
-        scale = max(1.0, op_norm(t)) * max(1.0, float(np.max(np.abs(fam))))
-        if op_norm(t @ x - x @ t) > 100 * self.tol * scale:
-            raise ValueError("matrix is not in the commutant of the pair "
-                             "and the block projections")
-        sl = self.induced.block_slice(self.block)
-        return t[sl, sl]
 
 
 def _source_family(ind: InducedRep) -> np.ndarray:
@@ -190,4 +166,4 @@ def commutant_restriction(ind: InducedRep, j: int,
     if source.dim != target.dim:
         raise VerificationError(
             f"restriction is not an isomorphism: {source.dim} != {target.dim}")
-    return CommutantRestriction(ind, j, source.dim, target.dim, tol)
+    return CommutantRestriction(source.dim, target.dim)

@@ -66,11 +66,6 @@ def adjoint(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def direct_sum(mats) -> np.ndarray:
     """Block-diagonal matrix with the given square blocks on the diagonal."""
     mats = [as_matrix(m) for m in mats]
@@ -157,14 +152,6 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def is_projection(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff m is numerically idempotent and self-adjoint."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("projection test requires a square matrix")
-    return op_norm(m @ m - m) <= tol and op_norm(m - adjoint(m)) <= tol
-
-
 def cluster_eigenvalues(w, gap: float = SPECTRAL_GAP) -> list[list[int]]:
     """Group ascending real eigenvalues into clusters separated by > gap."""
     clusters: list[list[int]] = []
@@ -174,18 +161,3 @@ def cluster_eigenvalues(w, gap: float = SPECTRAL_GAP) -> list[list[int]]:
         else:
             clusters.append([i])
     return clusters
-
-
-def spectral_projections(m, tol: float = DEFAULT_TOL,
-                         gap: float = SPECTRAL_GAP):
-    """Orthogonal projections onto clustered eigenspaces of a Hermitian m.
-
-    Returns a list of (cluster mean eigenvalue, projection) pairs.  The
-    projections are mutually orthogonal idempotents summing to the identity.
-    """
-    w, v = eig_hermitian(m, tol)
-    out = []
-    for idx in cluster_eigenvalues(w, gap):
-        cols = v[:, idx]
-        out.append((float(np.mean(w[idx])), cols @ cols.conj().T))
-    return out

@@ -19,8 +19,7 @@ bounds each system built.  Minimal central projections need no solve: H
 drawn from the span itself has the same clusters on each copy of one
 simple summand, and a second generic member links exactly the clusters of
 one summand.  Intertwiners and equivalence are read off the corners of the
-commutant of pi (+) rho, and quasi-equivalence off the minimal central
-projections of its span.
+commutant of pi (+) rho.
 """
 
 from __future__ import annotations
@@ -358,23 +357,6 @@ def equivalent(pi, rho, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
     return len(dims) == 1
 
 
-def is_irreducible(pi, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
-    return commutant_dimension(_as_family(pi), tol, seed) == 1
-
-
-def is_factor(pi, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
-    """Whether the generated von Neumann algebra has trivial center.
-
-    ``pi`` must span a *-algebra, as the images of an algebra basis do;
-    with the identity it then spans the generated von Neumann algebra, a
-    factor iff it has one minimal central projection.
-    """
-    fam = _as_family(pi)
-    eye = np.eye(fam.shape[1], dtype=complex)[None]
-    span = spanned_algebra(np.concatenate([fam, eye]), tol, seed=seed)
-    return len(minimal_central_projections(span, seed, tol).blocks) == 1
-
-
 # ---------------------------------------------------------------------------
 # minimal central projections
 
@@ -444,16 +426,6 @@ class WedderburnReport:
     blocks: list
     block_dims: list
     multiplicities: list
-
-    @property
-    def central_projections(self) -> list:
-        """The projections as ambient matrices, built on each read."""
-        out = []
-        for idx, proj in self.blocks:
-            full = np.zeros((self.ambient, self.ambient), dtype=complex)
-            full[idx[:, None], idx] = proj
-            out.append(full)
-        return out
 
 
 def _support_components(n: int, member: np.ndarray, entry: np.ndarray
@@ -603,26 +575,7 @@ def _projections_from_spectrum(s: SpannedAlgebra, gram, w, v, x2, probe,
 
 
 # ---------------------------------------------------------------------------
-# quasi-equivalence, ergodicity
-
-def quasi_equivalent(pi, rho, tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
-    """Same set of irreducible constituents, ignoring multiplicities.
-
-    One run of ``minimal_central_projections`` on the span of pi (+) rho,
-    which skips their common kernel.  A minimal central projection commutes
-    with the block projections, which lie in the commutant, so it splits
-    into one projection on each summand, and its trace on a summand, a
-    rank, is nonzero iff the summand holds that irreducible type.
-    """
-    pi, rho = _pair(pi, rho)
-    p = pi.shape[1]
-    span = spanned_algebra(_members((pi, rho)), tol, check=False)
-    for idx, proj in minimal_central_projections(span, seed, tol).blocks:
-        diag = np.real(np.diagonal(proj))
-        if (np.sum(diag[idx < p]) > 0.5) != (np.sum(diag[idx >= p]) > 0.5):
-            return False
-    return True
-
+# ergodicity
 
 @dataclass
 class ErgodicReport:

@@ -26,7 +26,7 @@ def naive_kron(a, b):
 
 def embedded_multiply(alg, x, y):
     """Product of two elements through their ambient matrices."""
-    return alg.coefficients(alg.embed(x) @ alg.embed(y), check=False)
+    return coefficients(alg, alg.embed(x) @ alg.embed(y))
 
 
 def embedded_norm(alg, x):
@@ -133,7 +133,7 @@ def naive_convolution(action, f1, f2):
             arg = f2[grp.mult[grp.inv[h], g]]
             moved = action.matrix(h) @ arg
             acc = acc + left @ alg.embed(moved)
-        out[g] = alg.coefficients(acc, check=False) / grp.order
+        out[g] = coefficients(alg, acc) / grp.order
     return out
 
 
@@ -144,7 +144,7 @@ def naive_involution(action, f):
     out = np.zeros_like(f)
     for g in range(grp.order):
         moved = action.matrix(g) @ f[grp.inv[g]]
-        out[g] = alg.coefficients(alg.embed(moved).conj().T, check=False)
+        out[g] = coefficients(alg, alg.embed(moved).conj().T)
     return out
 
 
@@ -319,7 +319,7 @@ def dense_realized_images(algebra, n, desc, sym):
     w = orthonormal_columns(np.mean(induced_unitaries(sub, w1), axis=0))
     dims = [algebra.blocks[b] for b in beta]
     out = np.zeros((sym.size, w.shape[1], w.shape[1]), dtype=complex)
-    for a, vec in enumerate(sym.vectors):
+    for a, vec in enumerate(orbit_vectors(sym)):
         pi = np.zeros((size, size), dtype=complex)
         for j, gj in enumerate(sub.coset_reps):
             perm = group.perms[group.inverse(gj)]
@@ -356,3 +356,92 @@ def make_algebra_arrays(blocks):
     return (np.array(positions, dtype=np.int64),
             np.array(block_of, dtype=np.int64),
             np.array(local, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# references that tests build systems and expectations from
+
+def coefficients(alg, mat):
+    """The coefficients of a matrix on the algebra's matrix-unit basis, read
+    at the basis positions."""
+    return np.asarray(mat)[alg.positions[:, 0], alg.positions[:, 1]]
+
+
+def orbit_vectors(sym):
+    """The orbit sums of a SymmetricPowerBasis as dense coefficient rows of
+    the power algebra, refused above MAX_DENSE_ENTRIES entries."""
+    from cstarpow import algebra
+    from cstarpow.errors import BudgetError
+    total = sym.orbit.shape[0]
+    if sym.size * total > algebra.MAX_DENSE_ENTRIES:
+        raise BudgetError(f"{sym.size}x{total} orbit sum coefficients")
+    out = np.zeros((sym.size, total), dtype=complex)
+    out[sym.orbit, np.arange(total)] = 1.0
+    return out
+
+
+def symmetrize(a, n, x):
+    """Average of an element of the n-th tensor power of ``a`` over all
+    permutations of its tensor factors."""
+    x = np.asarray(x, dtype=complex).reshape((a.dim,) * n)
+    return np.mean([x.transpose(p).ravel()
+                    for p in itertools.permutations(range(n))], axis=0)
+
+
+def random_unitary(alg, rng):
+    """Haar unitary element: per-block QR of a complex Gaussian matrix with
+    phase-normalized R diagonal."""
+    out = np.zeros(alg.dim, dtype=complex)
+    for units, k in zip(alg.block_units, alg.blocks):
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r)
+        out[units.ravel()] = (q * (d / np.abs(d))[None, :]).ravel()
+    return out
+
+
+def trivial_action(algebra, group):
+    """The group acting by the identity on every element."""
+    from cstarpow.crossed import GroupAction
+    maps = np.tile(np.arange(algebra.dim), (group.order, 1))
+    return GroupAction(group, algebra, perm_maps=maps, check=False)
+
+
+def crossed_unit(action):
+    """|G| times the indicator of the identity: the unit of the crossed
+    product with normalized convolution."""
+    from cstarpow.crossed import CrossedElement
+    vals = np.zeros((action.group.order, action.algebra.dim), dtype=complex)
+    vals[action.group.identity] = action.group.order * action.algebra.unit()
+    return CrossedElement(action, vals)
+
+
+def is_projection(m, tol=1e-9):
+    """Idempotent and self-adjoint within tol in the operator norm."""
+    m = np.asarray(m, dtype=complex)
+    return np.linalg.norm(m @ m - m, 2) <= tol \
+        and np.linalg.norm(m - m.conj().T, 2) <= tol
+
+
+def is_associative(mult):
+    """Exhaustive associativity of a multiplication table."""
+    return bool(np.array_equal(mult[mult, :], mult[:, mult]))
+
+
+def central_projections(report):
+    """The projections of a WedderburnReport as ambient matrices."""
+    out = []
+    for idx, proj in report.blocks:
+        full = np.zeros((report.ambient, report.ambient), dtype=complex)
+        full[idx[:, None], idx] = proj
+        out.append(full)
+    return out
+
+
+def isotypic_projection(parts, rep):
+    """(d / |G|) sum_g conj(chi(g)) rep(g) for a representation of S_n, with
+    chi the character of the irreducible of the partition and d = chi(e)."""
+    from cstarpow.groups import sn_irrep
+    chi = np.einsum("gii->g", sn_irrep(tuple(parts)).matrices)
+    return chi[rep.group.identity].real / rep.group.order \
+        * np.einsum("g,gij->ij", chi.conj(), rep.matrices)

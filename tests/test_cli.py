@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import cstarpow
@@ -239,6 +240,57 @@ def test_budget_exit_code(capsys):
                            "--budget", "50")
     assert code == 3
     assert "budget" in err.lower()
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the budget check")
+
+    for name in ("make_algebra", "algebra_from_json", "action_from_json"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+def test_budget_is_checked_before_the_algebra_is_built(capsys, monkeypatch,
+                                                       tmp_path):
+    _refuse_to_build(monkeypatch)
+    spec = tmp_path / "alg.json"
+    spec.write_text(json.dumps({"blocks": [100000]}))
+    for source in (["--blocks", "100000"], ["--spec", str(spec)]):
+        for cmd in ("sympow", "classify", "schur-weyl"):
+            code, _, err = run_cli(capsys, cmd, *source, "--n", "1")
+            assert code == 3 and "budget" in err.lower(), (cmd, source)
+        assert run_cli(capsys, "homog", *source, "--degrees", "1")[0] == 3
+    # a block below 1 is bad input, whatever the ambient size
+    monkeypatch.undo()
+    assert run_cli(capsys, "sympow", "--blocks", "0,100000", "--n", "1")[0] \
+        == 2
+
+
+def test_action_specs_honour_the_budget(capsys, monkeypatch, tmp_path):
+    # C^2 to the fourth has ambient 16, over a budget of 10, in each form;
+    # a dense action is checked on the algebra it acts on
+    _refuse_to_build(monkeypatch)
+    power = tmp_path / "power.json"
+    power.write_text(json.dumps(
+        {"tensor_permutation": {"base_blocks": [1, 1], "n": 4}}))
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps(
+        {"group": {"symmetric": 2}, "blocks": [11], "maps": []}))
+    for cmd in ("crossed", "induce"):
+        for source in (["--blocks", "1,1", "--n", "4"],
+                       ["--action-spec", str(power)],
+                       ["--action-spec", str(dense)]):
+            code, _, err = run_cli(capsys, cmd, *source, "--budget", "10")
+            assert code == 3 and "budget" in err.lower(), (cmd, source)
+
+
+def test_budget_of_a_huge_degree_is_refused_without_the_power(capsys):
+    # 2^(10^12) is never formed: n above the budget's bit length is over it
+    for n in ("100000000", "1000000000000"):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "sympow", "--blocks", "2", "--n", n)
+        assert code == 3 and "budget" in err.lower()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_orbit_sums_past_the_dense_bound_are_classified(capsys):

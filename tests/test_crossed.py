@@ -10,16 +10,16 @@ from cstarpow.algebra import make_algebra, symmetric_power_basis
 from cstarpow.crossed import (CovariantPair, CrossedElement, GroupAction,
                               action_from_json, block_permutation_action,
                               convolve, corner_embedding, corner_projection,
-                              crossed_unit, fixed_point_algebra,
                               group_average_projection, integrated_form,
                               involution, spatial_pair,
-                              tensor_permutation_action, trivial_action)
+                              tensor_permutation_action)
 from cstarpow.groups import (UnitaryRep, cyclic_group, permutation_rep,
                              symmetric_group, trivial_subgroup, young_subgroup)
 from cstarpow.induction import induce
-from cstarpow.linalg import is_projection, op_norm
-from oracles import (compositions, naive_convolution, naive_integrated_form,
-                     naive_involution)
+from cstarpow.linalg import op_norm
+from oracles import (coefficients, compositions, crossed_unit, is_projection,
+                     naive_convolution, naive_integrated_form,
+                     naive_involution, random_unitary, trivial_action)
 
 
 def fixed_element(action, rng):
@@ -225,17 +225,17 @@ def test_two_character_diagonalization_of_group_algebra():
 
 
 def test_fixed_point_algebra_dims(c2, m2, c3):
-    assert fixed_point_algebra(trivial_action(m2, symmetric_group(2))).dim == 4
-    assert fixed_point_algebra(tensor_permutation_action(m2, 2)).dim == 10
-    assert fixed_point_algebra(tensor_permutation_action(c2, 3)).dim == 4
-    swap = block_permutation_action(c2, symmetric_group(2))
-    fixed = fixed_point_algebra(swap)
-    assert fixed.dim == 1 and fixed.contains(np.eye(fixed.ambient))
+    trivial = trivial_action(m2, symmetric_group(2))
+    assert trivial.fixed_space().shape[0] == 4
+    assert tensor_permutation_action(m2, 2).fixed_space().shape[0] == 10
+    assert tensor_permutation_action(c2, 3).fixed_space().shape[0] == 4
+    fixed = block_permutation_action(c2, symmetric_group(2)).fixed_space()
+    assert np.allclose(fixed, c2.unit() / np.sqrt(2))  # the scalars
 
 
 def test_covariance_validation(swap_m2):
     tau = spatial_pair(swap_m2).unitary
-    bad_pi = swap_m2.algebra.basis_matrices().copy()
+    bad_pi = swap_m2.algebra.embed(np.eye(swap_m2.algebra.dim))
     bad_pi[0], bad_pi[1] = bad_pi[1].copy(), bad_pi[0].copy()
     with pytest.raises(ValueError):
         CovariantPair(swap_m2, bad_pi, tau)
@@ -254,8 +254,7 @@ def test_action_json_round_trip(tmp_path):
     }
     dense = action_from_json(spec)
     assert not dense.is_permutation
-    report_dim = fixed_point_algebra(dense).dim
-    assert report_dim == 1
+    assert dense.fixed_space().shape[0] == 1
 
     table_spec = {
         "group": {"table": [[0, 1], [1, 0]]},
@@ -270,7 +269,7 @@ def test_action_json_round_trip(tmp_path):
 def test_cyclic_rotation_action(c3):
     rot = block_permutation_action(
         c3, cyclic_group(3), block_perms=[(0, 1, 2), (1, 2, 0), (2, 0, 1)])
-    assert fixed_point_algebra(rot).dim == 1
+    assert rot.fixed_space().shape[0] == 1
     with pytest.raises(ValueError):
         block_permutation_action(make_algebra([1, 2]), symmetric_group(2))
 
@@ -354,9 +353,9 @@ def _conjugated_systems(draw):
     beta = tensor_permutation_action(make_algebra(blocks), n)
     alg, group = beta.algebra, beta.group
     spatial = spatial_pair(beta, check=False)
-    u = alg.embed(alg.random_unitary(rng))
+    u = alg.embed(random_unitary(alg, rng))
     # column i holds the coefficients of u e_i u*; orthonormal columns
-    ad_u = np.stack([alg.coefficients(u @ m @ u.conj().T)
+    ad_u = np.stack([coefficients(alg, u @ m @ u.conj().T)
                      for m in spatial.pi], axis=1)
     maps = np.stack([ad_u @ beta.matrix(g) @ ad_u.conj().T
                      for g in range(group.order)])

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from cstarpow.errors import BudgetError
 from cstarpow.groups import (FiniteGroup, ProjectiveRep, Subgroup, UnitaryRep,
                              cyclic_group, factor_permutation_index,
-                             hook_lengths, isotypic_projection,
-                             partitions, permutation_rep, regular_rep,
-                             sn_character, sn_irrep, ssyt_count,
-                             standard_tableaux, symmetric_group,
-                             syt_dimension, trivial_subgroup, whole_subgroup,
+                             hook_lengths, partitions, permutation_rep,
+                             sn_irrep, ssyt_count, standard_tableaux,
+                             symmetric_group, syt_dimension, trivial_subgroup,
                              young_subgroup)
 from cstarpow.linalg import op_norm
 from cstarpow.structure import minimal_central_projections, spanned_algebra
-from oracles import permuted_kron, ssyt_enumerate
+from oracles import (is_associative, isotypic_projection, permuted_kron,
+                     ssyt_enumerate)
 
 
 def test_symmetric_group_sizes_and_laws():
@@ -26,7 +25,7 @@ def test_symmetric_group_sizes_and_laws():
     assert symmetric_group(3).order == 6
     g = symmetric_group(4)
     assert g.order == 24
-    assert g.is_associative()
+    assert is_associative(g.mult)
     for a in range(g.order):
         assert g.mult[a, g.inv[a]] == g.identity
         assert g.mult[g.inv[a], a] == g.identity
@@ -41,7 +40,7 @@ def test_symmetric_group_range():
 
 def test_cyclic_group():
     g = cyclic_group(5)
-    assert g.order == 5 and g.is_associative()
+    assert g.order == 5 and is_associative(g.mult)
     assert g.identity == 0
 
 
@@ -56,10 +55,10 @@ def test_int64_table_is_not_copied():
 
 
 def test_group_json_round_trip():
-    from cstarpow.groups import group_from_json, group_to_json
+    from cstarpow.groups import group_from_json
     assert group_from_json({"symmetric": 3}) is symmetric_group(3)
     g = cyclic_group(3)
-    again = group_from_json(group_to_json(g))
+    again = group_from_json({"table": g.mult.tolist(), "inv": g.inv.tolist()})
     assert np.array_equal(again.mult, g.mult)
     with pytest.raises(ValueError):
         group_from_json({"table": g.mult.tolist(), "inv": [0, 1, 2]})
@@ -81,7 +80,7 @@ def test_young_subgroup_cosets():
         seen.add(coset)
     assert len(seen) * sub.order == g.order
 
-    assert whole_subgroup(g).index == 1
+    assert Subgroup(g, range(g.order)).index == 1
     assert trivial_subgroup(g).index == g.order
     assert young_subgroup([3], g).order == 6
     assert young_subgroup([1, 1, 1], g).order == 1
@@ -139,7 +138,8 @@ def test_character_orthogonality():
     for n in range(2, 6):
         g = symmetric_group(n)
         lams = partitions(n)
-        chars = {lam: sn_character(lam) for lam in lams}
+        chars = {lam: np.einsum("gii->g", sn_irrep(lam).matrices)
+                 for lam in lams}
         for lam in lams:
             for mu in lams:
                 inner = np.sum(chars[lam] * np.conj(chars[mu])) / g.order
@@ -148,7 +148,7 @@ def test_character_orthogonality():
 
 def test_hook_dimensions_match_regular_representation_blocks():
     g = symmetric_group(3)
-    reg = regular_rep(g)
+    reg = UnitaryRep(g, dest=g.mult, check=False)
     # the index form against the permutation matrices built entry by entry
     loop = np.zeros((g.order, g.order, g.order), dtype=complex)
     for a in range(g.order):
@@ -288,19 +288,6 @@ def test_isotypic_rank_ratio_equals_ssyt_count():
                 assert rank // d == ssyt_count(lam, k)
 
 
-def test_unitary_rep_tensor():
-    sign = sn_irrep((1, 1))
-    squared = sign.tensor(sign)
-    assert np.allclose(squared.matrices, sn_irrep((2,)).matrices)
-    tau = permutation_rep(2, 2)
-    mixed = tau.tensor(sign)
-    g = symmetric_group(2)
-    for a in range(2):
-        for b in range(2):
-            assert np.allclose(mixed.mat(a) @ mixed.mat(b),
-                               mixed.mat(g.mult[a, b]))
-
-
 def test_unitary_rep_validation():
     g = symmetric_group(2)
     bad = np.stack([np.eye(2), 2 * np.eye(2)]).astype(complex)
@@ -339,7 +326,8 @@ def test_permutation_form_matches_its_matrices():
     tau = permutation_rep(3, 2)
     dense = UnitaryRep(tau.group, tau.matrices)
     assert tau.dest is not None and dense.dest is None
-    assert np.array_equal(tau.character(), dense.character())
+    assert np.array_equal(np.einsum("gii->g", tau.matrices),
+                          np.einsum("gii->g", dense.matrices))
     assert np.array_equal(tau.mean(), dense.mean())
     # the index form checks its table exactly: one row rotated breaks it
     UnitaryRep(tau.group, dest=tau.dest)

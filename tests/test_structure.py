@@ -6,27 +6,26 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cstarpow import structure
-from cstarpow.algebra import make_algebra, symmetric_power_count
+from cstarpow.algebra import (Representation, make_algebra,
+                              symmetric_power_count)
 from cstarpow.classify import symmetric_power_span, wedderburn_comparison
 from cstarpow.crossed import (block_permutation_action,
-                              tensor_permutation_action, trivial_action)
+                              tensor_permutation_action)
 from cstarpow.errors import BudgetError, DegenerateDrawError
-from cstarpow.groups import isotypic_projection, permutation_rep, regular_rep, \
-    symmetric_group
+from cstarpow.groups import UnitaryRep, permutation_rep, symmetric_group
 from cstarpow.linalg import direct_sum, op_norm
 from cstarpow.structure import (_support_components, commutant,
                                 commutant_dimension, equivalent,
                                 ergodic_bound_check, intertwiner_space,
-                                is_factor, is_irreducible,
-                                minimal_central_projections, quasi_equivalent,
-                                spanned_algebra)
-from oracles import (center_dimension, compressed_rank, distance_to_span,
+                                minimal_central_projections, spanned_algebra)
+from oracles import (center_dimension, central_projections, compressed_rank,
+                     distance_to_span, isotypic_projection,
                      naive_commutant_dim, naive_intertwiner_dim,
-                     support_components_bfs)
+                     support_components_bfs, trivial_action)
 
 
 def test_commutant_of_full_matrix_algebra(m2):
-    comm = commutant(m2.basis_matrices())
+    comm = commutant(m2.embed(np.eye(m2.dim)))
     assert comm.dim == 1
 
 
@@ -36,11 +35,11 @@ def test_commutant_of_diagonals():
 
 
 def test_commutant_of_tensor_factor(m2):
-    fam = np.stack([np.kron(np.eye(2), b) for b in m2.basis_matrices()])
+    fam = np.stack([np.kron(np.eye(2), b) for b in m2.embed(np.eye(m2.dim))])
     comm = commutant(fam)
     assert comm.dim == 4 == naive_commutant_dim(fam)
     # the commutant is the other tensor factor
-    other = np.stack([np.kron(b, np.eye(2)) for b in m2.basis_matrices()])
+    other = np.stack([np.kron(b, np.eye(2)) for b in m2.embed(np.eye(m2.dim))])
     for b in other:
         assert comm.contains(b, 1e-8)
 
@@ -188,7 +187,7 @@ def test_center_system_and_trace_block_dims_match_dense_oracles(case):
     span, _ = case
     basis = span.span_basis
     gram = structure._basis_gram(span)
-    projs = minimal_central_projections(span).central_projections
+    projs = central_projections(minimal_central_projections(span))
     # one minimal central projection per dimension of the center solved
     # from the commutators of the whole basis
     assert center_dimension(basis) == len(projs)
@@ -227,10 +226,6 @@ def test_intertwiners_and_equivalence_are_commutant_corners(case):
     for t in space:
         assert np.allclose(t @ pi, rho @ t, atol=1e-9)
     assert equivalent(pi, rho) == (m == n)
-    # quasi-equivalence ignores multiplicities and the zero blocks, which
-    # the minimal central projections of the span of pi (+) rho skip
-    assert quasi_equivalent(pi, rho) == \
-        ([a > 0 for a in m[:-1]] == [b > 0 for b in n[:-1]])
 
 
 def _gram(span):
@@ -239,7 +234,7 @@ def _gram(span):
 
 
 def test_commutant_falls_back_to_the_dense_system(monkeypatch, m2):
-    fam = np.stack([np.kron(np.eye(2), b) for b in m2.basis_matrices()])
+    fam = np.stack([np.kron(np.eye(2), b) for b in m2.embed(np.eye(m2.dim))])
     calls = {"verify": 0, "dense": 0}
     dense = structure._commutation_operator
 
@@ -266,7 +261,7 @@ def test_commutant_falls_back_to_the_dense_system(monkeypatch, m2):
 def _inequivalent_irreps(rng):
     """The two irreducibles of M_2 (+) M_2, each conjugated by its own random
     unitary, so that round-off fills every entry of a solve."""
-    units = make_algebra([2, 2]).basis_matrices()
+    units = make_algebra([2, 2]).embed(np.eye(8))
     out = []
     for block in (units[:, :2, :2], units[:, 2:, 2:]):
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -336,8 +331,6 @@ def test_pair_solves_inherit_the_eigenbasis_guard():
         intertwiner_space(eye, eye)
     with pytest.raises(BudgetError):
         equivalent(eye, eye)
-    # quasi-equivalence reads the span of the pair, which is one-dimensional
-    assert quasi_equivalent(eye, eye)
     # a lower multiplicity stays within the guard
     assert equivalent(np.eye(10, dtype=complex)[None],
                       np.eye(10, dtype=complex)[None])
@@ -433,11 +426,11 @@ def test_commutant_budget_guard():
 
 def test_minimal_central_projections_full_block():
     m4 = make_algebra([4])
-    span = spanned_algebra(m4.basis_matrices(), check=False)
+    span = spanned_algebra(m4.embed(np.eye(m4.dim)), check=False)
     report = minimal_central_projections(span)
     assert report.block_dims == [4]
     assert report.multiplicities == [1]
-    assert np.allclose(sum(report.central_projections), np.eye(4))
+    assert np.allclose(sum(central_projections(report)), np.eye(4))
 
 
 def test_minimal_central_projections_symmetric_square(m2):
@@ -456,7 +449,8 @@ def test_minimal_central_projections_symmetric_square(m2):
 
 def test_minimal_central_projections_regular_rep():
     g = symmetric_group(3)
-    span = spanned_algebra(regular_rep(g).matrices, check=False)
+    regular = UnitaryRep(g, dest=g.mult, check=False)
+    span = spanned_algebra(regular.matrices, check=False)
     # permutation matrices of the regular representation have disjoint
     # supports, so the span is kept as entry labels
     assert span.onb is None
@@ -510,9 +504,9 @@ def test_wedderburn_report_consistency(m23):
     assert sum(d * d for d in report.block_dims) == span.dim
     assert sum(d * k for d, k in zip(report.block_dims,
                                      report.multiplicities)) == span.ambient
-    total = sum(report.central_projections)
+    total = sum(central_projections(report))
     assert np.allclose(total, np.eye(span.ambient))
-    for p in report.central_projections:
+    for p in central_projections(report):
         for b in span.span_basis[:20]:
             assert op_norm(p @ b - b @ p) < 1e-8
 
@@ -556,17 +550,18 @@ def _components(span):
 def test_split_keeps_a_straddling_member_in_one_component(m2):
     # a ⊕ a on ambient 4: E_01 ⊕ E_01 touches both copies
     span = spanned_algebra(np.stack([direct_sum([b, b])
-                                     for b in m2.basis_matrices()]))
+                                     for b in m2.embed(np.eye(m2.dim))]))
     assert len(_components(span)) == 1
     report = minimal_central_projections(span)
     assert report.block_dims == [2]
     assert report.multiplicities == [2]
-    assert np.allclose(report.central_projections[0], np.eye(4))
+    assert np.allclose(central_projections(report)[0], np.eye(4))
 
 
 def test_split_of_a_direct_sum_is_the_union_of_the_parts(m2):
-    m2_fam = m2.basis_matrices()
-    reg_fam = regular_rep(symmetric_group(3)).matrices
+    m2_fam = m2.embed(np.eye(m2.dim))
+    s3 = symmetric_group(3)
+    reg_fam = UnitaryRep(s3, dest=s3.mult, check=False).matrices
     parts = [minimal_central_projections(spanned_algebra(f))
              for f in (m2_fam, reg_fam)]
     span = spanned_algebra(np.concatenate([_embedded(m2_fam, 8, 0),
@@ -576,7 +571,7 @@ def test_split_of_a_direct_sum_is_the_union_of_the_parts(m2):
     assert sorted(zip(report.block_dims, report.multiplicities)) == sorted(
         (d, k) for r in parts for d, k in zip(r.block_dims, r.multiplicities))
     assert report.block_dims == [1, 1, 2, 2]
-    projs = report.central_projections
+    projs = central_projections(report)
     assert np.allclose(sum(projs), np.eye(8))
     for i, p in enumerate(projs):
         assert span.contains(p, 1e-8)
@@ -586,18 +581,18 @@ def test_split_of_a_direct_sum_is_the_union_of_the_parts(m2):
 
 def test_split_skips_indices_no_member_touches(m2):
     # M_2 on the first two of three indices
-    span = spanned_algebra(_embedded(m2.basis_matrices(), 3, 0))
+    span = spanned_algebra(_embedded(m2.embed(np.eye(m2.dim)), 3, 0))
     assert not span.contains(np.eye(3))
     report = minimal_central_projections(span)
     assert report.block_dims == [2] and report.multiplicities == [1]
-    assert np.allclose(report.central_projections[0], np.diag([1, 1, 0]))
+    assert np.allclose(central_projections(report)[0], np.diag([1, 1, 0]))
     # a component that is itself non-unital: the span of one rank-one
     # projection whose support block is {0, 1}; index 2 is untouched
     half = np.zeros((1, 3, 3), dtype=complex)
     half[0, :2, :2] = 0.5
     report = minimal_central_projections(spanned_algebra(half))
     assert report.block_dims == [1] and report.multiplicities == [1]
-    assert np.allclose(report.central_projections[0], half[0])
+    assert np.allclose(central_projections(report)[0], half[0])
 
 
 @st.composite
@@ -627,8 +622,8 @@ def test_enumerated_blocks_equal_spectral_blocks(case, seed):
 
 
 def test_equivalent_cases(m2, m23, rng):
-    pi = m23.block_images(0)
-    rho = m23.block_images(1)
+    pi = Representation(m23, (1, 0)).images()
+    rho = Representation(m23, (0, 1)).images()
     assert equivalent(pi, pi)
     assert not equivalent(pi, rho)  # dimension mismatch
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -650,17 +645,24 @@ def test_equivalent_same_dim_inequivalent(rng):
 
 
 def test_irreducible_and_factor(m2, m23):
-    assert is_irreducible(m2.basis_matrices())
-    doubled = np.stack([np.kron(np.eye(2), b) for b in m2.basis_matrices()])
-    assert not is_irreducible(doubled)
-    assert is_factor(doubled)
+    assert commutant_dimension(m2.embed(np.eye(m2.dim))) == 1
+    doubled = np.stack([np.kron(np.eye(2), b)
+                        for b in m2.embed(np.eye(m2.dim))])
     assert commutant_dimension(doubled) == 4
-    defining = m23.basis_matrices()
-    assert not is_factor(defining)  # two central summands
+
+    def central_blocks(fam):
+        # with the identity, the span of a *-closed family is the generated
+        # von Neumann algebra, a factor iff it has one central block
+        eye = np.eye(fam.shape[1], dtype=complex)[None]
+        span = spanned_algebra(np.concatenate([fam, eye]))
+        return len(minimal_central_projections(span).blocks)
+
+    assert central_blocks(doubled) == 1
+    assert central_blocks(m23.embed(np.eye(m23.dim))) == 2
     e00 = np.zeros((1, 2, 2), dtype=complex)
     e00[0, 0, 0] = 1.0
-    assert not is_factor(e00)  # with I it spans the diagonals of C^2
-    assert is_factor(np.zeros((1, 2, 2), dtype=complex))  # the scalars
+    assert central_blocks(e00) == 2  # with I it spans the diagonals of C^2
+    assert central_blocks(np.zeros((1, 2, 2), dtype=complex)) == 1
 
 
 def _zero_links_for(monkeypatch, failing):
@@ -702,7 +704,7 @@ def test_commutation_probe_rejects_links_across_summands():
     # diag(1, 0, 1, 0) and diag(0, 1, 0, 1), which lie in the span, have
     # trace 4 = 2^2 against G = 2 I, even rank and squares summing to 8:
     # only the commutation probe sees that they are not central
-    span = spanned_algebra(make_algebra([2, 2]).basis_matrices())
+    span = spanned_algebra(make_algebra([2, 2]).embed(np.eye(8)))
     gram = structure._basis_gram(span)
     w, v = np.arange(1.0, 5.0), np.eye(4, dtype=complex)
     rng = np.random.default_rng(0)
@@ -716,18 +718,6 @@ def test_commutation_probe_rejects_links_across_summands():
     with pytest.raises(DegenerateDrawError, match="not central"):
         structure._projections_from_spectrum(span, gram, w, v, crossed,
                                              probe, 1e-9)
-
-
-def test_quasi_equivalence(m2, rng):
-    pi = m2.basis_matrices()
-    doubled = np.stack([np.kron(np.eye(2), b) for b in pi])
-    assert quasi_equivalent(pi, doubled)
-    c2 = make_algebra([1, 1])
-    chi0 = np.zeros((2, 1, 1), dtype=complex)
-    chi0[0] = 1.0
-    chi1 = np.zeros((2, 1, 1), dtype=complex)
-    chi1[1] = 1.0
-    assert not quasi_equivalent(chi0, chi1)
 
 
 def test_ergodic_bound_check(c2, m2, c3):
@@ -747,7 +737,7 @@ def test_ergodic_bound_check(c2, m2, c3):
 
 def test_spanned_algebra_closure_check(m2):
     # a subspace that is not product closed must be rejected
-    bad = m2.basis_matrices()[1:3]  # off-diagonal units only
+    bad = m2.embed(np.eye(m2.dim))[1:3]  # off-diagonal units only
     with pytest.raises(ValueError):
         spanned_algebra(np.concatenate([bad, bad.conj().transpose(0, 2, 1)]))
 
