@@ -66,8 +66,7 @@ def suite_blocks(tol, seed, budget):
     for k, n in [(2, 2), (2, 3), (3, 2)]:
         span = symmetric_power_span(make_algebra([k]), n)
         report = minimal_central_projections(span, seed=seed, tol=tol)
-        expected = sorted(ssyt_count(lam, k) for lam in partitions(n)
-                          if len(lam) <= k)
+        expected = sorted(ssyt_count(lam, k) for lam in partitions(n, k))
         assertions.append(_assertion(
             f"blocks of S^{n}(M_{k}) equal tableau counts",
             sorted(report.block_dims) == expected,

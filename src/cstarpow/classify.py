@@ -112,11 +112,8 @@ def enumerate_sn_irreps(algebra: FdCStarAlgebra, n: int) -> list[IrrepDescriptor
     for comp in _weak_compositions(n, m):
         chosen = tuple(j for j in range(m) if comp[j] > 0)
         q = tuple(comp[j] for j in chosen)
-        options = []
-        for j, qk in zip(chosen, q):
-            opts = [lam for lam in partitions(qk)
-                    if len(lam) <= algebra.blocks[j]]
-            options.append(opts)
+        options = [partitions(qk, algebra.blocks[j])
+                   for j, qk in zip(chosen, q)]
         for lambdas in itertools.product(*options):
             out.append(_descriptor(algebra, chosen, q, lambdas))
     total = sum(d.dim ** 2 for d in out)
@@ -342,12 +339,8 @@ def schur_weyl_rep(algebra: FdCStarAlgebra, block: int, lam,
 
 def schur_weyl_labels(algebra: FdCStarAlgebra, n: int):
     """All (block, partition) labels with nonzero carrier at degree n."""
-    out = []
-    for j, k in enumerate(algebra.blocks):
-        for lam in partitions(n):
-            if len(lam) <= k:
-                out.append((j, lam))
-    return out
+    return [(j, lam) for j, k in enumerate(algebra.blocks)
+            for lam in partitions(n, k)]
 
 
 def schur_weyl_family(algebra: FdCStarAlgebra, n: int,

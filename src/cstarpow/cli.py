@@ -6,6 +6,11 @@ run the named verification suites.  JSON is the canonical output format and
 the human-readable tables are derived from it, so identical inputs and seed
 produce byte-identical JSON.
 
+The command line is read by ``_parse_args`` from the one flag table,
+``_COMMANDS`` and ``_COMMON``, with argparse's grammar and exit codes but
+without argparse, whose first use loads gettext and locale.  Spec files are
+checked field by field before anything reads them.
+
 Exit codes: 0 success, 2 parse error, 3 budget exceeded (a BudgetError,
 or a MemoryError as a backstop), 4 verification failure (a failed check of
 the payload, or a VerificationError raised by a computation).
@@ -13,11 +18,12 @@ the payload, or a VerificationError raised by a computation).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,22 +74,35 @@ def _parse_blocks(text: str) -> list[int]:
 
 
 def _int_at_least(low: int):
-    """An argparse type for integers no smaller than ``low``."""
+    """The type of a flag that takes integers no smaller than ``low``."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}")
+            raise ValueError(f"must be at least {low}")
         return value
-    parse.__name__ = "int"
     return parse
 
 
-def _read_spec(path: str, what: str):
+def _read_spec(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except (OSError, ValueError) as exc:
         raise CliParseError(f"cannot read {what}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise CliParseError(f"cannot read {what}: not a JSON object")
+    return spec
+
+
+def _spec_blocks(spec, key: str, what: str) -> list[int]:
+    """``spec[key]``, a block list of a spec file, which must be a JSON list
+    of integers."""
+    blocks = spec.get(key) if isinstance(spec, dict) else None
+    if not isinstance(blocks, list) or any(type(k) is not int
+                                           for k in blocks):
+        raise CliParseError(f"cannot read {what}: {key!r} must be a JSON "
+                            "list of integers")
+    return blocks
 
 
 def _check_budget(blocks, n: int, budget: int):
@@ -106,8 +125,7 @@ def _load_algebra(args, n: int, budget: int):
     blocks at degree n."""
     if getattr(args, "spec", None):
         spec = _read_spec(args.spec, "algebra spec")
-        _check_budget(spec.get("blocks", []) if isinstance(spec, dict)
-                      else [], n, budget)
+        _check_budget(_spec_blocks(spec, "blocks", "algebra spec"), n, budget)
         return algebra_from_json(spec)
     if getattr(args, "blocks", None):
         blocks = _parse_blocks(args.blocks)
@@ -207,10 +225,14 @@ def _load_action(args, cfg: RunConfig):
         try:
             if "tensor_permutation" in spec:
                 power = spec["tensor_permutation"]
-                _check_budget(power["base_blocks"], int(power["n"]),
-                              cfg.budget)
+                blocks = _spec_blocks(power, "base_blocks", "action spec")
+                if type(power.get("n")) is not int:
+                    raise CliParseError(
+                        "cannot read action spec: 'n' must be an integer")
+                _check_budget(blocks, power["n"], cfg.budget)
             elif "maps" in spec:
-                _check_budget(spec["blocks"], 1, cfg.budget)
+                _check_budget(_spec_blocks(spec, "blocks", "action spec"), 1,
+                              cfg.budget)
             return action_from_json(spec)
         except (ValueError, KeyError) as exc:
             raise CliParseError(f"cannot read action spec: {exc}") from exc
@@ -388,35 +410,94 @@ _COMMANDS = {
               [*_ALGEBRA, ("--degrees", {"default": "1,2"}),
                ("--nmax", {"type": _int_at_least(1)})]),
     "verify": (cmd_verify, "run a named verification suite",
-               [("suite", {})]),
+               [("suite", {"help": "a suite name, or all"})]),
 }
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser for one subcommand, with its arguments; without a known
-    subcommand, one that lists them all for help and errors."""
-    parser = argparse.ArgumentParser(
-        prog="cstarpow",
-        description="symmetric powers and crossed products of "
-                    "finite-dimensional C*-algebras")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, arguments) in _COMMANDS.items():
-        if command not in _COMMANDS:
-            sub.add_parser(name, help=help_text)
-        elif name == command:
-            p = sub.add_parser(name, help=help_text)
-            for flag, options in arguments + _COMMON:
-                p.add_argument(flag, **options)
-    return parser
+def _usage(name, full: bool = False) -> str:
+    """The usage of subcommand ``name``, or of the program if None; ``full``
+    adds a line for each argument, or for each subcommand."""
+    rows = [(f if f[0] != "-" or o.get("action") else
+             f"{f} {f.lstrip('-').replace('-', '_').upper()}",
+             o.get("help", ""), f[0] != "-" or o.get("required"))
+            for f, o in [*_COMMANDS[name][2], *_COMMON]] if name else [
+        (cmd, entry[1], True) for cmd, entry in _COMMANDS.items()]
+    words = [name, "[-h]", *(w if req else f"[{w}]" for w, _, req in rows)] \
+        if name else ["[-h]", f"{{{','.join(_COMMANDS)}}} ..."]
+    width = max(len(row[0]) for row in rows)
+    return "\n".join([" ".join(["usage: cstarpow", *words]), *(
+        f"  {w:<{width}}  {h}".rstrip() for w, h, _ in rows if full)])
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace of a command line, read from the table as argparse
+    reads it: an ambiguous prefix fails first, then the tokens are read in
+    order, then a missing argument fails, then an unknown one.  Help raises
+    SystemExit(0); an error prints the usage and raises SystemExit(2)."""
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+
+    def fail(message):
+        print(_usage(name), f"error: {message}", sep="\n", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+
+    table = dict([*_COMMANDS[name][2], *_COMMON] if name else [
+        ("command", {"type": lambda text: fail(
+            f"argument command: invalid choice: {text!r}")})])
+    names = ("-h", "--help", *(f for f in table if f[0] == "-"))
+
+    def option(token):
+        """(flag or None if unknown, ``=`` value or None), or None: a value."""
+        head, eq, value = token.partition("=")
+        matches = [f for f in names if f == head] or [
+            f for f in names if head[:2] == "--" != head and f.startswith(head)]
+        if len(matches) > 1:
+            fail(f"ambiguous option: {head} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+        return None if token[:1] != "-" or token == "-" or " " in token \
+            or re.fullmatch(r"-\d+|-\d*\.\d+", token) else (None, None)
+
+    rest = argv[1:] if name else argv
+    kinds = [option(token) for token in rest]
+    values = {f: o.get("default", False if o.get("action") else None)
+              for f, o in table.items()}
+    slots, extras, i = [f for f in table if f[0] != "-"], [], 0
+    while i < len(rest):
+        token, kind, i = rest[i], kinds[i], i + 1
+        flag, value = kind or ((slots.pop(0), token) if slots else (None, None))
+        if flag is None:
+            extras.append(token)
+        elif flag not in table or table[flag].get("action"):
+            if value is not None:
+                fail(f"argument {flag}: ignored explicit argument {value!r}")
+            if flag not in table:
+                print(_usage(name, full=True))
+                raise SystemExit(EXIT_OK)
+            values[flag] = True
+        elif value is None and (i == len(rest) or kinds[i] is not None):
+            fail(f"argument {flag}: expected one argument")
+        else:
+            if value is None:
+                value, i = rest[i], i + 1
+            try:
+                values[flag] = table[flag].get("type", str)(value)
+            except ValueError as exc:
+                fail(f"argument {flag}: {exc}")
+    missing = [f for f, o in table.items() if values[f] is None
+               and (f[0] != "-" or o.get("required"))]
+    if missing or extras:
+        fail(f"the following arguments are required: {', '.join(missing)}"
+             if missing else f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=name, **{
+        f.lstrip("-").replace("-", "_"): v for f, v in values.items()})
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else 0
+        return exc.code
     try:
         cfg = RunConfig(tol=args.tol, seed=args.seed,
                         output="json" if args.json else "table",

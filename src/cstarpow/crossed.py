@@ -205,8 +205,12 @@ def action_from_json(obj) -> GroupAction:
         def entry(e):
             return complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
 
-        maps = np.array([[[entry(e) for e in row] for row in m]
-                         for m in obj["maps"]])
+        try:
+            maps = np.array([[[entry(e) for e in row] for row in m]
+                             for m in obj["maps"]])
+        except (TypeError, IndexError) as exc:
+            raise ValueError("action maps must be lists of matrices of "
+                             "numbers or [re, im] pairs") from exc
         return GroupAction(group, algebra, dense_maps=maps)
     raise ValueError("unrecognized action spec")
 

@@ -96,7 +96,9 @@ def group_from_json(obj) -> FiniteGroup:
     if not isinstance(obj, dict):
         raise ValueError("group description must be an object")
     if "symmetric" in obj:
-        return symmetric_group(int(obj["symmetric"]))
+        if type(obj["symmetric"]) is not int:
+            raise ValueError('"symmetric" must be an integer')
+        return symmetric_group(obj["symmetric"])
     if "table" in obj:
         group = FiniteGroup(obj["table"])
         if "inv" in obj and not np.array_equal(
@@ -192,16 +194,21 @@ def young_subgroup(q, ambient: FiniteGroup | None = None) -> Subgroup:
 # ---------------------------------------------------------------------------
 # partitions and tableaux
 
-def partitions(n: int):
-    """Partitions of n as weakly decreasing tuples, largest part first."""
-    def gen(rest, maxpart):
+def partitions(n: int, rows: int | None = None):
+    """Partitions of n as weakly decreasing tuples, largest part first, in
+    reverse lexicographic order; with ``rows``, only those with at most
+    ``rows`` parts, in the same order.  A part too small to fill the rows
+    left ends its loop, so no excluded partition is generated."""
+    def gen(rest, maxpart, rows):
         if rest == 0:
             yield ()
             return
         for first in range(min(rest, maxpart), 0, -1):
-            for tail in gen(rest - first, first):
+            if first * rows < rest:
+                return
+            for tail in gen(rest - first, first, rows - 1):
                 yield (first,) + tail
-    return list(gen(n, n))
+    return list(gen(n, n, n if rows is None else rows))
 
 
 def check_partition(parts) -> tuple[int, ...]:

@@ -445,3 +445,24 @@ def isotypic_projection(parts, rep):
     chi = np.einsum("gii->g", sn_irrep(tuple(parts)).matrices)
     return chi[rep.group.identity].real / rep.group.order \
         * np.einsum("g,gij->ij", chi.conj(), rep.matrices)
+
+
+def argparse_parser(command=None):
+    """The argparse parser of one subcommand, built from the CLI's own table
+    (``cli._COMMANDS`` and ``cli._COMMON``); without a known subcommand, one
+    that lists them all for help and errors.  The reference for
+    ``cli._parse_args``."""
+    import argparse
+
+    from cstarpow import cli
+
+    parser = argparse.ArgumentParser(prog="cstarpow")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, arguments) in cli._COMMANDS.items():
+        if command not in cli._COMMANDS:
+            sub.add_parser(name, help=help_text)
+        elif name == command:
+            p = sub.add_parser(name, help=help_text)
+            for flag, options in arguments + cli._COMMON:
+                p.add_argument(flag, **options)
+    return parser

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +7,14 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import cstarpow
 from cstarpow import classify, cli
 from cstarpow.algebra import FdCStarAlgebra
 from cstarpow.cli import main
 from cstarpow.errors import DegenerateDrawError
+from oracles import argparse_parser
 
 
 # one small job of every subcommand; verify runs all its suites
@@ -373,17 +378,176 @@ def test_power_map_jobs_never_build_an_ambient_matrix(capsys, monkeypatch):
 
 
 def test_no_job_imports_numpy_random_or_numpy_ma():
-    # numpy loads both lazily, for ~13 and ~18 ms of a fresh process
+    # numpy loads both lazily, for ~13 and ~18 ms of a fresh process; the
+    # first use of argparse loads gettext and locale, for ~2 ms more
+    jobs = [*SMALL_JOBS, ["--help"]]
     script = ("import json, sys\n"
               "from cstarpow.cli import main\n"
               "loaded = {}\n"
-              f"for argv in {SMALL_JOBS!r}:\n"
+              f"for argv in {jobs!r}:\n"
               "    assert main([*argv, '--json']) == 0, argv\n"
               "    loaded[' '.join(argv)] = sorted(\n"
-              "        {'numpy.random', 'numpy.ma'} & set(sys.modules))\n"
+              "        {'numpy.random', 'numpy.ma', 'argparse', 'gettext',\n"
+              "         'locale'} & set(sys.modules))\n"
               "print(json.dumps(loaded))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cstarpow.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded == {" ".join(argv): [] for argv in SMALL_JOBS}
+    assert loaded == {" ".join(argv): [] for argv in jobs}
+
+
+# command lines for the parser and its argparse reference: every subcommand,
+# = forms, prefixes, repeats, bad values, missing and unknown arguments, help
+PARSER_CORPUS = [
+    *SMALL_JOBS,
+    ["sympow", "--blocks=2,3", "--n=2", "--json"],
+    ["sympow", "--spec", "a.json", "--n", "3", "--tol", "1e-8",
+     "--budget", "100"],
+    ["classify", "--bl", "2", "--n", "2", "--cross"],
+    ["crossed", "--sam", "5", "--blocks", "1"],
+    ["crossed", "--sam=5", "--blocks=1", "--n=3"],
+    ["crossed", "--b", "2"],
+    ["crossed", "--s", "2", "--blocks", "1"],
+    ["crossed", "--action", "x.json"],
+    ["crossed", "--a=x.json", "--n", "3"],
+    ["induce", "--q=2,1", "--q", "1,1,1", "--blocks", "2", "--n", "3"],
+    ["schur-weyl", "--blocks", "2", "--n", "2", "--inj", "3"],
+    ["schur-weyl", "--blocks", "2", "--n", "2", "--inj", "0"],
+    ["homog", "--blocks", "2", "--n", "3"],
+    ["homog", "--blocks", "2", "--degrees", ""],
+    ["homog", "--blocks", "2", "--degrees", "1,2", "--nmax", "3",
+     "--nmax", "2"],
+    ["verify", "--seed", "3", "all"],
+    ["verify", "--json", "all", "--seed=2"],
+    ["verify", "all", "--json"],
+    ["verify", "-"],
+    ["verify", "-1"],
+    ["verify"],
+    ["verify", "all", "extra"],
+    ["verify", "--bogus", "all"],
+    ["sympow", "--n", "2", "--n", "3", "--blocks", "2"],
+    ["sympow", "--json", "--json", "--blocks", "2", "--n", "1"],
+    ["sympow", "--json=1", "--blocks", "2", "--n", "1"],
+    ["sympow", "--blocks", "2", "--n", "2", "--seed", "-1"],
+    ["sympow", "--blocks", "2", "--n", "2", "--seed", "-0"],
+    ["sympow", "--blocks", "2", "--n", "0"],
+    ["sympow", "--blocks", "2", "--n", "+3"],
+    ["sympow", "--blocks", "2", "--n", "2", "--budget", "x"],
+    ["sympow", "--blocks", "2", "--n", "2", "--tol", "-1"],
+    ["sympow", "--blocks", "2", "--n", "2", "--tol", "-1e-3"],
+    ["sympow", "--blocks", "2 3", "--n", "2"],
+    ["sympow", "--blocks", "-1,2", "--n", "2"],
+    ["sympow", "--blocks", "2"],
+    ["sympow", "--blocks", "2", "--n", "2", "--bogus"],
+    ["sympow", "--blocks", "2", "--n"],
+    ["sympow", "--blocks", "--n", "2"],
+    ["sympow", "-", "--blocks", "2", "--n", "1"],
+    ["sympow", "--help"],
+    ["sympow", "-h"],
+    ["sympow", "--he"],
+    ["sympow", "--blocks", "2", "-h"],
+    ["sympow", "--bogus", "-h"],
+    ["sympow", "--n", "x", "-h"],
+    ["sympow", "-h", "--n", "x"],
+    ["sympow", "--b", "2", "-h"],
+    ["sympow", "--help=x"],
+    ["verify", "--help"],
+    [],
+    ["--help"],
+    ["-h"],
+    ["--he", "nosuch"],
+    ["nosuch"],
+    ["nosuch", "--help"],
+    ["--json"],
+    ["--json", "sympow", "--blocks", "2", "--n", "2"],
+]
+
+
+def _outcome(parse, argv):
+    """The namespace a parser returns, as a dict, or the exit code it
+    raises, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS,
+                         ids=lambda argv: " ".join(argv) or "(empty)")
+def test_parser_agrees_with_the_argparse_oracle(argv):
+    expected = _outcome(
+        argparse_parser(argv[0] if argv else None).parse_args, argv)[0]
+    got, out, err = _outcome(cli._parse_args, argv)
+    assert got == expected
+    if got == 0:
+        assert out.startswith("usage: cstarpow") and err == ""
+    elif got == 2:
+        assert err.startswith("usage: cstarpow") and out == ""
+
+
+# block lists that are not JSON lists of integers, refused before the budget
+# check or any builder reads them, then other malformed action specs
+MALFORMED_BLOCKS = [
+    ("sympow", {"blocks": 5}),
+    ("sympow", {"blocks": None}),
+    ("sympow", {"blocks": [[2]]}),
+    ("sympow", {"blocks": "23"}),
+    ("sympow", {"blocks": [2.5]}),
+    ("sympow", {"blocks": [True, 2]}),
+    ("sympow", {"size": [2]}),
+    ("sympow", [2]),
+    ("crossed", {"tensor_permutation": {"base_blocks": 2, "n": 2}}),
+    ("crossed", {"tensor_permutation": 5}),
+    ("crossed", {"maps": 1, "blocks": 2}),
+    ("crossed", {"maps": [], "blocks": [2.0], "group": {"symmetric": 1}}),
+    ("crossed", {"tensor_permutation": {"base_blocks": [2], "n": None}}),
+    ("crossed", {"tensor_permutation": {"base_blocks": [2], "n": 2.5}}),
+    ("crossed", 5),
+]
+MALFORMED_ACTIONS = [
+    {"maps": 1, "blocks": [2], "group": {"symmetric": 2}},
+    {"maps": [1], "blocks": [2], "group": {"symmetric": 2}},
+    {"maps": [[[[]]]], "blocks": [1], "group": {"symmetric": 1}},
+    {"maps": [], "blocks": [1], "group": {"symmetric": None}},
+]
+
+
+def _run_spec(capsys, tmp_path, command, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    extra = ["--spec", str(path), "--n", "2"] if command == "sympow" \
+        else ["--action-spec", str(path), "--samples", "1"]
+    return run_cli(capsys, command, *extra)
+
+
+@pytest.mark.parametrize("command, spec", MALFORMED_BLOCKS,
+                         ids=lambda value: json.dumps(value))
+def test_malformed_block_lists_exit_2_before_anything_reads_them(
+        capsys, monkeypatch, tmp_path, command, spec):
+    _refuse_to_build(monkeypatch)
+    monkeypatch.setattr(cli, "_check_budget", lambda *args: pytest.fail(
+        "budget checked on a malformed spec"))
+    code, out, err = _run_spec(capsys, tmp_path, command, spec)
+    assert code == 2 and out == ""
+    assert "cannot read" in err and "spec" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", MALFORMED_ACTIONS, ids=json.dumps)
+def test_malformed_action_specs_exit_2(capsys, tmp_path, spec):
+    code, out, err = _run_spec(capsys, tmp_path, "crossed", spec)
+    assert code == 2 and out == ""
+    assert "cannot read action spec" in err
+
+
+def test_one_row_at_degree_90_lists_one_partition(capsys):
+    # 56.6 million partitions of 90, of which one has a single row
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "classify", "--blocks", "1", "--n", "90")
+    assert code == 0
+    assert [d["lambdas"] for d in payload["descriptors"]] == [[[90]]]
+    assert time.perf_counter() - start < 2.0

@@ -380,3 +380,11 @@ def test_restricted_rep_keeps_the_subgroup_rows():
     assert dense.restrict(sub).dest is None
     with pytest.raises(ValueError):
         indexed.restrict(young_subgroup([1, 1], symmetric_group(2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.one_of(st.none(), st.integers(0, 14)))
+def test_row_bounded_partitions_are_the_filtered_list(n, rows):
+    bound = n if rows is None else rows
+    assert partitions(n, rows) == [lam for lam in partitions(n)
+                                   if len(lam) <= bound]
