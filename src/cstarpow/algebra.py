@@ -256,13 +256,27 @@ def symmetric_power_basis(a: FdCStarAlgebra, n: int) -> SymmetricPowerBasis:
     if total * n > MAX_DENSE_ENTRIES:
         raise BudgetError(f"symmetric power basis needs {total}x{n} digits")
     power = tensor_power(a, n)
-    shape = (a.dim,) * n
-    digits = np.sort(np.unravel_index(np.arange(total), shape), axis=0)
-    keys, orbit = np.unique(np.ravel_multi_index(digits, shape),
-                            return_inverse=True)
-    index = np.transpose(np.unravel_index(keys, shape))
+    digits = _radix_digits(np.arange(total), a.dim, n)
+    digits.sort(axis=0)
+    keys = digits[0]  # Horner's rule, in place
+    for row in digits[1:]:
+        keys *= a.dim
+        keys += row
+    keys, orbit = np.unique(keys, return_inverse=True)
+    index = _radix_digits(keys, a.dim, n).T
     return SymmetricPowerBasis(a, power, n, tuple(map(tuple, index.tolist())),
                                orbit.reshape(-1))
+
+
+def _radix_digits(keys, radix: int, n: int) -> np.ndarray:
+    """The n digits of each key in the radix, most significant first, as an
+    (n, len(keys)) array: ``np.unravel_index`` on the shape (radix,) * n,
+    without an array of n axes, which numpy caps at 64."""
+    digits = np.empty((n, keys.size), dtype=np.int64)
+    for j in range(n - 1, 0, -1):
+        keys, digits[j] = np.divmod(keys, radix)
+    digits[0] = keys
+    return digits
 
 
 # ---------------------------------------------------------------------------

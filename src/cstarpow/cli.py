@@ -39,7 +39,7 @@ from .crossed import (action_from_json, corner_embedding, corner_projection,
 from .errors import BudgetError, VerificationError
 from .groups import trivial_subgroup, young_subgroup
 from .induction import commutant_restriction, fixed_point_unitary, induce
-from .linalg import DEFAULT_TOL, Draws, op_norm
+from .linalg import DEFAULT_TOL, Draws, largest_op_norm
 from .structure import commutant_dimension
 
 EXIT_OK = 0
@@ -260,11 +260,11 @@ def cmd_crossed(args, cfg: RunConfig) -> tuple[int, dict]:
     if pair is not None:
         pu = group_average_projection(pair)
         shape = (args.samples, fixed.shape[0])
-        for x in (rng.standard_normal(shape)
-                  + 1j * rng.standard_normal(shape)) @ fixed:
-            ix = corner_embedding(action, x, tol=cfg.tol)
-            err = op_norm(integrated_form(pair, ix) - pair.apply(x) @ pu)
-            sample_worst = max(sample_worst, err)
+        xs = (rng.standard_normal(shape)
+              + 1j * rng.standard_normal(shape)) @ fixed
+        sample_worst = largest_op_norm(
+            integrated_form(pair, corner_embedding(action, x, tol=cfg.tol))
+            - pair.apply(x) @ pu for x in xs)
     payload = {
         "group_order": action.group.order,
         "algebra_dim": action.algebra.dim,

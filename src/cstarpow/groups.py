@@ -100,9 +100,14 @@ def group_from_json(obj) -> FiniteGroup:
             raise ValueError('"symmetric" must be an integer')
         return symmetric_group(obj["symmetric"])
     if "table" in obj:
-        group = FiniteGroup(obj["table"])
-        if "inv" in obj and not np.array_equal(
-                np.asarray(obj["inv"], dtype=np.int64), group.inv):
+        try:  # null or non-numeric entries
+            table = np.asarray(obj["table"], dtype=np.int64)
+            inv = np.asarray(obj.get("inv", []), dtype=np.int64)
+        except TypeError as exc:
+            raise ValueError("group table and inverse list must hold "
+                             "integers") from exc
+        group = FiniteGroup(table)
+        if "inv" in obj and not np.array_equal(inv, group.inv):
             raise ValueError("inverse list does not match the table")
         return group
     raise ValueError('group description needs "symmetric" or "table"')

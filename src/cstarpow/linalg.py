@@ -90,6 +90,26 @@ def op_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+# Relative margin of the Frobenius screen of ``largest_op_norm``, far above
+# the round-off of an SVD or a norm, so that a matrix it skips cannot have
+# raised the computed maximum.
+SCREEN_MARGIN = 1e-8
+
+
+def largest_op_norm(mats, floor: float = 0.0) -> float:
+    """``max(floor, max(op_norm(m) for m in mats))``, bit for bit, with an
+    SVD only for a matrix that can raise the running maximum: the operator
+    norm is at most the Frobenius norm, so a matrix whose Frobenius norm
+    times ``1 + SCREEN_MARGIN`` is at most the maximum so far is skipped.
+    ``mats`` may be any iterable, such as a generator of residuals."""
+    best = floor
+    for m in mats:
+        # written so that a NaN norm takes the SVD, as without the screen
+        if not np.linalg.norm(m) * (1 + SCREEN_MARGIN) <= best:
+            best = max(best, op_norm(m))
+    return best
+
+
 def nullspace(m, tol: float = DEFAULT_TOL,
               scale: float | None = None) -> np.ndarray:
     """Orthonormal basis, as columns, of the numerical kernel of m.

@@ -7,10 +7,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cstarpow
-from cstarpow import classify, cli
+from cstarpow import classify, cli, linalg
 from cstarpow.algebra import FdCStarAlgebra
 from cstarpow.cli import main
 from cstarpow.errors import DegenerateDrawError
@@ -366,6 +367,39 @@ def test_verify_suite_deterministic(capsys):
     assert out1 == out2
 
 
+def _count_svds(monkeypatch):
+    """Calls of op_norm, in every loaded cstarpow module that holds it."""
+    calls, op_norm = [], linalg.op_norm
+
+    def counted(m):
+        calls.append(1)
+        return op_norm(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cstarpow") and \
+                getattr(module, "op_norm", None) is op_norm:
+            monkeypatch.setattr(module, "op_norm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, fewer", [
+    (["verify", "crossed"], 10),
+    (["crossed", "--blocks", "1,1", "--n", "5", "--samples", "200"], 10),
+    (["crossed", "--blocks", "2", "--n", "3", "--samples", "30"], 1),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_crossed_maxima_skip_svds_without_changing(capsys, monkeypatch, argv,
+                                                   fewer):
+    calls = _count_svds(monkeypatch)
+    screened = run_json(capsys, *argv, "--seed", "0")
+    svds = len(calls)
+    # a NaN margin screens nothing, since every comparison with it fails:
+    # one SVD per residual, as without the screen
+    monkeypatch.setattr(linalg, "SCREEN_MARGIN", float("nan"))
+    assert run_json(capsys, *argv, "--seed", "0") == screened
+    assert screened[0] == 0
+    assert svds * fewer < len(calls) - svds
+
+
 def test_power_map_jobs_never_build_an_ambient_matrix(capsys, monkeypatch):
     def refuse(self, coeffs):
         raise AssertionError("embed called")
@@ -513,6 +547,12 @@ MALFORMED_ACTIONS = [
     {"maps": [1], "blocks": [2], "group": {"symmetric": 2}},
     {"maps": [[[[]]]], "blocks": [1], "group": {"symmetric": 1}},
     {"maps": [], "blocks": [1], "group": {"symmetric": None}},
+    # null entries in a group table or its inverse list
+    {"maps": [], "blocks": [1], "group": {"table": [[0, None], [1, 0]]}},
+    {"maps": [], "blocks": [1],
+     "group": {"table": [[0, 1], [1, 0]], "inv": [0, None]}},
+    {"maps": [], "blocks": [1], "group": {"table": [[0, 1], [1, 0]],
+                                          "inv": None}},
 ]
 
 
@@ -551,3 +591,14 @@ def test_one_row_at_degree_90_lists_one_partition(capsys):
     assert code == 0
     assert [d["lambdas"] for d in payload["descriptors"]] == [[[90]]]
     assert time.perf_counter() - start < 2.0
+
+
+def test_degree_70_ends_in_the_package_s_own_messages(capsys):
+    # ambient 1 passes the budget at every degree; the orbit labels hold no
+    # array of n axes (numpy caps them at 64), and S_70 is past the
+    # symmetric groups the package builds
+    code, payload = run_json(capsys, "sympow", "--blocks", "1", "--n", "70")
+    assert code == 0 and payload["dim_symmetric_power"] == 1
+    code, out, err = run_cli(capsys, "schur-weyl", "--blocks", "1", "--n", "70")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: n must be between 1 and 7"

@@ -491,9 +491,7 @@ def test_convolution_is_associative_unital_and_represented(system, seed):
                       integrated_form(pair, f1) @ integrated_form(pair, f2))
 
 
-@pytest.mark.parametrize("tile", [1, 40, 200])
-@pytest.mark.parametrize("dense", [False, True])
-def test_tiled_kernels_match_oracles(tile, dense, monkeypatch):
+def _tiled_system(tile, dense, monkeypatch):
     # (C+C+M_2)^{(x)3} has blocks of sizes 1, 2, 4 and 8, eight of them
     # 1x1; over S_3 these caps give several tiles per size, and a partial
     # last one for sizes 1 (cap 40) and 2 and 8 (cap 200)
@@ -504,6 +502,13 @@ def test_tiled_kernels_match_oracles(tile, dense, monkeypatch):
         action = GroupAction(action.group, action.algebra, dense_maps=[
             action.matrix(g) for g in range(action.group.order)])
         pair = CovariantPair(action, pair.pi, pair.unitary)
+    return action, pair
+
+
+@pytest.mark.parametrize("tile", [1, 40, 200])
+@pytest.mark.parametrize("dense", [False, True])
+def test_tiled_kernels_match_oracles(tile, dense, monkeypatch):
+    action, pair = _tiled_system(tile, dense, monkeypatch)
     rng = np.random.default_rng(tile)
     f1, f2 = random_crossed(action, rng), random_crossed(action, rng)
     assert _close(convolve(f1, f2).values,
@@ -512,6 +517,46 @@ def test_tiled_kernels_match_oracles(tile, dense, monkeypatch):
     assert _close(integrated_form(pair, f1),
                   naive_integrated_form(pair.pi, pair.unitary.matrices,
                                         f1.values))
+
+
+@pytest.mark.parametrize("tile", [1, 40, 200])
+@pytest.mark.parametrize("dense", [False, True])
+def test_real_operands_convolve_like_the_oracle(tile, dense, monkeypatch):
+    # real operands of a permutation action run the kernel on float views;
+    # a complex operand, or a dense action, keeps the complex kernel
+    action, _ = _tiled_system(tile, dense, monkeypatch)
+    rng = np.random.default_rng(tile)
+    p, mixed = corner_projection(action), random_crossed(action, rng)
+    real = CrossedElement(action, mixed.values.imag)
+    for f1, f2 in [(p, p), (p, real), (real, p), (real, mixed),
+                   (mixed, real)]:
+        got = convolve(f1, f2).values
+        assert _close(got, naive_convolution(action, f1.values, f2.values))
+        if f1 is not mixed and f2 is not mixed:
+            assert not np.any(got.imag)
+
+
+def test_real_convolution_makes_no_real_copy(monkeypatch):
+    # S_5 on M_2^{(x)5}: the operands are 120 x 1024 coefficients, whose real
+    # parts would take half an element each; the kernel reads them through
+    # float views.  At one group element per tile the buffers are small, so
+    # the result is the only large allocation; at the default tile the
+    # float buffers of two tiles (three of values, two of indices, eight
+    # bytes an entry) fit where the complex ones did not.
+    action = tensor_permutation_action(make_algebra([2]), 5)
+    p = corner_projection(action)
+    element = action.group.order * action.algebra.dim * 16
+    for tile, room in [(action.algebra.dim, element // 4),
+                       (crossed._CONVOLVE_TILE, 2 * 5 * 8 * crossed._CONVOLVE_TILE)]:
+        monkeypatch.setattr(crossed, "_CONVOLVE_TILE", tile)
+        tracemalloc.start()
+        try:
+            out = convolve(p, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _close(out.values, p.values)
+        assert peak <= element + room
 
 
 def test_corner_kernels_hold_at_most_two_elements():

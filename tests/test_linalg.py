@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstarpow.algebra import make_algebra
-from cstarpow.linalg import (Draws, direct_sum, eig_hermitian, nullspace,
-                             op_norm, orthonormal_columns)
+from cstarpow import linalg
+from cstarpow.linalg import (Draws, direct_sum, eig_hermitian,
+                             largest_op_norm, nullspace, op_norm,
+                             orthonormal_columns)
 from oracles import (is_projection, naive_kron, naive_nullspace_dim,
                      scipy_null_space)
 
@@ -41,6 +43,62 @@ def test_op_norm_against_eigensolver_oracle(rng):
     m = random_complex(rng, 4, 4)
     top = np.max(np.linalg.eigvalsh(m.conj().T @ m))
     assert np.isclose(op_norm(m) ** 2, top)
+
+
+def _svd_counter(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return op_norm(m)
+
+    monkeypatch.setattr(linalg, "op_norm", counted)
+    return calls
+
+
+def _residual_stacks():
+    # sparse round-off, as left by the corner checks, and dense noise at
+    # mixed scales
+    rng = np.random.default_rng(7)
+    sparse = np.where(rng.random((60, 9, 9)) < 0.1,
+                      rng.standard_normal((60, 9, 9)) * 1e-16, 0.0)
+    dense = random_complex(rng, 60 * 5, 5).reshape(60, 5, 5) \
+        * np.logspace(-3, 3, 60)[:, None, None]
+    return [sparse, sparse + 1j * sparse[::-1], dense, dense[::-1]]
+
+
+def _rank_one_stack():
+    # operator and Frobenius norms coincide, and the norms grow by a few
+    # ulps from one matrix to the next, so only the margin separates them
+    rng = np.random.default_rng(11)
+    out = []
+    for j in range(40):
+        u, v = random_complex(rng, 6, 1), random_complex(rng, 1, 4)
+        m = u @ v
+        out.append(m / np.linalg.norm(m) * (1 + j * 2.2e-16))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("mats", _residual_stacks() + [
+    _rank_one_stack(), _rank_one_stack()[::-1], np.zeros((5, 3, 3))])
+def test_largest_op_norm_is_the_maximum_bit_for_bit(mats):
+    want = max(op_norm(m) for m in mats)
+    assert largest_op_norm(mats) == want
+    assert largest_op_norm(iter(mats)) == want
+    assert largest_op_norm(mats, floor=want) == want
+    assert largest_op_norm(mats, floor=want / 2) == want
+
+
+def test_largest_op_norm_skips_what_cannot_raise_the_maximum(monkeypatch):
+    calls = _svd_counter(monkeypatch)
+    mats = _residual_stacks()[0]
+    top = max(np.linalg.norm(m) for m in mats)
+    assert largest_op_norm(mats, floor=2 * top) == 2 * top
+    assert largest_op_norm([], floor=0.5) == 0.5
+    assert not calls
+    assert largest_op_norm(np.zeros((4, 2, 2))) == 0.0 and not calls
+    assert largest_op_norm(mats) == max(op_norm(m) for m in mats)
+    assert 0 < len(calls) < len(mats) / 2
 
 
 def test_op_norm_submultiplicative(rng):
