@@ -599,6 +599,7 @@ def test_degree_70_ends_in_the_package_s_own_messages(capsys):
     # symmetric groups the package builds
     code, payload = run_json(capsys, "sympow", "--blocks", "1", "--n", "70")
     assert code == 0 and payload["dim_symmetric_power"] == 1
-    code, out, err = run_cli(capsys, "schur-weyl", "--blocks", "1", "--n", "70")
+    code, out, err = run_cli(capsys, "schur-weyl", "--blocks", "1",
+                             "--n", "70")
     assert code == 2 and out == ""
     assert err.strip() == "error: n must be between 1 and 7"

@@ -546,8 +546,9 @@ def test_real_convolution_makes_no_real_copy(monkeypatch):
     action = tensor_permutation_action(make_algebra([2]), 5)
     p = corner_projection(action)
     element = action.group.order * action.algebra.dim * 16
+    default = crossed._CONVOLVE_TILE
     for tile, room in [(action.algebra.dim, element // 4),
-                       (crossed._CONVOLVE_TILE, 2 * 5 * 8 * crossed._CONVOLVE_TILE)]:
+                       (default, 2 * 5 * 8 * default)]:
         monkeypatch.setattr(crossed, "_CONVOLVE_TILE", tile)
         tracemalloc.start()
         try:
