@@ -184,6 +184,28 @@ def tensor_power(a: FdCStarAlgebra, n: int) -> FdCStarAlgebra:
     return out
 
 
+def radix_digits(keys, dims) -> np.ndarray:
+    """``np.stack(np.unravel_index(keys, dims))`` for flat keys of a tensor
+    product basis, first factor most significant, without an array of
+    len(dims) axes, which numpy caps at 64."""
+    digits = np.empty((len(dims), keys.size), dtype=np.int64)
+    for j in range(len(dims) - 1, 0, -1):
+        keys, digits[j] = np.divmod(keys, dims[j])
+    digits[0] = keys
+    return digits
+
+
+def radix_pack(digits, dims) -> np.ndarray:
+    """The keys of digit rows, row t for factor t, the inverse of
+    ``radix_digits`` by Horner's rule; the identity matrix packs to the
+    place value of each factor."""
+    keys = np.zeros(np.shape(digits)[1:], dtype=np.int64)
+    for row, k in zip(digits, dims):
+        keys *= k
+        keys += row
+    return keys
+
+
 # ---------------------------------------------------------------------------
 # power maps on tensor powers
 
@@ -256,27 +278,13 @@ def symmetric_power_basis(a: FdCStarAlgebra, n: int) -> SymmetricPowerBasis:
     if total * n > MAX_DENSE_ENTRIES:
         raise BudgetError(f"symmetric power basis needs {total}x{n} digits")
     power = tensor_power(a, n)
-    digits = _radix_digits(np.arange(total), a.dim, n)
+    dims = (a.dim,) * n
+    digits = radix_digits(np.arange(total), dims)
     digits.sort(axis=0)
-    keys = digits[0]  # Horner's rule, in place
-    for row in digits[1:]:
-        keys *= a.dim
-        keys += row
-    keys, orbit = np.unique(keys, return_inverse=True)
-    index = _radix_digits(keys, a.dim, n).T
+    keys, orbit = np.unique(radix_pack(digits, dims), return_inverse=True)
+    index = radix_digits(keys, dims).T
     return SymmetricPowerBasis(a, power, n, tuple(map(tuple, index.tolist())),
                                orbit.reshape(-1))
-
-
-def _radix_digits(keys, radix: int, n: int) -> np.ndarray:
-    """The n digits of each key in the radix, most significant first, as an
-    (n, len(keys)) array: ``np.unravel_index`` on the shape (radix,) * n,
-    without an array of n axes, which numpy caps at 64."""
-    digits = np.empty((n, keys.size), dtype=np.int64)
-    for j in range(n - 1, 0, -1):
-        keys, digits[j] = np.divmod(keys, radix)
-    digits[0] = keys
-    return digits
 
 
 # ---------------------------------------------------------------------------

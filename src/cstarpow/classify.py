@@ -30,13 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (MAX_DENSE_ENTRIES, FdCStarAlgebra, SymmetricPowerBasis,
-                      make_algebra, symmetric_power_basis,
+                      make_algebra, radix_pack, symmetric_power_basis,
                       symmetric_power_count, tensor_algebra)
 from .crossed import GroupAction
 from .errors import BudgetError, VerificationError
-from .groups import (ProjectiveRep, Subgroup, check_partition,
-                     factor_permutation_index, partitions, sn_irrep,
-                     ssyt_count)
+from .groups import (ProjectiveRep, Subgroup, adjacent_transposition_matrices,
+                     check_partition, factor_permutation_index, partitions,
+                     ssyt_count, syt_dimension)
 from .linalg import DEFAULT_TOL, Draws, op_norm, orthonormal_columns
 from .structure import (SpannedAlgebra, commutant_dimension, equivalent,
                         intertwiner_space, label_span,
@@ -162,24 +162,23 @@ def _young_mean(algebra: FdCStarAlgebra, desc: IrrepDescriptor, beta):
     the mean over H is sum_k q_k (q_k + 1) / 2 applications of some R(tau),
     each a row permutation (one ``factor_permutation_index`` covers all the
     transpositions, which are their own inverses) and a d_k x d_k product on
-    one multiplicity factor.
+    one multiplicity factor by a matrix built from the irrep's generators.
     """
     dims = [algebra.blocks[b] for b in beta]
-    ureps = [sn_irrep(lam) for lam in desc.lambdas]
     levels, perms, mats = [], [], []
     offset = 0
-    for k, (qk, rep) in enumerate(zip(desc.q, ureps)):
+    for k, (qk, lam) in enumerate(zip(desc.q, desc.lambdas)):
+        gens = adjacent_transposition_matrices(lam)
         for q in range(2, qk + 1):
             levels.append((k, q, len(perms)))
-            for i in (offset + np.arange(q - 1)).tolist():
+            for i, tau in enumerate(_transpositions_to_last(gens, q)):
                 p = np.arange(len(beta))
-                p[[i, offset + q - 1]] = offset + q - 1, i
-                local = (p[offset:offset + qk] - offset).tolist()
-                mats.append(np.conj(rep.mat(rep.group.perms.index(tuple(local)))))
+                p[[offset + i, offset + q - 1]] = offset + q - 1, offset + i
+                mats.append(np.conj(tau))
                 perms.append(p)
         offset += qk
     dest = factor_permutation_index(dims, perms)
-    shape = (math.prod(dims), *(u.dim for u in ureps))
+    shape = (math.prod(dims), *map(syt_dimension, desc.lambdas))
 
     def mean(x):
         for k, q, first in levels:
@@ -193,6 +192,16 @@ def _young_mean(algebra: FdCStarAlgebra, desc: IrrepDescriptor, beta):
         return x
 
     return mean, shape
+
+
+def _transpositions_to_last(gens, q: int) -> list:
+    """The matrices of (i q-1), i = 0..q-2, from those of the generators
+    s_i = (i i+1) (Coxeter & Moser, Generators and Relations for Discrete
+    Groups, 1957): (q-2 q-1) = s_(q-2) and (i q-1) = s_i (i+1 q-1) s_i."""
+    taus = [gens[q - 2]]
+    for i in range(q - 3, -1, -1):
+        taus.append(gens[i] @ taus[-1] @ gens[i])
+    return taus[::-1]
 
 
 def _young_fixed_vectors(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
@@ -224,11 +233,26 @@ def _young_fixed_vectors(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
 
 
 def _check_image_budget(algebra: FdCStarAlgebra, desc: IrrepDescriptor):
-    """Refuse an image stack over MAX_DENSE_ENTRIES, counting orbit sums."""
-    count = symmetric_power_count(algebra.dim, desc.degree)
-    if count * desc.dim ** 2 > MAX_DENSE_ENTRIES:
-        raise BudgetError(f"images of {count} orbit sums on dimension "
-                          f"{desc.dim} are too large")
+    """Refuse, before any tableau or basis is built, a realization with an
+    array over MAX_DENSE_ENTRIES: the dim x dim image of each orbit sum; the
+    Young mean's transpositions, as permutations of n factors and as index
+    rows on the N-dimensional carrier; Young's q_k - 1 generators of side
+    f_k; and the N^2 d entry labels, d the product of the f_k (dim d <= N,
+    so they also bound the range finder's N d (dim + 4) entries, within 5x)."""
+    n, count = desc.degree, symmetric_power_count(algebra.dim, desc.degree)
+    carrier = math.prod(algebra.blocks[b] ** qk
+                        for b, qk in zip(desc.blocks, desc.q))
+    fs = [syt_dimension(lam) for lam in desc.lambdas]
+    d, rows = math.prod(fs), sum(math.comb(qk, 2) for qk in desc.q)
+    for what, entries in (
+            (f"images of {count} orbit sums on dimension {desc.dim}",
+             count * desc.dim ** 2),
+            (f"{rows} transpositions of {n} factors", rows * max(n, carrier)),
+            ("Young generators", sum((qk - 1) * f * f
+                                     for qk, f in zip(desc.q, fs))),
+            (f"{carrier}^2 x {d} entry labels", carrier ** 2 * d)):
+        if entries > MAX_DENSE_ENTRIES:
+            raise BudgetError(f"{what} are too large")
 
 
 def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
@@ -246,8 +270,7 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     summed by batched products in chunks of at most ``_IMAGE_CHUNK``
     entries, counting the gathered rows and the outputs.  The rank of w
     must equal the descriptor dimension; distinct descriptors yield
-    inequivalent irreducibles.  The image stack, one dim x dim image per
-    orbit sum, is checked against MAX_DENSE_ENTRIES before any work.
+    inequivalent irreducibles.  ``_check_image_budget`` runs first.
     """
     if desc.degree != n:
         raise ValueError("descriptor degree does not match n")
@@ -261,7 +284,7 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     # the product pair's entries: the units of the power block beta, each 1
     # at its local (row, col), in unit order, tensored with I on C^d_mult
     units = sym.power.block_units[
-        np.ravel_multi_index(beta, (len(algebra.blocks),) * n)]
+        int(radix_pack(beta, (len(algebra.blocks),) * n))]
     by_unit = np.argsort(units, axis=None)
     row, col = np.divmod(by_unit, len(units))
     span = np.arange(d_mult)

@@ -28,8 +28,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import acceptance
-from .algebra import (algebra_from_json, make_algebra, symmetric_power_basis,
-                      symmetric_power_count)
+from .algebra import (MAX_DENSE_ENTRIES, algebra_from_json, make_algebra,
+                      symmetric_power_basis, symmetric_power_count)
 from .classify import (direct_sum_of_power_maps, enumerate_sn_irreps,
                        homogeneous_components, schur_weyl_family,
                        schur_weyl_injectivity_check, wedderburn_comparison)
@@ -252,6 +252,9 @@ def cmd_crossed(args, cfg: RunConfig) -> tuple[int, dict]:
     action = _load_action(args, cfg)
     rng = Draws(cfg.seed)
     pair = spatial_pair(action, check=False) if hasattr(action, "base") else None
+    dim = action.algebra.dim
+    if pair is not None and args.samples * dim > MAX_DENSE_ENTRIES:
+        raise BudgetError(f"{args.samples} samples of dimension {dim}")
     p = corner_projection(action)
     p_residual = _max_deviation(convolve(p, p).values, p.values)
     star_residual = _max_deviation(involution(p).values, p.values)

@@ -17,6 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .algebra import radix_digits, radix_pack
 from .errors import BudgetError, VerificationError
 from .linalg import DEFAULT_TOL, Draws, op_norm
 
@@ -70,16 +71,19 @@ class FiniteGroup:
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> FiniteGroup:
     """The symmetric group on n points, elements in lexicographic order."""
-    if not 1 <= n <= MAX_SYMMETRIC_N:
-        raise ValueError(f"n must be between 1 and {MAX_SYMMETRIC_N}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > MAX_SYMMETRIC_N:
+        raise BudgetError(f"the table of S_{n} has ({n}!)^2 entries; the "
+                          f"largest built is S_{MAX_SYMMETRIC_N}")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     order = perms.shape[0]
-    radix = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = perms @ radix  # ascending, since perms are in lex order
+    place = radix_pack(np.eye(n, dtype=np.int64), (n,) * n)
+    keys = perms @ place  # ascending, since perms are in lex order
     mult = np.empty((order, order), dtype=np.int64)
     for a in range(order):
         comp = perms[a][perms]  # comp[b, i] = pa[pb[i]]
-        mult[a] = np.searchsorted(keys, comp @ radix)
+        mult[a] = np.searchsorted(keys, comp @ place)
     return FiniteGroup(mult, perms=perms, check=False)
 
 
@@ -100,10 +104,10 @@ def group_from_json(obj) -> FiniteGroup:
             raise ValueError('"symmetric" must be an integer')
         return symmetric_group(obj["symmetric"])
     if "table" in obj:
-        try:  # null or non-numeric entries
+        try:  # null, non-numeric or out-of-range entries
             table = np.asarray(obj["table"], dtype=np.int64)
             inv = np.asarray(obj.get("inv", []), dtype=np.int64)
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError("group table and inverse list must hold "
                              "integers") from exc
         group = FiniteGroup(table)
@@ -188,12 +192,9 @@ def young_subgroup(q, ambient: FiniteGroup | None = None) -> Subgroup:
     group = ambient if ambient is not None else symmetric_group(n)
     if group.perms is None or len(group.perms[0]) != n:
         raise ValueError("ambient group is not a symmetric group on sum(q) points")
-    blk = []
-    for b, size in enumerate(q):
-        blk.extend([b] * size)
-    members = [g for g, p in enumerate(group.perms)
-               if all(blk[p[x]] == blk[x] for x in range(n))]
-    return Subgroup(group, members)
+    blk = np.repeat(np.arange(len(q)), q)  # the block of each point
+    return Subgroup(group, np.flatnonzero(
+        (blk[np.array(group.perms)] == blk).all(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +235,8 @@ def hook_lengths(parts) -> list[list[int]]:
 
 def syt_dimension(parts) -> int:
     """Number of standard tableaux of the given shape (hook length formula)."""
-    parts = check_partition(parts)
-    n = sum(parts)
-    denom = 1
-    for row in hook_lengths(parts):
-        for h in row:
-            denom *= h
-    return math.factorial(n) // denom
+    return math.factorial(sum(check_partition(parts))) // math.prod(
+        h for row in hook_lengths(parts) for h in row)
 
 
 def standard_tableaux(parts) -> list[tuple[tuple[int, ...], ...]]:
@@ -255,13 +251,10 @@ def standard_tableaux(parts) -> list[tuple[tuple[int, ...], ...]]:
             return
         for r in range(len(parts)):
             c = len(shape_fill[r])
-            if c >= parts[r]:
-                continue
-            if r > 0 and len(shape_fill[r - 1]) <= c:
-                continue
-            shape_fill[r].append(value)
-            yield from build(shape_fill, value + 1)
-            shape_fill[r].pop()
+            if c < parts[r] and (r == 0 or len(shape_fill[r - 1]) > c):
+                shape_fill[r].append(value)
+                yield from build(shape_fill, value + 1)
+                shape_fill[r].pop()
 
     return list(build([[] for _ in parts], 1))
 
@@ -275,11 +268,9 @@ def ssyt_count(parts, k: int) -> int:
     parts = check_partition(parts)
     if k < 0:
         raise ValueError("k must be non-negative")
-    hooks = hook_lengths(parts)
-    out = Fraction(1)
-    for i in range(len(parts)):
-        for j in range(parts[i]):
-            out *= Fraction(k + j - i, hooks[i][j])
+    out = math.prod(Fraction(k + j - i, h)
+                    for i, row in enumerate(hook_lengths(parts))
+                    for j, h in enumerate(row))
     if out.denominator != 1:
         raise VerificationError("hook content product is not an integer")
     return int(out)
@@ -436,35 +427,28 @@ class ProjectiveRep:
         return float(np.max(np.abs(lhs - rhs)))
 
 
-def _adjacent_transposition_matrices(parts):
+def adjacent_transposition_matrices(parts):
     """Young's orthogonal form matrices for the adjacent transpositions.
 
-    Entry i (0-based) swaps the tableau values i+1 and i+2.
+    Entry i (0-based), the point swap (i i+1), swaps the tableau values i+1
+    and i+2: 1/a on the diagonal for their axial distance a, and, where
+    |a| > 1, sqrt(1 - 1/a^2) into the tableau with the two swapped.
     """
     parts = check_partition(parts)
-    n = sum(parts)
     tableaux = standard_tableaux(parts)
     index = {t: i for i, t in enumerate(tableaux)}
-    pos = []
-    for t in tableaux:
-        where = {}
-        for r, row in enumerate(t):
-            for c, v in enumerate(row):
-                where[v] = (r, c)
-        pos.append(where)
-    d = len(tableaux)
+    content = np.zeros((len(tableaux), sum(parts) + 1), dtype=np.int64)
+    for t, tab in enumerate(tableaux):
+        for r, row in enumerate(tab):
+            content[t, list(row)] = np.arange(len(row)) - r
     gens = []
-    for i in range(1, n):
-        m = np.zeros((d, d), dtype=complex)
-        for t_idx, t in enumerate(tableaux):
-            r1, c1 = pos[t_idx][i]
-            r2, c2 = pos[t_idx][i + 1]
-            dist = (c2 - r2) - (c1 - r1)
-            m[t_idx, t_idx] = 1.0 / dist
-            if r1 != r2 and c1 != c2:
-                swapped = tuple(tuple(i + 1 if v == i else i if v == i + 1 else v
-                                      for v in row) for row in t)
-                m[index[swapped], t_idx] = math.sqrt(1.0 - 1.0 / dist ** 2)
+    for i in range(1, sum(parts)):
+        dist = content[:, i + 1] - content[:, i]
+        m = np.diag(1.0 / dist).astype(complex)
+        for t in np.flatnonzero(abs(dist) > 1):
+            swapped = tuple(tuple(i + 1 if v == i else i if v == i + 1 else v
+                                  for v in row) for row in tableaux[t])
+            m[index[swapped], t] = math.sqrt(1.0 - 1.0 / dist[t] ** 2)
         gens.append(m)
     return gens
 
@@ -474,32 +458,21 @@ def sn_irrep(parts) -> UnitaryRep:
     """Irreducible representation of S_n labelled by a partition of n.
 
     Built in Young's orthogonal form, so the matrices are real orthogonal.
+    Sorting p by swaps of adjacent positions j, j+1 writes it as a product
+    of the s_j = (j j+1), and its matrix is the product of theirs.
     """
     parts = check_partition(parts)
-    n = sum(parts)
-    group = symmetric_group(n)
-    gens = _adjacent_transposition_matrices(parts)
-    d = gens[0].shape[0] if gens else 1
-    gen_idx = []
-    for j in range(n - 1):
-        p = list(range(n))
-        p[j], p[j + 1] = p[j + 1], p[j]
-        gen_idx.append(group.perms.index(tuple(p)))
-    mats = np.zeros((group.order, d, d), dtype=complex)
-    mats[group.identity] = np.eye(d)
-    seen = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for j, s in enumerate(gen_idx):
-                h = group.multiply(g, s)
-                if h not in seen:
-                    # value-level swap of j+1, j+2 realizes the point swap (j, j+1)
-                    mats[h] = mats[g] @ gens[j]
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
+    group = symmetric_group(sum(parts))
+    gens = adjacent_transposition_matrices(parts)
+    d = syt_dimension(parts)
+    mats = np.empty((group.order, d, d), dtype=complex)
+    for g, p in enumerate(group.perms):
+        p, mats[g] = list(p), np.eye(d)
+        for i in range(len(p) - 1, 0, -1):
+            for j in range(i):
+                if p[j] > p[j + 1]:  # p is (p with j, j+1 swapped) s_j
+                    p[j], p[j + 1] = p[j + 1], p[j]
+                    mats[g] = gens[j] @ mats[g]
     rep = UnitaryRep(group, mats, check=False)
     rep.matrices.flags.writeable = False
     return rep
@@ -531,16 +504,9 @@ def factor_permutation_index(dims, perms) -> np.ndarray:
     if not np.array_equal(np.array(dims)[perms],
                           np.broadcast_to(dims, perms.shape)):
         raise ValueError("permutation does not preserve factor dimensions")
-    radix = np.ones(n, dtype=np.int64)
-    for t in range(n - 2, -1, -1):
-        radix[t] = radix[t + 1] * dims[t + 1]
-    digits = np.empty((n, total), dtype=np.int64)
-    r = np.arange(total)
-    for t in range(n - 1, -1, -1):
-        digits[t] = r % dims[t]
-        r = r // dims[t]
+    place = radix_pack(np.eye(n, dtype=np.int64), dims)
     # digit t of a basis vector becomes digit p[t] of its image
-    return radix[perms] @ digits
+    return place[perms] @ radix_digits(np.arange(total), dims)
 
 
 def permutation_rep(n: int, d: int) -> UnitaryRep:

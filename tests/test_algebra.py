@@ -9,8 +9,8 @@ from cstarpow import algebra
 from cstarpow.algebra import (FdCStarAlgebra, Representation,
                               algebra_from_json, generated_star_algebra,
                               make_algebra, power_map,
-                              power_map_differential,
-                              square_map_multiplicativity,
+                              power_map_differential, radix_digits,
+                              radix_pack, square_map_multiplicativity,
                               symmetric_power_basis, tensor_algebra,
                               tensor_power)
 from cstarpow.crossed import tensor_permutation_action
@@ -53,6 +53,26 @@ def test_tensor_power_dims(m2, c2):
     assert tensor_power(m2, 2).blocks == (4,)
     assert tensor_power(c2, 3).blocks == (1,) * 8
     assert tensor_power(make_algebra([2, 1]), 2).dim == 25
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+def test_radix_index_matches_numpy(dims):
+    keys = np.arange(math.prod(dims))
+    digits = radix_digits(keys, dims)
+    assert np.array_equal(digits, np.unravel_index(keys, dims))
+    assert np.array_equal(radix_pack(digits, dims), keys)
+    # packing the identity gives the place values
+    assert radix_pack(np.eye(len(dims), dtype=np.int64), dims).tolist() == [
+        math.prod(dims[t + 1:]) for t in range(len(dims))]
+
+
+def test_radix_index_past_numpy_s_64_axes():
+    dims = (1, 2) * 40
+    keys = np.array([0, 1, 2 ** 40 - 1, 12345])
+    digits = radix_digits(keys, dims)
+    assert digits.shape == (80, 4) and not digits[0::2].any()
+    assert np.array_equal(radix_pack(digits, dims), keys)
 
 
 def test_tensor_algebra_multiplication_is_kron(m2, rng):

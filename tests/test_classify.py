@@ -9,7 +9,7 @@ from cstarpow.algebra import (Representation, SymmetricPowerBasis,
                               make_algebra, power_map, symmetric_power_basis,
                               tensor_power)
 from cstarpow import classify
-from cstarpow.classify import (_descriptor,
+from cstarpow.classify import (_descriptor, _transpositions_to_last,
                                direct_sum_of_power_maps, enumerate_sn_irreps,
                                homogeneous_components, intertwining_cocycle,
                                isotropy_group, non_schur_weyl_witness,
@@ -18,7 +18,9 @@ from cstarpow.classify import (_descriptor,
                                schur_weyl_rep, wedderburn_comparison)
 from cstarpow.crossed import spatial_pair, tensor_permutation_action
 from cstarpow.errors import BudgetError, VerificationError
-from cstarpow.groups import sn_irrep, symmetric_group
+from cstarpow import groups
+from cstarpow.groups import (adjacent_transposition_matrices, partitions,
+                             sn_irrep, symmetric_group)
 from cstarpow.linalg import op_norm
 from cstarpow.structure import (commutant_dimension, equivalent,
                                 intertwiner_space)
@@ -229,9 +231,6 @@ def test_family_over_the_dense_bound_is_refused_before_the_basis(
 def test_degree_seven_family_builds_no_dense_mean():
     # the mean over S_7 as one (N*d)^2 matrix is 1792 x 1792 for (4, 3)
     algebra = make_algebra([2])
-    symmetric_group(7)
-    for _, lam in schur_weyl_labels(algebra, 7):
-        sn_irrep(lam)
     tracemalloc.start()
     try:
         family = schur_weyl_family(algebra, 7)
@@ -240,6 +239,34 @@ def test_degree_seven_family_builds_no_dense_mean():
         tracemalloc.stop()
     assert [rep.dim for _, _, rep in family] == [8, 6, 4, 2]
     assert peak < 32 * 2 ** 20
+
+
+def test_transpositions_from_generators_match_the_table_irrep():
+    # sn_irrep, built over the table of S_q, is the oracle
+    for size in range(2, 6):
+        perms = symmetric_group(size).perms
+        for lam in partitions(size):
+            rep = sn_irrep(lam)
+            gens = adjacent_transposition_matrices(lam)
+            for q in range(2, size + 1):
+                taus = _transpositions_to_last(gens, q)
+                assert len(taus) == q - 1
+                for i, tau in enumerate(taus):
+                    p = list(range(size))
+                    p[i], p[q - 1] = q - 1, i
+                    assert np.allclose(tau, rep.mat(perms.index(tuple(p))),
+                                       rtol=0, atol=1e-12), (lam, q, i)
+
+
+def test_degree_eight_family_builds_no_group_table(monkeypatch):
+    # S_8 is past the tables the package builds; the Young means need only
+    # the generators, and each realization is irreducible
+    monkeypatch.setattr(groups, "symmetric_group", lambda *args: pytest.fail(
+        "built a symmetric group table"))
+    family = schur_weyl_family(make_algebra([2]), 8)
+    assert [lam for _, lam, _ in family] == partitions(8, 2)
+    assert [rep.dim for _, _, rep in family] == [9, 7, 5, 3, 1]
+    assert all(commutant_dimension(rep.images) == 1 for _, _, rep in family)
 
 
 def test_realize_all_dims_one_for_commutative(c3):

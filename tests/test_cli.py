@@ -547,8 +547,9 @@ MALFORMED_ACTIONS = [
     {"maps": [1], "blocks": [2], "group": {"symmetric": 2}},
     {"maps": [[[[]]]], "blocks": [1], "group": {"symmetric": 1}},
     {"maps": [], "blocks": [1], "group": {"symmetric": None}},
-    # null entries in a group table or its inverse list
+    # null or out-of-range entries in a group table or its inverse list
     {"maps": [], "blocks": [1], "group": {"table": [[0, None], [1, 0]]}},
+    {"maps": [], "blocks": [1], "group": {"table": [[0, 1e300], [1, 0]]}},
     {"maps": [], "blocks": [1],
      "group": {"table": [[0, 1], [1, 0]], "inv": [0, None]}},
     {"maps": [], "blocks": [1], "group": {"table": [[0, 1], [1, 0]],
@@ -594,12 +595,49 @@ def test_one_row_at_degree_90_lists_one_partition(capsys):
 
 
 def test_degree_70_ends_in_the_package_s_own_messages(capsys):
-    # ambient 1 passes the budget at every degree; the orbit labels hold no
-    # array of n axes (numpy caps them at 64), and S_70 is past the
-    # symmetric groups the package builds
+    # ambient 1 passes the budget at every degree; neither the orbit labels
+    # nor the realization holds an array of n axes (numpy caps them at 64),
+    # and the realization builds no table of S_70: S^70(C) is one
+    # 1-dimensional irreducible
     code, payload = run_json(capsys, "sympow", "--blocks", "1", "--n", "70")
     assert code == 0 and payload["dim_symmetric_power"] == 1
-    code, out, err = run_cli(capsys, "schur-weyl", "--blocks", "1",
+    code, payload = run_json(capsys, "schur-weyl", "--blocks", "1",
                              "--n", "70")
-    assert code == 2 and out == ""
-    assert err.strip() == "error: n must be between 1 and 7"
+    assert code == 0
+    assert [(r["dim"], r["commutant_dim"])
+            for r in payload["schur_weyl_irreps"]] == [(1, 1)]
+
+
+def test_degree_2000_is_refused_by_the_realization_pre_flight(
+        capsys, monkeypatch):
+    # the Young mean of S_2000 has C(2000, 2) transpositions of 2000
+    # factors; the pre-flight counts them before any tableau is listed
+    monkeypatch.setattr(classify, "adjacent_transposition_matrices",
+                        lambda *args: pytest.fail("listed tableaux"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "schur-weyl", "--blocks", "1",
+                             "--n", "2000")
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded:")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["crossed", "--blocks", "1", "--n", "8"],
+    ["induce", "--blocks", "1", "--n", "8"],
+    ["crossed", "--blocks", "1,1", "--n", "2", "--samples", "3000000000"],
+], ids=" ".join)
+def test_sizes_past_the_tables_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded:")
+
+
+def test_symmetric_group_past_the_tables_in_a_spec_exits_3(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"maps": [], "blocks": [1], "group": {"symmetric": 8}}))
+    for command in ("crossed", "induce"):
+        code, out, err = run_cli(capsys, command, "--action-spec", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("budget exceeded:")

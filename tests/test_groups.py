@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cstarpow.errors import BudgetError
 from cstarpow.groups import (FiniteGroup, ProjectiveRep, Subgroup, UnitaryRep,
+                             adjacent_transposition_matrices,
                              cyclic_group, factor_permutation_index,
                              hook_lengths, partitions, permutation_rep,
                              sn_irrep, ssyt_count, standard_tableaux,
@@ -34,7 +35,8 @@ def test_symmetric_group_sizes_and_laws():
 def test_symmetric_group_range():
     with pytest.raises(ValueError):
         symmetric_group(0)
-    with pytest.raises(ValueError):
+    # a table past the largest built is a size refusal
+    with pytest.raises(BudgetError, match="S_8"):
         symmetric_group(8)
 
 
@@ -117,6 +119,23 @@ def test_sn_irrep_basics():
         parity = np.linalg.det(np.eye(3)[list(p)])
         assert np.isclose(sign.mat(idx)[0, 0], parity)
     assert sn_irrep((2, 1)).dim == 2
+
+
+def test_generators_satisfy_the_coxeter_relations():
+    # s_i^2 = 1, (s_i s_(i+1))^3 = 1 and (s_i s_j)^2 = 1 for |i - j| >= 2,
+    # which present S_n (Coxeter & Moser, 1957)
+    for n in range(2, 9):
+        for lam in partitions(n):
+            gens = adjacent_transposition_matrices(lam)
+            eye = np.eye(syt_dimension(lam))
+            assert len(gens) == n - 1
+            for i, s in enumerate(gens):
+                for j, t in enumerate(gens[i:], start=i):
+                    # the Coxeter matrix: (s_i s_j)^m = 1
+                    m = {0: 1, 1: 3}.get(j - i, 2)
+                    word = np.linalg.matrix_power(s @ t, m)
+                    assert np.allclose(word, eye, rtol=0, atol=1e-12), \
+                        (lam, i, j)
 
 
 def test_sn_irrep_homomorphism_exhaustive():

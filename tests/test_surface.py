@@ -30,7 +30,8 @@ KEPT = {
     "classify.CocycleData": "ROADMAP item 2, the Mackey machine",
     "groups.ProjectiveRep": "ROADMAP item 2, the Mackey machine",
     "algebra.Representation": "ROADMAP item 3, polynomial representations",
-    "groups.syt_dimension": "ROADMAP item 3, polynomial representations",
+    "groups.sn_irrep": "bench/spans.py FUNCTIONS, the test oracle, ROADMAP "
+                       "item 2",
     "algebra.power_map": "bench/spans.py FUNCTIONS",
     "structure.spanned_algebra": "bench/spans.py FUNCTIONS",
 }
