@@ -56,13 +56,14 @@ class FdCStarAlgebra:
         self.star_index = self._lookup(star_keys)
         if np.any(self.star_index < 0):
             raise ValueError("basis positions are not closed under transpose")
-        # index grid of each block's units, block_units[j][r, c] -> basis index
-        self.block_units = []
-        for j, k in enumerate(self.blocks):
-            idx = np.nonzero(self.block_of == j)[0]
-            grid = np.empty((k, k), dtype=np.int64)
-            grid[self.local[idx, 0], self.local[idx, 1]] = idx
-            self.block_units.append(grid)
+        # block_units[j][r, c] -> basis index, at slot start[j] + r k + c
+        sizes = np.array(self.blocks, dtype=np.int64)
+        start = np.cumsum(sizes ** 2) - sizes ** 2
+        slots = np.empty(self.dim, dtype=np.int64)
+        slots[start[block_of] + local[:, 0] * sizes[block_of]
+              + local[:, 1]] = np.arange(self.dim)
+        self.block_units = [slots[a:a + k * k].reshape(k, k)
+                            for a, k in zip(start, self.blocks)]
         # block_units stacked per block size: x[units] is a stack of blocks
         self._size_groups = [
             np.stack([u for u in self.block_units if len(u) == k])
@@ -307,11 +308,8 @@ def generated_star_algebra(seeds, ambient: int,
     while True:
         current = basis.shape[1]
         mats = basis.T.reshape(current, ambient, ambient)
-        new = [basis]
-        for g in gens:
-            prod = mats @ g
-            new.append(prod.reshape(current, ambient * ambient).T)
-        basis = orthonormal_columns(np.concatenate(new, axis=1), tol)
+        new = [(mats @ g).reshape(current, ambient * ambient).T for g in gens]
+        basis = orthonormal_columns(np.concatenate([basis, *new], axis=1), tol)
         if basis.shape[1] == current:
             break
     return basis.T.reshape(basis.shape[1], ambient, ambient)

@@ -300,11 +300,16 @@ def convolve(f1: CrossedElement, f2: CrossedElement) -> CrossedElement:
         grid = units.reshape(1, 1, -1) if k == 1 else units.transpose(0, 2, 1)
         at = grid * stride  # offsets of the entries in a row of v1 and v2
         step = max(1, _CONVOLVE_TILE // units.size)
+        # one tile's buffers for all tiles; the last, partial one, a prefix
+        ints = np.empty((2, at.size * min(step, order)), dtype=np.int64)
+        vals = np.empty((3, ints.shape[1]), dtype=v2.dtype)
         for lo in range(0, order, step):
             tile = np.arange(lo, min(order, lo + step))
-            target = at[:, None] + (tile * (dim * stride))[:, None, None]
-            idx = np.empty_like(target)
-            moved, prod, acc = np.zeros((3,) + target.shape, dtype=v2.dtype)
+            target, idx, moved, prod, acc = (b[:at.size * tile.size].reshape(
+                len(at), -1, *at.shape[1:]) for b in [*ints, *vals])
+            np.add(at[:, None], (tile * (dim * stride))[:, None, None],
+                   out=target)
+            acc.fill(0)
             for h in range(order):
                 hi = grp.inv[h]
                 rows = grp.mult[hi, tile]  # h^-1 g

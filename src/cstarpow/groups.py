@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -262,18 +261,21 @@ def standard_tableaux(parts) -> list[tuple[tuple[int, ...], ...]]:
 def ssyt_count(parts, k: int) -> int:
     """Number of semistandard tableaux of the given shape with entries <= k.
 
-    Computed by the hook content formula; returns 0 when the shape has more
-    than k rows.
+    Computed by the Weyl dimension formula, a product over the row pairs
+    i < j <= k (pairs of zero rows give 1); 0 with more than k rows.
     """
     parts = check_partition(parts)
     if k < 0:
         raise ValueError("k must be non-negative")
-    out = math.prod(Fraction(k + j - i, h)
-                    for i, row in enumerate(hook_lengths(parts))
-                    for j, h in enumerate(row))
-    if out.denominator != 1:
-        raise VerificationError("hook content product is not an integer")
-    return int(out)
+    if len(parts) > k:
+        return 0
+    lam = parts + (0,) * (k - len(parts))
+    pairs = [(i, j) for i in range(len(parts)) for j in range(i + 1, k)]
+    out, rest = divmod(math.prod(lam[i] - lam[j] + j - i for i, j in pairs),
+                       math.prod(j - i for i, j in pairs))
+    if rest:
+        raise VerificationError("Weyl dimension product is not an integer")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -202,11 +202,8 @@ def _verify_commutant(cands: np.ndarray, blocks, tol: float, rng) -> bool:
     # its coefficient times its own commutator, whatever the family's size
     scale = max(1.0, *(float(np.max(np.abs(f), initial=0.0)) for f in blocks)) \
         * max(1.0, float(np.max(np.abs(cands))))
-    for c in cands:
-        worst = np.max(np.abs(c @ probe - probe @ c))
-        if worst > 100 * tol * scale:
-            return False
-    return True
+    return not any(np.max(np.abs(c @ probe - probe @ c)) > 100 * tol * scale
+                   for c in cands)
 
 
 def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
@@ -415,9 +412,10 @@ class WedderburnReport:
     """Minimal central projections with per-block dimension and multiplicity.
 
     ``blocks[j]`` is (indices, projection), the j-th projection on the
-    ambient indices outside which it vanishes.  ``block_dims[j]`` is the
-    size of the j-th simple summand of the algebra and ``multiplicities[j]``
-    how often its defining representation occurs in the ambient space, so
+    ambient indices outside which it vanishes; projections are read-only,
+    and alike components share one.  ``block_dims[j]`` is the size of the
+    j-th simple summand of the algebra and ``multiplicities[j]`` how often
+    its defining representation occurs in the ambient space, so
     rank(projection) = block_dim * multiplicity and the squared block dims
     sum to the linear dimension of the span.
     """
@@ -472,13 +470,16 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
     its block form a label span of their own: the span is the direct sum of
     the component spans, so its minimal central projections are the union
     of theirs, and the report keeps each on its component's indices.  A
-    dense span is one component.  Per component, generic members x1 and x2
-    are drawn and the eigenvalues of H = (x1 + x1*)/2 clustered; x2 links
-    the clusters of one simple summand, and each linked component of
-    clusters sums to one minimal central projection, whose block dimension
-    is its cluster count (``_projections_from_spectrum``).  Only span
-    members are read, never a description of the algebra.  A draw that
-    fails a check is redrawn, failing after five draws.
+    dense span is one component.  Components with the same local labels are
+    solved once and share their read-only projections: each solve draws
+    from a fresh ``Draws(seed)``, so it depends on the labels alone.  Per
+    component, generic members x1 and x2 are drawn and the eigenvalues of
+    H = (x1 + x1*)/2 clustered; x2 links the clusters of one simple
+    summand, and each linked component of clusters sums to one minimal
+    central projection, whose block dimension is its cluster count
+    (``_projections_from_spectrum``).  Only span members are read, never a
+    description of the algebra.  A draw that fails a check is redrawn,
+    failing after five draws.
     """
     parts = [(np.arange(s.ambient), s)]
     if s.onb is None:
@@ -490,10 +491,13 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
             parts.append((idx, label_span(
                 len(idx), np.searchsorted(members, s.member[labels]),
                 row * len(idx) + col, s.weight[labels])))
-    found = []
+    found, solved = [], {}
     for idx, sub in parts:
-        found += [(d, k, (idx, proj)) for proj, d, k
-                  in _component_projections(sub, seed, tol)]
+        key = sub.onb is None and (sub.ambient, *(
+            a.tobytes() for a in (sub.member, sub.entry, sub.weight)))
+        if key not in solved:
+            solved[key] = _component_projections(sub, seed, tol)
+        found += [(d, k, (idx, proj)) for proj, d, k in solved[key]]
     found.sort(key=lambda f: f[:2])
     return WedderburnReport(s.ambient, [f[2] for f in found],
                             [f[0] for f in found], [f[1] for f in found])
@@ -568,6 +572,7 @@ def _projections_from_spectrum(s: SpannedAlgebra, gram, w, v, x2, probe,
         if np.linalg.norm(proj @ probe - probe @ proj) \
                 > bound * max(1.0, float(np.linalg.norm(probe))):
             raise DegenerateDrawError("linked clusters are not central")
+        proj.flags.writeable = False
         out.append((proj, d, idx.size // d))
     if sum(d * d for _, d, _ in out) != s.dim:
         raise DegenerateDrawError("block dimensions do not add up to the span")

@@ -438,6 +438,35 @@ def central_projections(report):
     return out
 
 
+def every_component_report(s, seed=0, tol=1e-9):
+    """The WedderburnReport of a label span with every support component
+    solved on its own, however many components are alike."""
+    from cstarpow.structure import (WedderburnReport, _component_projections,
+                                    _support_components, label_span)
+    found = []
+    for idx, members, labels in _support_components(s.ambient, s.member,
+                                                    s.entry):
+        row, col = np.searchsorted(idx, np.divmod(s.entry[labels], s.ambient))
+        sub = label_span(len(idx), np.searchsorted(members, s.member[labels]),
+                         row * len(idx) + col, s.weight[labels])
+        found += [(d, k, (idx, proj)) for proj, d, k
+                  in _component_projections(sub, seed, tol)]
+    found.sort(key=lambda f: f[:2])
+    return WedderburnReport(s.ambient, [f[2] for f in found],
+                            [f[0] for f in found], [f[1] for f in found])
+
+
+def block_units_by_loop(alg):
+    """Each block's (k, k) grid of basis indices, one np.nonzero per block."""
+    out = []
+    for j, k in enumerate(alg.blocks):
+        idx = np.nonzero(alg.block_of == j)[0]
+        grid = np.empty((k, k), dtype=np.int64)
+        grid[alg.local[idx, 0], alg.local[idx, 1]] = idx
+        out.append(grid)
+    return out
+
+
 def isotypic_projection(parts, rep):
     """(d / |G|) sum_g conj(chi(g)) rep(g) for a representation of S_n, with
     chi the character of the irreducible of the partition and d = chi(e)."""

@@ -16,10 +16,10 @@ from cstarpow.algebra import (FdCStarAlgebra, Representation,
 from cstarpow.crossed import tensor_permutation_action
 from cstarpow.errors import BudgetError
 from cstarpow.groups import symmetric_group
-from oracles import (embedded_multiply, embedded_norm, make_algebra_arrays,
-                     multiset_permutations, orbit_vectors, random_unitary,
-                     sorted_row_orbit_labels, symmetric_power_orbit_sums,
-                     symmetrize)
+from oracles import (block_units_by_loop, embedded_multiply, embedded_norm,
+                     make_algebra_arrays, multiset_permutations,
+                     orbit_vectors, random_unitary, sorted_row_orbit_labels,
+                     symmetric_power_orbit_sums, symmetrize)
 
 
 def test_make_algebra_shapes(c3, m2, m23):
@@ -53,6 +53,20 @@ def test_tensor_power_dims(m2, c2):
     assert tensor_power(m2, 2).blocks == (4,)
     assert tensor_power(c2, 3).blocks == (1,) * 8
     assert tensor_power(make_algebra([2, 1]), 2).dim == 25
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.integers(1, 3))
+def test_block_units_match_the_loop(blocks, factor, n):
+    # tensor powers list their basis in another order than make_algebra
+    for alg in (make_algebra(blocks), tensor_power(make_algebra(factor), n),
+                tensor_algebra(make_algebra(factor), make_algebra(blocks))):
+        want = block_units_by_loop(alg)
+        assert len(alg.block_units) == len(want)
+        for got, grid in zip(alg.block_units, want):
+            assert got.dtype == grid.dtype and np.array_equal(got, grid)
 
 
 @settings(max_examples=30, deadline=None)

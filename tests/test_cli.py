@@ -411,24 +411,47 @@ def test_power_map_jobs_never_build_an_ambient_matrix(capsys, monkeypatch):
         assert code == 0
 
 
-def test_no_job_imports_numpy_random_or_numpy_ma():
-    # numpy loads both lazily, for ~13 and ~18 ms of a fresh process; the
-    # first use of argparse loads gettext and locale, for ~2 ms more
-    jobs = [*SMALL_JOBS, ["--help"]]
+def _modules_loaded_by_jobs(jobs, names):
+    """Which of the module names each job has loaded, running the jobs in
+    order in one fresh process."""
     script = ("import json, sys\n"
               "from cstarpow.cli import main\n"
               "loaded = {}\n"
               f"for argv in {jobs!r}:\n"
               "    assert main([*argv, '--json']) == 0, argv\n"
               "    loaded[' '.join(argv)] = sorted(\n"
-              "        {'numpy.random', 'numpy.ma', 'argparse', 'gettext',\n"
-              "         'locale'} & set(sys.modules))\n"
+              f"        {set(names)!r} & set(sys.modules))\n"
               "print(json.dumps(loaded))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cstarpow.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    loaded = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_no_job_imports_numpy_random_or_numpy_ma():
+    # numpy loads both lazily, for ~13 and ~18 ms of a fresh process; the
+    # first use of argparse loads gettext and locale, for ~2 ms more
+    jobs = [*SMALL_JOBS, ["--help"]]
+    loaded = _modules_loaded_by_jobs(
+        jobs, ["numpy.random", "numpy.ma", "argparse", "gettext", "locale"])
     assert loaded == {" ".join(argv): [] for argv in jobs}
+
+
+def test_no_job_imports_fractions_or_decimal():
+    # tableau counts are products of integers; fractions loads decimal
+    jobs = [*SMALL_JOBS, ["classify", "--blocks", "2,3", "--n", "4"]]
+    loaded = _modules_loaded_by_jobs(jobs, ["fractions", "decimal"])
+    assert loaded == {" ".join(argv): [] for argv in jobs}
+
+
+def test_classify_at_a_huge_degree_is_quick(capsys):
+    # one tableau count at n = 100000 on a 1x1 block: the Weyl dimension
+    # formula multiplies one factor per pair of rows, none for k = 1
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "classify", "--blocks", "1", "--n",
+                             "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and payload["sum_of_squares"] == 1
 
 
 # command lines for the parser and its argparse reference: every subcommand,

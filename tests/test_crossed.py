@@ -560,6 +560,31 @@ def test_real_convolution_makes_no_real_copy(monkeypatch):
         assert peak <= element + room
 
 
+def test_convolution_holds_one_tile_of_buffers(monkeypatch):
+    # S_5 on M_2^{(x)5} at the default tile: the index buffers (two, eight
+    # bytes an entry) and value buffers (three) are made once and reused by
+    # every tile, so the peak is the result, one tile of buffers and the
+    # few small per-step arrays, here bounded by four of numpy's ufunc
+    # buffers; real operands have float buffers, complex ones complex.  The
+    # results agree with tiles of one group element.
+    action = tensor_permutation_action(make_algebra([2]), 5)
+    p = corner_projection(action)
+    mixed = random_crossed(action, np.random.default_rng(0))
+    element = action.group.order * action.algebra.dim * 16
+    tile, small = crossed._CONVOLVE_TILE, 4 * 8 * np.getbufsize()
+    for f, value_bytes in [(p, 8), (mixed, 16)]:
+        tracemalloc.start()
+        try:
+            out = convolve(f, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= element + (2 * 8 + 3 * value_bytes) * tile + small
+        with monkeypatch.context() as m:
+            m.setattr(crossed, "_CONVOLVE_TILE", action.algebra.dim)
+            assert _close(out.values, convolve(f, f).values)
+
+
 def test_corner_kernels_hold_at_most_two_elements():
     # S_5 on M_2^{(x)5}: an element is 120 x 1024 coefficients; the check
     # of corner_embedding and the gather of involution need no tiled copy

@@ -19,9 +19,10 @@ from cstarpow.structure import (_support_components, commutant,
                                 ergodic_bound_check, intertwiner_space,
                                 minimal_central_projections, spanned_algebra)
 from oracles import (center_dimension, central_projections, compressed_rank,
-                     distance_to_span, isotypic_projection,
-                     naive_commutant_dim, naive_intertwiner_dim,
-                     support_components_bfs, trivial_action)
+                     distance_to_span, every_component_report,
+                     isotypic_projection, naive_commutant_dim,
+                     naive_intertwiner_dim, support_components_bfs,
+                     trivial_action)
 
 
 def test_commutant_of_full_matrix_algebra(m2):
@@ -593,6 +594,43 @@ def test_split_skips_indices_no_member_touches(m2):
     report = minimal_central_projections(spanned_algebra(half))
     assert report.block_dims == [1] and report.multiplicities == [1]
     assert np.allclose(central_projections(report)[0], half[0])
+
+
+def test_alike_components_are_solved_once(monkeypatch):
+    # S^4(C^4) splits into 35 support components, of 5 distinct label spans
+    span = symmetric_power_span(make_algebra([1, 1, 1, 1]), 4)
+    assert len(_components(span)) == 35
+    calls = []
+    solve = structure._component_projections
+    monkeypatch.setattr(structure, "_component_projections",
+                        lambda *a: calls.append(a) or solve(*a))
+    minimal_central_projections(span)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("blocks, n", [([1, 1, 1, 1], 4), ([2, 2, 2], 4),
+                                       ([2, 3], 3)])
+def test_report_equals_solving_every_component(blocks, n):
+    span = symmetric_power_span(make_algebra(blocks), n)
+    report = minimal_central_projections(span, seed=3)
+    want = every_component_report(span, seed=3)
+    assert (report.ambient, report.block_dims, report.multiplicities) == (
+        want.ambient, want.block_dims, want.multiplicities)
+    assert len(report.blocks) == len(want.blocks)
+    for (idx, proj), (want_idx, want_proj) in zip(report.blocks, want.blocks):
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(proj, want_proj)
+
+
+def test_shared_projections_are_read_only():
+    span = symmetric_power_span(make_algebra([1, 1, 1, 1]), 4)
+    report = minimal_central_projections(span)
+    projs = [proj for _, proj in report.blocks]
+    assert len({id(p) for p in projs}) < len(projs)
+    for proj in projs:
+        assert not proj.flags.writeable
+        with pytest.raises(ValueError):
+            proj[0, 0] = 2.0
 
 
 @st.composite
