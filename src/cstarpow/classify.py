@@ -5,15 +5,18 @@ tensor power of a direct sum of matrix blocks are labelled by descriptors:
 a set of distinct blocks, positive multiplicities summing to n, and one
 partition per chosen block bounded in length by the block size.  Each
 descriptor is realized concretely on the fixed vectors of the pair induced
-from the matching Young subgroup.  On the orbit sums, which the symmetric
-group fixes, that pair is copies of the Young product pair, and its fixed
-vectors are the constant functions with Young-fixed values (Frobenius
-reciprocity), so the realization compresses the product pair's entry
-labels to those values and never induces.  The Schur-Weyl representations
-are the descriptors with a single block of multiplicity n, realized by that
-same construction.  Homogeneous components of a multiplicative map are
-recovered by discrete Fourier inversion, with one evaluation of the map per
-root of unity at each point.
+from the matching Young subgroup.  On the fixed-point span that pair is
+copies of the Young product pair, and its fixed vectors are the constant
+functions with Young-fixed values (Frobenius reciprocity), so the
+realization compresses the product pair to those values and never induces.
+It gives the images of the generators dGamma(e_i) of the symmetric power,
+one per basis element of the algebra, not of its orbit-sum basis: they
+generate the same algebra, so they have the same commutants and
+intertwiners.  The Schur-Weyl representations are the descriptors with a
+single block of multiplicity n, realized by that same construction.
+Homogeneous components of a multiplicative map are recovered by discrete
+Fourier inversion, with one evaluation of the map per root of unity at each
+point.
 
 The descriptor dimension is the product of semistandard tableau counts, and
 the multiset of descriptor dimensions must agree with the numerically
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (MAX_DENSE_ENTRIES, FdCStarAlgebra, SymmetricPowerBasis,
-                      make_algebra, radix_pack, symmetric_power_basis,
+                      make_algebra, symmetric_power_basis,
                       symmetric_power_count, tensor_algebra)
 from .crossed import GroupAction
 from .errors import BudgetError, VerificationError
@@ -38,9 +41,9 @@ from .groups import (ProjectiveRep, Subgroup, adjacent_transposition_matrices,
                      check_partition, factor_permutation_index, partitions,
                      ssyt_count, syt_dimension)
 from .linalg import DEFAULT_TOL, Draws, op_norm, orthonormal_columns
-from .structure import (SpannedAlgebra, commutant_dimension, equivalent,
-                        intertwiner_space, label_span,
-                        minimal_central_projections)
+from .structure import (MAX_COMMUTANT_AMBIENT, SpannedAlgebra,
+                        commutant_dimension, equivalent, intertwiner_space,
+                        label_span, minimal_central_projections)
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +132,19 @@ def enumerate_sn_irreps(algebra: FdCStarAlgebra, n: int) -> list[IrrepDescriptor
 # concrete realization
 
 # Oversampling of the range finder for fixed vectors and the seed of its
-# Gaussian block, and the entries per batch of realized images.
+# Gaussian block.
 _RANGE_OVERSAMPLE = 4
 _RANGE_SEED = 0
-_IMAGE_CHUNK = 1 << 16
 
 
 @dataclass
 class RealizedIrrep:
-    """A representation of the symmetric power given on its orbit-sum basis."""
+    """A representation of the symmetric power given on its generators:
+    ``images[i]`` is the image of dGamma(e_i) for the basis element e_i of
+    the base algebra."""
 
     descriptor: IrrepDescriptor
-    images: np.ndarray  # (basis size, dim, dim)
+    images: np.ndarray  # (algebra.dim, dim, dim)
 
     @property
     def dim(self) -> int:
@@ -207,8 +211,8 @@ def _transpositions_to_last(gens, q: int) -> list:
 def _young_fixed_vectors(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
                          beta, tol: float):
     """Orthonormal columns, of shape (N*d, desc.dim), spanning the vectors
-    fixed by the Young subgroup under ``_young_mean``, and the multiplicity
-    dimension d.  By Frobenius reciprocity these are the values of the
+    fixed by the Young subgroup under ``_young_mean``, d the multiplicity
+    dimension.  By Frobenius reciprocity these are the values of the
     constant functions that make up the fixed vectors of the pair induced
     to S_n.
 
@@ -229,81 +233,78 @@ def _young_fixed_vectors(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
     fixed = mean(w.reshape(*shape, -1)).reshape(w.shape)
     if op_norm(fixed - w) > 100 * tol:
         raise VerificationError("the Young mean does not fix its range")
-    return w, math.prod(shape[1:])
+    return w
 
 
 def _check_image_budget(algebra: FdCStarAlgebra, desc: IrrepDescriptor):
-    """Refuse, before any tableau or basis is built, a realization with an
-    array over MAX_DENSE_ENTRIES: the dim x dim image of each orbit sum; the
-    Young mean's transpositions, as permutations of n factors and as index
-    rows on the N-dimensional carrier; Young's q_k - 1 generators of side
-    f_k; and the N^2 d entry labels, d the product of the f_k (dim d <= N,
-    so they also bound the range finder's N d (dim + 4) entries, within 5x)."""
-    n, count = desc.degree, symmetric_power_count(algebra.dim, desc.degree)
+    """Refuse, before any tableau is listed, a realization with an array
+    over MAX_DENSE_ENTRIES, or whose commutant solve, of at least dim
+    unknowns on ambient dim, is sure to pass MAX_COMMUTANT_AMBIENT^4.  The
+    bounds that need no factorial come first: the images of the dim A
+    generators; the Young mean's transpositions, as permutations of n
+    factors and as index rows on the N-dimensional carrier; the commutant.
+    Then Young's q_k - 1 generators of side f_k, the hook length count, and
+    the range finder's N d (dim + 4) block, d the product of the f_k."""
+    n, dim = desc.degree, desc.dim
     carrier = math.prod(algebra.blocks[b] ** qk
                         for b, qk in zip(desc.blocks, desc.q))
+    rows = sum(math.comb(qk, 2) for qk in desc.q)
+
+    def refuse(checks):
+        for what, entries in checks:
+            if entries > MAX_DENSE_ENTRIES:
+                raise BudgetError(f"{what} are too large")
+
+    refuse(((f"{algebra.dim} generator images on dimension {dim}",
+             algebra.dim * dim ** 2),
+            (f"{rows} transpositions of {n} factors", rows * max(n, carrier))))
+    if dim ** 3 > MAX_COMMUTANT_AMBIENT ** 4:
+        raise BudgetError(f"commutant systems of at least {dim} unknowns "
+                          f"on ambient {dim} are too large")
     fs = [syt_dimension(lam) for lam in desc.lambdas]
-    d, rows = math.prod(fs), sum(math.comb(qk, 2) for qk in desc.q)
-    for what, entries in (
-            (f"images of {count} orbit sums on dimension {desc.dim}",
-             count * desc.dim ** 2),
-            (f"{rows} transpositions of {n} factors", rows * max(n, carrier)),
-            ("Young generators", sum((qk - 1) * f * f
+    d = math.prod(fs)
+    refuse((("Young generators", sum((qk - 1) * f * f
                                      for qk, f in zip(desc.q, fs))),
-            (f"{carrier}^2 x {d} entry labels", carrier ** 2 * d)):
-        if entries > MAX_DENSE_ENTRIES:
-            raise BudgetError(f"{what} are too large")
+            (f"range finder blocks of {carrier} x {d} x "
+             f"{dim + _RANGE_OVERSAMPLE}",
+             carrier * d * (dim + _RANGE_OVERSAMPLE))))
 
 
 def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
-                     sym: SymmetricPowerBasis | None = None,
                      tol: float = DEFAULT_TOL) -> RealizedIrrep:
-    """Concrete irreducible representation attached to a descriptor.
+    """Concrete irreducible representation attached to a descriptor, as the
+    images of the generators dGamma(e_i) of the symmetric power.
 
     The pair induced from the Young subgroup of the descriptor's
-    multiplicities acts on the orbit sums, which S_n fixes, as copies of the
-    Young product pair, and its fixed vectors are the constant functions
-    with Young-fixed values w.  So the image of orbit sum a is the product
-    pair's image compressed to those values, w* pi(a) w, which is
-    sum_e conj(w[row_e])^T w[col_e] over the entry labels e of a.  The
-    labels are grouped by orbit, and orbits with equally many entries are
-    summed by batched products in chunks of at most ``_IMAGE_CHUNK``
-    entries, counting the gathered rows and the outputs.  The rank of w
-    must equal the descriptor dimension; distinct descriptors yield
-    inequivalent irreducibles.  ``_check_image_budget`` runs first.
+    multiplicities acts on the fixed-point span as copies of the Young
+    product pair pi, with fixed vectors the constant functions with
+    Young-fixed values w, so a acts as w* pi(a) w.  pi sends slot t of
+    dGamma(e_i) = sum_t 1 (x) ... (x) e_i (x) ... (x) 1 to E_rc on factor t
+    if e_i is the unit (r, c) of block beta_t, and to 0 otherwise, so image
+    i is one contraction of w over the other factors per such slot.  The
+    dGamma(e_i) generate the symmetric power (Newton's identities), so
+    these images have the commutants and intertwiners of the whole
+    representation.  The rank of w must equal the descriptor dimension;
+    distinct descriptors yield inequivalent irreducibles.
+    ``_check_image_budget`` runs first.
     """
     if desc.degree != n:
         raise ValueError("descriptor degree does not match n")
     _check_image_budget(algebra, desc)
-    if sym is None:
-        sym = symmetric_power_basis(algebra, n)
-    beta = np.repeat(desc.blocks, desc.q)
-    w, d_mult = _young_fixed_vectors(algebra, desc, beta, tol)
-    dim = w.shape[1]
+    return _realize(algebra, desc, tol)
 
-    # the product pair's entries: the units of the power block beta, each 1
-    # at its local (row, col), in unit order, tensored with I on C^d_mult
-    units = sym.power.block_units[
-        int(radix_pack(beta, (len(algebra.blocks),) * n))]
-    by_unit = np.argsort(units, axis=None)
-    row, col = np.divmod(by_unit, len(units))
-    span = np.arange(d_mult)
-    row = (row[:, None] * d_mult + span).ravel()
-    col = (col[:, None] * d_mult + span).ravel()
-    label = np.repeat(sym.orbit[units.ravel()[by_unit]], d_mult)
-    order = np.argsort(label, kind="stable")
-    counts = np.bincount(label, minlength=sym.size)
-    starts = np.cumsum(counts) - counts
-    images = np.zeros((sym.size, dim, dim), dtype=complex)
-    # the sizes that occur, ascending; np.unique would import numpy.ma
-    for size in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-        orbits = np.flatnonzero(counts == size)
-        step = max(1, _IMAGE_CHUNK // (size * 2 * dim + dim * dim))
-        for lo in range(0, orbits.size, step):
-            part = orbits[lo:lo + step]
-            entries = order[starts[part, None] + np.arange(size)]
-            left = w[row[entries]].conj().transpose(0, 2, 1)
-            images[part] = np.matmul(left, w[col[entries]])
+
+def _realize(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
+             tol: float) -> RealizedIrrep:
+    """``realize_sn_irrep`` after its pre-flight."""
+    beta = np.repeat(desc.blocks, desc.q)
+    w = _young_fixed_vectors(algebra, desc, beta, tol)
+    dims = [algebra.blocks[b] for b in beta]
+    images = np.zeros((algebra.dim, w.shape[1], w.shape[1]), dtype=complex)
+    for t, b in enumerate(beta):
+        view = w.reshape(math.prod(dims[:t]), dims[t], -1, w.shape[1])
+        images[algebra.block_units[b]] += np.einsum(
+            "prqa,pcqj->rcaj", view.conj(), view, optimize=True)
     return RealizedIrrep(desc, images)
 
 
@@ -343,7 +344,6 @@ def symmetric_power_span(algebra: FdCStarAlgebra, n: int,
 # Schur-Weyl representations
 
 def schur_weyl_rep(algebra: FdCStarAlgebra, block: int, lam,
-                   sym: SymmetricPowerBasis | None = None,
                    tol: float = DEFAULT_TOL) -> RealizedIrrep:
     """The irreducible representation carried by the equivariant maps from a
     symmetric group irrep into the tensor power of one block's space.
@@ -357,7 +357,7 @@ def schur_weyl_rep(algebra: FdCStarAlgebra, block: int, lam,
     lam = check_partition(lam)
     n = sum(lam)
     desc = _descriptor(algebra, (block,), (n,), (lam,))
-    return realize_sn_irrep(algebra, n, desc, sym=sym, tol=tol)
+    return realize_sn_irrep(algebra, n, desc, tol)
 
 
 def schur_weyl_labels(algebra: FdCStarAlgebra, n: int):
@@ -367,17 +367,15 @@ def schur_weyl_labels(algebra: FdCStarAlgebra, n: int):
 
 
 def schur_weyl_family(algebra: FdCStarAlgebra, n: int,
-                      tol: float = DEFAULT_TOL,
-                      sym: SymmetricPowerBasis | None = None):
+                      tol: float = DEFAULT_TOL):
     """Every Schur-Weyl representation of degree n, as (block, partition,
-    representation) in the order of ``schur_weyl_labels``."""
-    labels = schur_weyl_labels(algebra, n)
-    for j, lam in labels:
-        _check_image_budget(algebra, _descriptor(algebra, (j,), (n,), (lam,)))
-    if sym is None:
-        sym = symmetric_power_basis(algebra, n)
-    return [(j, lam, schur_weyl_rep(algebra, j, lam, sym=sym, tol=tol))
-            for j, lam in labels]
+    representation) in the order of ``schur_weyl_labels``; every label
+    passes the pre-flight before any is realized."""
+    labels = [(j, lam, _descriptor(algebra, (j,), (n,), (lam,)))
+              for j, lam in schur_weyl_labels(algebra, n)]
+    for _, _, desc in labels:
+        _check_image_budget(algebra, desc)
+    return [(j, lam, _realize(algebra, desc, tol)) for j, lam, desc in labels]
 
 
 def schur_weyl_injectivity_check(algebra: FdCStarAlgebra, n_max: int,
@@ -423,12 +421,11 @@ def non_schur_weyl_witness(algebra: FdCStarAlgebra, block1: int, block2: int,
     if block1 == block2:
         raise ValueError("the two block representations must be inequivalent")
     b1, b2 = sorted((block1, block2))
-    sym = symmetric_power_basis(algebra, 2)
     desc = _descriptor(algebra, (b1, b2), (1, 1), ((1,), (1,)))
-    witness = realize_sn_irrep(algebra, 2, desc, sym=sym, tol=tol)
+    witness = realize_sn_irrep(algebra, 2, desc, tol)
     inter = {(j, lam): int(intertwiner_space(witness.images, sw.images,
                                              tol).shape[0])
-             for j, lam, sw in schur_weyl_family(algebra, 2, tol, sym)}
+             for j, lam, sw in schur_weyl_family(algebra, 2, tol)}
     cert = WitnessCertificate(
         witness, commutant_dimension(witness.images, tol), inter)
     return cert

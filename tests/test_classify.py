@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cstarpow.algebra import (Representation, SymmetricPowerBasis,
-                              make_algebra, power_map, symmetric_power_basis,
-                              tensor_power)
+                              make_algebra, power_map, power_map_differential,
+                              symmetric_power_basis, tensor_power)
 from cstarpow import classify
 from cstarpow.classify import (_descriptor, _transpositions_to_last,
                                direct_sum_of_power_maps, enumerate_sn_irreps,
@@ -24,7 +24,7 @@ from cstarpow.groups import (adjacent_transposition_matrices, partitions,
 from cstarpow.linalg import op_norm
 from cstarpow.structure import (commutant_dimension, equivalent,
                                 intertwiner_space)
-from oracles import dense_realized_images, orbit_vectors, trivial_action
+from oracles import dense_realized_images, trivial_action
 
 
 # ---------------------------------------------------------------------------
@@ -74,54 +74,50 @@ def test_enumerate_degree_one_gives_blocks(m23):
 # realization
 
 def test_realize_m2_symmetric_square(m2):
-    sym = symmetric_power_basis(m2, 2)
     descs = enumerate_sn_irreps(m2, 2)
     by_dim = {d.dim: d for d in descs}
-    top = realize_sn_irrep(m2, 2, by_dim[3], sym=sym)
+    top = realize_sn_irrep(m2, 2, by_dim[3])
     assert top.dim == 3
     assert commutant_dimension(top.images) == 1
-    sign = realize_sn_irrep(m2, 2, by_dim[1], sym=sym)
+    sign = realize_sn_irrep(m2, 2, by_dim[1])
     assert sign.dim == 1
     assert not equivalent(top.images, sign.images)
 
 
-def test_realized_reps_are_homomorphisms(m2, rng):
-    sym = symmetric_power_basis(m2, 2)
-    desc = enumerate_sn_irreps(m2, 2)[1]
-    rep = realize_sn_irrep(m2, 2, desc, sym=sym)
-    power = sym.power
-    vectors = orbit_vectors(sym).T
-    # multiplicativity on random elements of the fixed span
-    for _ in range(5):
-        a = vectors @ rng.standard_normal(sym.size)
-        b = vectors @ rng.standard_normal(sym.size)
-        ab = power.multiply(a, b)
-        coeff_a, *_ = np.linalg.lstsq(vectors, a, rcond=None)
-        coeff_b, *_ = np.linalg.lstsq(vectors, b, rcond=None)
-        coeff_ab, *_ = np.linalg.lstsq(vectors, ab, rcond=None)
-        img = np.tensordot
-        lhs = img(coeff_ab, rep.images, axes=(0, 0))
-        rhs = img(coeff_a, rep.images, axes=(0, 0)) \
-            @ img(coeff_b, rep.images, axes=(0, 0))
-        assert op_norm(lhs - rhs) < 1e-9
+def test_realized_reps_are_homomorphisms(m2, m23):
+    # dGamma is a Lie homomorphism and a *-map: within a block,
+    # [dG(E_ij), dG(E_kl)] = d_jk dG(E_il) - d_li dG(E_kj) and
+    # dG(E_ij)* = dG(E_ji); units of different blocks commute
+    for algebra, n in ((m2, 2), (m2, 3), (m23, 2)):
+        for desc in enumerate_sn_irreps(algebra, n):
+            images = realize_sn_irrep(algebra, n, desc).images
+            for b, units in enumerate(algebra.block_units):
+                g = images[units]
+                eye = np.eye(len(g))
+                lhs = np.einsum("ijab,klbc->ijklac", g, g) \
+                    - np.einsum("klab,ijbc->ijklac", g, g)
+                rhs = np.einsum("jk,ilac->ijklac", eye, g) \
+                    - np.einsum("li,kjac->ijklac", eye, g)
+                assert np.max(np.abs(lhs - rhs)) < 1e-9, (desc, b)
+                assert np.allclose(g.conj().transpose(1, 0, 3, 2), g,
+                                   rtol=0, atol=1e-12), (desc, b)
+                for other in algebra.block_units[b + 1:]:
+                    h = images[other].reshape(-1, desc.dim, desc.dim)
+                    for x in g.reshape(-1, desc.dim, desc.dim):
+                        assert np.max(np.abs(x @ h - h @ x)) < 1e-9, desc
 
 
 def test_realize_product_descriptor_is_tensor_of_blocks(m23):
     # the mixed descriptor acts like the tensor product of the two block
-    # representations on the orbit-sum basis
-    sym = symmetric_power_basis(m23, 2)
+    # representations: dGamma(e) = e (x) 1 + 1 (x) e goes to
+    # pi1(e) (x) I + I (x) pi2(e)
     desc = _descriptor(m23, (0, 1), (1, 1), ((1,), (1,)))
-    rep = realize_sn_irrep(m23, 2, desc, sym=sym)
+    rep = realize_sn_irrep(m23, 2, desc)
     assert rep.dim == 6
     pi1 = Representation(m23, (1, 0)).images()
     pi2 = Representation(m23, (0, 1)).images()
-    direct = []
-    for v in orbit_vectors(sym):
-        acc = np.zeros((6, 6), dtype=complex)
-        for flat in np.nonzero(v)[0]:
-            i, j = divmod(int(flat), m23.dim)
-            acc += v[flat] * np.kron(pi1[i], pi2[j])
-        direct.append(acc)
+    direct = [np.kron(p1, np.eye(3)) + np.kron(np.eye(2), p2)
+              for p1, p2 in zip(pi1, pi2)]
     assert equivalent(rep.images, np.stack(direct))
 
 
@@ -137,6 +133,18 @@ def _distance_up_to_a_unitary(got, want):
     return float(np.max(np.abs(t @ got @ t.conj().T - want)))
 
 
+def _generator_images(algebra, n, desc):
+    """The dense oracle's orbit-sum images combined into those of the
+    dGamma(e_i), by the coefficients of ``power_map_differential``, which is
+    constant on each orbit."""
+    sym = symmetric_power_basis(algebra, n)
+    coeffs = np.zeros((algebra.dim, sym.size), dtype=complex)
+    for i, e in enumerate(np.eye(algebra.dim)):
+        coeffs[i, sym.orbit] = power_map_differential(algebra, e, n)
+    return np.tensordot(coeffs, dense_realized_images(algebra, n, desc, sym),
+                        axes=1)
+
+
 @pytest.mark.parametrize("blocks", [[2], [1, 1], [2, 1], [2, 2], [4]])
 def test_realized_images_match_dense_oracle(blocks):
     # the orthonormal basis of the fixed vectors is free, so the images are
@@ -145,10 +153,9 @@ def test_realized_images_match_dense_oracle(blocks):
     for n in range(1, 4):
         if algebra.ambient ** n > 200:
             continue
-        sym = symmetric_power_basis(algebra, n)
         for desc in enumerate_sn_irreps(algebra, n):
-            got = realize_sn_irrep(algebra, n, desc, sym=sym).images
-            want = dense_realized_images(algebra, n, desc, sym)
+            got = realize_sn_irrep(algebra, n, desc).images
+            want = _generator_images(algebra, n, desc)
             assert _distance_up_to_a_unitary(got, want) <= 1e-10, (n, desc)
 
 
@@ -156,10 +163,9 @@ def test_unitary_comparison_rejects_transposed_images():
     # transposing every image is an anti-representation, equivalent to no
     # irreducible of dimension above one
     algebra = make_algebra([2, 1])
-    sym = symmetric_power_basis(algebra, 2)
     for desc in enumerate_sn_irreps(algebra, 2):
-        want = dense_realized_images(algebra, 2, desc, sym)
-        got = realize_sn_irrep(algebra, 2, desc, sym=sym).images
+        want = _generator_images(algebra, 2, desc)
+        got = realize_sn_irrep(algebra, 2, desc).images
         if desc.dim > 1:
             assert _distance_up_to_a_unitary(
                 got.transpose(0, 2, 1), want) > 1e-10, desc
@@ -182,12 +188,11 @@ def test_schur_weyl_family_stays_small():
 def test_warm_realization_builds_no_accumulator():
     # a dense (orbits, N*d, dim) accumulator of the images takes 33 MB here
     algebra = make_algebra([4])
-    sym = symmetric_power_basis(algebra, 3)
     desc = _descriptor(algebra, (0,), (3,), ((2, 1),))
-    realize_sn_irrep(algebra, 3, desc, sym=sym)
+    realize_sn_irrep(algebra, 3, desc)
     tracemalloc.start()
     try:
-        rep = realize_sn_irrep(algebra, 3, desc, sym=sym)
+        rep = realize_sn_irrep(algebra, 3, desc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -196,36 +201,59 @@ def test_warm_realization_builds_no_accumulator():
 
 
 def test_image_stack_over_the_dense_bound_is_refused(monkeypatch):
-    # S^3(M_2) has 20 orbit sums, and (3) of block 0 has dimension 4: a
-    # cap one entry below the 20 x 4 x 4 images refuses before any solve
+    # M_2 has 4 generators, and (3) of block 0 has dimension 4: a cap one
+    # entry below the 4 x 4 x 4 images refuses before any solve
     algebra = make_algebra([2])
-    sym = symmetric_power_basis(algebra, 3)
     desc = _descriptor(algebra, (0,), (3,), ((3,),))
-    assert sym.size == 20 and desc.dim == 4
+    assert algebra.dim == 4 and desc.dim == 4
 
     def refuse(*args):
         raise AssertionError("solved before the budget check")
 
     monkeypatch.setattr(classify, "_young_fixed_vectors", refuse)
-    monkeypatch.setattr(classify, "MAX_DENSE_ENTRIES", 20 * 4 * 4 - 1)
-    with pytest.raises(BudgetError, match="20 orbit sums"):
-        realize_sn_irrep(algebra, 3, desc, sym=sym)
+    monkeypatch.setattr(classify, "MAX_DENSE_ENTRIES", 4 * 4 * 4 - 1)
+    with pytest.raises(BudgetError, match="4 generator images on dimension 4"):
+        realize_sn_irrep(algebra, 3, desc)
     monkeypatch.undo()
-    assert realize_sn_irrep(algebra, 3, desc, sym=sym).dim == 4
+    assert realize_sn_irrep(algebra, 3, desc).dim == 4
 
 
 def test_family_over_the_dense_bound_is_refused_before_the_basis(
         monkeypatch):
-    # S^3(M_2) has 20 orbit sums and its largest Schur-Weyl carrier, of
-    # (3), has dimension 4: a cap one entry below 20 x 4 x 4 refuses
-    # without building the orbit basis
+    # degree 3 of M_2: the range finder of (3) has 8 x 1 x (4 + 4) = 64
+    # entries, and that of (2, 1), the second label, 8 x 2 x (2 + 4) = 96;
+    # a cap one entry below 96 refuses the family before the first label
+    # is realized, and no orbit basis is built at all
     def refuse(*args):
-        raise AssertionError("built the basis before the budget check")
+        raise AssertionError("built or solved before the budget check")
 
     monkeypatch.setattr(classify, "symmetric_power_basis", refuse)
-    monkeypatch.setattr(classify, "MAX_DENSE_ENTRIES", 20 * 4 * 4 - 1)
-    with pytest.raises(BudgetError, match="20 orbit sums on dimension 4"):
+    monkeypatch.setattr(classify, "_young_fixed_vectors", refuse)
+    monkeypatch.setattr(classify, "MAX_DENSE_ENTRIES", 96 - 1)
+    with pytest.raises(BudgetError, match="range finder blocks of 8 x 2 x 6"):
         schur_weyl_family(make_algebra([2]), 3)
+
+
+def test_family_checks_each_label_once(monkeypatch):
+    # every label passes the pre-flight once, and all of them before the
+    # first realization
+    calls = []
+    check, realize = classify._check_image_budget, classify._young_fixed_vectors
+
+    def counted_check(algebra, desc):
+        calls.append(("check", desc.lambdas))
+        return check(algebra, desc)
+
+    def counted_realize(algebra, desc, *args):
+        calls.append(("realize", desc.lambdas))
+        return realize(algebra, desc, *args)
+
+    monkeypatch.setattr(classify, "_check_image_budget", counted_check)
+    monkeypatch.setattr(classify, "_young_fixed_vectors", counted_realize)
+    family = schur_weyl_family(make_algebra([2, 1]), 3)
+    labels = [(lam,) for _, lam, _ in family]
+    assert calls == [("check", lam) for lam in labels] \
+        + [("realize", lam) for lam in labels]
 
 
 def test_degree_seven_family_builds_no_dense_mean():
@@ -270,17 +298,15 @@ def test_degree_eight_family_builds_no_group_table(monkeypatch):
 
 
 def test_realize_all_dims_one_for_commutative(c3):
-    sym = symmetric_power_basis(c3, 2)
     descs = enumerate_sn_irreps(c3, 2)
     assert len(descs) == 6
     for d in descs:
-        rep = realize_sn_irrep(c3, 2, d, sym=sym)
+        rep = realize_sn_irrep(c3, 2, d)
         assert rep.dim == 1
 
 
 def test_realized_descriptors_are_separating(m23):
-    sym = symmetric_power_basis(m23, 2)
-    reps = [realize_sn_irrep(m23, 2, d, sym=sym)
+    reps = [realize_sn_irrep(m23, 2, d)
             for d in enumerate_sn_irreps(m23, 2)]
     assert all(commutant_dimension(r.images) == 1 for r in reps)
     for a in range(len(reps)):
@@ -350,10 +376,9 @@ def test_library_reads_orbit_labels_not_dense_vectors(monkeypatch):
 # Schur-Weyl representations
 
 def test_schur_weyl_dims(m2):
-    sym = symmetric_power_basis(m2, 2)
-    top = schur_weyl_rep(m2, 0, (2,), sym=sym)
+    top = schur_weyl_rep(m2, 0, (2,))
     assert top.dim == 3
-    sign = schur_weyl_rep(m2, 0, (1, 1), sym=sym)
+    sign = schur_weyl_rep(m2, 0, (1, 1))
     assert sign.dim == 1
     with pytest.raises(ValueError):
         schur_weyl_rep(m2, 0, (1, 1, 1))  # more rows than the block size
@@ -366,16 +391,13 @@ def test_schur_weyl_alternating_is_one_dimensional():
 
 
 def test_schur_weyl_matches_realization(m2, m23):
-    sym = symmetric_power_basis(m2, 2)
     for lam in [(2,), (1, 1)]:
-        sw = schur_weyl_rep(m2, 0, lam, sym=sym)
+        sw = schur_weyl_rep(m2, 0, lam)
         desc = _descriptor(m2, (0,), (2,), (lam,))
-        assert equivalent(sw.images, realize_sn_irrep(m2, 2, desc, sym=sym).images)
-    sym23 = symmetric_power_basis(m23, 2)
-    sw = schur_weyl_rep(m23, 1, (2,), sym=sym23)
+        assert equivalent(sw.images, realize_sn_irrep(m2, 2, desc).images)
+    sw = schur_weyl_rep(m23, 1, (2,))
     desc = _descriptor(m23, (1,), (2,), ((2,),))
-    assert equivalent(sw.images,
-                      realize_sn_irrep(m23, 2, desc, sym=sym23).images)
+    assert equivalent(sw.images, realize_sn_irrep(m23, 2, desc).images)
 
 
 def test_schur_weyl_injectivity(m2, m23):
@@ -391,12 +413,12 @@ def test_non_schur_weyl_witness_two_characters(c2):
     cert = non_schur_weyl_witness(c2, 0, 1)
     assert cert.witness.dim == 1
     assert cert.is_valid
-    # evaluation oracle: the witness sends the mixed orbit sum to 1 and the
-    # pure squares to 0
-    sym = symmetric_power_basis(c2, 2)
-    values = [cert.witness.images[i][0, 0] for i in range(sym.size)]
-    expected = [1.0 if len(set(ms)) == 2 else 0.0 for ms in sym.index]
-    assert np.allclose(values, expected)
+    # evaluation oracle: the witness is the character x (x) y -> x_0 y_1 on
+    # the symmetric square, so it sends dGamma(e_i) to the coefficient of
+    # the monomial e_0 (x) e_1 in it
+    values = [cert.witness.images[i][0, 0] for i in range(c2.dim)]
+    expected = [power_map_differential(c2, e, 2)[1] for e in np.eye(c2.dim)]
+    assert np.allclose(values, expected) and np.allclose(expected, [1, 1])
 
 
 def test_non_schur_weyl_witness_mixed_blocks():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cstarpow
-from cstarpow import classify, cli, linalg
+from cstarpow import acceptance, algebra, classify, cli, linalg
 from cstarpow.algebra import FdCStarAlgebra
 from cstarpow.cli import main
 from cstarpow.errors import DegenerateDrawError
@@ -643,6 +643,40 @@ def test_degree_2000_is_refused_by_the_realization_pre_flight(
     assert code == 3 and out == ""
     assert err.startswith("budget exceeded:")
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    # S_100000's transpositions are counted before its hook lengths, two
+    # 100000! factorials, are taken
+    ["--blocks", "1", "--n", "100000"],
+    # (3, 1) of M_6 has dimension 210, and its commutant solve at least 210
+    # unknowns on ambient 210, over the 40^4 entries it allows
+    ["--blocks", "6", "--n", "4"],
+], ids=" ".join)
+def test_realizations_past_the_bounds_are_refused_at_once(capsys, monkeypatch,
+                                                          argv):
+    monkeypatch.setattr(classify, "adjacent_transposition_matrices",
+                        lambda *args: pytest.fail("listed tableaux"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "schur-weyl", *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded:")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_schur_weyl_builds_no_orbit_labels_or_tensor_power(capsys,
+                                                          monkeypatch):
+    # the realization and its checks work on the generators dGamma(e_i) of
+    # the symmetric power, so neither its orbit sums nor A^(x)n are built
+    def refuse(*args, **kwargs):
+        pytest.fail("built the orbit labels or the tensor power")
+
+    for module in (algebra, classify, cli, acceptance):
+        for name in ("symmetric_power_basis", "tensor_power"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert run_cli(capsys, "schur-weyl", "--blocks", "2,3", "--n", "3",
+                   "--injectivity-nmax", "3")[0] == 0
+    assert run_cli(capsys, "verify", "schur-weyl")[0] == 0
 
 
 @pytest.mark.parametrize("argv", [

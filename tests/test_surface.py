@@ -34,6 +34,7 @@ KEPT = {
                        "item 2",
     "algebra.power_map": "bench/spans.py FUNCTIONS",
     "structure.spanned_algebra": "bench/spans.py FUNCTIONS",
+    "classify.schur_weyl_rep": "bench/spans.py FUNCTIONS",
 }
 
 
