@@ -110,8 +110,7 @@ def suite_crossed(tol, seed, budget, samples: int = 50):
         residuals = [pu @ pu - pu, pu - pu.conj().T]
         fixed = action.fixed_space(tol)
         shape = (2, samples, fixed.shape[0])
-        xs, ys = (rng.standard_normal(shape)
-                  + 1j * rng.standard_normal(shape)) @ fixed
+        xs, ys = rng.complex_normal(shape) @ fixed
         for x, y in zip(xs, ys):
             ix, iy = corner_embedding(action, x), corner_embedding(action, y)
             alg = action.algebra
@@ -156,8 +155,7 @@ def _character_orbit_base(action, sub, indices, mult, rng):
     for local in range(sub.order):
         for i, f in enumerate(indices):
             vmats[local, lookup[int(action.restrict(sub).perm_maps[local][f])], i] = 1.0
-    gauge = np.linalg.qr(rng.standard_normal((mult, mult))
-                         + 1j * rng.standard_normal((mult, mult)))[0]
+    gauge = np.linalg.qr(rng.complex_normal((mult, mult)))[0]
     twist = np.zeros((sub.order, mult, mult), dtype=complex)
     for local, amb in enumerate(sub.elements):
         perm = sub.ambient.perms[amb]
@@ -326,7 +324,7 @@ def suite_homog(tol, seed, budget, samples: int = 100):
     worst = target.norm(target.multiply(projs[:, None], projs)
                         - np.eye(len(projs))[..., None] * projs[:, None]).max()
     shape = (samples, 2, algebra.dim)
-    pairs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    pairs = rng.complex_normal(shape)
     for pair, z in zip(pairs, np.exp(2j * np.pi * rng.random(samples))):
         x, y = pair / np.maximum(algebra.norm(pair), 1e-12)[:, None]
         cx, cy, cxy = comps(x), comps(y), comps(algebra.multiply(x, y))

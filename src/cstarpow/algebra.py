@@ -135,7 +135,7 @@ class FdCStarAlgebra:
     # -- random elements ----------------------------------------------------
 
     def random_element(self, rng) -> np.ndarray:
-        return rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
+        return Draws.complex_normal(rng, self.dim)
 
     def __repr__(self):
         return f"FdCStarAlgebra(blocks={list(self.blocks)})"
@@ -326,7 +326,7 @@ def square_map_multiplicativity(a: FdCStarAlgebra, trials: int = 100,
     """
     rng = Draws(seed)
     shape = (trials, 2, a.dim)
-    pairs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    pairs = rng.complex_normal(shape)
     pairs = pairs / np.maximum(a.norm(pairs), 1e-12)[..., None]
     x, y = pairs[:, 0], pairs[:, 1]
     xy = a.multiply(x, y)

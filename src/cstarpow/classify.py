@@ -4,15 +4,15 @@ The irreducible representations of the permutation-fixed part of an n-fold
 tensor power of a direct sum of matrix blocks are labelled by descriptors:
 a set of distinct blocks, positive multiplicities summing to n, and one
 partition per chosen block bounded in length by the block size.  Each
-descriptor is realized concretely on the fixed vectors of the pair induced
-from the matching Young subgroup.  On the fixed-point span that pair is
-copies of the Young product pair, and its fixed vectors are the constant
-functions with Young-fixed values (Frobenius reciprocity), so the
-realization compresses the product pair to those values and never induces.
-It gives the images of the generators dGamma(e_i) of the symmetric power,
-one per basis element of the algebra, not of its orbit-sum basis: they
-generate the same algebra, so they have the same commutants and
-intertwiners.  The Schur-Weyl representations are the descriptors with a
+descriptor is realized concretely on a weight space of the product of the
+chosen blocks' spaces: the joint eigenspace of the Jucys-Murphy elements of
+each block's factors with the contents of one standard tableau of its
+partition, which is the multiplicity space of the matching irreducible of
+the Young subgroup (Schur-Weyl duality), so no symmetric group element or
+matrix is built.  The realization gives the images of the generators
+dGamma(e_i) of the symmetric power, one per basis element of the algebra,
+not of its orbit-sum basis: they generate the same algebra, so they have
+the same commutants and intertwiners.  The Schur-Weyl representations are the descriptors with a
 single block of multiplicity n, realized by that same construction.
 Homogeneous components of a multiplicative map are recovered by discrete
 Fourier inversion, with one evaluation of the map per root of unity at each
@@ -37,9 +37,8 @@ from .algebra import (MAX_DENSE_ENTRIES, FdCStarAlgebra, SymmetricPowerBasis,
                       symmetric_power_count, tensor_algebra)
 from .crossed import GroupAction
 from .errors import BudgetError, VerificationError
-from .groups import (ProjectiveRep, Subgroup, adjacent_transposition_matrices,
-                     check_partition, factor_permutation_index, partitions,
-                     ssyt_count, syt_dimension)
+from .groups import (ProjectiveRep, Subgroup, check_partition, partitions,
+                     ssyt_count)
 from .linalg import DEFAULT_TOL, Draws, op_norm, orthonormal_columns
 from .structure import (MAX_COMMUTANT_AMBIENT, SpannedAlgebra,
                         commutant_dimension, equivalent, intertwiner_space,
@@ -131,7 +130,7 @@ def enumerate_sn_irreps(algebra: FdCStarAlgebra, n: int) -> list[IrrepDescriptor
 # ---------------------------------------------------------------------------
 # concrete realization
 
-# Oversampling of the range finder for fixed vectors and the seed of its
+# Oversampling of the range finder for weight spaces and the seed of its
 # Gaussian block.
 _RANGE_OVERSAMPLE = 4
 _RANGE_SEED = 0
@@ -151,123 +150,100 @@ class RealizedIrrep:
         return int(self.images.shape[1])
 
 
-def _young_mean(algebra: FdCStarAlgebra, desc: IrrepDescriptor, beta):
-    """The mean of R(h) = V(h) (x) conj(U(h)) over the Young subgroup
-    H = S_q1 x ... x S_qm, as a function on arrays of shape
-    (N, d_1, ..., d_m, columns), and that shape without the columns.
-    V(h) permutes the factors of the product carrier (dimension N) and U(h)
-    is the tensor product of the chosen symmetric group irreps, each at h's
-    permutation of its own block of factors.
-
-    With tau_i = (i q) and tau_q the identity, S_q is the disjoint union of
-    the cosets tau_i S_(q-1), so the mean over S_q is the mean of the
-    R(tau_i) applied after the mean over S_(q-1) (Clausen, Theoret. Comput.
-    Sci. 67, 1989).  Unrolled along S_1 < S_2 < ... < S_q in every block,
-    the mean over H is sum_k q_k (q_k + 1) / 2 applications of some R(tau),
-    each a row permutation (one ``factor_permutation_index`` covers all the
-    transpositions, which are their own inverses) and a d_k x d_k product on
-    one multiplicity factor by a matrix built from the irrep's generators.
-    """
-    dims = [algebra.blocks[b] for b in beta]
-    levels, perms, mats = [], [], []
-    offset = 0
-    for k, (qk, lam) in enumerate(zip(desc.q, desc.lambdas)):
-        gens = adjacent_transposition_matrices(lam)
-        for q in range(2, qk + 1):
-            levels.append((k, q, len(perms)))
-            for i, tau in enumerate(_transpositions_to_last(gens, q)):
-                p = np.arange(len(beta))
-                p[[offset + i, offset + q - 1]] = offset + q - 1, offset + i
-                mats.append(np.conj(tau))
-                perms.append(p)
-        offset += qk
-    dest = factor_permutation_index(dims, perms)
-    shape = (math.prod(dims), *map(syt_dimension, desc.lambdas))
-
-    def mean(x):
-        for k, q, first in levels:
-            # multiplicity factor k as the middle axis of a view of x
-            view = (shape[0], math.prod(shape[1:k + 1]), shape[k + 1], -1)
-            acc = x.copy()
-            for t in range(first, first + q - 1):
-                moved = x[dest[t]].reshape(view)
-                acc += np.matmul(mats[t], moved).reshape(x.shape)
-            x = acc / q
-        return x
-
-    return mean, shape
+def _weight_steps(algebra: FdCStarAlgebra, desc: IrrepDescriptor) -> list:
+    """The Jucys-Murphy steps of a descriptor's weight space, as tuples
+    (first, last, c, others): for each chosen block of size k > 1 and each
+    i = 2..q, the axes first..last of its factors 1..i among the factors of
+    dimension above 1, the content c of cell i of the row-reading tableau of
+    lambda, and the contents of the other cells addable, within k rows, to
+    the shape of cells 1..i-1."""
+    steps, first = [], 0
+    for b, q, lam in zip(desc.blocks, desc.q, desc.lambdas):
+        k = algebra.blocks[b]
+        if k == 1:
+            continue
+        cells = [r for r, part in enumerate(lam) for _ in range(part)]
+        rows = [1] + [0] * (k - 1)  # the row lengths of the cells placed
+        for i, r in enumerate(cells[1:], start=1):
+            addable = [rows[j] - j for j in range(k)
+                       if j == 0 or rows[j - 1] > rows[j]]
+            c = rows[r] - r
+            steps.append((first, first + i, c, [e for e in addable if e != c]))
+            rows[r] += 1
+        first += q
+    return steps
 
 
-def _transpositions_to_last(gens, q: int) -> list:
-    """The matrices of (i q-1), i = 0..q-2, from those of the generators
-    s_i = (i i+1) (Coxeter & Moser, Generators and Relations for Discrete
-    Groups, 1957): (q-2 q-1) = s_(q-2) and (i q-1) = s_i (i+1 q-1) s_i."""
-    taus = [gens[q - 2]]
-    for i in range(q - 3, -1, -1):
-        taus.append(gens[i] @ taus[-1] @ gens[i])
-    return taus[::-1]
+def _jucys_murphy(x, first: int, last: int, shift: int):
+    """(X - shift) x for X = sum over first <= a < last of the
+    transposition of factors a and last, on an array with one axis per
+    factor."""
+    out = -shift * x
+    for a in range(first, last):
+        out += np.swapaxes(x, a, last)
+    return out
 
 
-def _young_fixed_vectors(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
-                         beta, tol: float):
-    """Orthonormal columns, of shape (N*d, desc.dim), spanning the vectors
-    fixed by the Young subgroup under ``_young_mean``, d the multiplicity
-    dimension.  By Frobenius reciprocity these are the values of the
-    constant functions that make up the fixed vectors of the pair induced
-    to S_n.
+def _weight_space(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
+                  tol: float):
+    """Orthonormal columns, of shape (N, desc.dim), spanning the joint
+    eigenspace of the Jucys-Murphy elements X_i = sum_{j<i} (j i) of each
+    block's factors with the contents of the row-reading tableau of its
+    partition.  In (C^k)^(x)q = sum_lambda S_lambda(C^k) (x) Specht_lambda
+    that is S_lambda(C^k) times one Gelfand-Tsetlin vector, since a content
+    vector determines its tableau (Okounkov & Vershik, Selecta Math. 2,
+    1996), so the symmetric power acts on it as the descriptor's irreducible.
+    Factors of dimension 1 carry no step.
 
     A randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53,
-    2011): the mean, an orthogonal projection, is applied to a Gaussian
-    block of desc.dim + ``_RANGE_OVERSAMPLE`` columns from a fixed seed and
-    the result orthonormalized.  The rank must equal desc.dim, and the mean
-    must fix the columns found; either failure raises ``VerificationError``.
+    2011): a Gaussian block of desc.dim + ``_RANGE_OVERSAMPLE`` columns from
+    a fixed seed goes through the Lagrange projector prod_e (X_i - e)/(c_i - e)
+    of each step, e over the other addable contents, and is orthonormalized
+    with rank truncation after each.  The rank must equal desc.dim and each
+    X_i must act on the columns found as c_i; either failure raises
+    ``VerificationError``.
     """
-    mean, shape = _young_mean(algebra, desc, beta)
-    columns = (*shape, desc.dim + _RANGE_OVERSAMPLE)
-    rng = Draws(_RANGE_SEED)
-    block = rng.standard_normal(columns) + 1j * rng.standard_normal(columns)
-    w = orthonormal_columns(mean(block).reshape(math.prod(shape), -1), tol)
+    dims = [algebra.blocks[b] for b, q in zip(desc.blocks, desc.q)
+            if algebra.blocks[b] > 1 for _ in range(q)]
+    steps = _weight_steps(algebra, desc)
+    w = orthonormal_columns(Draws(_RANGE_SEED).complex_normal(
+        (math.prod(dims), desc.dim + _RANGE_OVERSAMPLE)), tol)
+    for first, last, c, others in steps:
+        x = w.reshape(*dims, -1)
+        for e in others:
+            x = _jucys_murphy(x, first, last, e)
+            x /= c - e
+        w = orthonormal_columns(x.reshape(len(w), -1), tol)
     if w.shape[1] != desc.dim:
         raise VerificationError(
-            f"fixed space has rank {w.shape[1]}, descriptor dimension {desc.dim}")
-    fixed = mean(w.reshape(*shape, -1)).reshape(w.shape)
-    if op_norm(fixed - w) > 100 * tol:
-        raise VerificationError("the Young mean does not fix its range")
+            f"weight space has rank {w.shape[1]}, descriptor dimension {desc.dim}")
+    x = w.reshape(*dims, -1)
+    for first, last, c, _ in steps:
+        moved = _jucys_murphy(x, first, last, c).reshape(w.shape)
+        if op_norm(moved) > 100 * tol * (last - first):
+            raise VerificationError("the Jucys-Murphy elements do not act on "
+                                    "the weight space by the tableau's contents")
     return w
 
 
 def _check_image_budget(algebra: FdCStarAlgebra, desc: IrrepDescriptor):
-    """Refuse, before any tableau is listed, a realization with an array
-    over MAX_DENSE_ENTRIES, or whose commutant solve, of at least dim
-    unknowns on ambient dim, is sure to pass MAX_COMMUTANT_AMBIENT^4.  The
-    bounds that need no factorial come first: the images of the dim A
-    generators; the Young mean's transpositions, as permutations of n
-    factors and as index rows on the N-dimensional carrier; the commutant.
-    Then Young's q_k - 1 generators of side f_k, the hook length count, and
-    the range finder's N d (dim + 4) block, d the product of the f_k."""
-    n, dim = desc.degree, desc.dim
-    carrier = math.prod(algebra.blocks[b] ** qk
-                        for b, qk in zip(desc.blocks, desc.q))
-    rows = sum(math.comb(qk, 2) for qk in desc.q)
-
-    def refuse(checks):
-        for what, entries in checks:
-            if entries > MAX_DENSE_ENTRIES:
-                raise BudgetError(f"{what} are too large")
-
-    refuse(((f"{algebra.dim} generator images on dimension {dim}",
+    """Refuse a realization whose images of the dim A generators or whose
+    range finder block, N x (dim + 4) on the carrier of dimension N, has
+    over MAX_DENSE_ENTRIES entries, or whose commutant solve, of at least
+    dim unknowns on ambient dim, is sure to pass MAX_COMMUTANT_AMBIENT^4."""
+    dim = desc.dim
+    carrier = math.prod(algebra.blocks[b] ** q
+                        for b, q in zip(desc.blocks, desc.q))
+    for what, entries in (
+            (f"{algebra.dim} generator images on dimension {dim}",
              algebra.dim * dim ** 2),
-            (f"{rows} transpositions of {n} factors", rows * max(n, carrier))))
+            (f"range finder blocks of {carrier} x {dim + _RANGE_OVERSAMPLE}",
+             carrier * (dim + _RANGE_OVERSAMPLE))):
+        if entries > MAX_DENSE_ENTRIES:
+            raise BudgetError(f"{what} are too large")
     if dim ** 3 > MAX_COMMUTANT_AMBIENT ** 4:
         raise BudgetError(f"commutant systems of at least {dim} unknowns "
                           f"on ambient {dim} are too large")
-    fs = [syt_dimension(lam) for lam in desc.lambdas]
-    d = math.prod(fs)
-    refuse((("Young generators", sum((qk - 1) * f * f
-                                     for qk, f in zip(desc.q, fs))),
-            (f"range finder blocks of {carrier} x {d} x "
-             f"{dim + _RANGE_OVERSAMPLE}",
-             carrier * d * (dim + _RANGE_OVERSAMPLE))))
 
 
 def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
@@ -275,10 +251,12 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
     """Concrete irreducible representation attached to a descriptor, as the
     images of the generators dGamma(e_i) of the symmetric power.
 
-    The pair induced from the Young subgroup of the descriptor's
-    multiplicities acts on the fixed-point span as copies of the Young
-    product pair pi, with fixed vectors the constant functions with
-    Young-fixed values w, so a acts as w* pi(a) w.  pi sends slot t of
+    The product pi of the chosen blocks, block beta_t on factor t, maps
+    the symmetric power into the commutant of the Young subgroup of the
+    descriptor's multiplicities, which permutes the factors of each block.
+    So it preserves the weight space w of ``_weight_space``, the
+    multiplicity space of the partitions' irreducible of that subgroup, and
+    a acts as w* pi(a) w.  pi sends slot t of
     dGamma(e_i) = sum_t 1 (x) ... (x) e_i (x) ... (x) 1 to E_rc on factor t
     if e_i is the unit (r, c) of block beta_t, and to 0 otherwise, so image
     i is one contraction of w over the other factors per such slot.  The
@@ -297,14 +275,20 @@ def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,
 def _realize(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
              tol: float) -> RealizedIrrep:
     """``realize_sn_irrep`` after its pre-flight."""
-    beta = np.repeat(desc.blocks, desc.q)
-    w = _young_fixed_vectors(algebra, desc, beta, tol)
-    dims = [algebra.blocks[b] for b in beta]
-    images = np.zeros((algebra.dim, w.shape[1], w.shape[1]), dtype=complex)
-    for t, b in enumerate(beta):
-        view = w.reshape(math.prod(dims[:t]), dims[t], -1, w.shape[1])
-        images[algebra.block_units[b]] += np.einsum(
-            "prqa,pcqj->rcaj", view.conj(), view, optimize=True)
+    w = _weight_space(algebra, desc, tol)
+    dim = w.shape[1]
+    images = np.zeros((algebra.dim, dim, dim), dtype=complex)
+    before = 1  # the dimension of the factors before slot t
+    for b, q in zip(desc.blocks, desc.q):
+        k, units = algebra.blocks[b], algebra.block_units[b]
+        if k == 1:  # each slot adds w* w = I
+            images[units] += q * np.eye(dim)
+            continue
+        for _ in range(q):
+            view = w.reshape(before, k, -1, dim)
+            images[units] += np.einsum("prqa,pcqj->rcaj", view.conj(), view,
+                                       optimize=True)
+            before *= k
     return RealizedIrrep(desc, images)
 
 
@@ -508,9 +492,14 @@ def homogeneous_components(phi, algebra: FdCStarAlgebra,
     degree bound was too small (components above n_max alias onto lower
     degrees).  A residual passes with no SVD if its coefficient 2-norm, the
     Frobenius norm (the matrix units are orthonormal), is at most tol.  The
-    components at the unit are orthogonal projections.
+    components at the unit are orthogonal projections.  The m x m weights
+    and the m values of dimension target.dim are bounded by
+    MAX_DENSE_ENTRIES before either is built.
     """
     m = n_max + 1
+    if m * max(m, target.dim) > MAX_DENSE_ENTRIES:
+        raise BudgetError(f"{m} components of dimension {target.dim} and "
+                          f"their {m} x {m} DFT weights are too large")
     roots = np.exp(2j * np.pi * np.arange(m) / m)
     weights = np.vander(roots, increasing=True).conj() / m
 

@@ -263,8 +263,7 @@ def cmd_crossed(args, cfg: RunConfig) -> tuple[int, dict]:
     if pair is not None:
         pu = group_average_projection(pair)
         shape = (args.samples, fixed.shape[0])
-        xs = (rng.standard_normal(shape)
-              + 1j * rng.standard_normal(shape)) @ fixed
+        xs = rng.complex_normal(shape) @ fixed
         sample_worst = largest_op_norm(
             integrated_form(pair, corner_embedding(action, x, tol=cfg.tol))
             - pair.apply(x) @ pu for x in xs)

@@ -288,8 +288,7 @@ def homomorphism_residual(group: FiniteGroup, mats, cocycle=None) -> np.ndarray:
     the defect M_a M_b - M_ab / cocycle[a, b], so one generic draw shows any
     failing pair with probability one (Freivalds' idea, IFIP 1977)."""
     rng = Draws(0)
-    c, e = rng.standard_normal((2, group.order)) \
-        + 1j * rng.standard_normal((2, group.order))
+    c, e = rng.complex_normal((2, group.order))
     conv = np.zeros(group.order, dtype=complex)
     for a in range(group.order):
         ea = e if cocycle is None else e / cocycle[a]

@@ -47,6 +47,12 @@ class Draws:
         z = np.sqrt(-2.0 * np.log1p(-u[:n])) * np.cos(2.0 * np.pi * u[n:])
         return float(z[0]) if size is None else z.reshape(size)
 
+    def complex_normal(self, size):
+        """``standard_normal(size) + 1j * standard_normal(size)``, the real
+        parts drawn first.  It reads only ``standard_normal``, so called
+        unbound it serves a numpy ``Generator`` too."""
+        return self.standard_normal(size) + 1j * self.standard_normal(size)
+
 
 def _draw_count(size) -> int:
     """The number of draws of a numpy ``size``: None, an int or a tuple."""

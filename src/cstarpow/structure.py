@@ -147,8 +147,7 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, check: bool = True,
         out = SpannedAlgebra(n, onb=orthonormal_columns(vecs.T, tol).T)
     if check:
         rng = Draws(seed)
-        x, y = out.combine(rng.standard_normal((2, out.dim))
-                           + 1j * rng.standard_normal((2, out.dim)))
+        x, y = out.combine(rng.complex_normal((2, out.dim)))
         if not out.contains(adjoint(x), tol, 1.0):
             raise ValueError("span is not closed under adjoints")
         if not out.contains(x @ y, tol, 1.0):
@@ -167,7 +166,7 @@ def _random_combos(blocks, rng, count: int) -> list[np.ndarray]:
     out = []
     for _ in range(count):
         d = blocks[0].shape[0]
-        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        c = Draws.complex_normal(rng, d)
         m = direct_sum([np.tensordot(c, f, axes=(0, 0)) for f in blocks])
         out.extend([m, m.conj().T])
     return out
@@ -509,8 +508,7 @@ def _component_projections(s: SpannedAlgebra, seed, tol):
     last_error = "no attempt"
     for _ in range(5):
         # x1 for the clusters, x2 for their links, and a commutation probe
-        x1, x2, probe = s.combine(rng.standard_normal((3, s.dim))
-                                  + 1j * rng.standard_normal((3, s.dim)))
+        x1, x2, probe = s.combine(rng.complex_normal((3, s.dim)))
         w, v = eig_hermitian((x1 + adjoint(x1)) / 2, tol)
         try:
             return _projections_from_spectrum(s, gram, w, v, x2, probe, tol)

@@ -9,8 +9,7 @@ from cstarpow.algebra import (Representation, SymmetricPowerBasis,
                               make_algebra, power_map, power_map_differential,
                               symmetric_power_basis, tensor_power)
 from cstarpow import classify
-from cstarpow.classify import (_descriptor, _transpositions_to_last,
-                               direct_sum_of_power_maps, enumerate_sn_irreps,
+from cstarpow.classify import (_descriptor, direct_sum_of_power_maps, enumerate_sn_irreps,
                                homogeneous_components, intertwining_cocycle,
                                isotropy_group, non_schur_weyl_witness,
                                realize_sn_irrep, schur_weyl_injectivity_check,
@@ -19,8 +18,7 @@ from cstarpow.classify import (_descriptor, _transpositions_to_last,
 from cstarpow.crossed import spatial_pair, tensor_permutation_action
 from cstarpow.errors import BudgetError, VerificationError
 from cstarpow import groups
-from cstarpow.groups import (adjacent_transposition_matrices, partitions,
-                             sn_irrep, symmetric_group)
+from cstarpow.groups import partitions, symmetric_group
 from cstarpow.linalg import op_norm
 from cstarpow.structure import (commutant_dimension, equivalent,
                                 intertwiner_space)
@@ -210,7 +208,7 @@ def test_image_stack_over_the_dense_bound_is_refused(monkeypatch):
     def refuse(*args):
         raise AssertionError("solved before the budget check")
 
-    monkeypatch.setattr(classify, "_young_fixed_vectors", refuse)
+    monkeypatch.setattr(classify, "_weight_space", refuse)
     monkeypatch.setattr(classify, "MAX_DENSE_ENTRIES", 4 * 4 * 4 - 1)
     with pytest.raises(BudgetError, match="4 generator images on dimension 4"):
         realize_sn_irrep(algebra, 3, desc)
@@ -220,25 +218,26 @@ def test_image_stack_over_the_dense_bound_is_refused(monkeypatch):
 
 def test_family_over_the_dense_bound_is_refused_before_the_basis(
         monkeypatch):
-    # degree 3 of M_2: the range finder of (3) has 8 x 1 x (4 + 4) = 64
-    # entries, and that of (2, 1), the second label, 8 x 2 x (2 + 4) = 96;
-    # a cap one entry below 96 refuses the family before the first label
-    # is realized, and no orbit basis is built at all
+    # degree 4 of C + M_2: the range finder of (4) on block 0 has
+    # 1 x (1 + 4) = 5 entries, and that of (4) on block 1, the second label,
+    # 16 x (5 + 4) = 144, while its 5 generator images on dimension 5 have
+    # 125; a cap one entry below 144 refuses the family before the first
+    # label is realized, and no orbit basis is built at all
     def refuse(*args):
         raise AssertionError("built or solved before the budget check")
 
     monkeypatch.setattr(classify, "symmetric_power_basis", refuse)
-    monkeypatch.setattr(classify, "_young_fixed_vectors", refuse)
-    monkeypatch.setattr(classify, "MAX_DENSE_ENTRIES", 96 - 1)
-    with pytest.raises(BudgetError, match="range finder blocks of 8 x 2 x 6"):
-        schur_weyl_family(make_algebra([2]), 3)
+    monkeypatch.setattr(classify, "_weight_space", refuse)
+    monkeypatch.setattr(classify, "MAX_DENSE_ENTRIES", 144 - 1)
+    with pytest.raises(BudgetError, match="range finder blocks of 16 x 9 "):
+        schur_weyl_family(make_algebra([1, 2]), 4)
 
 
 def test_family_checks_each_label_once(monkeypatch):
     # every label passes the pre-flight once, and all of them before the
     # first realization
     calls = []
-    check, realize = classify._check_image_budget, classify._young_fixed_vectors
+    check, realize = classify._check_image_budget, classify._weight_space
 
     def counted_check(algebra, desc):
         calls.append(("check", desc.lambdas))
@@ -249,7 +248,7 @@ def test_family_checks_each_label_once(monkeypatch):
         return realize(algebra, desc, *args)
 
     monkeypatch.setattr(classify, "_check_image_budget", counted_check)
-    monkeypatch.setattr(classify, "_young_fixed_vectors", counted_realize)
+    monkeypatch.setattr(classify, "_weight_space", counted_realize)
     family = schur_weyl_family(make_algebra([2, 1]), 3)
     labels = [(lam,) for _, lam, _ in family]
     assert calls == [("check", lam) for lam in labels] \
@@ -269,26 +268,9 @@ def test_degree_seven_family_builds_no_dense_mean():
     assert peak < 32 * 2 ** 20
 
 
-def test_transpositions_from_generators_match_the_table_irrep():
-    # sn_irrep, built over the table of S_q, is the oracle
-    for size in range(2, 6):
-        perms = symmetric_group(size).perms
-        for lam in partitions(size):
-            rep = sn_irrep(lam)
-            gens = adjacent_transposition_matrices(lam)
-            for q in range(2, size + 1):
-                taus = _transpositions_to_last(gens, q)
-                assert len(taus) == q - 1
-                for i, tau in enumerate(taus):
-                    p = list(range(size))
-                    p[i], p[q - 1] = q - 1, i
-                    assert np.allclose(tau, rep.mat(perms.index(tuple(p))),
-                                       rtol=0, atol=1e-12), (lam, q, i)
-
-
 def test_degree_eight_family_builds_no_group_table(monkeypatch):
-    # S_8 is past the tables the package builds; the Young means need only
-    # the generators, and each realization is irreducible
+    # S_8 is past the tables the package builds; the weight spaces need no
+    # group element, and each realization is irreducible
     monkeypatch.setattr(groups, "symmetric_group", lambda *args: pytest.fail(
         "built a symmetric group table"))
     family = schur_weyl_family(make_algebra([2]), 8)
@@ -331,18 +313,20 @@ def test_descriptor_dimension_off_by_one_is_refused(shift, blocks, q, lambdas):
         realize_sn_irrep(algebra, 3, wrong)
 
 
-def test_a_mean_that_moves_its_range_is_refused(m2, monkeypatch):
-    # twice the Young mean has the rank of the mean, so only the check that
-    # the mean fixes the columns found tells them apart
-    young_mean = classify._young_mean
-
-    def doubled(*args):
-        mean, shape = young_mean(*args)
-        return (lambda x: 2 * mean(x)), shape
-
-    monkeypatch.setattr(classify, "_young_mean", doubled)
+@pytest.mark.parametrize("mutate, message", [
+    # the projector of a shifted content still has the right range, so
+    # only the check of the contents on the columns found sees it
+    (lambda steps: [*steps[:-1], (*steps[-1][:2], steps[-1][2] + 1,
+                                  steps[-1][3])], "contents"),
+    # without its last projector the range finder keeps all 6 columns
+    (lambda steps: steps[:-1], "rank 6"),
+], ids=["shifted content", "skipped step"])
+def test_mutated_weight_steps_are_refused(m2, monkeypatch, mutate, message):
+    steps = classify._weight_steps
+    monkeypatch.setattr(classify, "_weight_steps",
+                        lambda *args: mutate(steps(*args)))
     desc = _descriptor(m2, (0,), (3,), ((2, 1),))
-    with pytest.raises(VerificationError, match="fix"):
+    with pytest.raises(VerificationError, match=message):
         realize_sn_irrep(m2, 3, desc)
 
 

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cstarpow
-from cstarpow import acceptance, algebra, classify, cli, linalg
+from cstarpow import acceptance, algebra, classify, cli, groups, linalg
 from cstarpow.algebra import FdCStarAlgebra
 from cstarpow.cli import main
 from cstarpow.errors import DegenerateDrawError
@@ -190,6 +191,18 @@ def test_homog_budget_preflight(capsys):
                            "1,3", "--budget", "4")
     assert code == 3
     assert "budget" in err.lower()
+
+
+@pytest.mark.parametrize("nmax", [str(10 ** 20), "99999999999"])
+def test_homog_refuses_a_huge_degree_bound_before_allocating(capsys, nmax):
+    # (n_max + 1)^2 DFT weights are over 70M entries: numpy refused 10^20
+    # with a parse-error exit, and 99999999999 asked for 745 GiB
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "homog", "--blocks", "1", "--degrees",
+                             "1,2", "--nmax", nmax)
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded:") and "out of memory" not in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_homog_rejects_an_empty_degree_list(capsys):
@@ -631,37 +644,62 @@ def test_degree_70_ends_in_the_package_s_own_messages(capsys):
             for r in payload["schur_weyl_irreps"]] == [(1, 1)]
 
 
-def test_degree_2000_is_refused_by_the_realization_pre_flight(
-        capsys, monkeypatch):
-    # the Young mean of S_2000 has C(2000, 2) transpositions of 2000
-    # factors; the pre-flight counts them before any tableau is listed
-    monkeypatch.setattr(classify, "adjacent_transposition_matrices",
+@pytest.mark.parametrize("n", ["2000", "100000", "10000000"])
+def test_one_row_degrees_exit_0_at_once(capsys, monkeypatch, n):
+    # S^n(C) is one 1-dimensional irreducible: a block of 1 x 1 factors has
+    # no Jucys-Murphy step and adds n I to its image at once, so nothing
+    # scales with n and no tableau is listed
+    monkeypatch.setattr(groups, "standard_tableaux",
                         lambda *args: pytest.fail("listed tableaux"))
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "schur-weyl", "--blocks", "1",
-                             "--n", "2000")
-    assert code == 3 and out == ""
-    assert err.startswith("budget exceeded:")
+    code, payload = run_json(capsys, "schur-weyl", "--blocks", "1", "--n", n)
+    assert code == 0
+    assert [(r["dim"], r["commutant_dim"])
+            for r in payload["schur_weyl_irreps"]] == [(1, 1)]
     assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("argv", [
-    # S_100000's transpositions are counted before its hook lengths, two
-    # 100000! factorials, are taken
-    ["--blocks", "1", "--n", "100000"],
     # (3, 1) of M_6 has dimension 210, and its commutant solve at least 210
     # unknowns on ambient 210, over the 40^4 entries it allows
     ["--blocks", "6", "--n", "4"],
 ], ids=" ".join)
 def test_realizations_past_the_bounds_are_refused_at_once(capsys, monkeypatch,
                                                           argv):
-    monkeypatch.setattr(classify, "adjacent_transposition_matrices",
+    monkeypatch.setattr(groups, "standard_tableaux",
                         lambda *args: pytest.fail("listed tableaux"))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "schur-weyl", *argv)
     assert code == 3 and out == ""
     assert err.startswith("budget exceeded:")
     assert time.perf_counter() - start < 1.0
+
+
+def test_degree_11_of_m2_is_realized_in_seconds(capsys):
+    # 2^11 = 2048 passes a budget of 100000; each of the 6 labels takes 10
+    # Jucys-Murphy steps on a Gaussian block of at most 2048 x 16
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "schur-weyl", "--blocks", "2", "--n",
+                             "11", "--budget", "100000")
+    assert code == 0
+    assert [r["dim"] for r in payload["schur_weyl_irreps"]] == \
+        [12, 10, 8, 6, 4, 2]
+    assert time.perf_counter() - start < 5.0
+
+
+def test_degree_400_of_c_stays_small(capsys):
+    # S^400(C) is one 1-dimensional irreducible: its weight space, of 1 x 1
+    # factors only, is one Gaussian block of 1 x 5, and no array is held
+    # per factor or per pair of factors
+    tracemalloc.start()
+    try:
+        code, payload = run_json(capsys, "schur-weyl", "--blocks", "1",
+                                 "--n", "400")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and payload["schur_weyl_irreps"][0]["dim"] == 1
+    assert peak < 100 * 2 ** 20
 
 
 def test_schur_weyl_builds_no_orbit_labels_or_tensor_power(capsys,

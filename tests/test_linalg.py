@@ -205,6 +205,14 @@ def test_draws_have_the_requested_shapes():
         assert method(0).shape == (0,)
 
 
+def test_complex_normals_draw_the_real_parts_first():
+    z, pair = Draws(5).complex_normal((2, 3)), Draws(5)
+    assert np.array_equal(z.real, pair.standard_normal((2, 3)))
+    assert np.array_equal(z.imag, pair.standard_normal((2, 3)))
+    # called unbound, a numpy Generator serves as the source
+    assert Draws.complex_normal(np.random.default_rng(0), 4).shape == (4,)
+
+
 def test_uniform_draws_lie_in_the_unit_interval():
     u = Draws(1).random(200_000)
     assert u.min() >= 0.0 and u.max() < 1.0
