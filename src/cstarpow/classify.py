@@ -220,7 +220,9 @@ def _weight_space(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
     x = w.reshape(*dims, -1)
     for first, last, c, _ in steps:
         moved = _jucys_murphy(x, first, last, c).reshape(w.shape)
-        if op_norm(moved) > 100 * tol * (last - first):
+        bound = 100 * tol * (last - first)
+        # op norm <= Frobenius norm: an SVD only where it can decide
+        if not np.linalg.norm(moved) <= bound and op_norm(moved) > bound:
             raise VerificationError("the Jucys-Murphy elements do not act on "
                                     "the weight space by the tableau's contents")
     return w

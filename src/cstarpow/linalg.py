@@ -118,7 +118,8 @@ def largest_op_norm(mats, floor: float = 0.0) -> float:
 
 def nullspace(m, tol: float = DEFAULT_TOL,
               scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis, as columns, of the numerical kernel of m.
+    """Orthonormal basis, as columns, of the numerical kernel of m, a matrix
+    or an iterator of row blocks that stands for their vertical stack.
 
     A singular direction counts as null when its singular value is at most
     tol times ``scale``, or times the largest singular value when no scale
@@ -126,17 +127,18 @@ def nullspace(m, tol: float = DEFAULT_TOL,
     scale of the data it was built from, since a cutoff relative to noise
     would count noise as rank.
     """
-    m = as_matrix(m)
-    if m.shape[0] == 0 or m.shape[1] == 0:
-        return np.eye(m.shape[1], dtype=complex)
-    # a tall input has the singular values and right vectors of its R
-    # factor, which is square, so no left factor of m's height is built;
-    # wide inputs need the full right factor to expose the trailing kernel
-    # directions
-    full = m.shape[0] < m.shape[1]
-    if m.shape[0] > m.shape[1]:
-        m = np.linalg.qr(m, mode="r")
-    _, s, vh = np.linalg.svd(m, full_matrices=full)
+    # a tall stack has the singular values and right vectors of its R, which
+    # is the R of [R_prev; B] (TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM
+    # J. Sci. Comput. 34, 2012), so blocks fold in and no Q is built
+    r = None
+    for b in (m if hasattr(m, "__next__") else (m,)):
+        r = as_matrix(b) if r is None else np.concatenate([r, b])
+        if r.shape[0] > r.shape[1]:
+            r = np.linalg.qr(r, mode="r")
+    if r.shape[0] == 0 or r.shape[1] == 0:
+        return np.eye(r.shape[1], dtype=complex)
+    # a wide input needs the full right factor for its trailing kernel
+    _, s, vh = np.linalg.svd(r, full_matrices=r.shape[0] < r.shape[1])
     if scale is None:
         scale = s[0] if s.size else 0.0
     cutoff = tol * scale

@@ -8,14 +8,16 @@ step of Murota, Kanno, Kojima & Kojima and of Maehara & Murota, both Japan
 J. Indust. Appl. Math. 27 (2010)).  Whatever commutes with a *-closed
 family commutes with H, so the commutant is block diagonal over the
 eigenvalue clusters of H in its eigenbasis, and only the sum of the squared
-cluster sizes are unknowns instead of all N^2 entries.  Large families are
-first replaced by generic linear combinations with their adjoints, whose
+cluster sizes are unknowns instead of all N^2 entries.  For commutants H is
+generic in the generated *-algebra, not only in the span, and the system is
+folded slice by slice into its triangular factor.  Large families are first
+replaced by generic linear combinations with their adjoints, whose
 commutant equals the family's with probability one.  Candidates are
 verified against a generic combination of the whole family and its
 adjoint, which exposes a failing member with probability one (the idea of
 Freivalds' check, IFIP 1977); a failing draw is retried with added
-combinations, and an exhaustive solve is the last resort.  The size guard
-bounds each system built.  Minimal central projections need no solve: H
+combinations, and an exhaustive solve is the last resort.  The size guards
+bound the entries of each system.  Minimal central projections need no solve: H
 drawn from the span itself has the same clusters on each copy of one
 simple summand, and a second generic member links exactly the clusters of
 one summand.  Intertwiners and equivalence are read off the corners of the
@@ -176,18 +178,30 @@ def _members(blocks) -> np.ndarray:
     return np.stack([direct_sum(ms) for ms in zip(*blocks)])
 
 
-def _hermitian_parts(fam: np.ndarray) -> np.ndarray:
-    """(m + m*)/2 and (m - m*)/2i of every member; their real span holds the
-    Hermitian elements of the family's complex span when it is *-closed."""
-    adj = np.conj(np.transpose(fam, (0, 2, 1)))
-    return np.concatenate([(fam + adj) / 2, (fam - adj) / 2j], axis=0)
-
-
 def _commutation_operator(m: np.ndarray) -> np.ndarray:
     """Matrix of X -> Xm - mX on row-major vectorized X."""
     n = m.shape[0]
     eye = np.eye(n)
     return np.kron(eye, m.T) - np.kron(m, eye)
+
+
+_SYSTEM_CHUNK = 1 << 18  # most entries of a system slice, unless one row
+
+
+def _eigenbasis_system(constraints, v, rows, cols):
+    """Slices of rows lo:hi of [X', V* m V] = 0 for each constraint m, in
+    the unknowns X'[rows[u], cols[u]]: [E_rc, m] has m[c, :] in row r and
+    -m[:, r] in column c."""
+    n, unknowns = v.shape[0], np.arange(rows.size)
+    step = max(1, _SYSTEM_CHUNK // (n * rows.size))
+    for c in constraints:
+        m = v.conj().T @ c @ v
+        for lo in range(0, n, step):
+            op = np.zeros((min(step, n - lo), n, rows.size), dtype=complex)
+            mine = (lo <= rows) & (rows < lo + step)
+            op[rows[mine] - lo, :, unknowns[mine]] = m[cols[mine], :]
+            op[:, cols, unknowns] -= m[lo:lo + step, rows]
+            yield op.reshape(-1, rows.size)
 
 
 def _verify_commutant(cands: np.ndarray, blocks, tol: float, rng) -> bool:
@@ -212,13 +226,15 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
     The family must be closed under adjoints (up to span): the solve keeps
     only what commutes with a Hermitian element built from the members and
     their adjoints, which for a family that is not *-closed can drop part of
-    its commutant.  Each draw of ``_commutant_basis`` takes a random real
-    combination H of the Hermitian parts of the constraints, H = V D V*, and
-    solves [X', V* m V] = 0 for the unknown X' = V* X V restricted to the
-    blocks of the eigenvalue clusters of H; the dense commutation system of
-    the whole family is the last resort.  BudgetError is raised when the
-    eigenbasis system exceeds MAX_COMMUTANT_AMBIENT^4 entries or the dense
-    one is needed above ambient MAX_COMMUTANT_AMBIENT or above
+    its commutant.  Each draw of ``_commutant_basis`` takes for H the
+    Hermitian part of x + ab, x, a, b generic combinations of the
+    constraints, so generic in the *-algebra they generate; with H = V D V*
+    it solves [X', V* m V] = 0 for X' = V* X V on the blocks of the
+    eigenvalue clusters of H, in row slices that ``nullspace`` folds into
+    one R factor; the dense system of the whole family is the last resort.
+    BudgetError is raised when the eigenbasis system exceeds
+    MAX_COMMUTANT_AMBIENT^4 entries (a bound on work, not memory held) or
+    the dense one is needed above ambient MAX_COMMUTANT_AMBIENT or above
     MAX_DENSE_ENTRIES entries (members x N^4).
 
     Returns a SpannedAlgebra on the solve's orthonormal basis; the double
@@ -241,28 +257,23 @@ def _commutant_basis(blocks, tol: float, seed: int) -> np.ndarray:
     rng = Draws(seed)
 
     def eigenbasis_solve(constraints):
-        herm = _hermitian_parts(constraints)
-        h = np.tensordot(rng.standard_normal(herm.shape[0]), herm, axes=(0, 0))
-        w, v = eig_hermitian(h, tol)
+        # x + ab is generic in the generated *-algebra; x alone, from the
+        # span, may repeat eigenvalues (as Lie algebra weights do)
+        x, a, b = np.tensordot(rng.complex_normal((3, len(constraints))),
+                               constraints, axes=(1, 0))
+        h = x + a @ b
+        w, v = eig_hermitian((h + h.conj().T) / 2, tol)
         clusters = cluster_eigenvalues(
             w, SPECTRAL_GAP * max(1.0, float(np.max(np.abs(w)))))
-        # unknowns: the entries (rows[u], cols[u]) of X' inside one cluster's
-        # block; [E_ij, m] has m[j, :] in row i and -m[:, i] in column j
+        # unknowns: the entries (rows[u], cols[u]) of X' in one cluster's block
         rows = np.concatenate([np.repeat(c, len(c)) for c in clusters])
         cols = np.concatenate([np.tile(c, len(c)) for c in clusters])
         if rows.size * n * n > MAX_COMMUTANT_AMBIENT ** 4:
             raise BudgetError(f"eigenbasis commutant system of {rows.size} "
                               f"unknowns on ambient {n} is too large")
-        unknowns = np.arange(rows.size)
-        primed = np.matmul(v.conj().T, constraints @ v)
-        ops = []
-        for m in primed:
-            op = np.zeros((rows.size, n, n), dtype=complex)
-            op[unknowns, rows, :] = m[cols, :]
-            op[unknowns, :, cols] -= m[:, rows].T
-            ops.append(op.reshape(rows.size, n * n).T)
         scale = 2 * float(np.max(np.linalg.norm(constraints, 2, axis=(1, 2))))
-        coeffs = nullspace(np.concatenate(ops, axis=0), tol, scale=scale)
+        coeffs = nullspace(_eigenbasis_system(constraints, v, rows, cols),
+                           tol, scale=scale)
         reduced = np.zeros((coeffs.shape[1], n, n), dtype=complex)
         reduced[:, rows, cols] = coeffs.T
         return np.matmul(v, reduced @ v.conj().T)

@@ -113,6 +113,22 @@ def test_nullspace_cases(rng):
     assert nullspace(np.eye(3), scale=1.0).shape == (3, 0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 8), st.lists(st.integers(0, 12),
+                                                     min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_nullspace_of_row_blocks_is_that_of_their_stack(cols, rank, heights,
+                                                       seed):
+    # blocks are folded into a running R factor, wide or tall at each step
+    rank = min(rank, cols)
+    rng = np.random.default_rng(seed)
+    m = random_complex(rng, sum(heights), rank) @ random_complex(rng, rank, cols)
+    blocks = np.split(m, np.cumsum(heights)[:-1])
+    got, want = nullspace(iter(blocks)), nullspace(m)
+    assert got.shape == want.shape
+    assert np.allclose(got @ got.conj().T, want @ want.conj().T, atol=1e-8)
+
+
 def test_orthonormal_columns_cases(rng):
     a = random_complex(rng, 4, 2) @ random_complex(rng, 2, 3)
     q = orthonormal_columns(a)

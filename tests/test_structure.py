@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from cstarpow import structure
 from cstarpow.algebra import (Representation, make_algebra,
                               symmetric_power_count)
-from cstarpow.classify import symmetric_power_span, wedderburn_comparison
+from cstarpow.classify import (enumerate_sn_irreps, realize_sn_irrep,
+                               symmetric_power_span, wedderburn_comparison)
 from cstarpow.crossed import (block_permutation_action,
                               tensor_permutation_action)
 from cstarpow.errors import BudgetError, DegenerateDrawError
@@ -82,11 +84,15 @@ def _block_images(ks, mults, pad, rng, conjugate=True):
             member[at:at + k * m, at:at + k * m] = np.kron(unit, np.eye(m))
             units.append(member)
         at += k * m
-    if not conjugate:
-        return np.stack(units)
+    return _conjugated(np.stack(units), rng) if conjugate else np.stack(units)
+
+
+def _conjugated(fam, rng):
+    """A family conjugated by one random unitary."""
+    n = fam.shape[1]
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q = np.linalg.qr(x)[0]
-    return np.matmul(q, np.stack(units) @ q.conj().T)
+    return np.matmul(q, fam @ q.conj().T)
 
 
 @st.composite
@@ -117,8 +123,39 @@ def _star_closed_family(draw):
     return fam, sum(m * m for m in mults) + pad * pad
 
 
-@settings(max_examples=40, deadline=None)
-@given(_star_closed_family())
+@functools.cache
+def _realized_irreps():
+    """For a few small A and n, the generator images dGamma(e_i) of the
+    irreducibles of S^n(A) of dimension <= 6, one list per algebra."""
+    cases = []
+    for blocks, n in (([2], 2), ([2], 3), ([1, 1], 3), ([2, 1], 2), ([3], 2)):
+        algebra = make_algebra(blocks)
+        cases.append([realize_sn_irrep(algebra, n, d).images
+                      for d in enumerate_sn_irreps(algebra, n) if d.dim <= 6])
+    return cases
+
+
+@st.composite
+def _realized_family(draw):
+    """The generator images of a direct sum of realized irreducibles pi of
+    one S^n(A), each as pi (x) I_m, on ambient <= 12 and conjugated by a
+    random unitary, and its commutant dimension: distinct irreducibles are
+    inequivalent, so the commutant is a sum of M_m."""
+    irreps = draw(st.sampled_from(_realized_irreps()))
+    mults, room = [], 12
+    for images in irreps:
+        mults.append(draw(st.integers(0 if mults else 1,
+                                      room // images.shape[1])))
+        room -= mults[-1] * images.shape[1]
+    fam = np.stack([direct_sum([np.kron(image, np.eye(m))
+                                for image, m in zip(member, mults) if m])
+                    for member in zip(*irreps)])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _conjugated(fam, rng), sum(m * m for m in mults)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_star_closed_family(), _realized_family()))
 def test_commutant_dimension_on_star_closed_families(case):
     fam, expected = case
     assert commutant(fam).dim == naive_commutant_dim(fam) == expected
@@ -423,6 +460,105 @@ def test_commutant_budget_guard():
     big[0] = np.eye(64)
     with pytest.raises(BudgetError):
         commutant(big)
+
+
+@pytest.fixture(scope="module")
+def s3_m4_pair():
+    """The two inequivalent irreducibles of dimension 20 of S^3(M_4), on
+    the 16 generators dGamma(e_i)."""
+    m4 = make_algebra([4])
+    return [realize_sn_irrep(m4, 3, d).images
+            for d in enumerate_sn_irreps(m4, 3) if d.dim == 20]
+
+
+def test_pair_solve_probe_has_a_simple_spectrum(monkeypatch, s3_m4_pair):
+    # a combination of the dGamma(e_i) alone lies in a Lie algebra, whose
+    # eigenvalues repeat by weight (88 unknowns); with the product term H
+    # is a generic member of M_20 (+) M_20, with 20 + 20 simple eigenvalues
+    unknowns = []
+    clusters = structure.cluster_eigenvalues
+
+    def counted(w, gap):
+        out = clusters(w, gap)
+        unknowns.append(sum(len(c) ** 2 for c in out))
+        return out
+
+    monkeypatch.setattr(structure, "cluster_eigenvalues", counted)
+    assert not equivalent(*s3_m4_pair)
+    assert unknowns == [40]
+
+
+def _traced_peak(solve):
+    """The result of ``solve()`` and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return solve(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_commutant_solves_hold_one_slice_of_their_system(s3_m4_pair):
+    # the system is folded into its R factor slice by slice: the largest
+    # irreducible of S^4(M_5), on ambient 105, once held its whole system
+    # (two constraints' 105^2 rows by 195 unknowns) and a QR copy, 209 MB
+    m5 = make_algebra([5])
+    desc = max(enumerate_sn_irreps(m5, 4), key=lambda d: d.dim)
+    images = realize_sn_irrep(m5, 4, desc).images
+    dim, peak = _traced_peak(lambda: commutant_dimension(images))
+    assert desc.dim == 105 and dim == 1 and peak < 32e6
+    verdict, peak = _traced_peak(lambda: equivalent(*s3_m4_pair))
+    assert not verdict and peak < 6e6
+
+
+def test_eigenbasis_system_slices_stack_to_the_dense_system(monkeypatch, rng):
+    # the columns of the unknowns E_rc of the dense commutation system in
+    # the eigenbasis, whatever the slicing
+    n, sizes = 7, (3, 1, 2, 1)
+    clusters = np.split(np.arange(n), np.cumsum(sizes)[:-1])
+    rows = np.concatenate([np.repeat(c, len(c)) for c in clusters])
+    cols = np.concatenate([np.tile(c, len(c)) for c in clusters])
+    constraints = rng.standard_normal((2, n, n)) \
+        + 1j * rng.standard_normal((2, n, n))
+    v = _conjugated(np.eye(n)[None], rng)[0]
+    want = np.concatenate([
+        structure._commutation_operator(v.conj().T @ m @ v)[:, rows * n + cols]
+        for m in constraints])
+    for chunk in (1, 2 * n * rows.size + 1, structure._SYSTEM_CHUNK):
+        monkeypatch.setattr(structure, "_SYSTEM_CHUNK", chunk)
+        slices = list(structure._eigenbasis_system(constraints, v, rows, cols))
+        assert all(s.size <= max(chunk, n * rows.size) for s in slices)
+        assert np.allclose(np.concatenate(slices), want, rtol=0, atol=1e-12)
+
+
+def test_chunked_solves_match_unchunked(monkeypatch, s3_m4_pair):
+    pi, rho = s3_m4_pair
+    both = np.stack([direct_sum(p) for p in zip(pi, rho)])
+
+    def results():
+        return (commutant_dimension(pi), commutant_dimension(both),
+                equivalent(pi, rho), equivalent(pi, pi))
+
+    whole = results()
+    system = structure._eigenbasis_system
+    shapes = []
+
+    def counted(constraints, v, rows, cols):
+        for block in system(constraints, v, rows, cols):
+            shapes.append(block.shape)
+            yield block
+
+    def refuse(m):
+        raise AssertionError("the dense system was built")
+
+    # (pi, rho): 40 unknowns, 1600 entries a row, slices of 6 rows and a
+    # last one of 4; (pi, pi): 80 unknowns, slices of 3 rows and one of 1
+    monkeypatch.setattr(structure, "_SYSTEM_CHUNK", 10000)
+    monkeypatch.setattr(structure, "_eigenbasis_system", counted)
+    monkeypatch.setattr(structure, "_commutation_operator", refuse)
+    assert results() == whole == (1, 2, False, True)
+    assert all(r * c <= 10000 for r, c in shapes)
+    assert {(r // 40, c) for r, c in shapes} >= {(6, 40), (4, 40), (3, 80),
+                                                 (1, 80)}
 
 
 def test_minimal_central_projections_full_block():
