@@ -25,8 +25,7 @@ from .induction import (InducedRep, commutant_restriction,
                         fixed_point_unitary, induce)
 from .linalg import DEFAULT_TOL, direct_sum, eig_hermitian, nullspace, op_norm
 from .structure import (SpannedAlgebra, WedderburnReport, commutant,
-                        commutant_dimension, equivalent, ergodic_bound_check,
-                        intertwiner_space, minimal_central_projections,
-                        spanned_algebra)
+                        equivalent, ergodic_bound_check, intertwiner_space,
+                        minimal_central_projections, spanned_algebra)
 
 __version__ = "0.1.0"

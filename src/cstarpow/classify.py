@@ -40,9 +40,9 @@ from .errors import BudgetError, VerificationError
 from .groups import (ProjectiveRep, Subgroup, check_partition, partitions,
                      ssyt_count)
 from .linalg import DEFAULT_TOL, Draws, op_norm, orthonormal_columns
-from .structure import (MAX_COMMUTANT_AMBIENT, SpannedAlgebra,
-                        commutant_dimension, equivalent, intertwiner_space,
-                        label_span, minimal_central_projections)
+from .structure import (MAX_COMMUTANT_AMBIENT, SpannedAlgebra, commutant,
+                        equivalent, intertwiner_space, label_span,
+                        minimal_central_projections)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +413,7 @@ def non_schur_weyl_witness(algebra: FdCStarAlgebra, block1: int, block2: int,
                                              tol).shape[0])
              for j, lam, sw in schur_weyl_family(algebra, 2, tol)}
     cert = WitnessCertificate(
-        witness, commutant_dimension(witness.images, tol), inter)
+        witness, commutant(witness.images, tol).dim, inter)
     return cert
 
 

@@ -40,7 +40,7 @@ from .errors import BudgetError, VerificationError
 from .groups import trivial_subgroup, young_subgroup
 from .induction import commutant_restriction, fixed_point_unitary, induce
 from .linalg import DEFAULT_TOL, Draws, largest_op_norm
-from .structure import commutant_dimension
+from .structure import commutant
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -314,7 +314,7 @@ def cmd_schur_weyl(args, cfg: RunConfig) -> tuple[int, dict]:
         "block": j,
         "partition": list(lam),
         "dim": rep.dim,
-        "commutant_dim": commutant_dimension(rep.images, cfg.tol),
+        "commutant_dim": commutant(rep.images, cfg.tol).dim,
     } for j, lam, rep in family]
     payload = {
         "blocks": list(algebra.blocks),

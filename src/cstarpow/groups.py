@@ -16,15 +16,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import radix_digits, radix_pack
+from .algebra import MAX_DENSE_ENTRIES, radix_digits, radix_pack
 from .errors import BudgetError, VerificationError
 from .linalg import DEFAULT_TOL, Draws, op_norm
 
 MAX_SYMMETRIC_N = 7
 
-# Largest factor-permutation index table (entries), and largest dimension at
-# which a permutation representation builds its dense matrices.
-_MAX_INDEX_ENTRIES = 70_000_000
+# Largest dimension at which a permutation representation builds its dense
+# matrices.
 _MAX_PERMUTATION_REP_DIM = 5000
 
 
@@ -496,7 +495,7 @@ def factor_permutation_index(dims, perms) -> np.ndarray:
     perms = np.array(perms, dtype=np.int64).reshape(-1, n)
     total = math.prod(dims)
     # the returned index and the digit table are the largest arrays built
-    if max(perms.shape[0], n) * total > _MAX_INDEX_ENTRIES:
+    if max(perms.shape[0], n) * total > MAX_DENSE_ENTRIES:
         raise BudgetError(
             f"factor permutation index of {perms.shape[0]}x{total} entries")
     if not np.array_equal(np.sort(perms, axis=1),

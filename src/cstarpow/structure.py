@@ -10,18 +10,19 @@ family commutes with H, so the commutant is block diagonal over the
 eigenvalue clusters of H in its eigenbasis, and only the sum of the squared
 cluster sizes are unknowns instead of all N^2 entries.  For commutants H is
 generic in the generated *-algebra, not only in the span, and the system is
-folded slice by slice into its triangular factor.  Large families are first
-replaced by generic linear combinations with their adjoints, whose
+folded slice by slice into its triangular factor.  Every family is first
+replaced by one generic linear combination with its adjoint, whose
 commutant equals the family's with probability one.  Candidates are
 verified against a generic combination of the whole family and its
 adjoint, which exposes a failing member with probability one (the idea of
-Freivalds' check, IFIP 1977); a failing draw is retried with added
-combinations, and an exhaustive solve is the last resort.  The size guards
-bound the entries of each system.  Minimal central projections need no solve: H
-drawn from the span itself has the same clusters on each copy of one
-simple summand, and a second generic member links exactly the clusters of
-one summand.  Intertwiners and equivalence are read off the corners of the
-commutant of pi (+) rho.
+Freivalds' check, IFIP 1977).  The size guards bound the entries of each
+system.  Minimal central projections need no solve: H drawn from the span
+itself has the same clusters on each copy of one simple summand, and a
+second generic member links exactly the clusters of one summand.  Both
+solves redraw through ``_redraw``: each failing commutant draw adds a
+combination, the exhaustive solve follows the third, and the Wedderburn
+engine has five draws.  Intertwiners and equivalence are read off the
+corners of the commutant of pi (+) rho.
 """
 
 from __future__ import annotations
@@ -163,19 +164,31 @@ def spanned_algebra(mats, tol: float = DEFAULT_TOL, check: bool = True,
 # A family given as blocks is a tuple of families with one member count whose
 # members are the block-diagonal sums of theirs, built only where needed.
 
-def _random_combos(blocks, rng, count: int) -> list[np.ndarray]:
-    """Generic complex combinations of a family, each paired with its adjoint."""
-    out = []
-    for _ in range(count):
-        d = blocks[0].shape[0]
-        c = Draws.complex_normal(rng, d)
-        m = direct_sum([np.tensordot(c, f, axes=(0, 0)) for f in blocks])
-        out.extend([m, m.conj().T])
-    return out
+def _random_combo(blocks, rng) -> np.ndarray:
+    """A generic complex combination of a family stacked on its adjoint."""
+    c = Draws.complex_normal(rng, blocks[0].shape[0])
+    m = direct_sum([np.tensordot(c, f, axes=(0, 0)) for f in blocks])
+    return np.stack([m, m.conj().T])
 
 
-def _members(blocks) -> np.ndarray:
-    return np.stack([direct_sum(ms) for ms in zip(*blocks)])
+def _hermitian_spectrum(x: np.ndarray, tol: float):
+    """(w, v, clusters, gap) of the Hermitian part H = V diag(w) V* of x:
+    its eigenvalues clustered at gap = SPECTRAL_GAP max(1, max |w|)."""
+    w, v = eig_hermitian((x + adjoint(x)) / 2, tol)
+    gap = SPECTRAL_GAP * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    return w, v, cluster_eigenvalues(w, gap), gap
+
+
+def _redraw(solve: str, attempts):
+    """The result of the first of the ordered callables ``attempts`` that
+    raises no DegenerateDrawError, else one naming the solve, the number of
+    draws and the last failure."""
+    for count, attempt in enumerate(attempts, 1):
+        try:
+            return attempt()
+        except DegenerateDrawError as exc:
+            failure = exc
+    raise DegenerateDrawError(f"{solve} failed after {count} draws: {failure}")
 
 
 def _commutation_operator(m: np.ndarray) -> np.ndarray:
@@ -210,7 +223,7 @@ def _verify_commutant(cands: np.ndarray, blocks, tol: float, rng) -> bool:
     the commutator is linear, so any failing member shows."""
     if cands.shape[0] == 0:
         return True
-    probe = np.stack(_random_combos(blocks, rng, 1))
+    probe = _random_combo(blocks, rng)
     # scaled by the members, not the probe: one failing member adds about
     # its coefficient times its own commutator, whatever the family's size
     scale = max(1.0, *(float(np.max(np.abs(f), initial=0.0)) for f in blocks)) \
@@ -226,12 +239,15 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
     The family must be closed under adjoints (up to span): the solve keeps
     only what commutes with a Hermitian element built from the members and
     their adjoints, which for a family that is not *-closed can drop part of
-    its commutant.  Each draw of ``_commutant_basis`` takes for H the
-    Hermitian part of x + ab, x, a, b generic combinations of the
+    its commutant.  The constraints start as one generic combination m of
+    the family and its adjoint m*.  Each draw of ``_commutant_basis`` takes
+    for H the Hermitian part of x + ab, x, a, b generic combinations of the
     constraints, so generic in the *-algebra they generate; with H = V D V*
     it solves [X', V* m V] = 0 for X' = V* X V on the blocks of the
     eigenvalue clusters of H, in row slices that ``nullspace`` folds into
-    one R factor; the dense system of the whole family is the last resort.
+    one R factor.  Three such draws, each after a failed verification with
+    one more pair of constraints, are followed by the dense system of the
+    whole family as the last resort.
     BudgetError is raised when the eigenbasis system exceeds
     MAX_COMMUTANT_AMBIENT^4 entries (a bound on work, not memory held) or
     the dense one is needed above ambient MAX_COMMUTANT_AMBIENT or above
@@ -248,23 +264,21 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
 
 def _commutant_basis(blocks, tol: float, seed: int) -> np.ndarray:
     """Orthonormal basis of the commutant of a family given as blocks; see
-    ``commutant``.  Draw -> solve -> verify -> redraw -> exhaustive: up to
-    four members with their adjoints, or else a generic combination and its
-    adjoint, are the constraints of the eigenbasis solve; two more draws
-    each add a combination, and the dense system of the whole family
-    follows the third failure."""
+    ``commutant``.  The constraints start as a generic pair m, m*, and each
+    failed ``_verify_commutant`` adds another; three eigenbasis draws and
+    then the dense system of the whole family are the attempts of
+    ``_redraw``."""
     n = sum(f.shape[1] for f in blocks)
     rng = Draws(seed)
+    constraints = _random_combo(blocks, rng)
 
-    def eigenbasis_solve(constraints):
+    def eigenbasis_draw():
+        nonlocal constraints
         # x + ab is generic in the generated *-algebra; x alone, from the
         # span, may repeat eigenvalues (as Lie algebra weights do)
         x, a, b = np.tensordot(rng.complex_normal((3, len(constraints))),
                                constraints, axes=(1, 0))
-        h = x + a @ b
-        w, v = eig_hermitian((h + h.conj().T) / 2, tol)
-        clusters = cluster_eigenvalues(
-            w, SPECTRAL_GAP * max(1.0, float(np.max(np.abs(w)))))
+        _, v, clusters, _ = _hermitian_spectrum(x + a @ b, tol)
         # unknowns: the entries (rows[u], cols[u]) of X' in one cluster's block
         rows = np.concatenate([np.repeat(c, len(c)) for c in clusters])
         cols = np.concatenate([np.tile(c, len(c)) for c in clusters])
@@ -276,31 +290,22 @@ def _commutant_basis(blocks, tol: float, seed: int) -> np.ndarray:
                            tol, scale=scale)
         reduced = np.zeros((coeffs.shape[1], n, n), dtype=complex)
         reduced[:, rows, cols] = coeffs.T
-        return np.matmul(v, reduced @ v.conj().T)
-
-    if blocks[0].shape[0] <= 4:
-        members = _members(blocks)
-        constraints = np.concatenate(
-            [members, np.conj(np.transpose(members, (0, 2, 1)))])
-    else:
-        constraints = np.stack(_random_combos(blocks, rng, 1))
-    for _ in range(3):
-        cands = eigenbasis_solve(constraints)
+        cands = np.matmul(v, reduced @ v.conj().T)
         if _verify_commutant(cands, blocks, tol, rng):
             return cands
-        constraints = np.concatenate(
-            [constraints, np.stack(_random_combos(blocks, rng, 1))])
-    if n > MAX_COMMUTANT_AMBIENT or \
-            len(blocks[0]) * n ** 4 > MAX_DENSE_ENTRIES:
-        raise BudgetError(f"dense commutant system of {len(blocks[0])} "
-                          f"members on ambient {n} is too large")
-    stacked = np.concatenate(
-        [_commutation_operator(m) for m in _members(blocks)], axis=0)
-    return nullspace(stacked, tol).T.reshape(-1, n, n)
+        constraints = np.concatenate([constraints, _random_combo(blocks, rng)])
+        raise DegenerateDrawError("a candidate fails the commutation probe")
 
+    def dense_solve():
+        if n > MAX_COMMUTANT_AMBIENT or \
+                len(blocks[0]) * n ** 4 > MAX_DENSE_ENTRIES:
+            raise BudgetError(f"dense commutant system of {len(blocks[0])} "
+                              f"members on ambient {n} is too large")
+        stacked = np.concatenate([_commutation_operator(direct_sum(ms))
+                                  for ms in zip(*blocks)], axis=0)
+        return nullspace(stacked, tol).T.reshape(-1, n, n)
 
-def commutant_dimension(family, tol: float = DEFAULT_TOL, seed: int = 0) -> int:
-    return commutant(family, tol, seed).dim
+    return _redraw("commutant solve", [eigenbasis_draw] * 3 + [dense_solve])
 
 
 # ---------------------------------------------------------------------------
@@ -516,23 +521,18 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
 def _component_projections(s: SpannedAlgebra, seed, tol):
     rng = Draws(seed)
     gram = _basis_gram(s)
-    last_error = "no attempt"
-    for _ in range(5):
+
+    def draw():
         # x1 for the clusters, x2 for their links, and a commutation probe
         x1, x2, probe = s.combine(rng.complex_normal((3, s.dim)))
-        w, v = eig_hermitian((x1 + adjoint(x1)) / 2, tol)
-        try:
-            return _projections_from_spectrum(s, gram, w, v, x2, probe, tol)
-        except DegenerateDrawError as exc:
-            last_error = str(exc)
-    raise DegenerateDrawError(
-        f"central projection extraction failed after 5 draws: {last_error}")
+        return _projections_from_spectrum(s, gram, x1, x2, probe, tol)
+
+    return _redraw("central projection extraction", [draw] * 5)
 
 
-def _projections_from_spectrum(s: SpannedAlgebra, gram, w, v, x2, probe,
-                               tol):
+def _projections_from_spectrum(s: SpannedAlgebra, gram, x1, x2, probe, tol):
     """(projection, block dim, multiplicity) of each component of the
-    eigenvalue clusters of H = V diag(w) V* linked by x2.
+    eigenvalue clusters of H = (x1 + x1*)/2 = V diag(w) V* linked by x2.
 
     On a summand M_d (x) I_m of the span, a generic H has d eigenvalues of
     multiplicity m, none shared with another summand.  A generic x2 links
@@ -549,8 +549,7 @@ def _projections_from_spectrum(s: SpannedAlgebra, gram, w, v, x2, probe,
     it is the kernel of a non-unital span.
     """
     bound = max(tol * 100, 1e-7)
-    gap = SPECTRAL_GAP * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    clusters = cluster_eigenvalues(w, gap)
+    w, v, clusters, gap = _hermitian_spectrum(x1, tol)
     # the clusters are runs of the ascending eigenvalues, so |Q_c x2 Q_c'|^2
     # sums a run-by-run block of x2's squared entries in the eigenbasis
     starts = [c[0] for c in clusters]

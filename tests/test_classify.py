@@ -20,8 +20,7 @@ from cstarpow.errors import BudgetError, VerificationError
 from cstarpow import groups
 from cstarpow.groups import partitions, symmetric_group
 from cstarpow.linalg import op_norm
-from cstarpow.structure import (commutant_dimension, equivalent,
-                                intertwiner_space)
+from cstarpow.structure import commutant, equivalent, intertwiner_space
 from oracles import dense_realized_images, trivial_action
 
 
@@ -76,7 +75,7 @@ def test_realize_m2_symmetric_square(m2):
     by_dim = {d.dim: d for d in descs}
     top = realize_sn_irrep(m2, 2, by_dim[3])
     assert top.dim == 3
-    assert commutant_dimension(top.images) == 1
+    assert commutant(top.images).dim == 1
     sign = realize_sn_irrep(m2, 2, by_dim[1])
     assert sign.dim == 1
     assert not equivalent(top.images, sign.images)
@@ -276,7 +275,7 @@ def test_degree_eight_family_builds_no_group_table(monkeypatch):
     family = schur_weyl_family(make_algebra([2]), 8)
     assert [lam for _, lam, _ in family] == partitions(8, 2)
     assert [rep.dim for _, _, rep in family] == [9, 7, 5, 3, 1]
-    assert all(commutant_dimension(rep.images) == 1 for _, _, rep in family)
+    assert all(commutant(rep.images).dim == 1 for _, _, rep in family)
 
 
 def test_realize_all_dims_one_for_commutative(c3):
@@ -290,7 +289,7 @@ def test_realize_all_dims_one_for_commutative(c3):
 def test_realized_descriptors_are_separating(m23):
     reps = [realize_sn_irrep(m23, 2, d)
             for d in enumerate_sn_irreps(m23, 2)]
-    assert all(commutant_dimension(r.images) == 1 for r in reps)
+    assert all(commutant(r.images).dim == 1 for r in reps)
     for a in range(len(reps)):
         for b in range(a + 1, len(reps)):
             assert not equivalent(reps[a].images, reps[b].images)

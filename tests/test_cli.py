@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import cstarpow
-from cstarpow import acceptance, algebra, classify, cli, groups, linalg
+from cstarpow import (acceptance, algebra, classify, cli, groups, linalg,
+                      structure)
 from cstarpow.algebra import FdCStarAlgebra
 from cstarpow.cli import main
 from cstarpow.errors import DegenerateDrawError
@@ -345,13 +346,17 @@ def test_verification_error_exits_4(capsys):
 
 
 def test_degenerate_draw_exits_4_without_traceback(capsys, monkeypatch):
-    def fail(*args, **kwargs):
+    # the engine's own redraw routine runs to exhaustion: every draw fails
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
         raise DegenerateDrawError("no separating draw")
 
-    monkeypatch.setattr(classify, "minimal_central_projections", fail)
+    monkeypatch.setattr(structure, "_projections_from_spectrum", fail)
     code, out, err = run_cli(capsys, "sympow", "--blocks", "2", "--n", "2")
-    assert code == 4
-    assert out == ""
+    assert code == 4 and out == "" and len(calls) == 5
+    assert "central projection extraction failed after 5 draws" in err
     assert "no separating draw" in err and "Traceback" not in err
 
 
