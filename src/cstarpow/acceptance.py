@@ -249,11 +249,13 @@ def suite_generation(tol, seed, budget):
         algebra = make_algebra(blocks)
         sym = symmetric_power_basis(algebra, n)
         span = symmetric_power_span(algebra, n, sym)
-        derivatives = sym.power.embed(np.stack(
-            [power_map_differential(algebra, e, n)
-             for e in np.eye(algebra.dim)]))
-        generated = generated_star_algebra(derivatives, span.ambient,
-                                           tol=1e-8)
+        # the dGamma(e_i) cut to the listed monomials, on the span's ambient
+        listed = np.ravel_multi_index(sym.digits, (algebra.dim,) * n)
+        derivatives = np.zeros((algebra.dim, span.ambient ** 2), dtype=complex)
+        derivatives[:, sym.entry] = [power_map_differential(algebra, e, n)[
+            listed] for e in np.eye(algebra.dim)]
+        generated = generated_star_algebra(derivatives.reshape(
+            -1, span.ambient, span.ambient), span.ambient, tol=1e-8)
         combined = np.concatenate(
             [generated.reshape(generated.shape[0], -1),
              span.span_basis.reshape(span.dim, -1)])

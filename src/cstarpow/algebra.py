@@ -13,6 +13,7 @@ units is again a single-entry matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -243,18 +244,23 @@ class SymmetricPowerBasis:
     """Orbit-sum basis of the permutation-fixed part of a tensor power.
 
     ``index`` lists the size-n multisets of basis indices of the base algebra
-    (as sorted tuples, in ``combinations_with_replacement`` order).  The orbit
-    sum of ``index[i]`` is the sum of the basis monomials of the power algebra
-    whose digits form that multiset, so every monomial lies in exactly one
-    orbit sum, with coefficient 1; ``orbit[m]`` is the row of ``index`` that
-    holds monomial m.
-    """
+    (sorted tuples, in ``combinations_with_replacement`` order); orbit sum i
+    sums the monomials whose factors form ``index[i]``.  S_n only permutes
+    the blocks of A^(x)n of one orbit of block sequences, so the projection
+    onto the sorted sequences' blocks is faithful on the fixed part, and only
+    their monomials are listed: monomial t has the factors ``digits[:, t]``,
+    lies in orbit sum ``orbit[t]`` and sits at the flat entry ``entry[t]`` of
+    ``ambient`` x ``ambient``, the sorted blocks end to end.  Multiplicities
+    read on it count one sorted sequence per orbit, n!/prod q_j! times fewer
+    than on A^(x)n for q the block counts."""
 
     base: FdCStarAlgebra
-    power: FdCStarAlgebra
     n: int
     index: tuple
     orbit: np.ndarray
+    entry: np.ndarray
+    ambient: int
+    digits: np.ndarray
 
     @property
     def size(self) -> int:
@@ -267,25 +273,42 @@ def symmetric_power_count(d: int, n: int) -> int:
 
 
 def symmetric_power_basis(a: FdCStarAlgebra, n: int) -> SymmetricPowerBasis:
-    """The orbit labels of the n-th tensor power's basis monomials.
-
-    The multiset of a monomial is its sorted digit row, packed into one key
-    below ``total`` in radix ``a.dim``.  Key order is the lexicographic, or
-    ``combinations_with_replacement``, order of ``index``, so a 1-D
-    ``np.unique`` gives ``index`` and, by its inverse, the row of every
-    monomial.  The guard bounds the ``total x n`` digits.
-    """
-    total = a.dim ** n
-    if total * n > MAX_DENSE_ENTRIES:
-        raise BudgetError(f"symmetric power basis needs {total}x{n} digits")
-    power = tensor_power(a, n)
-    dims = (a.dim,) * n
-    digits = radix_digits(np.arange(total), dims)
-    digits.sort(axis=0)
-    keys, orbit = np.unique(radix_pack(digits, dims), return_inverse=True)
-    index = radix_digits(keys, dims).T
-    return SymmetricPowerBasis(a, power, n, tuple(map(tuple, index.tolist())),
-                               orbit.reshape(-1))
+    """The monomials on sorted block sequences and their orbit sums, on
+    which multiplicities count one sorted sequence per orbit (see
+    ``SymmetricPowerBasis``), one sequence at a time, each block row-major:
+    the radix digits of its row and column are the factors' local rows and
+    columns.  Sorted digits a_0 <= ... <= a_{n-1} are the multiset of row
+    C(dim + n - 1, n) - 1 - sum_t C(dim + n - 2 - a_t - t, n - t) of
+    ``index``, the lexicographic rank of the combination a_t + t.  The guard
+    bounds the n digits of the sum_beta prod k_beta_t^2 monomials first."""
+    if n < 1:
+        raise ValueError("symmetric power requires n >= 1")
+    count = [1] + [0] * n  # [d]: the monomials on sorted sequences of length d
+    for k in a.blocks:
+        for d in range(1, n + 1):
+            count[d] += k * k * count[d - 1]
+    if count[n] * n > MAX_DENSE_ENTRIES:
+        raise BudgetError(f"symmetric power basis needs {count[n]}x{n} digits")
+    digits = np.empty((n, count[n]), dtype=np.min_scalar_type(a.dim - 1))
+    sizes, at = [], 0
+    for beta in itertools.combinations_with_replacement(range(len(a.blocks)),
+                                                        n):
+        k = [a.blocks[j] for j in beta]
+        sizes.append(math.prod(k))
+        part, at = slice(at, at + sizes[-1] ** 2), at + sizes[-1] ** 2
+        for t, r in enumerate(radix_digits(np.arange(sizes[-1]), k)):
+            digits[t, part] = a.block_units[beta[t]][r[:, None], r].ravel()
+    ranks = np.array([[math.comb(a.dim + n - 2 - v - t, n - t)
+                       for v in range(a.dim)] for t in range(n)])
+    orbit = np.full(count[n], symmetric_power_count(a.dim, n) - 1)
+    for t, row in enumerate(np.sort(digits, axis=0)):
+        orbit -= ranks[t, row]
+    ambient = sum(sizes)
+    entry = np.concatenate([(ambient * np.arange(s, s + size))[:, None]
+                            + np.arange(s, s + size) for s, size in zip(
+                                np.cumsum([0, *sizes]), sizes)], axis=None)
+    index = tuple(itertools.combinations_with_replacement(range(a.dim), n))
+    return SymmetricPowerBasis(a, n, index, orbit, entry, ambient, digits)
 
 
 # ---------------------------------------------------------------------------

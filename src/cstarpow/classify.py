@@ -91,16 +91,6 @@ def _descriptor(algebra: FdCStarAlgebra, blocks, q, lambdas) -> IrrepDescriptor:
     return IrrepDescriptor(blocks, q, lambdas, dim)
 
 
-def _weak_compositions(n: int, m: int):
-    """All ways to write n as an ordered sum of m non-negative integers."""
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _weak_compositions(n - first, m - 1):
-            yield (first,) + rest
-
-
 def enumerate_sn_irreps(algebra: FdCStarAlgebra, n: int) -> list[IrrepDescriptor]:
     """Complete, duplicate-free list of descriptors for degree n.
 
@@ -109,11 +99,12 @@ def enumerate_sn_irreps(algebra: FdCStarAlgebra, n: int) -> list[IrrepDescriptor
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
-    m = len(algebra.blocks)
     out = []
-    for comp in _weak_compositions(n, m):
-        chosen = tuple(j for j in range(m) if comp[j] > 0)
-        q = tuple(comp[j] for j in chosen)
+    # one sorted block sequence per S_n-orbit: its blocks and their counts
+    for beta in itertools.combinations_with_replacement(
+            range(len(algebra.blocks)), n):
+        chosen = tuple(sorted(set(beta)))
+        q = tuple(beta.count(j) for j in chosen)
         options = [partitions(qk, algebra.blocks[j])
                    for j, qk in zip(chosen, q)]
         for lambdas in itertools.product(*options):
@@ -312,17 +303,17 @@ def wedderburn_comparison(algebra: FdCStarAlgebra, n: int,
 def symmetric_power_span(algebra: FdCStarAlgebra, n: int,
                          sym: SymmetricPowerBasis | None = None
                          ) -> SpannedAlgebra:
-    """The fixed-point span of the n-th tensor power as concrete matrices.
+    """The fixed-point span of the n-th tensor power as concrete matrices, in
+    the block form of ``SymmetricPowerBasis``: multiplicities read on it
+    count one sorted block sequence per orbit.
 
-    Member i is the orbit sum ``sym.index[i]``, 1 at the unit position of
-    each of its monomials; these supports are disjoint, so the orbit labels
+    Member i is the orbit sum ``sym.index[i]``, 1 at the entry of each of
+    its listed monomials; these supports are disjoint, so the orbit labels
     go straight to ``label_span`` and no member stack is built.
     """
     if sym is None:
         sym = symmetric_power_basis(algebra, n)
-    ambient = sym.power.ambient
-    row, col = sym.power.positions.T
-    return label_span(ambient, sym.orbit, row * ambient + col,
+    return label_span(sym.ambient, sym.orbit, sym.entry,
                       np.ones(sym.orbit.shape[0]))
 
 

@@ -430,10 +430,10 @@ class WedderburnReport:
     ambient indices outside which it vanishes; projections are read-only,
     and alike components share one.  ``block_dims[j]`` is the size of the
     j-th simple summand of the algebra and ``multiplicities[j]`` how often
-    its defining representation occurs in the ambient space, so
-    rank(projection) = block_dim * multiplicity and the squared block dims
-    sum to the linear dimension of the span.
-    """
+    its defining representation occurs in the ambient space (on
+    ``symmetric_power_span``, in one sorted block sequence per S_n-orbit),
+    so rank(projection) = block_dim * multiplicity and the squared block
+    dims sum to the linear dimension of the span."""
 
     ambient: int
     blocks: list
@@ -485,17 +485,17 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
     its block form a label span of their own: the span is the direct sum of
     the component spans, so its minimal central projections are the union
     of theirs, and the report keeps each on its component's indices.  A
-    dense span is one component.  Components with the same local labels are
-    solved once and share their read-only projections: each solve draws
-    from a fresh ``Draws(seed)``, so it depends on the labels alone.  Per
-    component, generic members x1 and x2 are drawn and the eigenvalues of
+    dense span is one component.  Components with equal label arrays (of
+    equal ambient and label count, compared in place) are solved once and
+    share their read-only projections: each solve draws from a fresh
+    ``Draws(seed)``, so it depends on the labels alone.  Per component,
+    generic members x1 and x2 are drawn and the eigenvalues of
     H = (x1 + x1*)/2 clustered; x2 links the clusters of one simple
     summand, and each linked component of clusters sums to one minimal
     central projection, whose block dimension is its cluster count
     (``_projections_from_spectrum``).  Only span members are read, never a
     description of the algebra.  A draw that fails a check is redrawn,
-    failing after five draws.
-    """
+    failing after five draws."""
     parts = [(np.arange(s.ambient), s)]
     if s.onb is None:
         parts = []
@@ -508,11 +508,15 @@ def minimal_central_projections(s: SpannedAlgebra, seed: int = 0,
                 row * len(idx) + col, s.weight[labels])))
     found, solved = [], {}
     for idx, sub in parts:
-        key = sub.onb is None and (sub.ambient, *(
-            a.tobytes() for a in (sub.member, sub.entry, sub.weight)))
-        if key not in solved:
-            solved[key] = _component_projections(sub, seed, tol)
-        found += [(d, k, (idx, proj)) for proj, d, k in solved[key]]
+        alike = solved.setdefault((sub.ambient, sub.onb is None
+                                   and sub.entry.size), [])
+        result = next((r for other, r in alike if all(
+            np.array_equal(getattr(other, f), getattr(sub, f))
+            for f in ("member", "entry", "weight"))), None)
+        if result is None:
+            result = _component_projections(sub, seed, tol)
+            alike.append((sub, result))
+        found += [(d, k, (idx, proj)) for proj, d, k in result]
     found.sort(key=lambda f: f[:2])
     return WedderburnReport(s.ambient, [f[2] for f in found],
                             [f[0] for f in found], [f[1] for f in found])

@@ -6,6 +6,7 @@ path with the package internals it checks.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -192,6 +193,36 @@ def sorted_row_orbit_labels(dim, n):
     return tuple(map(tuple, index.tolist())), orbit.reshape(-1)
 
 
+def full_symmetric_power_basis(a, n):
+    """The orbit sums on all dim^n monomials of ``tensor_power(a, n)``:
+    ``power``, the multisets ``index`` in ``combinations_with_replacement``
+    order, and the row ``orbit[m]`` of ``index`` that holds monomial m."""
+    from cstarpow.algebra import tensor_power
+    index, orbit = sorted_row_orbit_labels(a.dim, n)
+    return SimpleNamespace(base=a, power=tensor_power(a, n), n=n,
+                           index=index, orbit=orbit, size=len(index))
+
+
+def full_symmetric_power_span(a, n):
+    """The fixed-point span on the whole ambient (sum k)^n of the tensor
+    power: orbit sum i is 1 at the unit position of each of its monomials."""
+    from cstarpow.structure import label_span
+    sym = full_symmetric_power_basis(a, n)
+    ambient = sym.power.ambient
+    row, col = sym.power.positions.T
+    return label_span(ambient, sym.orbit, row * ambient + col,
+                      np.ones(sym.orbit.shape[0]))
+
+
+def sorted_block_monomials(a, n):
+    """The monomials of ``tensor_power(a, n)`` whose block sequence is
+    nondecreasing, and the block sequence of every monomial."""
+    blocks = np.stack(np.unravel_index(np.arange(a.dim ** n), (a.dim,) * n))
+    blocks = a.block_of[blocks]
+    return np.flatnonzero(np.all(np.diff(blocks, axis=0) >= 0, axis=0)), \
+        blocks
+
+
 def permuted_kron(vectors, perm):
     """Tensor product of factor vectors after moving factor t to slot
     perm[t], built with np.kron."""
@@ -368,8 +399,10 @@ def coefficients(alg, mat):
 
 
 def orbit_vectors(sym):
-    """The orbit sums of a SymmetricPowerBasis as dense coefficient rows of
-    the power algebra, refused above MAX_DENSE_ENTRIES entries."""
+    """The orbit sums of a listing with ``orbit`` and ``size`` as dense rows
+    over its monomials, in listing order (the coefficient rows of the power
+    algebra for ``full_symmetric_power_basis``), refused above
+    MAX_DENSE_ENTRIES entries."""
     from cstarpow import algebra
     from cstarpow.errors import BudgetError
     total = sym.orbit.shape[0]

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from cstarpow.crossed import tensor_permutation_action
 from cstarpow.errors import BudgetError
 from cstarpow.groups import symmetric_group
 from oracles import (block_units_by_loop, embedded_multiply, embedded_norm,
-                     make_algebra_arrays, multiset_permutations,
-                     orbit_vectors, random_unitary, sorted_row_orbit_labels,
+                     full_symmetric_power_basis, make_algebra_arrays,
+                     multiset_permutations, orbit_vectors, random_unitary,
+                     sorted_block_monomials, sorted_row_orbit_labels,
                      symmetric_power_orbit_sums, symmetrize)
 
 
@@ -168,7 +171,7 @@ def test_symmetrizer_trace_preserving(m2, rng):
 
 
 def test_symmetrizer_image_is_symmetric_span(m2, rng):
-    sym = symmetric_power_basis(m2, 2)
+    sym = full_symmetric_power_basis(m2, 2)
     power = tensor_power(m2, 2)
     stack = [orbit_vectors(sym)]
     for _ in range(5):
@@ -184,7 +187,8 @@ def test_symmetric_power_basis_counts(c3, m2, m23):
 
 
 def test_symmetric_power_basis_vectors(m2):
-    sym = symmetric_power_basis(m2, 2)
+    # the oracle's orbit sums on all 16 monomials of the tensor square
+    sym = full_symmetric_power_basis(m2, 2)
     vectors = orbit_vectors(sym)
     assert np.linalg.matrix_rank(vectors) == sym.size
     act = tensor_permutation_action(m2, 2)
@@ -205,8 +209,11 @@ def test_symmetric_power_basis_matches_orbit_sums(data):
     sym = symmetric_power_basis(a, n)
     index, vectors = symmetric_power_orbit_sums(a.dim, n)
     assert sym.index == index
-    assert sym.orbit.shape == (a.dim ** n,)
-    assert np.array_equal(orbit_vectors(sym), vectors)
+    # the listed monomials are those on sorted block sequences, each in the
+    # one orbit sum that holds it
+    listed = radix_pack(sym.digits, (a.dim,) * n)
+    assert np.array_equal(np.sort(listed), sorted_block_monomials(a, n)[0])
+    assert np.array_equal(vectors[:, listed], orbit_vectors(sym))
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,7 +226,34 @@ def test_one_key_orbit_labels_match_sorted_row_labels(data):
     sym = symmetric_power_basis(a, n)
     index, orbit = sorted_row_orbit_labels(a.dim, n)
     assert sym.index == index
-    assert np.array_equal(sym.orbit, orbit)
+    assert np.array_equal(sym.orbit, orbit[radix_pack(sym.digits,
+                                                      (a.dim,) * n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_listed_monomials_sit_at_their_places_in_the_sorted_blocks(data):
+    a = make_algebra(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                        max_size=3)))
+    n = data.draw(st.integers(1, max(k for k in range(1, 5)
+                                     if a.dim ** k <= 4096)))
+    sym = symmetric_power_basis(a, n)
+    # the place in the block form of each ambient index of the tensor power
+    # whose factors lie in a sorted block sequence, sequence by sequence
+    offsets = np.cumsum([0, *a.blocks])
+    place = {}
+    for beta in itertools.combinations_with_replacement(range(len(a.blocks)),
+                                                        n):
+        for rows in itertools.product(*(range(a.blocks[j]) for j in beta)):
+            full = 0
+            for j, r in zip(beta, rows):
+                full = full * a.ambient + offsets[j] + r
+            place[full] = len(place)
+    assert len(place) == sym.ambient
+    row, col = tensor_power(a, n).positions[
+        radix_pack(sym.digits, (a.dim,) * n)].T
+    assert sym.entry.tolist() == [place[r] * sym.ambient + place[c]
+                                  for r, c in zip(row, col)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,9 +336,19 @@ def test_oracle_check_catches_a_norm_that_reads_one_size_group(monkeypatch):
 
 
 def test_symmetric_power_budget_guard(m23):
-    # 13^7 monomials of 7 digits each, refused before any allocation
-    with pytest.raises(BudgetError):
-        symmetric_power_basis(m23, 7)
+    # the sum over sorted block sequences of prod k^2 is
+    # (9^9 - 4^9) / 5 = 77,431,669 monomials of 8 digits each, refused
+    # before any allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="77431669x8 digits"):
+            symmetric_power_basis(m23, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # degree 7 lists (9^8 - 4^8) / 5 of them, 60M digits under the cap
+    assert 7 * (9 ** 8 - 4 ** 8) // 5 <= algebra.MAX_DENSE_ENTRIES
 
 
 def test_orbit_sums_past_the_dense_bound_stay_labels():
@@ -343,7 +387,7 @@ def test_power_map_cases(m2, rng):
 
 
 def test_power_map_lands_in_symmetric_span(m2, rng):
-    sym = symmetric_power_basis(m2, 2)
+    sym = full_symmetric_power_basis(m2, 2)
     x = m2.random_element(rng)
     v = power_map(m2, x, 2)
     vectors = orbit_vectors(sym).T
@@ -380,7 +424,7 @@ def test_generated_star_algebra_cases(m2, rng):
     seeds = [power.embed(power_map_differential(m2, eye[i], 2))
              for i in range(m2.dim)]
     span = generated_star_algebra(seeds, power.ambient)
-    sym = symmetric_power_basis(m2, 2)
+    sym = full_symmetric_power_basis(m2, 2)
     assert span.shape[0] == sym.size == 10
     sym_mats = np.stack([power.embed(v) for v in orbit_vectors(sym)])
     combined = np.concatenate([span.reshape(10, -1),

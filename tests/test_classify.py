@@ -7,7 +7,7 @@ import pytest
 
 from cstarpow.algebra import (Representation, SymmetricPowerBasis,
                               make_algebra, power_map, power_map_differential,
-                              symmetric_power_basis, tensor_power)
+                              tensor_power)
 from cstarpow import classify
 from cstarpow.classify import (_descriptor, direct_sum_of_power_maps, enumerate_sn_irreps,
                                homogeneous_components, intertwining_cocycle,
@@ -21,7 +21,8 @@ from cstarpow import groups
 from cstarpow.groups import partitions, symmetric_group
 from cstarpow.linalg import op_norm
 from cstarpow.structure import commutant, equivalent, intertwiner_space
-from oracles import dense_realized_images, trivial_action
+from oracles import (dense_realized_images, full_symmetric_power_basis,
+                     trivial_action)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,7 @@ def _generator_images(algebra, n, desc):
     """The dense oracle's orbit-sum images combined into those of the
     dGamma(e_i), by the coefficients of ``power_map_differential``, which is
     constant on each orbit."""
-    sym = symmetric_power_basis(algebra, n)
+    sym = full_symmetric_power_basis(algebra, n)
     coeffs = np.zeros((algebra.dim, sym.size), dtype=complex)
     for i, e in enumerate(np.eye(algebra.dim)):
         coeffs[i, sym.orbit] = power_map_differential(algebra, e, n)

@@ -722,6 +722,39 @@ def test_schur_weyl_builds_no_orbit_labels_or_tensor_power(capsys,
     assert run_cli(capsys, "verify", "schur-weyl")[0] == 0
 
 
+def test_symmetric_power_paths_build_no_tensor_power(capsys, monkeypatch):
+    # the orbit sums are listed on the sorted block sequences directly, so
+    # sympow, the crosscheck and the suites that read their span never
+    # build A^(x)n
+    def refuse(*args, **kwargs):
+        pytest.fail("built the tensor power")
+
+    for module in (algebra, classify, cli, acceptance):
+        for name in ("tensor_power", "tensor_algebra"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert run_cli(capsys, "sympow", "--blocks", "2,3", "--n", "3")[0] == 0
+    assert run_cli(capsys, "classify", "--blocks", "2,3", "--n", "3",
+                   "--crosscheck")[0] == 0
+    for suite in ("generation", "classification"):
+        assert run_cli(capsys, "verify", suite)[0] == 0
+
+
+def test_sympow_of_m2_m3_at_degree_4_stays_small(capsys):
+    # the block form of S^4(M_2 (+) M_3) is 11605 monomials on ambient 211,
+    # not 28561 on ambient 625; it peaked at 2.6 MB traced (the full
+    # ambient at 14.6 MB, and its dense member stack needed ~11 GB)
+    tracemalloc.start()
+    try:
+        code, payload = run_json(capsys, "sympow", "--blocks", "2,3",
+                                 "--n", "4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert payload["wedderburn_block_dims"] == payload["enumerated_dims"]
+    assert peak < 5.5 * 2 ** 20
+
+
 @pytest.mark.parametrize("argv", [
     ["crossed", "--blocks", "1", "--n", "8"],
     ["induce", "--blocks", "1", "--n", "8"],

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from cstarpow import structure
 from cstarpow.algebra import (Representation, make_algebra,
-                              symmetric_power_count)
+                              symmetric_power_basis, symmetric_power_count)
 from cstarpow.classify import (enumerate_sn_irreps, realize_sn_irrep,
                                symmetric_power_span, wedderburn_comparison)
 from cstarpow.crossed import (block_permutation_action,
@@ -21,6 +23,7 @@ from cstarpow.structure import (_support_components, commutant, equivalent,
                                 minimal_central_projections, spanned_algebra)
 from oracles import (center_dimension, central_projections, compressed_rank,
                      distance_to_span, every_component_report,
+                     full_symmetric_power_basis, full_symmetric_power_span,
                      isotypic_projection, naive_commutant_dim,
                      naive_intertwiner_dim, support_components_bfs,
                      trivial_action)
@@ -620,25 +623,27 @@ def test_minimal_central_projections_seed_independent(m23):
 
 
 def test_wedderburn_solve_builds_no_member_stack():
-    # S^3 of M_1 (+) M_2 (+) M_2: 165 orbit sums on ambient 125, a 41 MB
-    # member stack; the split, the draws and the block dimensions read the
-    # labels and build no basis
+    # S^3 of M_1 (+) M_2 (+) M_2 on the full ambient: 165 orbit sums on
+    # ambient 125, a 41 MB member stack; the split, the draws and the block
+    # dimensions read the labels and build no basis
     algebra = make_algebra([1, 2, 2])
     stack = symmetric_power_count(algebra.dim, 3) * algebra.ambient ** 6 * 16
+    span = full_symmetric_power_span(algebra, 3)
     tracemalloc.start()
     try:
-        enumerated, spectral = wedderburn_comparison(algebra, 3)
+        report = minimal_central_projections(span)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert enumerated == spectral
+    assert sorted(report.block_dims) == \
+        sorted(d.dim for d in enumerate_sn_irreps(algebra, 3))
     assert stack >= 30e6 and peak < stack / 2
 
 
 def test_wedderburn_solve_of_s3_m2_m3_stays_small(m23):
     # the draws and the trace block dimensions form no product with a
-    # component's basis
-    span = symmetric_power_span(m23, 3)
+    # component's basis, here on the full ambient 125
+    span = full_symmetric_power_span(m23, 3)
     tracemalloc.start()
     try:
         report = minimal_central_projections(span)
@@ -747,8 +752,10 @@ def test_split_skips_indices_no_member_touches(m2):
 
 
 def test_alike_components_are_solved_once(monkeypatch):
-    # S^4(C^4) splits into 35 support components, of 5 distinct label spans
-    span = symmetric_power_span(make_algebra([1, 1, 1, 1]), 4)
+    # S^4(C^4) on the full ambient splits into 35 support components, of 5
+    # distinct label spans; in block form, into 35 blocks of size 1, alike
+    algebra = make_algebra([1, 1, 1, 1])
+    span = full_symmetric_power_span(algebra, 4)
     assert len(_components(span)) == 35
     calls = []
     solve = structure._component_projections
@@ -756,6 +763,35 @@ def test_alike_components_are_solved_once(monkeypatch):
                         lambda *a: calls.append(a) or solve(*a))
     minimal_central_projections(span)
     assert len(calls) == 5
+    block_form = symmetric_power_span(algebra, 4)
+    assert len(_components(block_form)) == 35
+    minimal_central_projections(block_form)
+    assert len(calls) == 5 + 1
+
+
+def test_components_alike_in_size_are_compared_by_their_labels(monkeypatch):
+    # M_2, span{I, X} and span{I, Y} on ambients 2 each, with 4 labels each:
+    # one (ambient, label count), three distinct label spans; the last two
+    # differ in their weights alone
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]])
+    fams = [np.eye(4, dtype=complex).reshape(4, 2, 2),
+            np.stack([np.eye(2), x]), np.stack([np.eye(2), y])]
+    span = spanned_algebra(np.concatenate([_embedded(f, 6, 2 * i)
+                                           for i, f in enumerate(fams)]))
+    assert span.onb is None
+    assert [(len(idx), len(labels)) for idx, _, labels
+            in _components(span)] == [(2, 4)] * 3
+    calls = []
+    solve = structure._component_projections
+    monkeypatch.setattr(structure, "_component_projections",
+                        lambda *a: calls.append(a) or solve(*a))
+    report = minimal_central_projections(span)
+    assert len(calls) == 3
+    assert (report.block_dims, report.multiplicities) == ([1] * 4 + [2],
+                                                          [1] * 5)
+    for idx, proj in report.blocks:
+        assert distance_to_span(fams[idx[0] // 2], proj) < 1e-9
 
 
 @pytest.mark.parametrize("blocks, n", [([1, 1, 1, 1], 4), ([2, 2, 2], 4),
@@ -807,6 +843,41 @@ def test_enumerated_blocks_equal_spectral_blocks(case, seed):
     enumerated, spectral = wedderburn_comparison(make_algebra(blocks), n,
                                                  seed=seed)
     assert enumerated == spectral
+
+
+@settings(max_examples=30, deadline=None)
+@given(_blocks_and_degree(), st.integers(0, 1000))
+@example(([2, 1], 3), 0)
+@example(([1, 1, 1], 3), 0)
+def test_block_form_keeps_the_wedderburn_data_of_the_full_ambient(case, seed):
+    # one sorted block sequence per orbit: the same block dimensions, and
+    # each multiplicity divided by the orbit size n!/prod q_j! of the block
+    # counts q of its sequence
+    blocks, n = case
+    algebra = make_algebra(blocks)
+    sym, full = symmetric_power_basis(algebra, n), \
+        full_symmetric_power_basis(algebra, n)
+    assert (sym.index, sym.size) == (full.index, full.size)
+    report = minimal_central_projections(
+        symmetric_power_span(algebra, n, sym), seed=seed)
+    want = minimal_central_projections(full_symmetric_power_span(algebra, n),
+                                       seed=seed)
+    assert sorted(report.block_dims) == sorted(want.block_dims) == \
+        sorted(d.dim for d in enumerate_sn_irreps(algebra, n))
+    # the blocks of the sorted sequences lie end to end in listing order
+    betas = list(itertools.combinations_with_replacement(range(len(blocks)),
+                                                         n))
+    starts = np.cumsum([0] + [math.prod(blocks[j] for j in b) for b in betas])
+    assert starts[-1] == sym.ambient
+    scaled = []
+    for (idx, _), d, m in zip(report.blocks, report.block_dims,
+                              report.multiplicities):
+        at = int(np.searchsorted(starts, idx[0], side="right")) - 1
+        assert idx[-1] < starts[at + 1]
+        orbit = math.factorial(n) // math.prod(
+            math.factorial(betas[at].count(j)) for j in set(betas[at]))
+        scaled.append((d, m * orbit))
+    assert sorted(scaled) == sorted(zip(want.block_dims, want.multiplicities))
 
 
 def test_equivalent_cases(m2, m23, rng):
@@ -1004,16 +1075,17 @@ def test_disjoint_family_is_kept_as_labels(case):
 
 
 def test_label_path_allocates_nothing_of_the_ambient_size():
-    # S^4(C^6) on ambient 1296: 126 orbit sums, one label per diagonal
-    # entry; one ambient^2 array of 8-byte entries would be 13.4 MB
-    algebra = make_algebra([1] * 6)
+    # S^4(C^6) on the full ambient 1296: 126 orbit sums, one label per
+    # diagonal entry; one ambient^2 array of 8-byte entries would be 13.4 MB
+    span = full_symmetric_power_span(make_algebra([1] * 6), 4)
+    assert span.ambient == 1296
     tracemalloc.start()
     try:
-        enumerated, spectral = wedderburn_comparison(algebra, 4)
+        report = minimal_central_projections(span)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert enumerated == spectral == [1] * 126
+    assert report.block_dims == [1] * 126
     assert peak < 1296 ** 2 * 8
 
 
@@ -1021,8 +1093,9 @@ def test_symmetric_power_span_and_its_components_keep_labels(monkeypatch):
     algebra = make_algebra([2, 1])
     span = symmetric_power_span(algebra, 3)
     assert span.onb is None
+    # one label per monomial on a sorted block sequence: 4^3 + 4^2 + 4 + 1
     assert span.member.shape == span.entry.shape == span.weight.shape \
-        == (algebra.dim ** 3,)
+        == (85,)
     subs = []
     solve = structure._component_projections
 
