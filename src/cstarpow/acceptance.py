@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (generated_star_algebra, make_algebra,
-                      power_map_differential, square_map_multiplicativity,
-                      symmetric_power_basis, symmetric_power_count)
+from .algebra import (ambient_power_within_budget, generated_star_algebra,
+                      make_algebra, power_map_differential,
+                      square_map_multiplicativity, symmetric_power_basis,
+                      symmetric_power_count)
 from .classify import (direct_sum_of_power_maps, homogeneous_components,
                        non_schur_weyl_witness, schur_weyl_injectivity_check,
                        symmetric_power_span, wedderburn_comparison)
@@ -38,17 +39,13 @@ def _assertion(name, passed, **detail):
     return out
 
 
-def _case_within_budget(blocks, n, budget):
-    return sum(blocks) ** n <= budget
-
-
 def suite_dimensions(tol, seed, budget):
     """Exact multiset-count law for the dimension of each symmetric power."""
     assertions = []
     for blocks in DIMENSION_CASES:
         algebra = make_algebra(blocks)
         for n in DEGREES:
-            if not _case_within_budget(blocks, n, budget):
+            if not ambient_power_within_budget(blocks, n, budget):
                 continue
             sym = symmetric_power_basis(algebra, n)
             expected = symmetric_power_count(algebra.dim, n)
@@ -81,7 +78,7 @@ def suite_classification(tol, seed, budget):
     for blocks in DIMENSION_CASES:
         algebra = make_algebra(blocks)
         for n in DEGREES:
-            if not _case_within_budget(blocks, n, budget):
+            if not ambient_power_within_budget(blocks, n, budget):
                 continue
             enumerated, spectral = wedderburn_comparison(
                 algebra, n, tol=tol, seed=seed)

@@ -30,6 +30,10 @@ MAX_DENSE_ENTRIES = 70_000_000
 class FdCStarAlgebra:
     """A direct sum of matrix blocks with a fixed matrix-unit basis.
 
+    Products, adjoints and norms are read on the blocks' unit grids (the
+    adjoint E_rc* = E_cr transposes each grid); ``positions`` only embeds
+    the units into the carrying matrix space.
+
     Attributes:
         blocks: sizes of the matrix blocks.
         dim: linear dimension, the sum of the squared block sizes.
@@ -37,6 +41,7 @@ class FdCStarAlgebra:
         positions: (dim, 2) array, the (row, col) of each basis unit.
         block_of: block index of each basis unit.
         local: (dim, 2) within-block (row, col) of each basis unit.
+        block_units: per block, the (k, k) grid of basis indices of E_rc.
         star_index: permutation with basis_i* = basis_{star_index[i]}.
     """
 
@@ -49,14 +54,6 @@ class FdCStarAlgebra:
         self.local = local
         if self.dim != sum(k * k for k in self.blocks):
             raise ValueError("basis size does not match block sizes")
-        keys = positions[:, 0] * self.ambient + positions[:, 1]
-        order = np.argsort(keys)
-        self._sorted_keys = keys[order]
-        self._key_order = order
-        star_keys = positions[:, 1] * self.ambient + positions[:, 0]
-        self.star_index = self._lookup(star_keys)
-        if np.any(self.star_index < 0):
-            raise ValueError("basis positions are not closed under transpose")
         # block_units[j][r, c] -> basis index, at slot start[j] + r k + c
         sizes = np.array(self.blocks, dtype=np.int64)
         start = np.cumsum(sizes ** 2) - sizes ** 2
@@ -69,15 +66,12 @@ class FdCStarAlgebra:
         self._size_groups = [
             np.stack([u for u in self.block_units if len(u) == k])
             for k in sorted(set(self.blocks))]
-        self._product_table = None
-
-    def _lookup(self, keys):
-        """Map position keys (row*ambient+col) to basis indices, -1 if absent."""
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.clip(pos, 0, self.dim - 1)
-        found = self._sorted_keys[pos] == keys
-        out = np.where(found, self._key_order[pos], -1)
-        return out
+        # E_rc* = E_cr: each unit grid transposed
+        self.star_index = np.empty(self.dim, dtype=np.int64)
+        for units in self._size_groups:
+            self.star_index[units] = units.transpose(0, 2, 1)
+        if not np.array_equal(positions[self.star_index], positions[:, ::-1]):
+            raise ValueError("basis positions are not closed under transpose")
 
     # -- element arithmetic (elements are complex coefficient vectors) -----
 
@@ -118,20 +112,6 @@ class FdCStarAlgebra:
                       .max(axis=(-2, -1)) for units in self._size_groups],
                      axis=0)
         return float(out) if x.ndim == 1 else out
-
-    def product_table(self) -> np.ndarray:
-        """(dim, dim) table with basis_i basis_j = basis_{T[i,j]}, -1 for zero."""
-        if self._product_table is None:
-            if self.dim ** 2 > MAX_DENSE_ENTRIES:
-                raise BudgetError("product table too large")
-            rows = self.positions[:, 0]
-            cols = self.positions[:, 1]
-            match = cols[:, None] == rows[None, :]
-            keys = rows[:, None] * self.ambient + cols[None, :]
-            table = self._lookup(keys.ravel()).reshape(self.dim, self.dim)
-            table[~match] = -1
-            self._product_table = table
-        return self._product_table
 
     # -- random elements ----------------------------------------------------
 
@@ -175,6 +155,14 @@ def tensor_algebra(a: FdCStarAlgebra, b: FdCStarAlgebra) -> FdCStarAlgebra:
     return FdCStarAlgebra(blocks, a.ambient * b.ambient,
                           np.stack([rows, cols], axis=1),
                           block_of, np.stack([lr, lc], axis=1))
+
+
+def ambient_power_within_budget(blocks, n: int, budget: int) -> bool:
+    """Whether (sum of the blocks)^n is at most the budget, without forming
+    the power once n passes the budget's bit length (ambient size >= 2)."""
+    ambient = sum(blocks)
+    return not (ambient > 1 and n > budget.bit_length()) \
+        and ambient ** n <= budget
 
 
 def tensor_power(a: FdCStarAlgebra, n: int) -> FdCStarAlgebra:

@@ -39,8 +39,9 @@ from .crossed import GroupAction
 from .errors import BudgetError, VerificationError
 from .groups import (ProjectiveRep, Subgroup, check_partition, partitions,
                      ssyt_count)
-from .linalg import DEFAULT_TOL, Draws, op_norm, orthonormal_columns
-from .structure import (MAX_COMMUTANT_AMBIENT, SpannedAlgebra, commutant,
+from .linalg import (DEFAULT_TOL, Draws, largest_op_norm, op_norm,
+                     orthonormal_columns)
+from .structure import (SpannedAlgebra, check_commutant_work, commutant,
                         equivalent, intertwiner_space, label_span,
                         minimal_central_projections)
 
@@ -212,8 +213,7 @@ def _weight_space(algebra: FdCStarAlgebra, desc: IrrepDescriptor,
     for first, last, c, _ in steps:
         moved = _jucys_murphy(x, first, last, c).reshape(w.shape)
         bound = 100 * tol * (last - first)
-        # op norm <= Frobenius norm: an SVD only where it can decide
-        if not np.linalg.norm(moved) <= bound and op_norm(moved) > bound:
+        if largest_op_norm([moved], floor=bound) > bound:
             raise VerificationError("the Jucys-Murphy elements do not act on "
                                     "the weight space by the tableau's contents")
     return w
@@ -223,7 +223,7 @@ def _check_image_budget(algebra: FdCStarAlgebra, desc: IrrepDescriptor):
     """Refuse a realization whose images of the dim A generators or whose
     range finder block, N x (dim + 4) on the carrier of dimension N, has
     over MAX_DENSE_ENTRIES entries, or whose commutant solve, of at least
-    dim unknowns on ambient dim, is sure to pass MAX_COMMUTANT_AMBIENT^4."""
+    dim unknowns on ambient dim, is sure to fail ``check_commutant_work``."""
     dim = desc.dim
     carrier = math.prod(algebra.blocks[b] ** q
                         for b, q in zip(desc.blocks, desc.q))
@@ -234,9 +234,7 @@ def _check_image_budget(algebra: FdCStarAlgebra, desc: IrrepDescriptor):
              carrier * (dim + _RANGE_OVERSAMPLE))):
         if entries > MAX_DENSE_ENTRIES:
             raise BudgetError(f"{what} are too large")
-    if dim ** 3 > MAX_COMMUTANT_AMBIENT ** 4:
-        raise BudgetError(f"commutant systems of at least {dim} unknowns "
-                          f"on ambient {dim} are too large")
+    check_commutant_work(dim, dim)
 
 
 def realize_sn_irrep(algebra: FdCStarAlgebra, n: int, desc: IrrepDescriptor,

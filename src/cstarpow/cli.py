@@ -28,7 +28,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import acceptance
-from .algebra import (MAX_DENSE_ENTRIES, algebra_from_json, make_algebra,
+from .algebra import (MAX_DENSE_ENTRIES, algebra_from_json,
+                      ambient_power_within_budget, make_algebra,
                       symmetric_power_basis, symmetric_power_count)
 from .classify import (direct_sum_of_power_maps, enumerate_sn_irreps,
                        homogeneous_components, schur_weyl_family,
@@ -107,17 +108,13 @@ def _spec_blocks(spec, key: str, what: str) -> list[int]:
 
 def _check_budget(blocks, n: int, budget: int):
     """Refuse a block list whose ambient size, the sum of the blocks, to the
-    power n exceeds the budget, before anything is built.  The power is not
-    formed: from ambient size 2 on, n above the bit length of the budget is
-    already over it.  A list with a block below 1 is left to make_algebra,
-    which refuses it."""
+    power n exceeds the budget, before anything is built.  A list with a
+    block below 1 is left to make_algebra, which refuses it."""
     blocks = [int(k) for k in blocks]
-    if min(blocks, default=0) < 1:
-        return
-    ambient = sum(blocks)
-    if ambient > 1 and n > budget.bit_length() or ambient ** n > budget:
+    if min(blocks, default=0) >= 1 and \
+            not ambient_power_within_budget(blocks, n, budget):
         raise BudgetError(
-            f"ambient size {ambient}^{n} exceeds the budget {budget}")
+            f"ambient size {sum(blocks)}^{n} exceeds the budget {budget}")
 
 
 def _load_algebra(args, n: int, budget: int):

@@ -35,7 +35,9 @@ class GroupAction:
     as a permutation of the matrix-unit basis (stored as index arrays) or as
     a dense matrix.  Construction verifies that every map is a unital
     *-homomorphism and that the maps compose according to the group table:
-    by exact integer comparisons for permutation actions, and at one generic
+    exactly on indices for permutation actions, where each map must send
+    every block's grid of units into one block by E_rc -> E'_(s(r), s(c)),
+    one permutation s per grid, and commute with the adjoint; at one generic
     pair x, y per map and one generic combination of the maps for dense ones.
     """
 
@@ -94,14 +96,23 @@ class GroupAction:
         if self.is_permutation:
             # index rows, identity and group table, exactly
             UnitaryRep(grp, dest=self.perm_maps)
-            table = alg.product_table()
-            for p in self.perm_maps:
-                lhs = table[p][:, p]
-                rhs = np.where(table >= 0, p[table], -1)
-                if not np.array_equal(lhs, rhs):
+            # a bijection of the units respects products exactly when each
+            # grid goes into one block by E_rc -> E_s(r),s(c) (E_rr is an
+            # idempotent and E_rc = E_rr E_rc E_cc); s is then injective, so
+            # the grids fill blocks of their own size, largest first
+            for units in alg._size_groups:
+                image = self.perm_maps[:, units]
+                block = alg.block_of[image]
+                row, col = np.moveaxis(alg.local[image], -1, 0)
+                if not (np.all(block == block[..., :1, :1])
+                        and np.all(row == row[..., :1])
+                        and np.all(col == col[..., :1, :])
+                        and np.array_equal(np.diagonal(row, 0, -2, -1),
+                                           np.diagonal(col, 0, -2, -1))):
                     raise ValueError("map is not multiplicative")
-                if not np.array_equal(p[alg.star_index], alg.star_index[p]):
-                    raise ValueError("map does not preserve adjoints")
+            if not np.array_equal(self.perm_maps[:, alg.star_index],
+                                  alg.star_index[self.perm_maps]):
+                raise ValueError("map does not preserve adjoints")
         else:
             rng = Draws(0)
             x, y = alg.random_element(rng), alg.random_element(rng)

@@ -22,10 +22,6 @@ from .linalg import DEFAULT_TOL, Draws, op_norm
 
 MAX_SYMMETRIC_N = 7
 
-# Largest dimension at which a permutation representation builds its dense
-# matrices.
-_MAX_PERMUTATION_REP_DIM = 5000
-
 
 class FiniteGroup:
     """A finite group as an explicit multiplication table on 0..order-1."""
@@ -302,8 +298,8 @@ class UnitaryRep:
     A permutation representation may be given by its index array instead:
     ``dest[g, i]`` is the basis vector that g sends basis vector i to, as in
     ``factor_permutation_index``.  The dense ``matrices`` are then built on
-    first read, within ``_MAX_PERMUTATION_REP_DIM``.  Construction checks
-    the multiplication table, exactly on indices or by
+    first read, within MAX_DENSE_ENTRIES entries (order x dim^2).
+    Construction checks the multiplication table, exactly on indices or by
     ``homomorphism_residual``, and the unitarity of dense matrices.
     """
 
@@ -330,10 +326,10 @@ class UnitaryRep:
     @property
     def matrices(self) -> np.ndarray:
         if self._matrices is None:
-            if self.dim > _MAX_PERMUTATION_REP_DIM:
-                raise BudgetError(f"permutation representation dimension "
-                                  f"{self.dim} exceeds "
-                                  f"{_MAX_PERMUTATION_REP_DIM}")
+            if self.group.order * self.dim ** 2 > MAX_DENSE_ENTRIES:
+                raise BudgetError(f"permutation representation of "
+                                  f"{self.group.order} matrices on dimension "
+                                  f"{self.dim} is too large")
             mats = np.zeros((self.group.order, self.dim, self.dim),
                             dtype=complex)
             mats[np.arange(self.group.order)[:, None], self.dest,

@@ -262,6 +262,14 @@ def commutant(s, tol: float = DEFAULT_TOL, seed: int = 0) -> SpannedAlgebra:
     return SpannedAlgebra(fam.shape[1], onb=basis.reshape(basis.shape[0], -1))
 
 
+def check_commutant_work(unknowns: int, n: int):
+    """Refuse an eigenbasis commutant system, n^2 rows per constraint and
+    one column per unknown, over MAX_COMMUTANT_AMBIENT^4 entries."""
+    if unknowns * n * n > MAX_COMMUTANT_AMBIENT ** 4:
+        raise BudgetError(f"eigenbasis commutant system of {unknowns} "
+                          f"unknowns on ambient {n} is too large")
+
+
 def _commutant_basis(blocks, tol: float, seed: int) -> np.ndarray:
     """Orthonormal basis of the commutant of a family given as blocks; see
     ``commutant``.  The constraints start as a generic pair m, m*, and each
@@ -282,9 +290,7 @@ def _commutant_basis(blocks, tol: float, seed: int) -> np.ndarray:
         # unknowns: the entries (rows[u], cols[u]) of X' in one cluster's block
         rows = np.concatenate([np.repeat(c, len(c)) for c in clusters])
         cols = np.concatenate([np.tile(c, len(c)) for c in clusters])
-        if rows.size * n * n > MAX_COMMUTANT_AMBIENT ** 4:
-            raise BudgetError(f"eigenbasis commutant system of {rows.size} "
-                              f"unknowns on ambient {n} is too large")
+        check_commutant_work(rows.size, n)
         scale = 2 * float(np.max(np.linalg.norm(constraints, 2, axis=(1, 2))))
         coeffs = nullspace(_eigenbasis_system(constraints, v, rows, cols),
                            tol, scale=scale)

@@ -500,6 +500,37 @@ def block_units_by_loop(alg):
     return out
 
 
+def position_index(alg):
+    """Basis index of each (row, col) position of the embedding."""
+    return {(r, c): i for i, (r, c) in enumerate(alg.positions.tolist())}
+
+
+def position_star_index(alg):
+    """The basis index of each unit's adjoint, looked up at the transposed
+    position."""
+    where = position_index(alg)
+    return np.array([where[c, r] for r, c in alg.positions.tolist()],
+                    dtype=np.int64)
+
+
+def product_table(alg):
+    """(dim, dim) table with basis_i basis_j = basis_{T[i, j]}, -1 for a
+    zero product, from the positions: E(r, c) E(c', d) is E(r, d) if c = c'."""
+    where = position_index(alg)
+    table = np.full((alg.dim, alg.dim), -1, dtype=np.int64)
+    for i, (r, c) in enumerate(alg.positions.tolist()):
+        for j, (c2, d) in enumerate(alg.positions.tolist()):
+            if c == c2:
+                table[i, j] = where[r, d]
+    return table
+
+
+def is_multiplicative_by_table(table, p):
+    """Whether the unit permutation p, unit j to unit p[j], respects every
+    product of units, zero products included."""
+    return np.array_equal(table[p][:, p], np.where(table >= 0, p[table], -1))
+
+
 def isotypic_projection(parts, rep):
     """(d / |G|) sum_g conj(chi(g)) rep(g) for a representation of S_n, with
     chi the character of the irreducible of the partition and d = chi(e)."""

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstarpow import crossed
-from cstarpow.algebra import make_algebra, symmetric_power_basis
+from cstarpow.algebra import (make_algebra, symmetric_power_basis,
+                              tensor_algebra, tensor_power)
 from cstarpow.crossed import (CovariantPair, CrossedElement, GroupAction,
                               action_from_json, block_permutation_action,
                               convolve, corner_embedding, corner_projection,
@@ -18,8 +19,10 @@ from cstarpow.groups import (UnitaryRep, cyclic_group, permutation_rep,
 from cstarpow.induction import induce
 from cstarpow.linalg import op_norm
 from oracles import (coefficients, compositions, crossed_unit, is_projection,
-                     naive_convolution, naive_integrated_form,
-                     naive_involution, random_unitary, trivial_action)
+                     is_multiplicative_by_table, naive_convolution,
+                     naive_integrated_form, naive_involution,
+                     position_star_index, product_table, random_unitary,
+                     trivial_action)
 
 
 def fixed_element(action, rng):
@@ -58,6 +61,89 @@ def test_action_validation_catches_a_table_failure(c2):
     with pytest.raises(ValueError):
         GroupAction(g, c2, perm_maps=maps)
     GroupAction(g, c2, perm_maps=maps[::-1])
+
+
+@st.composite
+def _small_algebras(draw):
+    """make_algebra, tensor_algebra and tensor_power algebras of dimension
+    at most 27."""
+    factors = st.sampled_from([[1, 1], [2], [2, 1], [1, 1, 1]])
+    kind = draw(st.sampled_from(["sum", "tensor", "power"]))
+    if kind == "sum":
+        return make_algebra(draw(st.lists(st.integers(1, 3), min_size=1,
+                                          max_size=3)))
+    if kind == "tensor":
+        return tensor_algebra(make_algebra(draw(factors)),
+                              make_algebra(draw(factors)))
+    base = draw(factors)
+    return tensor_power(make_algebra(base),
+                        draw(st.integers(2, 4 if base == [1, 1] else 2)))
+
+
+@st.composite
+def _unit_permutations(draw, alg):
+    """A permutation p of the units, unit j to unit p[j]: a random one, or
+    an automorphism that permutes equal-size blocks and moves the indices
+    of each block by one permutation s, E_rc -> E'_(s(r), s(c)), or that
+    map with the rows and columns of each block moved by two permutations,
+    with one block of size >= 2 transposed onto its own image (which
+    respects adjoints but not products), or with the images of two units
+    swapped: the (0, 1) units of two blocks of one size >= 2, or two
+    off-diagonal units of one row or of one column of a block."""
+    kind = draw(st.sampled_from(["random", "automorphism", "two",
+                                 "transposed", "swap"]))
+    if kind == "random":
+        return np.array(draw(st.permutations(range(alg.dim)))), kind
+    target = np.arange(len(alg.blocks))
+    for k in set(alg.blocks):
+        same = np.flatnonzero(np.array(alg.blocks) == k)
+        target[same] = draw(st.permutations(same))
+    p = np.empty(alg.dim, dtype=np.int64)
+    for j, k in enumerate(alg.blocks):
+        s = np.array(draw(st.permutations(range(k))))
+        t = np.array(draw(st.permutations(range(k)))) if kind == "two" else s
+        p[alg.block_units[j]] = alg.block_units[target[j]][s[:, None], t]
+    large = [u for u in alg.block_units if len(u) > 1]
+    if kind == "transposed" and large:
+        units = draw(st.sampled_from(large))
+        p[units] = p[units].T
+    pairs = [(u[0, 1], v[0, 1]) for i, u in enumerate(large)
+             for v in large[i + 1:] if len(u) == len(v)]
+    pairs += [pair for u in large if len(u) > 2
+              for pair in [(u[1, 0], u[2, 0]), (u[0, 1], u[0, 2])]]
+    if kind == "swap" and pairs:
+        pair = list(draw(st.sampled_from(pairs)))
+        p[pair] = p[pair[::-1]]
+    return p, kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_block_test_agrees_with_the_product_table(data):
+    alg = data.draw(_small_algebras())
+    assert np.array_equal(alg.star_index, position_star_index(alg))
+    p, kind = data.draw(_unit_permutations(alg))
+    expected = is_multiplicative_by_table(product_table(alg), p)
+    if kind == "automorphism":
+        assert expected
+    # the cyclic group generated by p acts by its powers, so the action is
+    # valid exactly when p respects products
+    powers = [np.arange(alg.dim)]
+    while len(powers) == 1 or not np.array_equal(powers[-1], powers[0]):
+        powers.append(p[powers[-1]])
+    group, maps = cyclic_group(len(powers) - 1), np.stack(powers[:-1])
+    if expected:
+        GroupAction(group, alg, perm_maps=maps)
+    else:
+        with pytest.raises(ValueError, match="map is not multiplicative"):
+            GroupAction(group, alg, perm_maps=maps)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_factor_permutations_respect_the_product_table(n):
+    action = tensor_permutation_action(make_algebra([2, 1]), n, check=True)
+    table = product_table(action.algebra)
+    assert all(is_multiplicative_by_table(table, p) for p in action.perm_maps)
 
 
 def test_action_homomorphism_table(swap_m2):

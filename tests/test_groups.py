@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 from functools import reduce
 
@@ -359,6 +360,21 @@ def test_permutation_form_matches_its_matrices():
     assert big.dim == 10_000
     with pytest.raises(BudgetError):
         big.matrices
+
+
+def test_dense_permutation_matrices_are_refused_by_entries():
+    # 8 shifts of dimension 3000 are 72M entries, over the budget though
+    # the dimension is small; the refusal allocates none of them
+    shifts = (np.arange(8)[:, None] + np.arange(3000)) % 3000
+    rep = UnitaryRep(cyclic_group(8), dest=shifts, check=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="8 matrices on dimension 3000"):
+            rep.matrices
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_projective_law_sees_every_pair():
